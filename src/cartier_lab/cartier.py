@@ -19,6 +19,8 @@ and element-level evaluation.
 
 import os
 
+import numpy as np
+
 from . import kernels
 from .errors import (
     NonStabilized,
@@ -77,7 +79,12 @@ def iteration_cap(explicit=None):
         return int(explicit)
     env = os.environ.get("CARTIER_LAB_MAX_ITER", "")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValidationError(
+                f"CARTIER_LAB_MAX_ITER={env!r} is not an integer"
+            ) from None
     return DEFAULT_ITERATION_CAP
 
 
@@ -396,11 +403,6 @@ class CartierMorphism:
             row[j] = module.ring.one
             images.append(tuple(row))
         return CartierMorphism(module, module, images, validate=False)
-
-    @staticmethod
-    def zero_map(source, target):
-        images = [zero_vector(target.ring, target.rank)] * source.rank
-        return CartierMorphism(source, target, images, validate=False)
 
     def __repr__(self):
         return f"CartierMorphism({self.source!r} -> {self.target!r})"
@@ -728,66 +730,52 @@ def to_semilinear(module):
     return model.kappa_semilinear(), model
 
 
+def _finite_length(module):
+    """Whether the module is finite-dimensional over F_q: always over F_q,
+    and over F_q[x] when the relation HNF has a pivot in every column."""
+    if module.ring.nvars == 0:
+        return True
+    pivots = {
+        next(i for i, f in enumerate(row) if not f.is_zero())
+        for row in module.relation_hnf()
+    }
+    return len(pivots) == module.rank
+
+
 # ---------------------------------------------------------------------------
 # maximal nilpotent submodule
 # ---------------------------------------------------------------------------
 
 
+def _fp_square(blocks):
+    """Flatten (d, d, e, e) F_p blocks into a (d e) x (d e) matrix on
+    coordinates ordered (basis index, field coordinate)."""
+    d, _, e, _ = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(d * e, d * e)
+
+
 def _fp_operator_matrices(model):
     """F_p matrices (as numpy arrays) of kappa, multiplication by x, and
     multiplication by the field generator, acting on F_p coordinates."""
-    import numpy as np
-
     module = model.module
     ctx = module.ring.ctx
-    e = ctx.e
+    p, e = ctx.p, ctx.e
     d = model.dimension
-    nfp = d * e
-
-    def to_fp(coords):
-        out = []
-        for c in coords:
-            out.extend(c.coords)
-        return out
-
-    def probe(op):
-        cols = []
-        for i in range(d):
-            for k in range(e):
-                c = [ctx.zero] * d
-                c[i] = ctx.from_coords(
-                    tuple(1 if kk == k else 0 for kk in range(e))
-                )
-                cols.append(to_fp(op(tuple(c))))
-        return np.array(cols, dtype=np.int64).T % ctx.p
-
-    kap = model.kappa_semilinear()
-    ops = [probe(lambda c: kap.apply(c))]
+    kap = ctx.fp_blocks(model.kappa_semilinear().matrix) @ ctx._frob_inv_matrix
+    ops = [_fp_square(kap % p)]
     if module.ring.nvars == 1:
         xmat = model.multiplication_matrix(module.ring.var(0))
-
-        def xmul(c):
-            return tuple(
-                sum(
-                    (xmat[i][j] * c[j] for j in range(d)),
-                    ctx.zero,
-                )
-                for i in range(d)
-            )
-
-        ops.append(probe(xmul))
+        ops.append(_fp_square(ctx.fp_blocks(xmat)))
     if e > 1:
-        gen = ctx.gen
-        ops.append(probe(lambda c: tuple(gen * x for x in c)))
-    return ops, nfp
+        gen = ctx.fp_blocks([[ctx.gen]])[0, 0]
+        ops.append(np.kron(np.eye(d, dtype=np.int64), gen))
+    return ops, d * e
 
 
 def _max_nil_finite(module):
     """Greatest submodule W with W inside ker(kappa^dim), x W <= W,
     kappa(W) <= W -- the maximal nilpotent Cartier submodule of a
     finite-length module.  Pure F_p linear algebra."""
-    import numpy as np
-
     model = FiniteModel(module)
     ctx = module.ring.ctx
     p = ctx.p
@@ -872,13 +860,7 @@ def max_nilpotent_submodule(module, cap=None):
             "order": order,
         }
     ring = module.ring
-    # finite length?
-    hnf = module.relation_hnf()
-    pivot_cols = set()
-    for row in hnf:
-        pivot_cols.add(next(i for i, f in enumerate(row) if not f.is_zero()))
-    finite = ring.nvars == 0 or len(pivot_cols) == module.rank
-    if finite:
+    if _finite_length(module):
         gens, _, _ = _max_nil_finite(module)
         sub, incl = submodule_module(module, gens)
         nil2, order2 = is_nilpotent(sub, cap=cap)
@@ -941,23 +923,69 @@ class HomResult:
         return f"HomResult(dim_Fp={self.dimension_fp}{flag})"
 
 
-def _hom_unknown_monomials(ring, degree_cap):
-    if ring.nvars == 0:
-        return [()]
-    return [(s,) for s in range(degree_cap + 1)]
+def _commutator_fp(left, right):
+    """F_p matrix of Phi -> Phi L - R Phi from the F_p blocks of L
+    (ds x ds) and R (dt x dt).  Rows are the coordinates (i, l, k) of the
+    result, columns the coordinates (i, j, k) of Phi (dt x ds)."""
+    ds, dt, e = left.shape[0], right.shape[0], left.shape[2]
+    n = dt * ds * e
+    mat = np.einsum("ab,jlxy->alxbjy", np.eye(dt, dtype=np.int64), left)
+    mat -= np.einsum("imxy,lj->ilxmjy", right, np.eye(ds, dtype=np.int64))
+    return mat.reshape(n, n)
+
+
+def _hom_finite(source, target):
+    """Exact Hom between finite-length modules: the F_q-matrices Phi on the
+    finite models with Phi A_s = A_t sigma^{-1}(Phi) (and Phi X_s = X_t Phi
+    over F_q[x]), solved as one F_p system in Phi's coordinates."""
+    ctx = source.ring.ctx
+    p, e = ctx.p, ctx.e
+    ms, mt = FiniteModel(source), FiniteModel(target)
+    ds, dt = ms.dimension, mt.dimension
+    conditions = [(
+        ctx.fp_blocks(ms.kappa_semilinear().matrix),
+        ctx.fp_blocks(mt.kappa_semilinear().matrix) @ ctx._frob_inv_matrix,
+    )]
+    if source.ring.nvars:
+        x = source.ring.var(0)
+        conditions.append((
+            ctx.fp_blocks(ms.multiplication_matrix(x)),
+            ctx.fp_blocks(mt.multiplication_matrix(x)),
+        ))
+    system = np.vstack([_commutator_fp(a, b) for a, b in conditions]) % p
+    ker = kernels.nullspace_mod_p(system, p)
+    if ker.shape[0]:
+        ker, _ = kernels.rref_mod_p(ker, p)  # canonical basis
+    phis = ker.reshape(ker.shape[0], dt, ds, e)
+    # the image of source generator c is Phi applied to its coordinates
+    units = CartierMorphism.identity(source).images
+    gens = ctx.fp_blocks([ms.to_coords(u) for u in units])
+    images = np.einsum("cjab,nijb->ncia", gens, phis) % p
+    basis = [
+        CartierMorphism(source, target, [
+            mt.from_coords([ctx.from_coords(v) for v in img]) for img in imgs
+        ])
+        for imgs in images
+    ]
+    return HomResult(basis, len(basis), False, None)
 
 
 def hom_cartier(source, target, degree_cap=None):
     """F_p-basis of morphisms source -> target commuting with the
     operators.
 
-    Over F_q the answer is complete.  Over F_q[x] matrix entries are
-    searched up to a degree cap (default: twice the largest relation
-    degree plus p) and the result is flagged partial.
+    When both modules have finite length (every module over F_q, torsion
+    modules over F_q[x]) the answer is exact: one F_p linear system on the
+    finite models, with partial=False and degree_cap=None.  Otherwise
+    (positive rank over F_q[x]) matrix entries are searched up to a degree
+    cap (default: twice the largest relation degree plus p) and the result
+    is flagged partial.
     """
     _require_pid(source, "hom_cartier")
     if source.ring != target.ring or source.ideal != target.ideal:
         raise ValidationError("hom endpoints need a common ring and quotient")
+    if _finite_length(source) and _finite_length(target):
+        return _hom_finite(source, target)
     ring = source.ring
     ctx = ring.ctx
     p, e = ctx.p, ctx.e
@@ -969,7 +997,7 @@ def hom_cartier(source, target, degree_cap=None):
                     if not f.is_zero():
                         maxdeg = max(maxdeg, f.total_degree())
         degree_cap = 2 * maxdeg + p
-    monos = _hom_unknown_monomials(ring, degree_cap)
+    monos = [(s,) for s in range(degree_cap + 1)]
     # unknown layout: (i target gen, j source gen, mono index, fp coord)
     slots = []
     for i in range(target.rank):
@@ -1013,8 +1041,6 @@ def hom_cartier(source, target, degree_cap=None):
         return out
 
     # probe unit unknowns, collect residual support, build the F_p system
-    import numpy as np
-
     probes = []
     support = set()
     for u in range(nunk):
@@ -1041,16 +1067,13 @@ def hom_cartier(source, target, degree_cap=None):
                         for k, c in enumerate(coeff.coords):
                             mat[base + k, u] = c
     ker = kernels.nullspace_mod_p(mat % p, p)
-    # canonical basis: rref over F_p
     if ker.shape[0]:
-        ker, _ = kernels.rref_mod_p(ker, p)
-        ker = ker[~np.all(ker == 0, axis=1)]
+        ker, _ = kernels.rref_mod_p(ker, p)  # canonical basis
     basis = []
     for row in ker:
         imgs = images_for([int(v) for v in row])
         basis.append(CartierMorphism(source, target, imgs))
-    partial = ring.nvars >= 1
-    return HomResult(basis, len(basis), partial, degree_cap)
+    return HomResult(basis, len(basis), True, degree_cap)
 
 
 # ---------------------------------------------------------------------------

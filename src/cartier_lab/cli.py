@@ -349,7 +349,9 @@ def build_parser():
         p.add_argument("--max-m", type=int, default=4,
                        help="largest extension degree for sol")
         p.add_argument("--truncate", type=int, default=None,
-                       help="degree bound (hom cap / oracle truncation)")
+                       help="degree bound: oracle truncation, and the hom "
+                            "search cap when a module has positive rank "
+                            "(ignored when both have finite length)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized spot checks")
         p.add_argument("--no-timings", action="store_true",

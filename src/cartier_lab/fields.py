@@ -12,7 +12,7 @@ root, i.e. a -> a^{p^{e-1}}) are precomputed as e x e matrices over F_p,
 since both are F_p-linear.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -296,6 +296,29 @@ class FrobeniusContext:
     def random_element(self, rng):
         return self.from_int(rng.randrange(self.q))
 
+    # -- F_p coordinates -----------------------------------------------------
+
+    @cached_property
+    def _mul_blocks(self):
+        """[k] is the F_p matrix of multiplication by t^k on coordinates."""
+        powers = [self.from_coords([int(i == k) for i in range(self.e)])
+                  for k in range(self.e)]
+        cols = [[(a * b).coords for b in powers] for a in powers]
+        return np.array(cols, dtype=np.int64).transpose(0, 2, 1)
+
+    def fp_blocks(self, matrix):
+        """F_p form of an F_q matrix: an int64 array of shape
+        (rows, cols, e, e) whose [i, j] block is the matrix of
+        multiplication by matrix[i][j] on power-basis coordinates.  A block
+        is linear in its entry, so it is the entry's coordinates applied
+        to the blocks of 1, t, ..., t^(e-1)."""
+        rows = len(matrix)
+        cols = len(matrix[0]) if rows else 0
+        coords = np.array(
+            [[x.coords for x in row] for row in matrix], dtype=np.int64
+        ).reshape(rows, cols, self.e)
+        return np.einsum("ijk,kab->ijab", coords, self._mul_blocks) % self.p
+
     # -- Frobenius ----------------------------------------------------------
 
     def frobenius(self, a):
@@ -472,11 +495,6 @@ class SemilinearMap:
             out.append(acc)
         return tuple(out)
 
-    def apply_power(self, v, n):
-        for _ in range(n):
-            v = self.apply(v)
-        return v
-
     def check_law(self, rng, trials=25):
         """Spot-check the twist law T(a v) = twist(a) T(v) on random data."""
         for _ in range(trials):
@@ -489,12 +507,6 @@ class SemilinearMap:
             if lhs != rhs:
                 return False
         return True
-
-    def basis_images(self):
-        cols = []
-        for j in range(self.dim):
-            cols.append(tuple(self.matrix[i][j] for i in range(self.dim)))
-        return cols
 
 
 def iterated_image_chain(T, cap=256):

@@ -77,10 +77,6 @@ class DualizingData:
         p = ring.ctx.p
         self.top = tuple(p - 1 for _ in range(ring.nvars))
 
-    def dual_basis(self, a, f):
-        """Coefficient g_a in f = sum_b g_b^p x^b."""
-        return frobenius_component(f, tuple(a))
-
 
 class GammaSheaf:
     """Finitely presented module with a linear structural map into its
@@ -204,11 +200,6 @@ class GammaSheaf:
                     acc = acc + self.gamma_matrix[i][j] * v[j]
             out.append(acc)
         return tuple(out)
-
-    def canonical_twist(self, v):
-        """Coordinates of 1 (x) v in F^*N: entrywise p-th powers."""
-        v = self.check_element(v)
-        return tuple(f ** self.ring.ctx.p for f in v)
 
     def iterate_matrix(self, k):
         """Matrix of gamma^k: N -> F^{k*}N (C^(p^{k-1}) ... C^(p) C)."""

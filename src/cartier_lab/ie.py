@@ -184,9 +184,6 @@ class Lattice:
         rel = self._rel_hnf()
         return [row for row in self.span if not in_span(row, rel, self.ring)]
 
-    def generator_fractions(self):
-        return [(row, self.k) for row in self.generator_rows()]
-
     def contains(self, fraction):
         v, kf = self.localized.normalize(fraction)
         if kf > self.k:

@@ -2,32 +2,15 @@
 
 Everything in this package that is F_p-linear -- fixed-point counting,
 Hom solving, brute-force enumeration -- bottoms out in row reduction of
-int64 matrices mod p.  Two interchangeable backends are provided:
-
-* a numba ``@njit`` backend (default when numba imports cleanly), and
-* a pure-numpy fallback.
-
-Set the environment variable ``CARTIER_LAB_NO_NUMBA=1`` to force the
-numpy path.  ``backend()`` reports which one is active.  Both paths are
-exercised by the test suite and compared by ``benchmarks/bench_kernels.py``.
+int64 matrices mod p, done here with vectorized numpy row operations.
 
 Matrices are numpy int64 arrays with entries already reduced into
 ``[0, p)``; all functions return arrays in the same normal form.
 """
 
-import os
-
 import numpy as np
 
-_USE_NUMBA = os.environ.get("CARTIER_LAB_NO_NUMBA", "") not in ("1", "true", "yes")
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - exercised only without numba
-        _USE_NUMBA = False
-
 __all__ = [
-    "backend",
     "rref_mod_p",
     "rank_mod_p",
     "nullspace_mod_p",
@@ -37,20 +20,12 @@ __all__ = [
 ]
 
 
-def backend():
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if _USE_NUMBA else "numpy"
-
-
 def _inv_scalar(a, p):
     # Fermat: a^(p-2) mod p, p prime, a != 0
     return pow(int(a), p - 2, p)
 
 
-# ---------------------------------------------------------------- numpy path
-
-
-def _rref_numpy(a, p):
+def _rref(a, p):
     m = a.copy() % p
     rows, cols = m.shape
     pivots = []
@@ -74,59 +49,6 @@ def _rref_numpy(a, p):
     return m, np.array(pivots, dtype=np.int64)
 
 
-# ---------------------------------------------------------------- numba path
-
-if _USE_NUMBA:
-
-    @njit(cache=True)
-    def _inv_scalar_nb(a, p):
-        # square-and-multiply a^(p-2) mod p
-        e = p - 2
-        result = 1
-        base = a % p
-        while e > 0:
-            if e & 1:
-                result = (result * base) % p
-            base = (base * base) % p
-            e >>= 1
-        return result
-
-    @njit(cache=True)
-    def _rref_numba(a, p):
-        m = a.copy() % p
-        rows, cols = m.shape
-        pivots = np.empty(min(rows, cols), dtype=np.int64)
-        npiv = 0
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            piv = -1
-            for i in range(r, rows):
-                if m[i, c] != 0:
-                    piv = i
-                    break
-            if piv == -1:
-                continue
-            if piv != r:
-                for j in range(cols):
-                    tmp = m[r, j]
-                    m[r, j] = m[piv, j]
-                    m[piv, j] = tmp
-            inv = _inv_scalar_nb(m[r, c], p)
-            for j in range(cols):
-                m[r, j] = (m[r, j] * inv) % p
-            for i in range(rows):
-                if i != r and m[i, c] != 0:
-                    f = m[i, c]
-                    for j in range(cols):
-                        m[i, j] = (m[i, j] - f * m[r, j]) % p
-            pivots[npiv] = c
-            npiv += 1
-            r += 1
-        return m, pivots[:npiv]
-
-
 def rref_mod_p(a, p):
     """Reduced row echelon form of ``a`` mod p.
 
@@ -136,9 +58,7 @@ def rref_mod_p(a, p):
     a = np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
     if a.size == 0:
         return a.copy(), np.empty(0, dtype=np.int64)
-    if _USE_NUMBA:
-        return _rref_numba(a, p)
-    return _rref_numpy(a, p)
+    return _rref(a, p)
 
 
 def rank_mod_p(a, p):

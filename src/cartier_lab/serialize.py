@@ -71,8 +71,12 @@ def kappa_key_from_string(text):
     if "," not in text:
         raise ValidationError(f"bad table key {text!r} (missing comma)")
     left, _, right = text.rpartition(",")
-    a = tuple(int(tok) for tok in left.split()) if left.strip() else ()
-    return (a, int(right))
+    try:
+        return (tuple(int(tok) for tok in left.split()), int(right))
+    except ValueError:
+        raise ValidationError(
+            f"bad table key {text!r} (non-integer entry)"
+        ) from None
 
 
 def _vector_to_json(vec):

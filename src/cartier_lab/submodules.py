@@ -387,14 +387,3 @@ def module_invariants(relation_rows, r, ring):
         "torsion_coords": torsion,
         "free_coords": free,
     }
-
-
-def mat_vec(M, v, ring):
-    out = []
-    for row in M:
-        acc = ring.zero
-        for a, b in zip(row, v):
-            if not a.is_zero() and not b.is_zero():
-                acc = acc + a * b
-        out.append(acc)
-    return tuple(out)

@@ -376,13 +376,12 @@ def test_hom_point_module_over_f4():
     assert res.dimension_fp == 1
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_hom_matches_brute_force_enumeration(p):
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hom_matches_brute_force_enumeration(q):
     """Exhaustive check on small F_q modules: count all rank x rank scalar
     matrices commuting with the operators; must equal p^dim."""
-    ctx = Fq(p, 1)
+    ctx = Fq(*{2: (2, 1), 3: (3, 1), 4: (2, 2)}[q])
     R = PolyRing(ctx, ())
-    rng = random.Random(SEED + p)
     mods = [
         jordan_block_module(ctx, 2),
         point_module(ctx),
@@ -400,12 +399,12 @@ def test_hom_matches_brute_force_enumeration(p):
             res = hom_cartier(source, target)
             count = 0
             cells = source.rank * target.rank
-            for values in itertools.product(range(p), repeat=cells):
+            for values in itertools.product(range(q), repeat=cells):
                 images = []
                 for j in range(source.rank):
                     vec = [R.zero] * target.rank
                     for i in range(target.rank):
-                        vec[i] = R.scalar(ctx.scalar(values[j * target.rank + i]))
+                        vec[i] = R.scalar(ctx.from_int(values[j * target.rank + i]))
                     images.append(tuple(vec))
                 ok = True
                 for j in range(source.rank):
@@ -419,7 +418,93 @@ def test_hom_matches_brute_force_enumeration(p):
                         break
                 if ok:
                     count += 1
-            assert count == p**res.dimension_fp, (source.rank, target.rank)
+            assert count == ctx.p**res.dimension_fp, (source.rank, target.rank)
+            assert not res.partial
+
+
+def test_hom_ignores_generators_killed_by_relations():
+    """S = F_q with kappa = sigma^{-1}, T = F_q^2/(e2) with kappa fixing
+    both generators (q = 2, 4): Hom is F_2 (phi(e) = a e1 with a in F_2),
+    and no basis element is the zero morphism that sends e to the dead
+    generator e2."""
+    for p, e in ((2, 1), (2, 2)):
+        R = PolyRing(Fq(p, e), ())
+        target = CartierModule(
+            R,
+            2,
+            {((), 0): (R.one, R.zero), ((), 1): (R.zero, R.one)},
+            relations=[(R.zero, R.one)],
+        )
+        res = hom_cartier(point_module(Fq(p, e)), target)
+        assert res.dimension_fp == 1
+        assert not res.partial
+        assert not any(phi.is_zero() for phi in res.basis)
+
+
+def torsion_line_module(rng, p, rank, c=1):
+    """Rank-r module over F_p[x] with every generator killed by
+    F = (x + c)^p.  The table values are multiples of (x + c)^(p-1), which
+    keeps the relations stable: kappa(F m) = (x + c) kappa(m) lies in F M."""
+    R = ring(p)
+    u = R.parse(f"x+{c}")
+    mult = u ** (p - 1)
+    table = {
+        ((a,), j): tuple(R.random_poly(rng, max_degree=1) * mult
+                         for _ in range(rank))
+        for a in range(p)
+        for j in range(rank)
+    }
+    relations = []
+    for i in range(rank):
+        row = [R.zero] * rank
+        row[i] = u**p
+        relations.append(tuple(row))
+    return CartierModule(R, rank, table, relations=relations)
+
+
+def count_morphisms(source, target):
+    """Brute force: every choice of generator images among the elements of
+    the target, kept when CartierMorphism accepts it."""
+    ctx = target.ring.ctx
+    model = finite_model(target)
+    elements = [
+        model.from_coords(coords)
+        for coords in itertools.product(
+            list(ctx.elements()), repeat=model.dimension
+        )
+    ]
+    count = 0
+    for images in itertools.product(elements, repeat=source.rank):
+        try:
+            CartierMorphism(source, target, images)
+        except ValidationError:
+            continue
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_of_torsion_modules_matches_brute_force(p):
+    """Over F_p[x] Hom between torsion modules is exact: the number of
+    morphisms found by enumerating generator images equals p^dim."""
+    rng = random.Random(SEED + 10 * p)
+    small = torsion_line_module(rng, p, 1)
+    pair = torsion_line_module(rng, p, 2)
+    # a rank-2 presentation with the relation g1 = g2 (its first
+    # generator is not a basis vector of the finite model)
+    total, _, _ = direct_sum(small, small)
+    glued, _ = quotient_module(total, [(total.ring.one, -total.ring.one)])
+    pairs = [(small, small), (small, pair), (pair, small), (glued, small),
+             (small, glued), (small, torsion_line_module(rng, p, 1))]
+    if p == 2:
+        pairs.append((pair, pair))
+    dims = []
+    for source, target in pairs:
+        res = hom_cartier(source, target)
+        assert not res.partial and res.degree_cap is None
+        assert count_morphisms(source, target) == p**res.dimension_fp
+        dims.append(res.dimension_fp)
+    assert min(dims) < max(dims)
 
 
 def _push(images, vec, R, target_rank):

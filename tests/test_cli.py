@@ -223,6 +223,27 @@ def test_malformed_json_is_validation_error(capsys, tmp_path):
     assert rep["error"]["type"] == "validation"
 
 
+def test_non_integer_table_key_is_validation_error(capsys, tmp_path):
+    doc = json.loads(Path(JORDAN2).read_text(encoding="utf-8"))
+    doc["kappa"]["zz,0"] = doc["kappa"].pop(",0")
+    bad = tmp_path / "bad_key.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep, _ = report(capsys, ["validate", str(bad), "--no-timings"])
+    assert code == 2
+    assert rep["error"]["type"] == "validation"
+    assert "zz,0" in rep["error"]["message"]
+
+
+def test_non_integer_iteration_cap_env_is_validation_error(
+    capsys, monkeypatch
+):
+    monkeypatch.setenv("CARTIER_LAB_MAX_ITER", "abc")
+    code, rep, _ = report(capsys, ["nilpotency", JORDAN2, "--no-timings"])
+    assert code == 2
+    assert rep["error"]["type"] == "validation"
+    assert "CARTIER_LAB_MAX_ITER" in rep["error"]["message"]
+
+
 def test_missing_file_is_validation_error(capsys, tmp_path):
     code, rep, _ = report(
         capsys, ["validate", str(tmp_path / "absent.json"), "--no-timings"]
