@@ -17,6 +17,7 @@ the ring to be F_q or F_q[x]; multivariate rings support only free modules
 and element-level evaluation.
 """
 
+import itertools
 import os
 
 import numpy as np
@@ -31,10 +32,11 @@ from .errors import (
 from .fields import SemilinearMap, P_INV_LINEAR
 from .poly import frobenius_decompose
 from .submodules import (
+    Presentation,
     hnf_rows,
     in_span,
     module_invariants,
-    reduce_vector,
+    scalar_rows,
     span_equal,
     syzygy_generators,
     solve_combination,
@@ -94,7 +96,7 @@ def _default_names(rank, nvars):
     return tuple(f"e{i + 1}" for i in range(rank))
 
 
-class CartierModule:
+class CartierModule(Presentation):
     """Finitely presented module with a p^{-1}-linear operator table.
 
     Parameters
@@ -110,15 +112,8 @@ class CartierModule:
         rank-1 module over one variable)
     """
 
-    __slots__ = (
-        "ring",
-        "rank",
-        "kappa_table",
-        "relations",
-        "ideal",
-        "generator_names",
-        "_rel_hnf",
-    )
+    __slots__ = ("kappa_table",)
+    _MAP = "kappa_table"
 
     def __init__(
         self,
@@ -130,149 +125,51 @@ class CartierModule:
         generator_names=None,
         validate=True,
     ):
-        self.ring = ring
-        self.rank = int(rank)
-        self.relations = tuple(tuple(v) for v in relations)
-        self.ideal = ideal
         if generator_names is None:
-            generator_names = _default_names(self.rank, ring.nvars)
-        self.generator_names = tuple(generator_names)
+            generator_names = _default_names(int(rank), ring.nvars)
+        super().__init__(ring, rank, relations, ideal, generator_names)
         self.kappa_table = {
             (tuple(a), int(j)): tuple(v) for (a, j), v in kappa_table.items()
         }
-        self._rel_hnf = None
         if validate:
             self._validate()
-        if ring.nvars <= 1:
-            self._rel_hnf = hnf_rows(self.effective_relations(), self.rank, ring)
-
-    # -- presentation ------------------------------------------------------
-
-    def effective_relations(self):
-        """Relation vectors together with ideal multiples of each generator."""
-        rows = list(self.relations)
-        if self.ideal is not None:
-            for h in self.ideal.groebner:
-                for i in range(self.rank):
-                    row = list(zero_vector(self.ring, self.rank))
-                    row[i] = h
-                    rows.append(tuple(row))
-        return tuple(rows)
-
-    def relation_hnf(self):
-        if self._rel_hnf is None:
-            self._rel_hnf = hnf_rows(
-                self.effective_relations(), self.rank, self.ring
-            )
-        return self._rel_hnf
 
     def _validate(self):
-        ring = self.ring
-        if self.rank < 0:
-            raise ValidationError("rank must be nonnegative")
-        if len(self.generator_names) != self.rank:
-            raise ValidationError("generator_names length must match rank")
-        if len(set(self.generator_names)) != self.rank:
-            raise ValidationError("generator names must be distinct")
-        if self.ideal is not None:
-            if ring.nvars == 0:
-                raise ValidationError("constant rings take no ideal quotient")
-            if self.ideal.ring is not ring and self.ideal.ring != ring:
-                raise ValidationError("ideal ring differs from module ring")
-        if ring.nvars >= 2 and self.relations:
-            raise UnsupportedRingError(
-                "relations over multivariate rings are not supported; "
-                "only free modules (possibly modulo an ideal) are"
-            )
-        expected = set()
-        for a in ring.pth_basis():
-            for j in range(self.rank):
-                expected.add((a, j))
-        got = set(self.kappa_table)
-        if got != expected:
-            missing = sorted(expected - got)[:3]
-            extra = sorted(got - expected)[:3]
-            raise ValidationError(
-                f"kappa table keys mismatch (missing {missing}, extra {extra})"
-            )
-        for key, vec in self.kappa_table.items():
-            if len(vec) != self.rank:
-                raise ValidationError(f"kappa value at {key} has wrong length")
-            for f in vec:
-                if f.ring != ring:
-                    raise ValidationError("kappa value over wrong ring")
-        for vec in self.relations:
-            if len(vec) != self.rank:
-                raise ValidationError("relation vector has wrong length")
-        self._check_well_defined()
-
-    def _check_well_defined(self):
-        """kappa must map the relation submodule into itself; it is enough
-        to check kappa(x^a rho) for relation generators rho and all a."""
-        ring = self.ring
-        rels = self.effective_relations()
-        if not rels:
-            return
-        if ring.nvars <= 1:
-            hnf = hnf_rows(rels, self.rank, ring)
-            for rho in rels:
-                for a in ring.pth_basis():
-                    xa = ring.monomial(a)
-                    img = self._apply_raw(vec_scale(rho, xa))
-                    if not in_span(img, hnf, ring):
-                        raise ValidationError(
-                            "kappa does not preserve the relation submodule "
-                            f"(relation {tuple(str(c) for c in rho)}, "
-                            f"shift {a})"
-                        )
-        else:
-            # free module modulo an ideal: images of ideal rows must have
-            # all coordinates inside the ideal
-            for rho in rels:
-                for a in ring.pth_basis():
-                    xa = ring.monomial(a)
-                    img = self._apply_raw(vec_scale(rho, xa))
-                    for f in img:
-                        if not self.ideal.normal_form(f).is_zero():
-                            raise ValidationError(
-                                "kappa does not preserve the ideal rows"
-                            )
-
-    # -- elements ----------------------------------------------------------
-
-    def zero(self):
-        return zero_vector(self.ring, self.rank)
-
-    def check_element(self, v):
-        v = tuple(v)
-        if len(v) != self.rank:
-            raise ValidationError(
-                f"element has {len(v)} coordinates, module has rank {self.rank}"
-            )
-        for f in v:
-            if f.ring != self.ring:
-                raise ValidationError("element coordinate over wrong ring")
-        return v
-
-    def normal_form(self, v):
-        v = self.check_element(v)
-        if self.ring.nvars <= 1:
-            return reduce_vector(v, self.relation_hnf(), self.ring)
-        if self.ideal is not None:
-            return tuple(self.ideal.normal_form(f) for f in v)
-        return v
-
-    def is_zero_element(self, v):
-        return all(f.is_zero() for f in self.normal_form(v))
-
-    def elements_equal(self, u, v):
-        return self.normal_form(u) == self.normal_form(v)
-
-    def random_element(self, rng, max_degree=3):
-        return tuple(
-            self.ring.random_poly(rng, max_degree=max_degree)
-            for _ in range(self.rank)
+        super()._validate()
+        ring, rank, table = self.ring, self.rank, self.kappa_table
+        p, n = ring.ctx.p, ring.nvars
+        # the keys must be exactly [0,p)^n x [0,rank); checked by shape and
+        # count, without listing the p^n exponent vectors
+        extra = sorted(
+            (a, j) for a, j in table
+            if not (len(a) == n and all(0 <= x < p for x in a)
+                    and 0 <= j < rank)
         )
+        if extra or len(table) != p**n * rank:
+            expected = (
+                (a, j)
+                for a in itertools.product(range(p), repeat=n)
+                for j in range(rank)
+            )
+            missing = list(
+                itertools.islice((k for k in expected if k not in table), 3)
+            )
+            raise ValidationError(
+                f"kappa table keys mismatch (missing {missing}, "
+                f"extra {extra[:3]})"
+            )
+        for key, vec in table.items():
+            self._check_vector(vec, f"kappa value at {key}")
+        # kappa must map the relation submodule into itself; it is enough
+        # to check kappa(x^a rho) for relation generators rho and all a
+        def images():
+            shifts = [ring.monomial(a) for a in ring.pth_basis()]
+            for rho in self.effective_relations():
+                for xa in shifts:
+                    row = vec_scale(rho, xa)
+                    yield row, self._apply_raw(row)
+
+        self._check_well_defined("kappa", images())
 
     # -- kappa -------------------------------------------------------------
 
@@ -301,35 +198,14 @@ class CartierModule:
 
     def semilinearity_check(self, rng, trials=20, max_degree=3):
         """Spot-check kappa(f^p v) == f kappa(v) on random pairs."""
-        p = self.ring.ctx.p
         for _ in range(trials):
             f = self.ring.random_poly(rng, max_degree=max_degree)
             v = self.random_element(rng, max_degree=max_degree)
-            lhs = self.apply_kappa(vec_scale(v, f**p))
+            lhs = self.apply_kappa(vec_scale(v, f.pth_power()))
             rhs = self.normal_form(vec_scale(self._apply_raw(v), f))
             if lhs != rhs:
                 return False
         return True
-
-    def __eq__(self, other):
-        if not isinstance(other, CartierModule):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.rank == other.rank
-            and self.ideal == other.ideal
-            and self.relations == other.relations
-            and self.kappa_table == other.kappa_table
-        )
-
-    def __repr__(self):
-        base = f"F_{self.ring.ctx.q}[{', '.join(self.ring.vars)}]"
-        if self.ideal is not None:
-            base += "/I"
-        return (
-            f"CartierModule(rank {self.rank} over {base}, "
-            f"{len(self.relations)} relations)"
-        )
 
 
 class CartierMorphism:
@@ -397,11 +273,7 @@ class CartierMorphism:
 
     @staticmethod
     def identity(module):
-        images = []
-        for j in range(module.rank):
-            row = list(zero_vector(module.ring, module.rank))
-            row[j] = module.ring.one
-            images.append(tuple(row))
+        images = scalar_rows(module.ring, module.rank, module.ring.one)
         return CartierMorphism(module, module, images, validate=False)
 
     def __repr__(self):
@@ -436,12 +308,8 @@ def image_chain(module, cap=None):
     cap = iteration_cap(cap)
     ring = module.ring
     rels = module.effective_relations()
-    full = []
-    for j in range(module.rank):
-        row = list(zero_vector(ring, module.rank))
-        row[j] = ring.one
-        full.append(tuple(row))
-    current = hnf_rows(list(full) + list(rels), module.rank, ring)
+    full = scalar_rows(ring, module.rank, ring.one)
+    current = hnf_rows(full + list(rels), module.rank, ring)
     chain = [current]
     for _ in range(cap):
         images = []
@@ -1040,40 +908,45 @@ def hom_cartier(source, target, degree_cap=None):
             out.append(target.normal_form(vec_add(lhs, vec_scale(rhs, -ring.one))))
         return out
 
-    # probe unit unknowns, collect residual support, build the F_p system
-    probes = []
-    support = set()
-    for u in range(nunk):
-        vals = [0] * nunk
-        vals[u] = 1
-        res = residuals(images_for(vals))
-        probes.append(res)
-        for vi, vec in enumerate(res):
-            for ci, f in enumerate(vec):
-                for mono in f.terms:
-                    support.add((vi, ci, mono))
-    support = sorted(support)
-    sindex = {s: i for i, s in enumerate(support)}
-    nrows = len(support) * e
-    if nrows == 0:
-        mat = np.zeros((1, nunk), dtype=np.int64)
-    else:
-        mat = np.zeros((nrows, nunk), dtype=np.int64)
-        for u, res in enumerate(probes):
-            for vi, vec in enumerate(res):
-                for ci, f in enumerate(vec):
-                    for mono, coeff in f.terms.items():
-                        base = sindex[(vi, ci, mono)] * e
-                        for k, c in enumerate(coeff.coords):
-                            mat[base + k, u] = c
-    ker = kernels.nullspace_mod_p(mat % p, p)
+    # probe unit unknowns and solve for the combinations with zero residual
+    probes = [
+        residuals(images_for([int(u == v) for v in range(nunk)]))
+        for u in range(nunk)
+    ]
+    ker = kernels.nullspace_mod_p(_fp_columns(probes, e), p)
     if ker.shape[0]:
         ker, _ = kernels.rref_mod_p(ker, p)  # canonical basis
-    basis = []
-    for row in ker:
-        imgs = images_for([int(v) for v in row])
-        basis.append(CartierMorphism(source, target, imgs))
+    # distinct solutions may agree modulo the target's relations: reduce
+    # the images and keep an F_p-independent subset of the reductions
+    candidates = [
+        [target.normal_form(v) for v in images_for([int(v) for v in row])]
+        for row in ker
+    ]
+    _, keep = kernels.rref_mod_p(_fp_columns(candidates, e), p)
+    basis = [CartierMorphism(source, target, candidates[c]) for c in keep]
     return HomResult(basis, len(basis), True, degree_cap)
+
+
+def _fp_columns(columns, e):
+    """F_p matrix whose column c holds the coefficient coordinates of
+    columns[c], a list of polynomial vectors, over the joint support of
+    all columns (one row at least)."""
+    support = sorted({
+        (vi, ci, mono)
+        for col in columns
+        for vi, vec in enumerate(col)
+        for ci, f in enumerate(vec)
+        for mono in f.terms
+    })
+    index = {s: i for i, s in enumerate(support)}
+    mat = np.zeros((max(len(support) * e, 1), len(columns)), dtype=np.int64)
+    for c, col in enumerate(columns):
+        for vi, vec in enumerate(col):
+            for ci, f in enumerate(vec):
+                for mono, coeff in f.terms.items():
+                    base = index[(vi, ci, mono)] * e
+                    mat[base:base + e, c] = coeff.coords
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -1110,10 +983,9 @@ def jordan_block_module(ctx, size=2):
     from .poly import PolyRing
 
     ring = PolyRing(ctx, ())
-    table = {}
-    for j in range(size):
-        vec = list(zero_vector(ring, size))
-        if j > 0:
-            vec[j - 1] = ring.one
-        table[((), j)] = tuple(vec)
+    units = scalar_rows(ring, size, ring.one)
+    table = {
+        ((), j): units[j - 1] if j else zero_vector(ring, size)
+        for j in range(size)
+    }
     return CartierModule(ring, size, table)

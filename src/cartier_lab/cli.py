@@ -10,7 +10,6 @@ directory).
 
 import argparse
 import hashlib
-import json
 import random
 import sys
 import time

@@ -377,43 +377,30 @@ def fq_rref(vectors, ctx):
 
     ``vectors`` is an iterable of equal-length tuples of FieldElement.
     Returns a tuple of nonzero RREF rows (a canonical form of the span).
+
+    The reduction is done over F_p: each row v becomes the rows t^k v
+    (k < e) on power-basis coordinates, whose F_p span is the F_q span of
+    the input.  The F_q RREF rows are the F_p RREF rows whose pivot is the
+    first coordinate of an entry.
     """
     rows = [list(v) for v in vectors]
     if not rows:
         return ()
-    ncols = len(rows[0])
-    if ctx.e == 1 and rows:
-        a = np.array(
-            [[x.coords[0] for x in row] for row in rows], dtype=np.int64
-        )
-        r, pivots = kernels.rref_mod_p(a, ctx.p)
-        out = []
-        for i in range(pivots.size):
-            out.append(tuple(ctx.from_int(int(c)) for c in r[i]))
-        return tuple(out)
-    out = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    for row in rows[:r]:
-        out.append(tuple(row))
-    return tuple(out)
+    p, e, n = ctx.p, ctx.e, len(rows[0])
+    coords = np.array(
+        [[x.coords for x in row] for row in rows], dtype=np.int64
+    ).reshape(len(rows), n, e)
+    if e == 1:
+        mat = coords[:, :, 0]
+    else:
+        mat = np.einsum("kab,icb->ikca", ctx._mul_blocks, coords) % p
+        mat = mat.reshape(len(rows) * e, n * e)
+    red, pivots = kernels.rref_mod_p(mat, p)
+    keep = red[: pivots.size][pivots % e == 0]
+    keep = keep.reshape(len(keep), n, e)
+    return tuple(
+        tuple(ctx.from_coords(c) for c in row) for row in keep.tolist()
+    )
 
 
 def fq_in_span(vector, rref_rows):

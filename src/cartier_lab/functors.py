@@ -25,7 +25,7 @@ from .cartier import (
     quotient_module,
     submodule_module,
 )
-from .fields import SemilinearMap, P_LINEAR
+from .fields import P_LINEAR, SemilinearMap, fixed_points_dimension, fq_rref
 from .gamma import GammaSheaf, cartier_to_gamma, unit_root_stabilize
 from .poly import (
     IdealSpec,
@@ -39,12 +39,12 @@ from .submodules import (
     hnf_rows,
     in_span,
     module_invariants,
+    scalar_rows,
     solve_combination,
     span_equal,
     syzygy_generators,
     vec_add,
     vec_scale,
-    zero_vector,
 )
 
 __all__ = [
@@ -126,12 +126,7 @@ def torsion_gamma_Z(module, g, cap=None):
     exponent = 0
     for j in range(1, cap + 1):
         power = power * g
-        scaled = []
-        for i in range(r):
-            row = list(zero_vector(ring, r))
-            row[i] = power
-            scaled.append(tuple(row))
-        gens = syzygy_generators(scaled, rels, r, ring)
+        gens = syzygy_generators(scalar_rows(ring, r, power), rels, r, ring)
         span = hnf_rows(list(gens) + list(rels), r, ring)
         if span_equal(span, prev):
             exponent = j - 1
@@ -224,13 +219,12 @@ class LocalizedCartier:
         """u with g u = v in the quotient, or None."""
         ring = self.ring
         r = self.quotient.rank
-        scaled = []
-        for i in range(r):
-            row = list(zero_vector(ring, r))
-            row[i] = self.g
-            scaled.append(tuple(row))
         coeffs = solve_combination(
-            scaled, self.quotient.effective_relations(), tuple(v), r, ring
+            scalar_rows(ring, r, self.g),
+            self.quotient.effective_relations(),
+            tuple(v),
+            r,
+            ring,
         )
         if coeffs is None:
             return None
@@ -368,13 +362,8 @@ def closed_pushforward(module, ambient_ring=None, point=None):
                 ambient_ring.scalar(f.constant_value()) for f in vec
             )
 
-        relations = []
-        for rho in module.relations:
-            relations.append(lift_vec(rho))
-        for i in range(r):
-            row = list(zero_vector(ambient_ring, r))
-            row[i] = x - c
-            relations.append(tuple(row))
+        relations = [lift_vec(rho) for rho in module.relations]
+        relations += scalar_rows(ambient_ring, r, x - c)
         root = ctx.frobenius_inv(point)
         table = {}
         for a in ambient_ring.pth_basis():
@@ -418,11 +407,7 @@ def koszul_pullback(module, seq, validate_sequence=True):
     if ideal.is_unit_ideal():
         # quotient by the unit ideal is the zero module; present it with
         # the relation 1 in each coordinate
-        rows = []
-        for i in range(module.rank):
-            row = list(zero_vector(ring, module.rank))
-            row[i] = ring.one
-            rows.append(tuple(row))
+        rows = scalar_rows(ring, module.rank, ring.one)
         if ring.nvars >= 2:
             raise UnsupportedRingError(
                 "zero quotient over a multivariate ring has no free presentation"
@@ -442,11 +427,9 @@ def koszul_pullback(module, seq, validate_sequence=True):
     twist = twist ** (p - 1)
     table = {}
     for a in ring.pth_basis():
-        xa = ring.monomial(a)
-        for j in range(module.rank):
-            unit = list(zero_vector(ring, module.rank))
-            unit[j] = xa * twist
-            val = module._apply_raw(tuple(unit))
+        shifted = scalar_rows(ring, module.rank, ring.monomial(a) * twist)
+        for j, unit in enumerate(shifted):
+            val = module._apply_raw(unit)
             table[(a, j)] = tuple(ideal.normal_form(f) for f in val)
     relations = []
     for rho in module.relations:
@@ -538,13 +521,13 @@ def restrict_to_subring(module):
     )
 
 
-def evaluate_at_point(module, point=None):
-    """Specialize a module over F_q[x]/(x - c) to the point: a module over
-    F_q with the a = 0 slice of the table evaluated at c."""
-    ring = module.ring
-    if ring.nvars != 1 or module.ideal is None:
+def _specialize_at_point(pres, point):
+    """The point ring F_q, evaluation at c of polynomials over F_q[x], and
+    the nonzero evaluated relations, for a presentation over F_q[x]/(x - c)."""
+    ring = pres.ring
+    if ring.nvars != 1 or pres.ideal is None:
         raise ValidationError("expected a quotient of F_q[x] by a point ideal")
-    assign = _linear_assignments(module.ideal)
+    assign = _linear_assignments(pres.ideal)
     if assign is None or 0 not in assign:
         raise UnsupportedRingError("point evaluation needs the ideal (x - c)")
     c = assign[0]
@@ -560,56 +543,39 @@ def evaluate_at_point(module, point=None):
         return ring0.scalar(acc)
 
     relations = []
-    for rho in module.relations:
+    for rho in pres.relations:
         red = tuple(ev(f) for f in rho)
         if any(not f.is_zero() for f in red):
             relations.append(red)
-    table = {}
-    zero_key = tuple(0 for _ in range(ring.nvars))
-    for j in range(module.rank):
-        table[((), j)] = tuple(ev(f) for f in module.kappa_table[(zero_key, j)])
+    return ring0, ev, relations
+
+
+def evaluate_at_point(module, point=None):
+    """Specialize a module over F_q[x]/(x - c) to the point: a module over
+    F_q with the a = 0 slice of the table evaluated at c."""
+    ring0, ev, relations = _specialize_at_point(module, point)
+    table = {
+        ((), j): tuple(ev(f) for f in module.kappa_table[((0,), j)])
+        for j in range(module.rank)
+    }
     return CartierModule(
         ring0,
         module.rank,
         table,
         relations=relations,
-        ideal=None,
         generator_names=module.generator_names,
     )
 
 
 def gamma_evaluate_at_point(sheaf, point=None):
     """Specialize a gamma-sheaf over F_q[x]/(x - c) to the point."""
-    ring = sheaf.ring
-    if ring.nvars != 1 or sheaf.ideal is None:
-        raise ValidationError("expected a quotient of F_q[x] by a point ideal")
-    assign = _linear_assignments(sheaf.ideal)
-    if assign is None or 0 not in assign:
-        raise UnsupportedRingError("point evaluation needs the ideal (x - c)")
-    c = assign[0]
-    if point is not None and point != c:
-        raise ValidationError("point does not match the ideal")
-    ctx = ring.ctx
-    ring0 = PolyRing(ctx, ())
-
-    def ev(f):
-        acc = ctx.zero
-        for mono, coeff in f.terms.items():
-            acc = acc + coeff * c ** mono[0]
-        return ring0.scalar(acc)
-
+    ring0, ev, relations = _specialize_at_point(sheaf, point)
     matrix = tuple(tuple(ev(f) for f in row) for row in sheaf.gamma_matrix)
-    relations = []
-    for rho in sheaf.relations:
-        red = tuple(ev(f) for f in rho)
-        if any(not f.is_zero() for f in red):
-            relations.append(red)
     return GammaSheaf(
         ring0,
         sheaf.rank,
         matrix,
         relations=relations,
-        ideal=None,
         generator_names=sheaf.generator_names,
     )
 
@@ -663,11 +629,9 @@ def sequence_change_factor(seq_f, seq_g, module):
     pull_g = koszul_pullback(module, seq_g, validate_sequence=False)
     verified = True
     for a in ring.pth_basis():
-        xa = ring.monomial(a)
-        for j in range(module.rank):
-            vec = list(zero_vector(ring, module.rank))
-            vec[j] = xa * d
-            lhs = pull_g.apply_kappa(tuple(vec))
+        shifted = scalar_rows(ring, module.rank, ring.monomial(a) * d)
+        for j, vec in enumerate(shifted):
+            lhs = pull_g.apply_kappa(vec)
             rhs = pull_g.normal_form(
                 vec_scale(pull_f.kappa_table[(a, j)], d)
             )
@@ -687,28 +651,6 @@ def sequence_change_factor(seq_f, seq_g, module):
 # ---------------------------------------------------------------------------
 
 
-def _fq_inverse(matrix, ctx):
-    n = len(matrix)
-    aug = [list(row) + [ctx.one if i == j else ctx.zero for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if not aug[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [inv * a for a in aug[col]]
-        for i in range(n):
-            if i != col and not aug[i][col].is_zero():
-                fac = aug[i][col]
-                aug[i] = [a - fac * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _point_root_matrix(sheaf):
     """Reduce a sheaf over F_q to a basis of its underlying space and
     return the structural matrix in that basis (entries in F_q)."""
@@ -718,8 +660,6 @@ def _point_root_matrix(sheaf):
     rows = []
     for rho in sheaf.effective_relations():
         rows.append(tuple(f.constant_value() for f in rho))
-    from .fields import fq_rref
-
     rref = fq_rref(rows, ctx) if rows else ()
     pivots = []
     for row in rref:
@@ -755,13 +695,19 @@ def sol_dimension(module, max_m, cap=None):
     ctx = module.ring.ctx
     sheaf = cartier_to_gamma(module)
     unit = unit_root_stabilize(sheaf, cap=cap)
-    from .fields import fixed_points_dimension
-
     matrix, free = _point_root_matrix(unit.root)
     if not free:
         return [0] * max_m
-    inv = _fq_inverse(matrix, ctx)
-    if inv is None:
+    # the inverse is the right block of the RREF of [matrix | identity]
+    n = len(matrix)
+    aug = fq_rref(
+        [
+            tuple(row) + tuple(ctx.one if j == i else ctx.zero for j in range(n))
+            for i, row in enumerate(matrix)
+        ],
+        ctx,
+    )
+    if all(x.is_zero() for x in aug[-1][:n]):
         raise InvariantViolation("unit root structural matrix not invertible")
-    semi = SemilinearMap(ctx, P_LINEAR, inv)
+    semi = SemilinearMap(ctx, P_LINEAR, [row[n:] for row in aug])
     return [fixed_points_dimension(semi, m) for m in range(1, max_m + 1)]

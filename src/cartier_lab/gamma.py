@@ -29,16 +29,15 @@ from .errors import (
     ValidationError,
 )
 from .cartier import CartierModule, iteration_cap, point_module, omega_module
-from .poly import PolyRing, frobenius_component, compose_from_components
+from .poly import frobenius_component
 from .submodules import (
+    Presentation,
     hnf_rows,
     in_span,
-    reduce_vector,
+    scalar_rows,
     span_equal,
     syzygy_generators,
     solve_combination,
-    vec_scale,
-    zero_vector,
 )
 
 __all__ = [
@@ -78,12 +77,12 @@ class DualizingData:
         self.top = tuple(p - 1 for _ in range(ring.nvars))
 
 
-class GammaSheaf:
+class GammaSheaf(Presentation):
     """Finitely presented module with a linear structural map into its
     Frobenius pullback, stored as the matrix over the generators."""
 
-    __slots__ = ("ring", "rank", "gamma_matrix", "relations", "ideal",
-                 "generator_names", "_rel_hnf")
+    __slots__ = ("gamma_matrix",)
+    _MAP = "gamma_matrix"
 
     def __init__(
         self,
@@ -95,99 +94,27 @@ class GammaSheaf:
         generator_names=None,
         validate=True,
     ):
-        self.ring = ring
-        self.rank = int(rank)
-        self.gamma_matrix = tuple(tuple(row) for row in gamma_matrix)
-        self.relations = tuple(tuple(v) for v in relations)
-        self.ideal = ideal
         if generator_names is None:
-            generator_names = tuple(f"n{i + 1}" for i in range(self.rank))
-        self.generator_names = tuple(generator_names)
-        self._rel_hnf = None
+            generator_names = tuple(f"n{i + 1}" for i in range(int(rank)))
+        super().__init__(ring, rank, relations, ideal, generator_names)
+        self.gamma_matrix = tuple(tuple(row) for row in gamma_matrix)
         if validate:
             self._validate()
 
-    # -- presentation ------------------------------------------------------
-
-    def effective_relations(self):
-        rows = list(self.relations)
-        if self.ideal is not None:
-            for h in self.ideal.groebner:
-                for i in range(self.rank):
-                    row = list(zero_vector(self.ring, self.rank))
-                    row[i] = h
-                    rows.append(tuple(row))
-        return tuple(rows)
-
-    def twisted_relations(self, k=1):
-        """Relation rows of the k-fold Frobenius pullback: entrywise
-        p^k-th powers of the module rows, plus untouched ideal rows."""
-        q = self.ring.ctx.p ** k
-        rows = []
-        for rho in self.relations:
-            rows.append(tuple(f**q for f in rho))
-        if self.ideal is not None:
-            for h in self.ideal.groebner:
-                for i in range(self.rank):
-                    row = list(zero_vector(self.ring, self.rank))
-                    row[i] = h
-                    rows.append(tuple(row))
-        return tuple(rows)
-
-    def relation_hnf(self):
-        if self._rel_hnf is None:
-            self._rel_hnf = hnf_rows(
-                self.effective_relations(), self.rank, self.ring
-            )
-        return self._rel_hnf
-
     def _validate(self):
-        ring = self.ring
-        if len(self.gamma_matrix) != self.rank or any(
-            len(row) != self.rank for row in self.gamma_matrix
-        ):
+        super()._validate()
+        if len(self.gamma_matrix) != self.rank:
             raise ValidationError("gamma matrix must be rank x rank")
         for row in self.gamma_matrix:
-            for f in row:
-                if f.ring != ring:
-                    raise ValidationError("gamma entry over wrong ring")
-        if self.ideal is not None and ring.nvars == 0:
-            raise ValidationError("constant rings take no ideal quotient")
-        if ring.nvars >= 2 and self.relations:
-            raise UnsupportedRingError(
-                "relations over multivariate rings are not supported"
-            )
-        if len(self.generator_names) != self.rank:
-            raise ValidationError("generator_names length must match rank")
+            self._check_vector(row, "gamma matrix row")
         # well-definedness: gamma maps relations into the twisted span
-        rels = self.effective_relations()
-        if not rels:
-            return
-        if ring.nvars <= 1:
-            twisted = hnf_rows(self.twisted_relations(1), self.rank, ring)
-            for rho in rels:
-                img = self.apply_gamma(rho)
-                if not in_span(img, twisted, ring):
-                    raise ValidationError(
-                        "gamma does not map the relations into the twisted "
-                        "relation span"
-                    )
-        else:
-            for rho in rels:
-                img = self.apply_gamma(rho)
-                for f in img:
-                    if not self.ideal.normal_form(f).is_zero():
-                        raise ValidationError(
-                            "gamma does not preserve the ideal rows"
-                        )
+        self._check_well_defined(
+            "gamma",
+            ((rho, self.apply_gamma(rho)) for rho in self.effective_relations()),
+            self.twisted_relations(1),
+        )
 
-    # -- elements ----------------------------------------------------------
-
-    def check_element(self, v):
-        v = tuple(v)
-        if len(v) != self.rank:
-            raise ValidationError("element has wrong number of coordinates")
-        return v
+    # -- gamma -------------------------------------------------------------
 
     def apply_gamma(self, v):
         """Coordinates of gamma(v) in the 1 (x) n_i generators of F^*N."""
@@ -216,46 +143,12 @@ class GammaSheaf:
             else:
                 result = _matmul(twisted, result, ring)
         if result is None:  # k == 0
-            result = [
-                [ring.one if i == jj else ring.zero for jj in range(self.rank)]
-                for i in range(self.rank)
-            ]
+            result = scalar_rows(ring, self.rank, ring.one)
         return tuple(tuple(row) for row in result)
 
-    def normal_form(self, v):
-        if self.ring.nvars <= 1:
-            return reduce_vector(self.check_element(v), self.relation_hnf(), self.ring)
-        if self.ideal is not None:
-            return tuple(self.ideal.normal_form(f) for f in self.check_element(v))
-        return self.check_element(v)
-
     def is_zero_sheaf(self):
-        if self.ring.nvars <= 1:
-            hnf = self.relation_hnf()
-            for j in range(self.rank):
-                unit = list(zero_vector(self.ring, self.rank))
-                unit[j] = self.ring.one
-                if not in_span(tuple(unit), hnf, self.ring):
-                    return False
-            return True
-        return self.rank == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, GammaSheaf):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.rank == other.rank
-            and self.ideal == other.ideal
-            and self.relations == other.relations
-            and self.gamma_matrix == other.gamma_matrix
-        )
-
-    def __repr__(self):
-        base = f"F_{self.ring.ctx.q}[{', '.join(self.ring.vars)}]"
-        if self.ideal is not None:
-            base += "/I"
-        return f"GammaSheaf(rank {self.rank} over {base})"
+        units = scalar_rows(self.ring, self.rank, self.ring.one)
+        return all(self.is_zero_element(u) for u in units)
 
 
 def _matmul(a, b, ring):
@@ -359,15 +252,6 @@ def gamma_to_cartier(sheaf, dualizing=None):
 # ---------------------------------------------------------------------------
 
 
-def _full_span(ring, rank, extra):
-    rows = []
-    for j in range(rank):
-        unit = list(zero_vector(ring, rank))
-        unit[j] = ring.one
-        rows.append(tuple(unit))
-    return hnf_rows(rows + list(extra), rank, ring)
-
-
 def gamma_kernel_chain(sheaf, cap=None):
     """Ascending kernels of the iterates gamma^k, as HNF spans in the
     generator coordinates (each containing the relation span).  Returns
@@ -427,7 +311,12 @@ def gamma_nilpotent(sheaf, cap=None):
     when every matrix column lies in the k-fold twisted relation span."""
     chain, e_star = gamma_kernel_chain(sheaf, cap=cap)
     ring = sheaf.ring
-    full = _full_span(ring, sheaf.rank, sheaf.effective_relations())
+    full = hnf_rows(
+        scalar_rows(ring, sheaf.rank, ring.one)
+        + list(sheaf.effective_relations()),
+        sheaf.rank,
+        ring,
+    )
     for k, span in enumerate(chain):
         if span_equal(span, full):
             return True, k

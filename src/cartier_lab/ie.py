@@ -38,8 +38,10 @@ from .functors import LocalizedCartier, torsion_gamma_Z
 from .submodules import (
     hnf_rows,
     in_span,
+    scalar_rows,
     solve_combination,
     span_equal,
+    syzygy_generators,
     vec_scale,
     zero_vector,
 )
@@ -129,18 +131,13 @@ class Lattice:
 
     def _reduce_exponent(self):
         """Lower k while the span is exactly g times a smaller span."""
-        from .submodules import syzygy_generators
-
         ring = self.ring
         g = self.localized.g
         r = self.rank
         while self.k > 0:
-            scaled = []
-            for i in range(r):
-                row = list(zero_vector(ring, r))
-                row[i] = g
-                scaled.append(tuple(row))
-            divided = syzygy_generators(scaled, list(self.span), r, ring)
+            divided = syzygy_generators(
+                scalar_rows(ring, r, g), list(self.span), r, ring
+            )
             candidate = hnf_rows(
                 list(divided) + list(self._rel_hnf()), r, ring
             )
@@ -245,19 +242,12 @@ class Lattice:
 
     def localization_agrees(self, cap=None):
         """Does inverting g recover the whole localized module?"""
-        ring = self.ring
-        for i in range(self.rank):
-            e = list(zero_vector(ring, self.rank))
-            e[i] = ring.one
-            if self.divides_in(tuple(e), cap=cap) is None:
-                return False
-        return True
+        units = scalar_rows(self.ring, self.rank, self.ring.one)
+        return all(self.divides_in(e, cap=cap) is not None for e in units)
 
     def to_module(self):
         """The lattice as an abstract module with the restricted operator,
         presented on its generator rows."""
-        from .submodules import syzygy_generators
-
         loc = self.localized
         ring = self.ring
         g = loc.g
@@ -379,7 +369,7 @@ def intermediate_extension(localized, cap=None):
             lattice, module, checks, indices, crystal_zero, localized
         )
 
-    base = Lattice(localized, 0, _unit_rows(ring, quot.rank))
+    base = Lattice(localized, 0, scalar_rows(ring, quot.rank, ring.one))
     if base.is_zero():
         checks = {
             "localization_agreement": True,
@@ -461,15 +451,6 @@ def intermediate_extension(localized, cap=None):
     )
 
 
-def _unit_rows(ring, r):
-    rows = []
-    for i in range(r):
-        row = list(zero_vector(ring, r))
-        row[i] = ring.one
-        rows.append(tuple(row))
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # functoriality
 # ---------------------------------------------------------------------------
@@ -524,10 +505,8 @@ class LocalizedMorphism:
         r = src.quotient.rank
         for a in ring.pth_basis():
             xa = ring.monomial(a)
-            for j in range(r):
-                e = list(zero_vector(ring, r))
-                e[j] = xa
-                lhs = self.apply((src.quotient.apply_kappa(tuple(e)), 0))
+            for j, e in enumerate(scalar_rows(ring, r, xa)):
+                lhs = self.apply((src.quotient.apply_kappa(e), 0))
                 rhs = tgt.apply_kappa(self.target.scale(self.images[j], xa))
                 if not tgt.fractions_equal(lhs, rhs):
                     raise ValidationError(
@@ -537,13 +516,9 @@ class LocalizedMorphism:
     @classmethod
     def identity(cls, localized):
         ring = localized.ring
-        r = localized.quotient.rank
-        images = []
-        for i in range(r):
-            e = list(zero_vector(ring, r))
-            e[i] = ring.one
-            images.append((tuple(e), 0))
-        return cls(localized, localized, images, validate=False)
+        units = scalar_rows(ring, localized.quotient.rank, ring.one)
+        return cls(localized, localized, [(e, 0) for e in units],
+                   validate=False)
 
     def compose(self, other):
         """self after other."""
@@ -605,8 +580,6 @@ def _integral_matrix(phi):
 
 def localized_kernel_is_zero(phi):
     """Is the morphism injective after inverting g?"""
-    from .submodules import syzygy_generators
-
     ring = phi.source.ring
     cols, _ = _integral_matrix(phi)
     rels_t = phi.target.quotient.effective_relations()
@@ -626,10 +599,7 @@ def localized_cokernel_is_zero(phi, cap=None):
     rt = phi.target.quotient.rank
     image_span = hnf_rows(cols + rels_t, rt, ring)
     cap_n = iteration_cap(cap)
-    for i in range(rt):
-        e = list(zero_vector(ring, rt))
-        e[i] = ring.one
-        v = tuple(e)
+    for v in scalar_rows(ring, rt, ring.one):
         ok = False
         for _ in range(cap_n + 1):
             if in_span(v, image_span, ring):
@@ -796,13 +766,11 @@ def minimality_oracle(cert, degree_bound=4, state_cap=20000):
     rels = loc.quotient.effective_relations()
     g = loc.g
     agree_vectors = []
-    for i in range(loc.quotient.rank):
-        e = list(zero_vector(ring, loc.quotient.rank))
-        e[i] = ring.one
-        n = lat.divides_in(tuple(e))
+    for e in scalar_rows(ring, loc.quotient.rank, ring.one):
+        n = lat.divides_in(e)
         if n is None:
             raise InvariantViolation("certificate lattice lost agreement")
-        target = vec_scale(tuple(e), g**n * g**lat.k)
+        target = vec_scale(e, g**n * g**lat.k)
         coords = solve_combination(gens, rels, target, lat.rank, ring)
         if coords is None:
             raise InvariantViolation("certificate lattice lost agreement")

@@ -83,7 +83,14 @@ def _vector_to_json(vec):
     return [str(f) for f in vec]
 
 
-def _vector_from_json(ring, items, rank):
+def _json_list(items, field):
+    if not isinstance(items, list):
+        raise ValidationError(f"{field} must be a JSON list")
+    return items
+
+
+def _vector_from_json(ring, items, rank, field):
+    _json_list(items, field)
     if len(items) != rank:
         raise ValidationError(
             f"vector of length {len(items)}, expected {rank}"
@@ -177,94 +184,84 @@ def fraction_to_string(localized, fraction, names):
 # ---------------------------------------------------------------------------
 
 
-def module_to_json(module):
+def _presentation_to_json(pres, rank_key, map_key, map_json):
     out = {
-        "ring": ring_to_json(module.ring),
-        "generators": module.rank,
-        "relations": [_vector_to_json(r) for r in module.relations],
-        "kappa": {
-            kappa_key_to_string(k): _vector_to_json(v)
-            for k, v in sorted(module.kappa_table.items())
-        },
+        "ring": ring_to_json(pres.ring),
+        rank_key: pres.rank,
+        "relations": [_vector_to_json(r) for r in pres.relations],
+        map_key: map_json,
+        "generator_names": list(pres.generator_names),
     }
-    if module.generator_names is not None:
-        out["generator_names"] = list(module.generator_names)
-    if module.ideal is not None:
-        out["ideal"] = [str(f) for f in module.ideal.generators]
+    if pres.ideal is not None:
+        out["ideal"] = [str(f) for f in pres.ideal.generators]
     return out
+
+
+def _presentation_from_json(obj, rank_key):
+    """The constructor arguments shared by module and sheaf documents."""
+    ring = ring_from_json(obj.get("ring", {}))
+    try:
+        rank = int(obj[rank_key])
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError(f"missing or bad {rank_key!r}") from None
+    rows = _json_list(obj.get("relations", []), "'relations'")
+    relations = [
+        _vector_from_json(ring, row, rank, f"'relations' entry {i}")
+        for i, row in enumerate(rows)
+    ]
+    names = _json_list(obj.get("generator_names", []), "'generator_names'")
+    if not all(isinstance(name, str) for name in names):
+        raise ValidationError("'generator_names' must hold strings")
+    ideal = None
+    if "ideal" in obj:
+        gens = _json_list(obj["ideal"], "'ideal'")
+        ideal = IdealSpec(ring, [ring.parse(s) for s in gens])
+    return {
+        "ring": ring,
+        "rank": rank,
+        "relations": relations,
+        "ideal": ideal,
+        "generator_names": tuple(names) if names else None,
+    }
+
+
+def module_to_json(module):
+    kappa = {
+        kappa_key_to_string(k): _vector_to_json(v)
+        for k, v in sorted(module.kappa_table.items())
+    }
+    return _presentation_to_json(module, "generators", "kappa", kappa)
 
 
 def module_from_json(obj):
-    ring = ring_from_json(obj.get("ring", {}))
-    try:
-        rank = int(obj["generators"])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError("missing or bad 'generators' count") from None
-    relations = [
-        _vector_from_json(ring, row, rank)
-        for row in obj.get("relations", [])
-    ]
-    table = {}
+    fields = _presentation_from_json(obj, "generators")
     kappa = obj.get("kappa", {})
     if not isinstance(kappa, dict):
         raise ValidationError("'kappa' must be an object")
-    for key_text, items in kappa.items():
-        key = kappa_key_from_string(key_text)
-        table[key] = _vector_from_json(ring, items, rank)
-    names = obj.get("generator_names")
-    ideal = None
-    if "ideal" in obj:
-        ideal = IdealSpec(ring, [ring.parse(s) for s in obj["ideal"]])
-    return CartierModule(
-        ring,
-        rank,
-        table,
-        relations=relations,
-        ideal=ideal,
-        generator_names=tuple(names) if names else None,
-    )
+    table = {
+        kappa_key_from_string(key): _vector_from_json(
+            fields["ring"], items, fields["rank"], f"'kappa' entry {key!r}"
+        )
+        for key, items in kappa.items()
+    }
+    return CartierModule(kappa_table=table, **fields)
 
 
 def sheaf_to_json(sheaf):
-    out = {
-        "ring": ring_to_json(sheaf.ring),
-        "rank": sheaf.rank,
-        "relations": [_vector_to_json(r) for r in sheaf.relations],
-        "gamma": [[str(f) for f in row] for row in sheaf.gamma_matrix],
-    }
-    if sheaf.generator_names is not None:
-        out["generator_names"] = list(sheaf.generator_names)
-    if sheaf.ideal is not None:
-        out["ideal"] = [str(f) for f in sheaf.ideal.generators]
-    return out
+    gamma = [_vector_to_json(row) for row in sheaf.gamma_matrix]
+    return _presentation_to_json(sheaf, "rank", "gamma", gamma)
 
 
 def sheaf_from_json(obj):
-    ring = ring_from_json(obj.get("ring", {}))
-    try:
-        rank = int(obj["rank"])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError("missing or bad 'rank'") from None
-    relations = [
-        _vector_from_json(ring, row, rank)
-        for row in obj.get("relations", [])
-    ]
+    fields = _presentation_from_json(obj, "rank")
     gamma = obj.get("gamma")
-    if not isinstance(gamma, list) or len(gamma) != rank:
+    if not isinstance(gamma, list) or len(gamma) != fields["rank"]:
         raise ValidationError("'gamma' must be a rank x rank matrix")
-    matrix = [_vector_from_json(ring, row, rank) for row in gamma]
-    names = obj.get("generator_names")
-    ideal = None
-    if "ideal" in obj:
-        ideal = IdealSpec(ring, [ring.parse(s) for s in obj["ideal"]])
-    return GammaSheaf(
-        ring,
-        rank,
-        matrix,
-        relations=relations,
-        ideal=ideal,
-        generator_names=tuple(names) if names else None,
-    )
+    matrix = [
+        _vector_from_json(fields["ring"], row, fields["rank"], f"'gamma' row {i}")
+        for i, row in enumerate(gamma)
+    ]
+    return GammaSheaf(gamma_matrix=matrix, **fields)
 
 
 # ---------------------------------------------------------------------------

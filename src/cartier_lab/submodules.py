@@ -13,12 +13,19 @@ and the torsion decomposition of a presented module.
 
 Rings with two or more variables are rejected: callers must arrange their
 modules to be free in that case.
+
+``Presentation`` is the module R^r / (relations) shared by Cartier modules
+and gamma-sheaves: it owns validation of the presentation, the relation
+HNF, and element normal forms, and leaves the structural map to its
+subclasses.
 """
 
 from .errors import UnsupportedRingError, ValidationError
 from .poly import divmod_multi
 
 __all__ = [
+    "Presentation",
+    "scalar_rows",
     "zero_vector",
     "vec_add",
     "vec_sub",
@@ -43,6 +50,12 @@ def _check_ring(ring):
 
 def zero_vector(ring, r):
     return tuple(ring.zero for _ in range(r))
+
+
+def scalar_rows(ring, r, f):
+    """The vectors f e_1, ..., f e_r of R^r."""
+    zero = ring.zero
+    return [tuple(f if j == i else zero for j in range(r)) for i in range(r)]
 
 
 def vec_add(u, v):
@@ -136,6 +149,177 @@ def in_span(v, hnf, ring):
 
 def span_equal(hnf_a, hnf_b):
     return tuple(hnf_a) == tuple(hnf_b)
+
+
+# ---------------------------------------------------------------------------
+# presentations
+# ---------------------------------------------------------------------------
+
+
+class Presentation:
+    """M = R^r / (relations) over R = F_q[x_1..x_n], optionally modulo an
+    ideal, with named generators.
+
+    Over F_q and F_q[x] elements have canonical normal forms modulo the
+    relation HNF (computed once, on first use or during validation).
+    Over multivariate rings only free modules are supported, possibly
+    modulo an ideal, and normal forms reduce each coordinate modulo it.
+    Subclasses add the structural map and name its attribute in ``_MAP``.
+    """
+
+    __slots__ = ("ring", "rank", "relations", "ideal", "generator_names",
+                 "_ideal_rows", "_rel_hnf")
+
+    def __init__(self, ring, rank, relations, ideal, generator_names):
+        self.ring = ring
+        self.rank = int(rank)
+        self.relations = tuple(tuple(v) for v in relations)
+        self.ideal = ideal
+        self.generator_names = tuple(generator_names)
+        self._ideal_rows = None
+        self._rel_hnf = None
+
+    # -- relations ---------------------------------------------------------
+
+    def _ideal_multiples(self):
+        """h e_i for each Groebner basis element h of the ideal and each i."""
+        if self._ideal_rows is None:
+            rows = []
+            if self.ideal is not None:
+                for h in self.ideal.groebner:
+                    rows.extend(scalar_rows(self.ring, self.rank, h))
+            self._ideal_rows = tuple(rows)
+        return self._ideal_rows
+
+    def effective_relations(self):
+        """Relation vectors together with ideal multiples of each generator."""
+        return self.relations + self._ideal_multiples()
+
+    def twisted_relations(self, k=1):
+        """Relation rows of the k-fold Frobenius pullback: entrywise
+        p^k-th powers of the relation rows, plus untouched ideal rows."""
+        q = self.ring.ctx.p ** k
+        twisted = tuple(tuple(f**q for f in rho) for rho in self.relations)
+        return twisted + self._ideal_multiples()
+
+    def relation_hnf(self):
+        if self._rel_hnf is None:
+            self._rel_hnf = hnf_rows(
+                self.effective_relations(), self.rank, self.ring
+            )
+        return self._rel_hnf
+
+    # -- validation --------------------------------------------------------
+
+    def _validate(self):
+        """Shape checks of the presentation; subclasses extend this with
+        the checks of their structural map."""
+        ring = self.ring
+        if self.rank < 0:
+            raise ValidationError("rank must be nonnegative")
+        if len(self.generator_names) != self.rank:
+            raise ValidationError("generator_names length must match rank")
+        if len(set(self.generator_names)) != self.rank:
+            raise ValidationError("generator names must be distinct")
+        if self.ideal is not None:
+            if ring.nvars == 0:
+                raise ValidationError("constant rings take no ideal quotient")
+            if self.ideal.ring is not ring and self.ideal.ring != ring:
+                raise ValidationError("ideal ring differs from module ring")
+        if ring.nvars >= 2 and self.relations:
+            raise UnsupportedRingError(
+                "relations over multivariate rings are not supported; "
+                "only free modules (possibly modulo an ideal) are"
+            )
+        for rho in self.relations:
+            self._check_vector(rho, "relation")
+
+    def _check_well_defined(self, name, images, span_rows=None):
+        """Raise unless the structural map ``name`` preserves the relations.
+
+        ``images`` yields (row, image) pairs for the rows the check needs;
+        each image must lie in the span of ``span_rows`` (default: the
+        relations themselves).  Over a multivariate ring, where the only
+        relations are ideal rows, each image coordinate must lie in the
+        ideal instead."""
+        if not self.effective_relations():
+            return
+        ring = self.ring
+        if ring.nvars <= 1:
+            if span_rows is None:
+                span = self.relation_hnf()
+            else:
+                span = hnf_rows(span_rows, self.rank, ring)
+        for row, img in images:
+            if ring.nvars <= 1:
+                ok = in_span(img, span, ring)
+            else:
+                ok = all(self.ideal.contains(f) for f in img)
+            if not ok:
+                raise ValidationError(
+                    f"{name} does not preserve the relation submodule "
+                    f"(at {tuple(str(c) for c in row)})"
+                )
+
+    # -- elements ----------------------------------------------------------
+
+    def _check_vector(self, v, what):
+        v = tuple(v)
+        if len(v) != self.rank:
+            raise ValidationError(
+                f"{what} has {len(v)} coordinates, module has rank {self.rank}"
+            )
+        ring = self.ring
+        for f in v:
+            if f.ring is not ring and f.ring != ring:
+                raise ValidationError(f"{what} coordinate over wrong ring")
+        return v
+
+    def check_element(self, v):
+        return self._check_vector(v, "element")
+
+    def zero(self):
+        return zero_vector(self.ring, self.rank)
+
+    def normal_form(self, v):
+        v = self.check_element(v)
+        if self.ring.nvars <= 1:
+            return reduce_vector(v, self.relation_hnf(), self.ring)
+        if self.ideal is not None:
+            return tuple(self.ideal.normal_form(f) for f in v)
+        return v
+
+    def is_zero_element(self, v):
+        return all(f.is_zero() for f in self.normal_form(v))
+
+    def elements_equal(self, u, v):
+        return self.normal_form(u) == self.normal_form(v)
+
+    def random_element(self, rng, max_degree=3):
+        return tuple(
+            self.ring.random_poly(rng, max_degree=max_degree)
+            for _ in range(self.rank)
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (
+            self.ring == other.ring
+            and self.rank == other.rank
+            and self.ideal == other.ideal
+            and self.relations == other.relations
+            and getattr(self, self._MAP) == getattr(other, self._MAP)
+        )
+
+    def __repr__(self):
+        base = f"F_{self.ring.ctx.q}[{', '.join(self.ring.vars)}]"
+        if self.ideal is not None:
+            base += "/I"
+        return (
+            f"{type(self).__name__}(rank {self.rank} over {base}, "
+            f"{len(self.relations)} relations)"
+        )
 
 
 def _tracked_echelon(gens, rels, r, ring):

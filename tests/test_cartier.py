@@ -441,6 +441,34 @@ def test_hom_ignores_generators_killed_by_relations():
         assert not any(phi.is_zero() for phi in res.basis)
 
 
+def test_positive_rank_hom_basis_is_independent_modulo_relations():
+    """omega and omega + T over F_2[x], with T = F_2[x]/(x) and kappa(g) =
+    g.  The degree-capped search also solves for x^s g, which vanish in
+    T; the basis keeps only morphisms independent modulo the target's
+    relations: Hom(omega, omega + T) has dimension 1 (dx -> dx) and the
+    endomorphisms of omega + T dimension 2 (the two identities)."""
+    R = ring(2)
+    x = R.var(0)
+    T = CartierModule(
+        R, 1, {((0,), 0): (R.one,), ((1,), 0): (R.zero,)}, relations=[(x,)]
+    )
+    omega = omega_module(R)
+    total, _, _ = direct_sum(omega, T)
+    for source, dim in ((omega, 1), (total, 2)):
+        res = hom_cartier(source, total)
+        assert res.partial
+        assert res.dimension_fp == len(res.basis) == dim
+        for coeffs in itertools.product((0, 1), repeat=dim):
+            if not any(coeffs):
+                continue
+            images = [
+                _push([phi.images[j] for phi in res.basis],
+                      [R.scalar(c) for c in coeffs], R, total.rank)
+                for j in range(source.rank)
+            ]
+            assert not CartierMorphism(source, total, images).is_zero()
+
+
 def torsion_line_module(rng, p, rank, c=1):
     """Rank-r module over F_p[x] with every generator killed by
     F = (x + c)^p.  The table values are multiples of (x + c)^(p-1), which

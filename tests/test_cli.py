@@ -8,6 +8,8 @@ directory)."""
 
 import glob
 import json
+import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -242,6 +244,96 @@ def test_non_integer_iteration_cap_env_is_validation_error(
     assert code == 2
     assert rep["error"]["type"] == "validation"
     assert "CARTIER_LAB_MAX_ITER" in rep["error"]["message"]
+
+
+SHEAF_DOC = {
+    "ring": {"p": 2, "e": 1, "vars": ["x"]},
+    "rank": 2,
+    "gamma": [["1", "0"], ["0", "x"]],
+    "relations": [],
+    "generator_names": ["u", "v"],
+}
+
+
+def _module_doc():
+    return json.loads(Path(OMEGA_LINE).read_text(encoding="utf-8"))
+
+
+def _sheaf_doc():
+    return json.loads(json.dumps(SHEAF_DOC))
+
+
+@pytest.mark.parametrize("kind", ["module", "sheaf"])
+@pytest.mark.parametrize(
+    "field,value",
+    [("relations", "abc"), ("ideal", "x"), ("generator_names", "ab")],
+)
+def test_string_in_place_of_a_list_is_validation_error(
+    capsys, tmp_path, kind, field, value
+):
+    """A string is not read one character at a time as a list."""
+    doc = _module_doc() if kind == "module" else _sheaf_doc()
+    doc[field] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep, _ = report(capsys, ["validate", str(path), "--no-timings"])
+    assert code == 2
+    assert rep["error"]["type"] == "validation"
+    assert f"'{field}' must be a JSON list" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("kind", ["module", "sheaf"])
+def test_string_in_place_of_a_vector_is_validation_error(
+    capsys, tmp_path, kind
+):
+    if kind == "module":
+        doc, field = _module_doc(), "'kappa' entry '1,0'"
+        doc["kappa"]["1,0"] = "1"
+    else:
+        doc, field = _sheaf_doc(), "'gamma' row 1"
+        doc["gamma"][1] = "0x"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep, _ = report(capsys, ["validate", str(path), "--no-timings"])
+    assert code == 2
+    assert rep["error"]["message"] == f"{field} must be a JSON list"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "rank,kappa,exit_code",
+    [(0, {}, 0), (1, {"0 0 0,0": ["0"]}, 2)],
+)
+def test_large_prime_table_is_checked_without_listing_exponents(
+    tmp_path, rank, kappa, exit_code
+):
+    """Over F_401[a,b,c] there are 401^3 exponent vectors.  The table keys
+    are checked by shape and count, so validation stays small and fast;
+    run in a subprocess limited to 1 GiB of address space."""
+    doc = {"ring": {"p": 401, "e": 1, "vars": ["a", "b", "c"]},
+           "generators": rank, "kappa": kappa}
+    path = tmp_path / "large_prime.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "cartier_lab.cli", "validate", str(path),
+         "--no-timings"],
+        capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == exit_code, proc.stderr
+    rep = json.loads(proc.stdout)
+    if exit_code == 0:
+        assert rep["result"]["valid"] and rep["result"]["rank"] == 0
+    else:
+        assert "kappa table keys mismatch" in rep["error"]["message"]
 
 
 def test_missing_file_is_validation_error(capsys, tmp_path):

@@ -282,3 +282,40 @@ def test_fq_rref_random_rank_agreement():
         for i in range(len(red)):
             others = fq_rref([r for j, r in enumerate(red) if j != i], ctx)
             assert not fq_in_span(red[i], others)
+
+
+def gauss_jordan_oracle(rows, ctx):
+    """Textbook Gauss-Jordan elimination with F_q element arithmetic."""
+    rows = [list(v) for v in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return tuple(tuple(row) for row in rows[:r])
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
+def test_fq_rref_matches_gauss_jordan(p, e):
+    """The F_p expansion (rows t^k v) reduces to the F_q RREF exactly."""
+    ctx = Fq(p, e)
+    rng = random.Random(SEED + 7 * p + e)
+    for _ in range(12):
+        m, n = rng.randrange(1, 7), rng.randrange(1, 7)
+        rows = [
+            tuple(ctx.random_element(rng) if rng.random() < 0.6 else ctx.zero
+                  for _ in range(n))
+            for _ in range(m)
+        ]
+        c = ctx.random_element(rng)
+        rows.append(tuple(c * x for x in rows[0]))  # a dependent row
+        assert fq_rref(rows, ctx) == gauss_jordan_oracle(rows, ctx)
