@@ -90,6 +90,29 @@ def iteration_cap(explicit=None):
     return DEFAULT_ITERATION_CAP
 
 
+def _check_table_keys(table, ring, rank):
+    """The keys must be exactly [0,p)^n x [0,rank); checked by shape and
+    count, without listing the p^n exponent vectors."""
+    p, n = ring.ctx.p, ring.nvars
+    extra = sorted(
+        (a, j) for a, j in table
+        if not (len(a) == n and all(0 <= x < p for x in a) and 0 <= j < rank)
+    )
+    if extra or len(table) != p**n * rank:
+        expected = (
+            (a, j)
+            for a in itertools.product(range(p), repeat=n)
+            for j in range(rank)
+        )
+        missing = list(
+            itertools.islice((k for k in expected if k not in table), 3)
+        )
+        raise ValidationError(
+            f"kappa table keys mismatch (missing {missing}, "
+            f"extra {extra[:3]})"
+        )
+
+
 def _default_names(rank, nvars):
     if rank == 1 and nvars == 1:
         return ("dx",)
@@ -125,39 +148,22 @@ class CartierModule(Presentation):
         generator_names=None,
         validate=True,
     ):
-        if generator_names is None:
-            generator_names = _default_names(int(rank), ring.nvars)
-        super().__init__(ring, rank, relations, ideal, generator_names)
         self.kappa_table = {
             (tuple(a), int(j)): tuple(v) for (a, j), v in kappa_table.items()
         }
+        if generator_names is None:
+            # the default names take O(rank) memory: check the table first
+            if validate and int(rank) > 0:
+                _check_table_keys(self.kappa_table, ring, int(rank))
+            generator_names = _default_names(int(rank), ring.nvars)
+        super().__init__(ring, rank, relations, ideal, generator_names)
         if validate:
             self._validate()
 
     def _validate(self):
         super()._validate()
         ring, rank, table = self.ring, self.rank, self.kappa_table
-        p, n = ring.ctx.p, ring.nvars
-        # the keys must be exactly [0,p)^n x [0,rank); checked by shape and
-        # count, without listing the p^n exponent vectors
-        extra = sorted(
-            (a, j) for a, j in table
-            if not (len(a) == n and all(0 <= x < p for x in a)
-                    and 0 <= j < rank)
-        )
-        if extra or len(table) != p**n * rank:
-            expected = (
-                (a, j)
-                for a in itertools.product(range(p), repeat=n)
-                for j in range(rank)
-            )
-            missing = list(
-                itertools.islice((k for k in expected if k not in table), 3)
-            )
-            raise ValidationError(
-                f"kappa table keys mismatch (missing {missing}, "
-                f"extra {extra[:3]})"
-            )
+        _check_table_keys(table, ring, rank)
         for key, vec in table.items():
             self._check_vector(vec, f"kappa value at {key}")
         # kappa must map the relation submodule into itself; it is enough
@@ -459,12 +465,10 @@ def direct_sum(m1, m2):
     relations = [left(rho) for rho in m1.relations] + [
         right(rho) for rho in m2.relations
     ]
-    table = {}
-    for a in ring.pth_basis():
-        for j in range(r1):
-            table[(a, j)] = left(m1.kappa_table[(a, j)])
-        for j in range(r2):
-            table[(a, r1 + j)] = right(m2.kappa_table[(a, j)])
+    table = {key: left(v) for key, v in m1.kappa_table.items()}
+    table.update(
+        ((a, r1 + j), right(v)) for (a, j), v in m2.kappa_table.items()
+    )
     names = tuple(f"l_{n}" for n in m1.generator_names) + tuple(
         f"r_{n}" for n in m2.generator_names
     )

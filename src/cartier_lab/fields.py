@@ -6,13 +6,18 @@ polynomial of degree e over F_p, where candidates are ordered by the
 integer code ``c_0 + c_1 p + ... + c_{e-1} p^{e-1}`` of their non-leading
 coefficients.  Irreducibility is certified by trial division (e <= 8).
 
-Elements are immutable coefficient tuples in the power basis
-``1, t, ..., t^{e-1}``.  The Frobenius a -> a^p and its inverse (the p-th
-root, i.e. a -> a^{p^{e-1}}) are precomputed as e x e matrices over F_p,
-since both are F_p-linear.
+An element is its integer code in [0, q): the same code of its
+coordinates over the power basis ``1, t, ..., t^{e-1}``.  Each context
+builds q-sized tables once (q <= 2^16, else ``CapExceeded``): the q
+element objects themselves, so arithmetic returns shared objects; the
+powers and discrete logarithms of the first primitive element g (in code
+order) and the Zech logarithms log_g(1 + g^n), so a product is one log
+sum and a sum one Zech lookup (in characteristic 2 a sum is the XOR of
+the codes, in a prime field their sum mod p); negation, inverse, the
+Frobenius a -> a^p and its inverse; and the coordinate digits.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +28,7 @@ P_LINEAR = "p-linear"
 P_INV_LINEAR = "p-inv-linear"
 
 _E_CAP = 8
+_Q_CAP = 2**16
 
 
 def _is_prime(n):
@@ -39,12 +45,6 @@ def _is_prime(n):
 # -- dense polynomial helpers over F_p (coefficient lists, low degree first) --
 
 
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _fp_divmod(a, b, p):
     a = list(a)
     db, lb = len(b) - 1, b[-1]
@@ -59,7 +59,8 @@ def _fp_divmod(a, b, p):
         q[shift] = coef
         for i in range(db + 1):
             a[shift + i] = (a[shift + i] - coef * b[i]) % p
-        _fp_trim(a)
+        while a and a[-1] == 0:
+            a.pop()
     return q, a
 
 
@@ -85,101 +86,118 @@ def _first_irreducible_fp(p, e):
     raise ValidationError(f"no irreducible polynomial of degree {e} over F_{p}")  # pragma: no cover
 
 
+def _mat_pow(mat, n, p):
+    out = np.eye(len(mat), dtype=np.int64)
+    while n:
+        if n & 1:
+            out = out @ mat % p
+        mat = mat @ mat % p
+        n >>= 1
+    return out
+
+
+def _has_order(mat, p, n):
+    """Whether the element with multiplication matrix mat has order n:
+    no power n / r for a prime r | n is the identity."""
+    rest, r = n, 2
+    while rest > 1:
+        if r * r > rest:
+            r = rest
+        if rest % r == 0:
+            if (_mat_pow(mat, n // r, p) == np.eye(len(mat))).all():
+                return False
+            while rest % r == 0:
+                rest //= r
+        r += 1
+    return True
+
+
+def _power_codes(mat, p, q):
+    """Codes of g^0, ..., g^(q-2), where mat is the F_p matrix of
+    multiplication by g: the table doubles, g^(k+n) = g^n g^k."""
+    e = len(mat)
+    rows = np.zeros((1, e), dtype=np.int64)
+    rows[0, 0] = 1
+    while len(rows) < q - 1:
+        rows = np.concatenate([rows, rows @ mat.T % p])
+        mat = mat @ mat % p
+    return rows[: q - 1] @ p ** np.arange(e, dtype=np.int64)
+
+
 class FieldElement:
-    """Element of F_{p^e}, stored as coefficients over the power basis."""
+    """Element of F_{p^e}, stored as its integer code in [0, q).  The q
+    elements of a context are built once, so equal elements are one
+    object."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "code")
 
-    def __init__(self, ctx, coords):
+    def __init__(self, ctx, code):
         self.ctx = ctx
-        self.coords = coords
+        self.code = code
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check(self, other):
-        if self.ctx is not other.ctx:
-            raise ContextMismatchError(
-                f"elements of F_{self.ctx.q} and F_{other.ctx.q} cannot be combined"
-            )
+    def _mismatch(self, other):
+        raise ContextMismatchError(
+            f"elements of F_{self.ctx.q} and F_{other.ctx.q} cannot be combined"
+        )
 
     def __add__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FieldElement(
-            self.ctx, tuple((a + b) % p for a, b in zip(self.coords, other.coords))
-        )
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            self._mismatch(other)
+        a, b = self.code, other.code
+        if ctx.p == 2:
+            return ctx._elems[a ^ b]
+        if ctx.e == 1:
+            return ctx._elems[(a + b) % ctx.p]
+        if not a:
+            return other
+        if not b:
+            return self
+        la = ctx._log[a]
+        # a + b = g^la (1 + g^(lb - la)); a negative index wraps mod q - 1
+        z = ctx._zech[ctx._log[b] - la]
+        return ctx.zero if z is None else ctx._pow[la + z]
 
     def __sub__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FieldElement(
-            self.ctx, tuple((a - b) % p for a, b in zip(self.coords, other.coords))
-        )
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            self._mismatch(other)
+        if ctx.p == 2:
+            return ctx._elems[self.code ^ other.code]
+        if ctx.e == 1:
+            return ctx._elems[(self.code - other.code) % ctx.p]
+        return self + ctx._neg[other.code]
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coords))
+        return self.ctx._neg[self.code]
 
     def __mul__(self, other):
-        self._check(other)
         ctx = self.ctx
-        p, e = ctx.p, ctx.e
-        if e == 1:
-            return FieldElement(ctx, ((self.coords[0] * other.coords[0]) % p,))
-        conv = [0] * (2 * e - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    conv[i + j] += a * b
-        red = ctx._reduction
-        out = [c % p for c in conv[:e]]
-        for k in range(e, 2 * e - 1):
-            c = conv[k] % p
-            if c:
-                row = red[k - e]
-                for i in range(e):
-                    out[i] = (out[i] + c * row[i]) % p
-        return FieldElement(ctx, tuple(out))
+        if other.ctx is not ctx:
+            self._mismatch(other)
+        a, b = self.code, other.code
+        if a and b:
+            log = ctx._log
+            return ctx._pow[log[a] + log[b]]
+        return ctx.zero
 
     def inv(self):
-        if self.is_zero():
+        if not self.code:
             raise ZeroDivisionError("inverse of 0 in F_q")
-        ctx = self.ctx
-        p = ctx.p
-        if ctx.e == 1:
-            return FieldElement(ctx, (pow(self.coords[0], p - 2, p),))
-        # extended Euclid in F_p[t] against the modulus
-        r0, r1 = list(ctx.modulus), _fp_trim(list(self.coords))
-        s0, s1 = [], [1]
-        while r1:
-            q, r2 = _fp_divmod(r0, r1, p)
-            s2 = list(s0)
-            if len(s2) < len(q) + len(s1):
-                s2 += [0] * (len(q) + len(s1) - len(s2))
-            for i, qc in enumerate(q):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s2[i + j] = (s2[i + j] - qc * sc) % p
-            r0, r1, s0, s1 = r1, r2, s1, _fp_trim(s2)
-        lead_inv = pow(r0[-1], p - 2, p)
-        s0 = [(c * lead_inv) % p for c in s0]
-        s0 += [0] * (ctx.e - len(s0))
-        return FieldElement(ctx, tuple(s0[: ctx.e]))
+        return self.ctx._inv[self.code]
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        result = self.ctx.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        ctx = self.ctx
+        if not self.code:
+            if n < 0:
+                raise ZeroDivisionError("inverse of 0 in F_q")
+            return ctx.one if n == 0 else self
+        return ctx._pow[ctx._log[self.code] * n % (ctx.q - 1)]
 
     def frob(self):
         return self.ctx.frobenius(self)
@@ -189,32 +207,37 @@ class FieldElement:
 
     # -- structure --------------------------------------------------------
 
+    @property
+    def coords(self):
+        """Coefficients over the power basis 1, t, ..., t^(e-1)."""
+        return self.ctx._coords[self.code]
+
     def is_zero(self):
-        return all(c == 0 for c in self.coords)
+        return not self.code
 
     def in_prime_field(self):
-        return all(c == 0 for c in self.coords[1:])
+        return self.code < self.ctx.p
 
     def to_int(self):
-        p = self.ctx.p
-        return sum(c * p**i for i, c in enumerate(self.coords))
+        return self.code
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
             and self.ctx is other.ctx
-            and self.coords == other.coords
+            and self.code == other.code
         )
 
     def __hash__(self):
-        return hash((self.ctx.p, self.ctx.e, self.coords))
+        return hash((self.ctx.p, self.ctx.e, self.code))
 
     def __str__(self):
-        if self.is_zero():
+        if not self.code:
             return "0"
         parts = []
+        coords = self.coords
         for i in range(self.ctx.e - 1, -1, -1):
-            c = self.coords[i]
+            c = coords[i]
             if c == 0:
                 continue
             if i == 0:
@@ -229,82 +252,85 @@ class FieldElement:
 
 
 class FrobeniusContext:
-    """The field F_{p^e} with its canonical modulus and Frobenius data."""
+    """The field F_{p^e} with its canonical modulus and arithmetic tables.
+    Contexts compare by identity; ``Fq`` interns them."""
 
     def __init__(self, p, e):
-        if not _is_prime(p):
-            raise ValidationError(f"p = {p} is not prime")
         if not (1 <= e <= _E_CAP):
             raise CapExceeded(f"extension degree e = {e} outside 1..{_E_CAP}")
-        self.p = p
-        self.e = e
-        self.q = p**e
+        if p**e > _Q_CAP:
+            raise CapExceeded(f"field size q = {p}^{e} exceeds {_Q_CAP}")
+        if not _is_prime(p):
+            raise ValidationError(f"p = {p} is not prime")
+        self.p, self.e = p, e
+        self.q = q = p**e
         self.modulus = _first_irreducible_fp(p, e)
-        # x^(e+k) mod modulus for k = 0..e-2
-        red = []
-        cur = [(-c) % p for c in self.modulus[:-1]]  # x^e
-        red.append(tuple(cur))
-        for _ in range(e - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for i in range(e):
-                    nxt[i] = (nxt[i] + top * red[0][i]) % p
-            cur = [c % p for c in nxt]
-            red.append(tuple(cur))
-        self._reduction = red
-        self.zero = FieldElement(self, (0,) * e)
-        self.one = FieldElement(self, tuple(1 if i == 0 else 0 for i in range(e)))
-        self.gen = FieldElement(
-            self, tuple(1 if i == 1 else 0 for i in range(e)) if e > 1 else (0,)
-        )
-        self._frob_matrix = self._build_frobenius_matrix()
-        self._frob_inv_matrix = kernels.inv_mod_p(self._frob_matrix, p)
+        # multiplication by t is the companion matrix of the modulus
+        mt = np.zeros((e, e), dtype=np.int64)
+        mt[1:, :-1] = np.eye(e - 1, dtype=np.int64)
+        mt[:, -1] = [(-c) % p for c in self.modulus[:-1]]
+        blocks = [np.eye(e, dtype=np.int64)]
+        for _ in range(e - 1):
+            blocks.append(mt @ blocks[-1] % p)
+        # [k] is the F_p matrix of multiplication by t^k on coordinates
+        self._mul_blocks = np.array(blocks)
+        self._digits = digits = np.arange(q)[:, None] // p ** np.arange(e) % p
+        self._coords = [tuple(row) for row in digits.tolist()]
+        self._elems = elems = [FieldElement(self, c) for c in range(q)]
+        self.zero, self.one = elems[0], elems[1]
+        self.gen = elems[p if e > 1 else 0]
+        # the first element of order q - 1, in code order
+        for g in range(1, q):
+            mat = np.einsum("k,kab->ab", digits[g], self._mul_blocks) % p
+            if _has_order(mat, p, q - 1):
+                break
+        exp = _power_codes(mat, p, q)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self._log = log.tolist()
+        self._pow = [elems[c] for c in exp.tolist()] * 2
+        low = digits[exp, 0]
+        one_plus = (exp - low + (low + 1) % p).tolist()
+        self._zech = [self._log[c] if c else None for c in one_plus]
+        neg = (-digits % p) @ p ** np.arange(e)
+        self._neg = [elems[c] for c in neg.tolist()]
 
-    def _build_frobenius_matrix(self):
-        cols = []
-        for i in range(self.e):
-            basis = FieldElement(
-                self, tuple(1 if j == i else 0 for j in range(self.e))
-            )
-            cols.append((basis ** self.p).coords)
-        return np.array(cols, dtype=np.int64).T
+        def power_map(n):  # a -> a^n, through the logarithms
+            return [elems[0]] + [self._pow[k * n % (q - 1)] for k in self._log[1:]]
+
+        self._inv = power_map(-1)
+        self._frob = power_map(p)
+        self._frob_inv = power_map(p ** (e - 1))
+        # the F_p matrix of the p-th root: column j is the root of t^j
+        roots = [self._frob_inv[p**j].code for j in range(e)]
+        self._frob_inv_matrix = digits[roots].T
 
     # -- constructors ------------------------------------------------------
 
     def scalar(self, n):
         """The image of the integer n under Z -> F_q."""
-        return FieldElement(
-            self, tuple(n % self.p if i == 0 else 0 for i in range(self.e))
-        )
+        return self._elems[n % self.p]
 
     def from_coords(self, coords):
-        coords = tuple(int(c) % self.p for c in coords)
+        coords = [int(c) % self.p for c in coords]
         if len(coords) != self.e:
             raise ValidationError(f"expected {self.e} coordinates, got {len(coords)}")
-        return FieldElement(self, coords)
+        code = 0
+        for c in reversed(coords):
+            code = code * self.p + c
+        return self._elems[code]
 
     def from_int(self, code):
-        p = self.p
-        return FieldElement(self, tuple((code // p**i) % p for i in range(self.e)))
+        return self._elems[code % self.q]
 
     def elements(self):
         """All q elements in counting order of their integer code."""
-        for code in range(self.q):
-            yield self.from_int(code)
+        return iter(self._elems)
 
     def random_element(self, rng):
-        return self.from_int(rng.randrange(self.q))
+        return self._elems[rng.randrange(self.q)]
 
     # -- F_p coordinates -----------------------------------------------------
-
-    @cached_property
-    def _mul_blocks(self):
-        """[k] is the F_p matrix of multiplication by t^k on coordinates."""
-        powers = [self.from_coords([int(i == k) for i in range(self.e)])
-                  for k in range(self.e)]
-        cols = [[(a * b).coords for b in powers] for a in powers]
-        return np.array(cols, dtype=np.int64).transpose(0, 2, 1)
 
     def fp_blocks(self, matrix):
         """F_p form of an F_q matrix: an int64 array of shape
@@ -314,25 +340,20 @@ class FrobeniusContext:
         to the blocks of 1, t, ..., t^(e-1)."""
         rows = len(matrix)
         cols = len(matrix[0]) if rows else 0
-        coords = np.array(
-            [[x.coords for x in row] for row in matrix], dtype=np.int64
-        ).reshape(rows, cols, self.e)
+        codes = np.array(
+            [[x.code for x in row] for row in matrix], dtype=np.int64
+        ).reshape(rows, cols)
+        coords = self._digits[codes]
         return np.einsum("ijk,kab->ijab", coords, self._mul_blocks) % self.p
 
     # -- Frobenius ----------------------------------------------------------
 
     def frobenius(self, a):
-        if self.e == 1:
-            return a
-        v = self._frob_matrix @ np.array(a.coords, dtype=np.int64)
-        return FieldElement(self, tuple(int(c) % self.p for c in v))
+        return self._frob[a.code]
 
     def frobenius_inv(self, a):
         """The p-th root, equal to a -> a^(p^(e-1))."""
-        if self.e == 1:
-            return a
-        v = self._frob_inv_matrix @ np.array(a.coords, dtype=np.int64)
-        return FieldElement(self, tuple(int(c) % self.p for c in v))
+        return self._frob_inv[a.code]
 
     def modulus_str(self):
         parts = []
@@ -347,13 +368,6 @@ class FrobeniusContext:
                 parts.append(tpow if c == 1 else f"{c}*{tpow}")
         return "+".join(parts)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FrobeniusContext)
-            and self.p == other.p
-            and self.e == other.e
-        )
-
     def __hash__(self):
         return hash((self.p, self.e))
 
@@ -361,9 +375,14 @@ class FrobeniusContext:
         return f"FrobeniusContext(p={self.p}, e={self.e})"
 
 
-@lru_cache(maxsize=None)
 def Fq(p, e=1):
-    """Interned FrobeniusContext for (p, e); contexts compare by identity."""
+    """Interned FrobeniusContext for (p, e), so Fq(2) is Fq(2, 1); contexts
+    compare by identity."""
+    return _interned(p, e)
+
+
+@lru_cache(maxsize=None)
+def _interned(p, e):
     return FrobeniusContext(p, e)
 
 
@@ -387,20 +406,20 @@ def fq_rref(vectors, ctx):
     if not rows:
         return ()
     p, e, n = ctx.p, ctx.e, len(rows[0])
-    coords = np.array(
-        [[x.coords for x in row] for row in rows], dtype=np.int64
-    ).reshape(len(rows), n, e)
+    codes = np.array(
+        [[x.code for x in row] for row in rows], dtype=np.int64
+    ).reshape(len(rows), n)
     if e == 1:
-        mat = coords[:, :, 0]
+        mat = codes
     else:
+        coords = ctx._digits[codes]
         mat = np.einsum("kab,icb->ikca", ctx._mul_blocks, coords) % p
         mat = mat.reshape(len(rows) * e, n * e)
     red, pivots = kernels.rref_mod_p(mat, p)
     keep = red[: pivots.size][pivots % e == 0]
-    keep = keep.reshape(len(keep), n, e)
-    return tuple(
-        tuple(ctx.from_coords(c) for c in row) for row in keep.tolist()
-    )
+    keep = keep.reshape(len(keep), n, e) @ p ** np.arange(e, dtype=np.int64)
+    elems = ctx._elems
+    return tuple(tuple(elems[c] for c in row) for row in keep.tolist())
 
 
 def fq_in_span(vector, rref_rows):
@@ -605,9 +624,6 @@ class RelativeExtension:
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
-    def sub(self, x, y):
-        return tuple(a - b for a, b in zip(x, y))
-
     def mul(self, x, y):
         ctx, m = self.base, self.m
         if m == 1:
@@ -668,40 +684,22 @@ def fixed_points_dimension(T, m):
     """dim_{F_p} of the fixed space of T extended to F_{q^m}^r.
 
     T must be P_LINEAR.  The extension acts by the same matrix with the
-    Frobenius of F_{q^m} as twist; T - id is F_p-linear on F_p^{e m r}, and
-    the answer is the nullity of that matrix.
+    Frobenius of F_{q^m} as twist, so T - id is F_p-linear on F_p^{e m r}:
+    block (i, j) of T is multiplication by the embedded entry a_ij, which
+    is kron(I_m, fp_blocks(a_ij)) on F_{q^m}, times the em x em F_p matrix
+    of x -> x^p.  The answer is the nullity of T - id.
     """
     if T.kind != P_LINEAR:
         raise ValidationError("fixed_points_dimension expects a p-linear map")
     ctx = T.ctx
     K = RelativeExtension(ctx, m)
-    r = T.dim
-    n_fp = K.fp_basis_size() * r
-    emb_matrix = [[K.embed(T.matrix[i][j]) for j in range(r)] for i in range(r)]
-
-    def apply_T_minus_id(vec):
-        # vec: list of K-elements, length r
-        tw = [K.frobenius(x) for x in vec]
-        out = []
-        for i in range(r):
-            acc = K.zero
-            for j in range(r):
-                acc = K.add(acc, K.mul(emb_matrix[i][j], tw[j]))
-            out.append(K.sub(acc, vec[i]))
-        return out
-
-    cols = []
-    kdim = K.fp_basis_size()
-    for j in range(r):
-        for b in range(kdim):
-            coords = [0] * kdim
-            coords[b] = 1
-            vec = [K.from_fp_coords(coords) if jj == j else K.zero for jj in range(r)]
-            image = apply_T_minus_id(vec)
-            col = []
-            for x in image:
-                col.extend(K.to_fp_coords(x))
-            cols.append(col)
-    mat = np.array(cols, dtype=np.int64).T
-    rank = kernels.rank_mod_p(mat, ctx.p)
-    return n_fp - rank
+    r, e, n = T.dim, ctx.e, K.fp_basis_size()
+    frob = np.array(
+        [K.to_fp_coords(K.frobenius(K.from_fp_coords(col)))
+         for col in np.eye(n, dtype=np.int64).tolist()],
+        dtype=np.int64,
+    ).T.reshape(m, e, n)
+    blocks = ctx.fp_blocks(T.matrix)
+    mat = np.einsum("ijxy,ayc->iaxjc", blocks, frob).reshape(r * n, r * n)
+    mat = (mat - np.eye(r * n, dtype=np.int64)) % ctx.p
+    return r * n - kernels.rank_mod_p(mat, ctx.p)

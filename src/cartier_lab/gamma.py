@@ -28,7 +28,7 @@ from .errors import (
     UnsupportedRingError,
     ValidationError,
 )
-from .cartier import CartierModule, iteration_cap, point_module, omega_module
+from .cartier import CartierModule, iteration_cap
 from .poly import frobenius_component
 from .submodules import (
     Presentation,
@@ -57,22 +57,14 @@ __all__ = [
 
 
 class DualizingData:
-    """The fixed rank-1 module with its classical operator, the monomial
-    basis x^a (a in [0,p)^n) of the ring over its p-th powers, and the
-    dual projections picking Frobenius components."""
+    """The rank-1 dualizing module's data for the conversions: the top
+    exponent a* = (p-1, ..., p-1), at which Frobenius components of the
+    dual projections are read."""
 
-    __slots__ = ("ring", "omega", "cartier_op", "frobenius_basis", "top")
+    __slots__ = ("ring", "top")
 
     def __init__(self, ring):
         self.ring = ring
-        if ring.nvars == 0:
-            self.omega = point_module(ring.ctx)
-        else:
-            self.omega = omega_module(ring)
-        self.cartier_op = self.omega.kappa_table
-        self.frobenius_basis = tuple(
-            ring.monomial(a) for a in ring.pth_basis()
-        )
         p = ring.ctx.p
         self.top = tuple(p - 1 for _ in range(ring.nvars))
 
@@ -94,10 +86,14 @@ class GammaSheaf(Presentation):
         generator_names=None,
         validate=True,
     ):
-        if generator_names is None:
-            generator_names = tuple(f"n{i + 1}" for i in range(int(rank)))
-        super().__init__(ring, rank, relations, ideal, generator_names)
         self.gamma_matrix = tuple(tuple(row) for row in gamma_matrix)
+        if generator_names is None:
+            # the default names take O(rank) memory: check the matrix first
+            rank = int(rank)
+            if validate and rank > 0 and len(self.gamma_matrix) != rank:
+                raise ValidationError("gamma matrix must be rank x rank")
+            generator_names = tuple(f"n{i + 1}" for i in range(rank))
+        super().__init__(ring, rank, relations, ideal, generator_names)
         if validate:
             self._validate()
 
@@ -187,17 +183,14 @@ def cartier_to_gamma(module, dualizing=None):
         )
     if dualizing is None:
         dualizing = DualizingData(ring)
-    p = ring.ctx.p
     top = dualizing.top
     r = module.rank
     C = [[ring.zero for _ in range(r)] for _ in range(r)]
-    for a in ring.pth_basis():
+    for (a, j), val in module.kappa_table.items():
         shift = ring.monomial(tuple(t - ai for t, ai in zip(top, a)))
-        for j in range(r):
-            val = module.kappa_table[(a, j)]
-            for i in range(r):
-                if not val[i].is_zero():
-                    C[i][j] = C[i][j] + val[i].pth_power() * shift
+        for i in range(r):
+            if not val[i].is_zero():
+                C[i][j] = C[i][j] + val[i].pth_power() * shift
     return GammaSheaf(
         ring,
         r,
@@ -223,7 +216,7 @@ def gamma_to_cartier(sheaf, dualizing=None):
     top = dualizing.top
     r = sheaf.rank
     table = {}
-    for a in ring.pth_basis():
+    for a in ring.pth_basis() if r else ():
         xa = ring.monomial(a)
         for j in range(r):
             vec = []

@@ -127,7 +127,7 @@ class PolyRing:
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
-            and self.ctx == other.ctx
+            and self.ctx is other.ctx
             and self.vars == other.vars
         )
 
@@ -149,7 +149,7 @@ class Polynomial:
         self.terms = terms
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ContextMismatchError(
                 f"polynomials over {self.ring} and {other.ring} cannot be combined"
             )
@@ -290,7 +290,7 @@ class Polynomial:
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.terms == other.terms
         )
 

@@ -13,6 +13,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,24 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def _run_limited(tmp_path, doc, operation):
+    """Run one CLI operation on ``doc`` in a subprocess limited to 1 GiB of
+    address space."""
+    path = tmp_path / "limited.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "cartier_lab.cli", operation, str(path),
+         "--no-timings"],
+        capture_output=True, text=True, env=env, timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+
+
 @pytest.mark.parametrize(
     "rank,kappa,exit_code",
     [(0, {}, 0), (1, {"0 0 0,0": ["0"]}, 2)],
@@ -315,25 +334,50 @@ def test_large_prime_table_is_checked_without_listing_exponents(
     run in a subprocess limited to 1 GiB of address space."""
     doc = {"ring": {"p": 401, "e": 1, "vars": ["a", "b", "c"]},
            "generators": rank, "kappa": kappa}
-    path = tmp_path / "large_prime.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p]
-    )
-    proc = subprocess.run(
-        [sys.executable, "-m", "cartier_lab.cli", "validate", str(path),
-         "--no-timings"],
-        capture_output=True, text=True, env=env, timeout=30,
-        preexec_fn=_limit_address_space,
-    )
+    proc = _run_limited(tmp_path, doc, "validate")
     assert proc.returncode == exit_code, proc.stderr
     rep = json.loads(proc.stdout)
     if exit_code == 0:
         assert rep["result"]["valid"] and rep["result"]["rank"] == 0
     else:
         assert "kappa table keys mismatch" in rep["error"]["message"]
+
+
+def test_rank_zero_conversion_never_lists_exponents(tmp_path):
+    """to-gamma of the rank-0 module over F_401[a,b,c] iterates the (empty)
+    table, not the 401^3 exponent vectors."""
+    doc = {"ring": {"p": 401, "e": 1, "vars": ["a", "b", "c"]},
+           "generators": 0, "kappa": {}}
+    proc = _run_limited(tmp_path, doc, "to-gamma")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["rank"] == 0
+
+
+@pytest.mark.parametrize("kind", ["module", "sheaf"])
+def test_huge_rank_is_checked_before_names_are_built(tmp_path, kind):
+    """A rank of 10^8 with an empty map exits 2 without building 10^8
+    default generator names."""
+    doc = {"ring": {"p": 2, "e": 1, "vars": []}}
+    if kind == "module":
+        doc.update(generators=10**8, kappa={})
+        message = "kappa table keys mismatch"
+    else:
+        doc.update(rank=10**8, gamma=[])
+        message = "'gamma' must be a rank x rank matrix"
+    proc = _run_limited(tmp_path, doc, "validate")
+    assert proc.returncode == 2, proc.stderr
+    assert message in json.loads(proc.stdout)["error"]["message"]
+
+
+def test_field_over_the_size_cap_exits_2_quickly(capsys, tmp_path):
+    doc = {"ring": {"p": 101, "e": 6, "vars": []}, "generators": 0, "kappa": {}}
+    path = tmp_path / "big_field.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, rep, _ = report(capsys, ["validate", str(path), "--no-timings"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert "exceeds 65536" in rep["error"]["message"]
 
 
 def test_missing_file_is_validation_error(capsys, tmp_path):

@@ -204,6 +204,29 @@ def test_fixed_points_against_brute_force_over_f4(m, expected):
     assert count == 2**dim
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_fixed_points_of_random_maps_against_brute_force(p, e, m):
+    """Random 2x2 p-linear maps: the F_p-dimension from the block matrix
+    of T - id matches a count of the fixed vectors of F_{q^m}^2."""
+    ctx = Fq(p, e)
+    ext = RelativeExtension(ctx, m)
+    pool = [ext.from_fp_coords(c)
+            for c in itertools.product(range(p), repeat=ext.fp_basis_size())]
+    rng = random.Random(SEED + 31 * p + 7 * e + m)
+    for _ in range(4):
+        mat = [[ctx.random_element(rng) for _ in range(2)] for _ in range(2)]
+        T = SemilinearMap(ctx, P_LINEAR, mat)
+        emb = [[ext.embed(a) for a in row] for row in mat]
+        count = 0
+        for v in itertools.product(pool, repeat=2):
+            tw = [ext.frobenius(x) for x in v]
+            image = [ext.add(ext.mul(row[0], tw[0]), ext.mul(row[1], tw[1]))
+                     for row in emb]
+            count += image == list(v)
+        assert count == p ** fixed_points_dimension(T, m)
+
+
 # ------------------------------------------------------ relative extension
 
 
