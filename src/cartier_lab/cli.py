@@ -346,7 +346,8 @@ def build_parser():
                        help="stabilization cap (default 256 or "
                             "CARTIER_LAB_MAX_ITER)")
         p.add_argument("--max-m", type=int, default=4,
-                       help="largest extension degree for sol")
+                       help="largest extension degree m for sol; F_(q^m) "
+                            "may have at most 2^32 elements")
         p.add_argument("--truncate", type=int, default=None,
                        help="degree bound: oracle truncation, and the hom "
                             "search cap when a module has positive rank "

@@ -4,7 +4,12 @@ A ``FrobeniusContext`` fixes the prime p, the exponent e and a canonical
 modulus for F_{p^e}: the lexicographically first monic irreducible
 polynomial of degree e over F_p, where candidates are ordered by the
 integer code ``c_0 + c_1 p + ... + c_{e-1} p^{e-1}`` of their non-leading
-coefficients.  Irreducibility is certified by trial division (e <= 8).
+coefficients.  Irreducibility is certified by Berlekamp's criterion on
+the F_p matrix of the Frobenius of F_p[s]/(candidate).  The same search
+gives the modulus of degree e m for F_{q^m} = F_p[s]/(mu), on which
+``fixed_points_dimension`` works with F_p matrices only, building no
+context.  Sizes are capped before any search: q <= 2^16 for a context,
+q^m <= 2^32 for an extension (``CapExceeded``).
 
 An element is its integer code in [0, q): the same code of its
 coordinates over the power basis ``1, t, ..., t^{e-1}``.  Each context
@@ -21,14 +26,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, ContextMismatchError, NonStabilized, ValidationError
+from .errors import (
+    CapExceeded,
+    ContextMismatchError,
+    InvariantViolation,
+    NonStabilized,
+    ValidationError,
+)
 from . import kernels
 
 P_LINEAR = "p-linear"
 P_INV_LINEAR = "p-inv-linear"
 
-_E_CAP = 8
 _Q_CAP = 2**16
+_QM_CAP = 2**32
 
 
 def _is_prime(n):
@@ -42,48 +53,7 @@ def _is_prime(n):
     return True
 
 
-# -- dense polynomial helpers over F_p (coefficient lists, low degree first) --
-
-
-def _fp_divmod(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - db
-        coef = (a[-1] * inv_lb) % p
-        q[shift] = coef
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - coef * b[i]) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
-def _fp_irreducible(poly, p):
-    """Trial-division irreducibility for a monic F_p polynomial."""
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            div = [(code // p**i) % p for i in range(d)] + [1]
-            _, rem = _fp_divmod(poly, div, p)
-            if not rem:
-                return False
-    return True
-
-
-def _first_irreducible_fp(p, e):
-    for code in range(p**e):
-        cand = [(code // p**i) % p for i in range(e)] + [1]
-        if _fp_irreducible(cand, p):
-            return tuple(cand)
-    raise ValidationError(f"no irreducible polynomial of degree {e} over F_{p}")  # pragma: no cover
+# -- F_p[s]/(modulus) as F_p matrices on the power basis 1, s, ..., s^(n-1) --
 
 
 def _mat_pow(mat, n, p):
@@ -94,6 +64,57 @@ def _mat_pow(mat, n, p):
         mat = mat @ mat % p
         n >>= 1
     return out
+
+
+def _powers(mat, p):
+    """mat^0, ..., mat^(n-1) for an n x n matrix, as one array."""
+    out = [np.eye(len(mat), dtype=np.int64)]
+    for _ in range(len(mat) - 1):
+        out.append(mat @ out[-1] % p)
+    return np.array(out)
+
+
+def _companion(p, modulus):
+    """Multiplication by s: the companion matrix of the monic modulus."""
+    n = len(modulus) - 1
+    ms = np.zeros((n, n), dtype=np.int64)
+    ms[1:, :-1] = np.eye(n - 1, dtype=np.int64)
+    ms[:, -1] = [(-c) % p for c in modulus[:-1]]
+    return ms
+
+
+def _mul_blocks(p, modulus):
+    """[k] is the matrix of multiplication by s^k, k < n."""
+    return _powers(_companion(p, modulus), p)
+
+
+def _frobenius_matrix(p, modulus):
+    """The matrix of y -> y^p: column j is the coordinates of s^(p j), the
+    first column of (multiplication by s^p)^j."""
+    return _powers(_mat_pow(_companion(p, modulus), p, p), p)[:, :, 0].T
+
+
+def _fp_irreducible(p, modulus):
+    """Whether F_p[s]/(modulus) is a field (Berlekamp's criterion).  Its
+    Frobenius F fixes one copy of F_p per distinct irreducible factor, so
+    the nullity of F - I is 1 exactly when the modulus is a power g^k of
+    one irreducible g; for k > 1 the nonzero nilpotent g shows F^n != I."""
+    n = len(modulus) - 1
+    frob = _frobenius_matrix(p, modulus)
+    one = np.eye(n, dtype=np.int64)
+    return (
+        (_mat_pow(frob, n, p) == one).all()
+        and kernels.rank_mod_p(frob - one, p) == n - 1
+    )
+
+
+@lru_cache(maxsize=None)
+def _first_irreducible_fp(p, e):
+    for code in range(p**e):
+        cand = [(code // p**i) % p for i in range(e)] + [1]
+        if _fp_irreducible(p, cand):
+            return tuple(cand)
+    raise ValidationError(f"no irreducible polynomial of degree {e} over F_{p}")  # pragma: no cover
 
 
 def _has_order(mat, p, n):
@@ -122,6 +143,17 @@ def _power_codes(mat, p, q):
         rows = np.concatenate([rows, rows @ mat.T % p])
         mat = mat @ mat % p
     return rows[: q - 1] @ p ** np.arange(e, dtype=np.int64)
+
+
+def _poly_str(coeffs):
+    """'c*t^k+...+c_0' from coefficients listed low degree first."""
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c:
+            tpow = "" if i == 0 else "t" if i == 1 else f"t^{i}"
+            parts.append(str(c) if not tpow else tpow if c == 1 else f"{c}*{tpow}")
+    return "+".join(parts) or "0"
 
 
 class FieldElement:
@@ -232,20 +264,7 @@ class FieldElement:
         return hash((self.ctx.p, self.ctx.e, self.code))
 
     def __str__(self):
-        if not self.code:
-            return "0"
-        parts = []
-        coords = self.coords
-        for i in range(self.ctx.e - 1, -1, -1):
-            c = coords[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                tpow = "t" if i == 1 else f"t^{i}"
-                parts.append(tpow if c == 1 else f"{c}*{tpow}")
-        return "+".join(parts)
+        return _poly_str(self.coords)
 
     def __repr__(self):
         return f"F{self.ctx.q}({self})"
@@ -256,24 +275,18 @@ class FrobeniusContext:
     Contexts compare by identity; ``Fq`` interns them."""
 
     def __init__(self, p, e):
-        if not (1 <= e <= _E_CAP):
-            raise CapExceeded(f"extension degree e = {e} outside 1..{_E_CAP}")
-        if p**e > _Q_CAP:
+        if e < 1:
+            raise ValidationError(f"extension degree e = {e} must be at least 1")
+        # p >= 2, so q <= 2^16 needs e <= 16: p**e is never a big integer
+        if e > 16 or p**e > _Q_CAP:
             raise CapExceeded(f"field size q = {p}^{e} exceeds {_Q_CAP}")
         if not _is_prime(p):
             raise ValidationError(f"p = {p} is not prime")
         self.p, self.e = p, e
         self.q = q = p**e
         self.modulus = _first_irreducible_fp(p, e)
-        # multiplication by t is the companion matrix of the modulus
-        mt = np.zeros((e, e), dtype=np.int64)
-        mt[1:, :-1] = np.eye(e - 1, dtype=np.int64)
-        mt[:, -1] = [(-c) % p for c in self.modulus[:-1]]
-        blocks = [np.eye(e, dtype=np.int64)]
-        for _ in range(e - 1):
-            blocks.append(mt @ blocks[-1] % p)
         # [k] is the F_p matrix of multiplication by t^k on coordinates
-        self._mul_blocks = np.array(blocks)
+        self._mul_blocks = _mul_blocks(p, self.modulus)
         self._digits = digits = np.arange(q)[:, None] // p ** np.arange(e) % p
         self._coords = [tuple(row) for row in digits.tolist()]
         self._elems = elems = [FieldElement(self, c) for c in range(q)]
@@ -301,9 +314,8 @@ class FrobeniusContext:
         self._inv = power_map(-1)
         self._frob = power_map(p)
         self._frob_inv = power_map(p ** (e - 1))
-        # the F_p matrix of the p-th root: column j is the root of t^j
-        roots = [self._frob_inv[p**j].code for j in range(e)]
-        self._frob_inv_matrix = digits[roots].T
+        # the F_p matrix of the p-th root, the inverse of the Frobenius
+        self._frob_inv_matrix = _mat_pow(_frobenius_matrix(p, self.modulus), e - 1, p)
 
     # -- constructors ------------------------------------------------------
 
@@ -356,17 +368,7 @@ class FrobeniusContext:
         return self._frob_inv[a.code]
 
     def modulus_str(self):
-        parts = []
-        for i in range(self.e, -1, -1):
-            c = self.modulus[i] if i < self.e else 1
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                tpow = "t" if i == 1 else f"t^{i}"
-                parts.append(tpow if c == 1 else f"{c}*{tpow}")
-        return "+".join(parts)
+        return _poly_str(self.modulus)
 
     def __hash__(self):
         return hash((self.p, self.e))
@@ -553,153 +555,65 @@ def is_nilpotent_semilinear(T, cap=256):
 
 
 # ---------------------------------------------------------------------------
-# Scalar extension F_{q^m} and fixed points
+# Fixed points over F_{q^m}
 # ---------------------------------------------------------------------------
 
 
-class RelativeExtension:
-    """F_{q^m} built as F_q[u]/(h), h the first monic irreducible of degree m.
-
-    Candidates h are ordered by the counting code of their non-leading
-    coefficients (each F_q coefficient by its own integer code).  Elements
-    are tuples of FieldElement of length m.
-    """
-
-    def __init__(self, ctx, m):
-        if m < 1:
-            raise ValidationError("extension degree m must be >= 1")
-        self.base = ctx
-        self.m = m
-        self.h = self._first_irreducible(ctx, m)
-        self.zero = (ctx.zero,) * m
-        self.one = tuple(ctx.one if i == 0 else ctx.zero for i in range(m))
-        if m > 1:
-            u = tuple(ctx.one if i == 1 else ctx.zero for i in range(m))
-            self._u_p = self.pow(u, ctx.p)
-        else:
-            self._u_p = self.one
-
-    @staticmethod
-    def _fq_divmod(a, b, ctx):
-        a = list(a)
-        db = len(b) - 1
-        inv_lb = b[-1].inv()
-        while len(a) - 1 >= db and a:
-            if a[-1].is_zero():
-                a.pop()
-                continue
-            shift = len(a) - 1 - db
-            coef = a[-1] * inv_lb
-            for i in range(db + 1):
-                a[shift + i] = a[shift + i] - coef * b[i]
-            while a and a[-1].is_zero():
-                a.pop()
-        return a
-
-    @classmethod
-    def _irreducible_fq(cls, poly, ctx):
-        deg = len(poly) - 1
-        if deg == 1:
-            return True
-        q = ctx.q
-        for d in range(1, deg // 2 + 1):
-            for code in range(q**d):
-                div = [ctx.from_int((code // q**i) % q) for i in range(d)] + [ctx.one]
-                if not cls._fq_divmod(poly, div, ctx):
-                    return False
-        return True
-
-    @classmethod
-    def _first_irreducible(cls, ctx, m):
-        q = ctx.q
-        for code in range(q**m):
-            cand = [ctx.from_int((code // q**i) % q) for i in range(m)] + [ctx.one]
-            if cls._irreducible_fq(cand, ctx):
-                return tuple(cand)
-        raise ValidationError("no irreducible polynomial found")  # pragma: no cover
-
-    def embed(self, a):
-        return tuple(a if i == 0 else self.base.zero for i in range(self.m))
-
-    def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def mul(self, x, y):
-        ctx, m = self.base, self.m
-        if m == 1:
-            return (x[0] * y[0],)
-        conv = [ctx.zero] * (2 * m - 1)
-        for i, a in enumerate(x):
-            if not a.is_zero():
-                for j, b in enumerate(y):
-                    if not b.is_zero():
-                        conv[i + j] = conv[i + j] + a * b
-        for k in range(2 * m - 2, m - 1, -1):
-            c = conv[k]
-            if not c.is_zero():
-                # x^k = x^(k-m) * (x^m mod h)
-                for i in range(m):
-                    hi = self.h[i]
-                    if not hi.is_zero():
-                        conv[k - m + i] = conv[k - m + i] - c * hi
-            conv.pop()
-        return tuple(conv)
-
-    def pow(self, x, n):
-        result = self.one
-        base = x
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
-
-    def frobenius(self, x):
-        """x -> x^p via (sum c_i u^i)^p = sum c_i^p (u^p)^i, Horner style."""
-        ctx = self.base
-        acc = self.zero
-        for i in range(self.m - 1, -1, -1):
-            acc = self.mul(acc, self._u_p)
-            acc = self.add(acc, self.embed(ctx.frobenius(x[i])))
-        return acc
-
-    def fp_basis_size(self):
-        return self.base.e * self.m
-
-    def to_fp_coords(self, x):
-        out = []
-        for c in x:
-            out.extend(c.coords)
-        return out
-
-    def from_fp_coords(self, coords):
-        e = self.base.e
-        return tuple(
-            self.base.from_coords(coords[i * e : (i + 1) * e]) for i in range(self.m)
-        )
+def check_extension_cap(ctx, m):
+    """F_{q^m} must have at most 2^32 elements.  q >= 2, so m <= 32 is
+    checked first and q**m is never a big integer."""
+    if m < 1:
+        raise ValidationError(f"extension degree m = {m} must be at least 1")
+    if m > 32 or ctx.q**m > _QM_CAP:
+        raise CapExceeded(f"F_(q^m) with q = {ctx.q}, m = {m} exceeds 2^32 elements")
 
 
 def fixed_points_dimension(T, m):
     """dim_{F_p} of the fixed space of T extended to F_{q^m}^r.
 
-    T must be P_LINEAR.  The extension acts by the same matrix with the
-    Frobenius of F_{q^m} as twist, so T - id is F_p-linear on F_p^{e m r}:
-    block (i, j) of T is multiplication by the embedded entry a_ij, which
-    is kron(I_m, fp_blocks(a_ij)) on F_{q^m}, times the em x em F_p matrix
-    of x -> x^p.  The answer is the nullity of T - id.
+    T must be P_LINEAR.  K = F_{q^m} is F_p[s]/(mu), mu the canonical
+    modulus of degree n = e m, and F_q embeds in K by t -> beta, a root of
+    ``ctx.modulus`` in the fixed space of x -> x^q.  The extension acts by
+    the same matrix with the Frobenius of K as twist, so T - id is
+    F_p-linear on F_p^{n r}: block (i, j) is multiplication by the embedded
+    entry a_ij times the n x n matrix F of x -> x^p, whose column j is the
+    coordinates of s^(p j).  The answer is the nullity of T - id.
     """
     if T.kind != P_LINEAR:
         raise ValidationError("fixed_points_dimension expects a p-linear map")
     ctx = T.ctx
-    K = RelativeExtension(ctx, m)
-    r, e, n = T.dim, ctx.e, K.fp_basis_size()
-    frob = np.array(
-        [K.to_fp_coords(K.frobenius(K.from_fp_coords(col)))
-         for col in np.eye(n, dtype=np.int64).tolist()],
-        dtype=np.int64,
-    ).T.reshape(m, e, n)
-    blocks = ctx.fp_blocks(T.matrix)
-    mat = np.einsum("ijxy,ayc->iaxjc", blocks, frob).reshape(r * n, r * n)
-    mat = (mat - np.eye(r * n, dtype=np.int64)) % ctx.p
-    return r * n - kernels.rank_mod_p(mat, ctx.p)
+    check_extension_cap(ctx, m)
+    p, e, r = ctx.p, ctx.e, T.dim
+    n = e * m
+    mu = _first_irreducible_fp(p, n)
+    blocks = _mul_blocks(p, mu)
+    frob = _frobenius_matrix(p, mu)
+    coords = np.array([[x.coords for x in row] for row in T.matrix], dtype=np.int64)
+    embedded = coords.reshape(r, r, e) @ _embedding(ctx, blocks, frob) % p
+    mult = np.einsum("ijk,kab->ijab", embedded, blocks) % p
+    mat = np.einsum("ijab,bc->iajc", mult, frob).reshape(r * n, r * n)
+    return r * n - kernels.rank_mod_p(mat - np.eye(r * n, dtype=np.int64), p)
+
+
+def _embedding(ctx, blocks, frob):
+    """The F_p matrix of F_q -> K, row k the coordinates of beta^k: beta is
+    the first root of ``ctx.modulus`` in the copy of F_q inside K (the
+    nullspace of F^e - I), in code order over its F_p basis.  The
+    candidates are tested by Horner's rule, 1024 at a time, so their
+    multiplication matrices take at most 1024 n^2 entries."""
+    p, e, n = ctx.p, ctx.e, len(frob)
+    one = np.eye(n, dtype=np.int64)
+    basis = kernels.nullspace_mod_p(_mat_pow(frob, e, p) - one, p)
+    mult_basis = np.einsum("in,nab->iab", basis, blocks) % p
+    for start in range(0, ctx.q, 1024):
+        codes = np.arange(start, min(start + 1024, ctx.q))
+        mult = np.einsum("ci,iab->cab", codes[:, None] // p ** np.arange(e) % p,
+                         mult_basis) % p
+        acc = np.tile(one[0], (len(codes), 1))
+        for c in reversed(ctx.modulus[:-1]):
+            acc = np.einsum("cab,cb->ca", mult, acc) % p
+            acc[:, 0] = (acc[:, 0] + c) % p
+        roots = np.flatnonzero(~acc.any(axis=1))
+        if roots.size:
+            return _powers(mult[roots[0]], p)[:e, :, 0]
+    raise InvariantViolation("no root of the modulus of F_q in K")  # pragma: no cover

@@ -25,7 +25,13 @@ from .cartier import (
     quotient_module,
     submodule_module,
 )
-from .fields import P_LINEAR, SemilinearMap, fixed_points_dimension, fq_rref
+from .fields import (
+    P_LINEAR,
+    SemilinearMap,
+    check_extension_cap,
+    fixed_points_dimension,
+    fq_rref,
+)
 from .gamma import GammaSheaf, cartier_to_gamma, unit_root_stabilize
 from .poly import (
     IdealSpec,
@@ -690,9 +696,8 @@ def sol_dimension(module, max_m, cap=None):
     points of the inverse structural matrix acting p-linearly."""
     if module.ring.nvars != 0:
         raise ValidationError("solution dimensions need a zero-dimensional module")
-    if max_m < 1:
-        raise ValidationError("max_m must be at least 1")
     ctx = module.ring.ctx
+    check_extension_cap(ctx, max_m)
     sheaf = cartier_to_gamma(module)
     unit = unit_root_stabilize(sheaf, cap=cap)
     matrix, free = _point_root_matrix(unit.root)

@@ -369,6 +369,55 @@ def test_huge_rank_is_checked_before_names_are_built(tmp_path, kind):
     assert message in json.loads(proc.stdout)["error"]["message"]
 
 
+# kappa of the rank-2 module over F_4 whose gamma is [[0, 1], [t, 0]]
+F4_RANK2 = {"ring": {"p": 2, "e": 2, "vars": []}, "generators": 2,
+            "relations": [], "kappa": {",0": ["0", "(t+1)"], ",1": ["1", "0"]}}
+
+_TIMED_MAIN = (
+    "import sys, time\n"
+    "from cartier_lab.cli import main\n"
+    "t0 = time.perf_counter()\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write(f'elapsed {time.perf_counter() - t0}\\n')\n"
+    "sys.exit(code)\n"
+)
+
+
+def _run_sol(tmp_path, max_m):
+    """``sol --max-m max_m`` on the F_4 rank-2 document in a subprocess;
+    returns the process and the seconds spent in ``main``."""
+    path = tmp_path / "f4_rank2.json"
+    path.write_text(json.dumps(F4_RANK2), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, "sol", str(path),
+         "--max-m", str(max_m), "--no-timings"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = float(proc.stderr.rsplit("elapsed ", 1)[1])
+    return proc, elapsed
+
+
+@pytest.mark.parametrize("max_m", [17, 10**9])
+def test_sol_extension_over_the_cap_exits_2_quickly(tmp_path, max_m):
+    """F_(4^17) has 2^34 elements, over the 2^32 cap; the cap is checked
+    before any work, and 4^(10^9) is never evaluated."""
+    proc, elapsed = _run_sol(tmp_path, max_m)
+    assert proc.returncode == 2, proc.stderr
+    assert elapsed < 1.0
+    assert "exceeds 2^32" in json.loads(proc.stdout)["error"]["message"]
+
+
+def test_sol_over_f4_keeps_its_dimensions_up_to_m_12(tmp_path):
+    proc, _ = _run_sol(tmp_path, 12)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["dims"] == [0, 0, 2] * 4
+
+
 def test_field_over_the_size_cap_exits_2_quickly(capsys, tmp_path):
     doc = {"ring": {"p": 101, "e": 6, "vars": []}, "generators": 0, "kappa": {}}
     path = tmp_path / "big_field.json"

@@ -117,7 +117,7 @@ def test_tables_match_schoolbook_on_every_pair(p, e):
         _check_pair(ctx, x, y)
 
 
-@pytest.mark.parametrize("p,e", [(2, 8), (3, 5), (251, 2)])
+@pytest.mark.parametrize("p,e", [(2, 8), (3, 5), (251, 2), (2, 12)])
 def test_tables_match_schoolbook_on_random_pairs(p, e):
     ctx = Fq(p, e)
     rng = random.Random(SEED + p + e)
@@ -131,6 +131,15 @@ def test_field_size_is_capped_before_the_modulus_search():
     t0 = time.perf_counter()
     with pytest.raises(CapExceeded, match="exceeds 65536"):
         FrobeniusContext(101, 6)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_huge_degree_is_capped_without_computing_q():
+    """One rule for every base field, q = p^e <= 2^16; e is checked first,
+    so 2^(10^9) is never evaluated."""
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="exceeds 65536"):
+        Fq(2, 10**9)
     assert time.perf_counter() - t0 < 1.0
 
 
