@@ -24,6 +24,7 @@ import numpy as np
 
 from . import kernels
 from .errors import (
+    CapExceeded,
     NonStabilized,
     InvariantViolation,
     UnsupportedRingError,
@@ -64,6 +65,7 @@ __all__ = [
     "quotient_module",
     "hom_cartier",
     "HomResult",
+    "HOM_CELL_CAP",
     "FiniteModel",
     "finite_model",
     "to_semilinear",
@@ -492,40 +494,57 @@ def direct_sum(m1, m2):
 # ---------------------------------------------------------------------------
 
 
+def _pivots(module):
+    """{column: pivot entry} of the relation HNF."""
+    pivots = {}
+    for row in module.relation_hnf():
+        col = next(i for i, f in enumerate(row) if not f.is_zero())
+        pivots[col] = row[col]
+    return pivots
+
+
+def _column_lengths(module, degree_cap=None):
+    """Number of basis monomials x^s g_c of the F_q-basis in each column c:
+    the pivot degree over F_q[x] (1 or 0 over F_q), and degree_cap + 1
+    for a free column over F_q[x]."""
+    ring = module.ring
+    pivots = _pivots(module)
+    lengths = []
+    for c in range(module.rank):
+        if ring.nvars == 0:
+            lengths.append(int(c not in pivots))
+        elif c in pivots:
+            lengths.append(pivots[c].degree_in(0))
+        elif degree_cap is None:
+            raise UnsupportedRingError(
+                "module has positive rank; no finite F_q-basis"
+            )
+        else:
+            lengths.append(max(degree_cap + 1, 0))
+    return lengths
+
+
 class FiniteModel:
     """F_q-basis view of a finite-length module over F_q or F_q[x].
 
     The basis consists of x^s g_c for each pivot column c of the relation
     HNF and 0 <= s < deg(pivot).  Canonical representatives (entries
     reduced below the pivots) are coordinate vectors in this basis, so
-    reduction is F_q-linear and round trips exactly.
+    reduction is F_q-linear and round trips exactly.  With ``degree_cap``
+    a module of positive rank over F_q[x] gets the truncated model: each
+    free column contributes x^s g_c for 0 <= s <= degree_cap.
     """
 
     __slots__ = ("module", "basis", "_index")
 
-    def __init__(self, module):
-        ring = module.ring
-        if ring.nvars > 1:
+    def __init__(self, module, degree_cap=None):
+        if module.ring.nvars > 1:
             raise UnsupportedRingError("finite models need F_q or F_q[x]")
-        hnf = module.relation_hnf()
-        pivots = {}
-        for row in hnf:
-            col = next(i for i, f in enumerate(row) if not f.is_zero())
-            pivots[col] = row[col]
-        basis = []
-        for c in range(module.rank):
-            if c not in pivots:
-                if ring.nvars == 0:
-                    basis.append((c, 0))
-                    continue
-                raise UnsupportedRingError(
-                    "module has positive rank; no finite F_q-basis"
-                )
-            if ring.nvars == 0:
-                continue  # pivot over a field kills the coordinate
-            d = pivots[c].degree_in(0)
-            for s in range(d):
-                basis.append((c, s))
+        basis = [
+            (c, s)
+            for c, n in enumerate(_column_lengths(module, degree_cap))
+            for s in range(n)
+        ]
         self.module = module
         self.basis = tuple(basis)
         self._index = {bs: i for i, bs in enumerate(basis)}
@@ -541,19 +560,24 @@ class FiniteModel:
         row[c] = ring.monomial((s,)) if ring.nvars else ring.one
         return tuple(row)
 
+    def support(self, v):
+        """The normal form of v as {(column, degree): coefficient}."""
+        univariate = self.module.ring.nvars
+        return {
+            (c, mono[0] if univariate else 0): coeff
+            for c, f in enumerate(self.module.normal_form(v))
+            for mono, coeff in f.terms.items()
+        }
+
     def to_coords(self, v):
-        red = self.module.normal_form(v)
-        ctx = self.module.ring.ctx
-        coords = [ctx.zero] * len(self.basis)
-        for c, f in enumerate(red):
-            for mono, coeff in f.terms.items():
-                s = mono[0] if self.module.ring.nvars else 0
-                idx = self._index.get((c, s))
-                if idx is None:
-                    raise InvariantViolation(
-                        "normal form left the finite basis support"
-                    )
-                coords[idx] = coeff
+        coords = [self.module.ring.ctx.zero] * len(self.basis)
+        for key, coeff in self.support(v).items():
+            idx = self._index.get(key)
+            if idx is None:
+                raise InvariantViolation(
+                    "normal form left the finite basis support"
+                )
+            coords[idx] = coeff
         return tuple(coords)
 
     def from_coords(self, coords):
@@ -605,13 +629,7 @@ def to_semilinear(module):
 def _finite_length(module):
     """Whether the module is finite-dimensional over F_q: always over F_q,
     and over F_q[x] when the relation HNF has a pivot in every column."""
-    if module.ring.nvars == 0:
-        return True
-    pivots = {
-        next(i for i, f in enumerate(row) if not f.is_zero())
-        for row in module.relation_hnf()
-    }
-    return len(pivots) == module.rank
+    return module.ring.nvars == 0 or len(_pivots(module)) == module.rank
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +799,21 @@ def max_nilpotent_submodule(module, cap=None):
 # ---------------------------------------------------------------------------
 
 
+# Largest Hom system, in F_p cells (rows x columns), assembled by
+# hom_cartier: 2^24 int64 cells are 128 MiB.
+HOM_CELL_CAP = 2**24
+
+
 class HomResult:
+    """F_p-basis of a Hom space.
+
+    ``basis`` holds validated CartierMorphism objects, F_p-independent as
+    maps; ``dimension_fp`` is their number.  ``partial`` is True when the
+    target has positive rank: the generator images were then searched in
+    the target's truncated model, with free-column degrees up to
+    ``degree_cap`` (None when the target has finite length).
+    """
+
     __slots__ = ("basis", "dimension_fp", "partial", "degree_cap")
 
     def __init__(self, basis, dimension_fp, partial, degree_cap):
@@ -795,162 +827,112 @@ class HomResult:
         return f"HomResult(dim_Fp={self.dimension_fp}{flag})"
 
 
-def _commutator_fp(left, right):
-    """F_p matrix of Phi -> Phi L - R Phi from the F_p blocks of L
-    (ds x ds) and R (dt x dt).  Rows are the coordinates (i, l, k) of the
-    result, columns the coordinates (i, j, k) of Phi (dt x ds)."""
-    ds, dt, e = left.shape[0], right.shape[0], left.shape[2]
-    n = dt * ds * e
-    mat = np.einsum("ab,jlxy->alxbjy", np.eye(dt, dtype=np.int64), left)
-    mat -= np.einsum("imxy,lj->ilxmjy", right, np.eye(ds, dtype=np.int64))
-    return mat.reshape(n, n)
-
-
-def _hom_finite(source, target):
-    """Exact Hom between finite-length modules: the F_q-matrices Phi on the
-    finite models with Phi A_s = A_t sigma^{-1}(Phi) (and Phi X_s = X_t Phi
-    over F_q[x]), solved as one F_p system in Phi's coordinates."""
-    ctx = source.ring.ctx
-    p, e = ctx.p, ctx.e
-    ms, mt = FiniteModel(source), FiniteModel(target)
-    ds, dt = ms.dimension, mt.dimension
-    conditions = [(
-        ctx.fp_blocks(ms.kappa_semilinear().matrix),
-        ctx.fp_blocks(mt.kappa_semilinear().matrix) @ ctx._frob_inv_matrix,
-    )]
-    if source.ring.nvars:
-        x = source.ring.var(0)
-        conditions.append((
-            ctx.fp_blocks(ms.multiplication_matrix(x)),
-            ctx.fp_blocks(mt.multiplication_matrix(x)),
-        ))
-    system = np.vstack([_commutator_fp(a, b) for a, b in conditions]) % p
-    ker = kernels.nullspace_mod_p(system, p)
-    if ker.shape[0]:
-        ker, _ = kernels.rref_mod_p(ker, p)  # canonical basis
-    phis = ker.reshape(ker.shape[0], dt, ds, e)
-    # the image of source generator c is Phi applied to its coordinates
-    units = CartierMorphism.identity(source).images
-    gens = ctx.fp_blocks([ms.to_coords(u) for u in units])
-    images = np.einsum("cjab,nijb->ncia", gens, phis) % p
-    basis = [
-        CartierMorphism(source, target, [
-            mt.from_coords([ctx.from_coords(v) for v in img]) for img in imgs
-        ])
-        for imgs in images
-    ]
-    return HomResult(basis, len(basis), False, None)
+def _check_hom_size(rows, cols):
+    if rows * cols > HOM_CELL_CAP:
+        raise CapExceeded(
+            f"Hom system of {rows} x {cols} F_p cells exceeds "
+            f"{HOM_CELL_CAP} (HOM_CELL_CAP)"
+        )
 
 
 def hom_cartier(source, target, degree_cap=None):
     """F_p-basis of morphisms source -> target commuting with the
     operators.
 
-    When both modules have finite length (every module over F_q, torsion
-    modules over F_q[x]) the answer is exact: one F_p linear system on the
-    finite models, with partial=False and degree_cap=None.  Otherwise
-    (positive rank over F_q[x]) matrix entries are searched up to a degree
-    cap (default: twice the largest relation degree plus p) and the result
-    is flagged partial.
+    The unknowns are the images of the source generators, as coordinates
+    on the target's FiniteModel.  They satisfy two F_p-linear conditions:
+    each source relation maps to zero, and phi(kappa(x^a g_j)) equals
+    kappa(x^a phi(g_j)) at every key (a, j) of the source's kappa table.
+    The keys suffice because phi kappa - kappa phi is p^{-1}-linear.  One
+    F_p nullspace, in reduced echelon form, gives the basis.
+
+    When the target has finite length (every module over F_q, torsion
+    modules over F_q[x]) the answer is exact: partial=False and
+    degree_cap=None, whatever the source.  When the target has positive
+    rank, its free columns are truncated at degree ``degree_cap`` (default:
+    twice the largest relation degree plus p) and the result is flagged
+    partial.  A system above HOM_CELL_CAP cells raises CapExceeded before
+    it is built.
     """
     _require_pid(source, "hom_cartier")
     if source.ring != target.ring or source.ideal != target.ideal:
         raise ValidationError("hom endpoints need a common ring and quotient")
-    if _finite_length(source) and _finite_length(target):
-        return _hom_finite(source, target)
-    ring = source.ring
+    ring = target.ring
     ctx = ring.ctx
     p, e = ctx.p, ctx.e
-    if degree_cap is None:
-        maxdeg = 0
-        for rows in (source.effective_relations(), target.effective_relations()):
-            for rho in rows:
-                for f in rho:
-                    if not f.is_zero():
-                        maxdeg = max(maxdeg, f.total_degree())
-        degree_cap = 2 * maxdeg + p
-    monos = [(s,) for s in range(degree_cap + 1)]
-    # unknown layout: (i target gen, j source gen, mono index, fp coord)
-    slots = []
-    for i in range(target.rank):
-        for j in range(source.rank):
-            for mi in range(len(monos)):
-                for k in range(e):
-                    slots.append((i, j, mi, k))
-    nunk = len(slots)
+    finite = _finite_length(target)
+    if finite:
+        degree_cap = None
+    elif degree_cap is None:
+        degree_cap = 2 * max((
+            f.total_degree()
+            for module in (source, target)
+            for rho in module.effective_relations()
+            for f in rho
+            if not f.is_zero()
+        ), default=0) + p
+    conditions = [(rho, None) for rho in source.effective_relations()]
+    conditions += [(v, key) for key, v in sorted(source.kappa_table.items())]
+    d, r = sum(_column_lengths(target, degree_cap)), source.rank
+    _check_hom_size(len(conditions) * d * e, d * r * e)
 
-    def images_for(fp_values):
-        imgs = []
-        for j in range(source.rank):
-            vec = list(zero_vector(ring, target.rank))
-            imgs.append(vec)
-        for val, (i, j, mi, k) in zip(fp_values, slots):
-            if val % p == 0:
-                continue
-            coeff = ctx.from_coords(
-                tuple((val if kk == k else 0) % p for kk in range(e))
-            )
-            term = ring.scalar(coeff) * ring.monomial(monos[mi])
-            imgs[j][i] = imgs[j][i] + term
-        return [tuple(v) for v in imgs]
+    # F_q matrices on the target model, as sparse normal-form columns:
+    # multiplication by each source coefficient, and kappa after x^a
+    model = FiniteModel(target, degree_cap)
+    units = [model.basis_vector(i) for i in range(d)]
+    coeffs = dict.fromkeys(
+        g for vec, _ in conditions for g in vec if not g.is_zero()
+    )
+    mult = {g: [model.support(vec_scale(u, g)) for u in units] for g in coeffs}
+    kap = {
+        a: [model.support(target.apply_kappa(vec_scale(u, ring.monomial(a))))
+            for u in units]
+        for a in ring.pth_basis()
+    }
+    # residual coordinates: the model's, then the degrees past the cap
+    # that a product or a normal form reaches on a free column
+    index = {key: i for i, key in enumerate(model.basis)}
+    for cols in (*mult.values(), *kap.values()):
+        for col in cols:
+            for key in col:
+                index.setdefault(key, len(index))
+    rows = len(index)
+    if rows > d:
+        _check_hom_size(len(conditions) * rows * e, d * r * e)
 
-    def residuals(images):
-        out = []
-        for rho in source.effective_relations():
-            acc = zero_vector(ring, target.rank)
-            for j, f in enumerate(rho):
-                if not f.is_zero():
-                    acc = vec_add(acc, vec_scale(images[j], f))
-            out.append(target.normal_form(acc))
-        for (a, j), val in sorted(source.kappa_table.items()):
-            lhs = zero_vector(ring, target.rank)
-            for jj, f in enumerate(val):
-                if not f.is_zero():
-                    lhs = vec_add(lhs, vec_scale(images[jj], f))
-            xa = ring.monomial(a)
-            rhs = target._apply_raw(vec_scale(images[j], xa))
-            out.append(target.normal_form(vec_add(lhs, vec_scale(rhs, -ring.one))))
-        return out
+    def fp(cols):
+        """F_p form of an F_q matrix given by sparse columns, with axes
+        (output index, output coordinate, input index, input coordinate)."""
+        mat = [[ctx.zero] * d for _ in range(rows)]
+        for i, col in enumerate(cols):
+            for key, c in col.items():
+                mat[index[key]][i] = c
+        return ctx.fp_blocks(mat).transpose(0, 2, 1, 3)
 
-    # probe unit unknowns and solve for the combinations with zero residual
-    probes = [
-        residuals(images_for([int(u == v) for v in range(nunk)]))
-        for u in range(nunk)
-    ]
-    ker = kernels.nullspace_mod_p(_fp_columns(probes, e), p)
+    mult = {g: fp(cols) for g, cols in mult.items()}
+    kap = {a: fp(cols) @ ctx._frob_inv_matrix for a, cols in kap.items()}
+    # unknown order: (target model index, source generator, F_p coordinate)
+    system = np.zeros((len(conditions), rows, e, d, r, e), dtype=np.int64)
+    for c, (vec, key) in enumerate(conditions):
+        for j, g in enumerate(vec):
+            if not g.is_zero():
+                system[c, :, :, :, j] += mult[g]
+        if key is not None:
+            a, j = key
+            system[c, :, :, :, j] -= kap[a]
+    system = system.reshape(len(conditions) * rows * e, d * r * e) % p
+    ker = kernels.nullspace_mod_p(system, p)
     if ker.shape[0]:
         ker, _ = kernels.rref_mod_p(ker, p)  # canonical basis
-    # distinct solutions may agree modulo the target's relations: reduce
-    # the images and keep an F_p-independent subset of the reductions
-    candidates = [
-        [target.normal_form(v) for v in images_for([int(v) for v in row])]
-        for row in ker
+    codes = ker.reshape(len(ker), d, r, e) @ p ** np.arange(e)
+    basis = [
+        CartierMorphism(source, target, [
+            model.from_coords([ctx.from_int(c) for c in column])
+            for column in images
+        ])
+        for images in codes.transpose(0, 2, 1).tolist()
     ]
-    _, keep = kernels.rref_mod_p(_fp_columns(candidates, e), p)
-    basis = [CartierMorphism(source, target, candidates[c]) for c in keep]
-    return HomResult(basis, len(basis), True, degree_cap)
-
-
-def _fp_columns(columns, e):
-    """F_p matrix whose column c holds the coefficient coordinates of
-    columns[c], a list of polynomial vectors, over the joint support of
-    all columns (one row at least)."""
-    support = sorted({
-        (vi, ci, mono)
-        for col in columns
-        for vi, vec in enumerate(col)
-        for ci, f in enumerate(vec)
-        for mono in f.terms
-    })
-    index = {s: i for i, s in enumerate(support)}
-    mat = np.zeros((max(len(support) * e, 1), len(columns)), dtype=np.int64)
-    for c, col in enumerate(columns):
-        for vi, vec in enumerate(col):
-            for ci, f in enumerate(vec):
-                for mono, coeff in f.terms.items():
-                    base = index[(vi, ci, mono)] * e
-                    mat[base:base + e, c] = coeff.coords
-    return mat
+    return HomResult(basis, len(basis), not finite, degree_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -350,8 +350,8 @@ def build_parser():
                             "may have at most 2^32 elements")
         p.add_argument("--truncate", type=int, default=None,
                        help="degree bound: oracle truncation, and the hom "
-                            "search cap when a module has positive rank "
-                            "(ignored when both have finite length)")
+                            "search cap on the target's free columns "
+                            "(ignored when the target has finite length)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized spot checks")
         p.add_argument("--no-timings", action="store_true",
@@ -397,10 +397,13 @@ def main(argv=None):
         digest = _digest(paths)
         result, certificates, summary = func(args)
     except NonStabilized as exc:
+        # a chain is a list of its members; other loops keep their last
+        # span or lattice, which has no chain length
+        length = len(exc.partial) if isinstance(exc.partial, list) else None
         report = {
             "operation": args.operation,
             "error": {"type": "non_stabilized", "message": str(exc),
-                      "cap": exc.cap},
+                      "cap": exc.cap, "partial_length": length},
         }
         sys.stdout.write(canonical_json(report))
         sys.stderr.write(f"{args.operation}: did not stabilize: {exc}\n")

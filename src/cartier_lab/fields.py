@@ -247,9 +247,6 @@ class FieldElement:
     def is_zero(self):
         return not self.code
 
-    def in_prime_field(self):
-        return self.code < self.ctx.p
-
     def to_int(self):
         return self.code
 
@@ -367,9 +364,6 @@ class FrobeniusContext:
         """The p-th root, equal to a -> a^(p^(e-1))."""
         return self._frob_inv[a.code]
 
-    def modulus_str(self):
-        return _poly_str(self.modulus)
-
     def __hash__(self):
         return hash((self.p, self.e))
 
@@ -435,27 +429,6 @@ def fq_in_span(vector, rref_rows):
     return all(a.is_zero() for a in v)
 
 
-def fq_nullspace(rows, ctx):
-    """Right kernel {x : rows @ x = 0} over F_q, returned as RREF rows."""
-    if not rows:
-        return ()
-    n = len(rows[0])
-    red = fq_rref(rows, ctx)
-    pivots = []
-    for row in red:
-        pivots.append(next(i for i, x in enumerate(row) if not x.is_zero()))
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [ctx.zero] * n
-        v[fc] = ctx.one
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(tuple(v))
-    return fq_rref(basis, ctx)
-
-
 # ---------------------------------------------------------------------------
 # Semilinear maps
 # ---------------------------------------------------------------------------
@@ -502,19 +475,6 @@ class SemilinearMap:
                     acc = acc + row[j] * tw[j]
             out.append(acc)
         return tuple(out)
-
-    def check_law(self, rng, trials=25):
-        """Spot-check the twist law T(a v) = twist(a) T(v) on random data."""
-        for _ in range(trials):
-            a = self.ctx.random_element(rng)
-            v = tuple(self.ctx.random_element(rng) for _ in range(self.dim))
-            av = tuple(a * x for x in v)
-            lhs = self.apply(av)
-            tw = self.twist(a)
-            rhs = tuple(tw * x for x in self.apply(v))
-            if lhs != rhs:
-                return False
-        return True
 
 
 def iterated_image_chain(T, cap=256):

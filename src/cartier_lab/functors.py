@@ -315,11 +315,6 @@ class PushforwardView:
     def apply_kappa(self, frac):
         return self.localized.apply_kappa(frac)
 
-    def contains_integral(self, frac):
-        """Does the fraction lie in the image of the base module?"""
-        v, k = self.localized.normalize(frac)
-        return k == 0
-
     def __repr__(self):
         return f"PushforwardView({self.localized!r})"
 

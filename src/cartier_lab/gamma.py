@@ -142,10 +142,6 @@ class GammaSheaf(Presentation):
             result = scalar_rows(ring, self.rank, ring.one)
         return tuple(tuple(row) for row in result)
 
-    def is_zero_sheaf(self):
-        units = scalar_rows(self.ring, self.rank, self.ring.one)
-        return all(self.is_zero_element(u) for u in units)
-
 
 def _matmul(a, b, ring):
     n = len(a)

@@ -536,14 +536,6 @@ def frobenius_component(f, a):
     return frobenius_decompose(f).get(tuple(a), f.ring.zero)
 
 
-def compose_from_components(ring, comps):
-    """Inverse of frobenius_decompose: sum_a g_a^p x^a."""
-    acc = ring.zero
-    for a, g in comps.items():
-        acc = acc + g.pth_power() * ring.monomial(a)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Division and Gröbner bases
 # ---------------------------------------------------------------------------
@@ -715,9 +707,6 @@ class IdealSpec:
 
     def is_unit_ideal(self):
         return any(g.is_unit() for g in self.groebner)
-
-    def is_zero_ideal(self):
-        return not self.groebner
 
     def __eq__(self, other):
         return (

@@ -30,7 +30,13 @@ from cartier_lab.cartier import (
     submodule_module,
 )
 from cartier_lab.errors import ValidationError
-from cartier_lab.fields import Fq
+from cartier_lab.fields import (
+    P_LINEAR,
+    Fq,
+    SemilinearMap,
+    fixed_points_dimension,
+    fq_rref,
+)
 from cartier_lab.poly import PolyRing
 from cartier_lab.submodules import vec_scale, zero_vector
 
@@ -524,6 +530,10 @@ def test_hom_of_torsion_modules_matches_brute_force(p):
     glued, _ = quotient_module(total, [(total.ring.one, -total.ring.one)])
     pairs = [(small, small), (small, pair), (pair, small), (glued, small),
              (small, glued), (small, torsion_line_module(rng, p, 1))]
+    # sources of positive rank: Hom into a torsion target is still exact
+    omega = omega_module(small.ring)
+    pairs += [(omega, small), (omega, pair),
+              (direct_sum(omega, small)[0], small)]
     if p == 2:
         pairs.append((pair, pair))
     dims = []
@@ -533,6 +543,87 @@ def test_hom_of_torsion_modules_matches_brute_force(p):
         assert count_morphisms(source, target) == p**res.dimension_fp
         dims.append(res.dimension_fp)
     assert min(dims) < max(dims)
+
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
+
+
+def random_fq_module(rng, ctx, rank, invertible=False):
+    """(module, A): the module over F_q with kappa(v) = A sigma^{-1}(v)
+    for a random matrix A, drawn again until invertible if asked."""
+    R = PolyRing(ctx, ())
+    while True:
+        A = [[ctx.random_element(rng) for _ in range(rank)]
+             for _ in range(rank)]
+        if not invertible or len(fq_rref(A, ctx)) == rank:
+            break
+    table = {
+        ((), j): tuple(R.scalar(A[i][j]) for i in range(rank))
+        for j in range(rank)
+    }
+    return CartierModule(R, rank, table), A
+
+
+def test_hom_of_bijective_modules_is_the_fixed_space_of_the_internal_hom():
+    """With kappa_M = A sigma^{-1} and kappa_N = B sigma^{-1}, A and B
+    invertible, phi commutes iff Phi = sigma(B^{-1}) sigma(Phi) sigma(A).
+    So Hom(M, N) is the fixed space over F_q of the p-linear map whose
+    matrix on the column-major entries of Phi is sigma(A)^T (x)
+    sigma(B^{-1}).  Its F_p-dimension comes from fixed_points_dimension,
+    which shares no code with hom_cartier above the mod-p kernels."""
+    rng = random.Random(SEED + 30)
+    dims = []
+    for p, e in ORACLE_FIELDS:
+        ctx = Fq(p, e)
+        for _ in range(18):
+            M, A = random_fq_module(rng, ctx, rng.randint(1, 3), True)
+            N, B = random_fq_module(rng, ctx, rng.randint(1, 3), True)
+            rm, rn = len(A), len(B)
+            # B^{-1} from the reduced echelon form of [B | I]
+            aug = [tuple(B[i]) + tuple(ctx.scalar(int(k == i))
+                                       for k in range(rn))
+                   for i in range(rn)]
+            b_inv = [row[rn:] for row in fq_rref(aug, ctx)]
+            sa = [[ctx.frobenius(x) for x in row] for row in A]
+            sb = [[ctx.frobenius(x) for x in row] for row in b_inv]
+            kron = [
+                [sa[l][j] * sb[i][k] for l in range(rm) for k in range(rn)]
+                for j in range(rm) for i in range(rn)
+            ]
+            expected = fixed_points_dimension(
+                SemilinearMap(ctx, P_LINEAR, kron), 1
+            )
+            assert hom_cartier(M, N).dimension_fp == expected, (p, e)
+            dims.append(expected)
+    assert len(dims) >= 100 and min(dims) < max(dims)
+
+
+def test_hom_splits_along_the_fitting_decomposition():
+    """A finite module over F_q is the direct sum of its maximal
+    nilpotent submodule and its stable image, and no nonzero morphism
+    goes between a nilpotent and a bijective module in either direction,
+    so dim Hom(M, N) = dim Hom(M_nil, N_nil) + dim Hom(M_bij, N_bij)."""
+    rng = random.Random(SEED + 31)
+    mixed = 0
+    for p, e in ORACLE_FIELDS:
+        ctx = Fq(p, e)
+        for _ in range(17):
+            parts = []
+            for _ in range(2):
+                mod, _ = random_fq_module(rng, ctx, rng.randint(1, 4))
+                nil = max_nilpotent_submodule(mod)["module"]
+                bij = stable_image(mod)[0]
+                assert (finite_model(nil).dimension
+                        + finite_model(bij).dimension
+                        == finite_model(mod).dimension)
+                parts.append((mod, nil, bij))
+                mixed += nil.rank > 0 and bij.rank > 0
+            (m, m_nil, m_bij), (n, n_nil, n_bij) = parts
+            assert hom_cartier(m, n).dimension_fp == (
+                hom_cartier(m_nil, n_nil).dimension_fp
+                + hom_cartier(m_bij, n_bij).dimension_fp
+            ), (p, e)
+    assert mixed > 0
 
 
 def _push(images, vec, R, target_rank):
@@ -572,7 +663,12 @@ def test_finite_model_semilinear_operator_agrees():
     fm = finite_model(j2)
     T = fm.kappa_semilinear()
     rng = random.Random(SEED)
-    assert T.check_law(rng, trials=20)
+    ctx = T.ctx
+    for _ in range(20):  # the twist law T(a v) = a^(1/p) T(v)
+        a = ctx.random_element(rng)
+        v = tuple(ctx.random_element(rng) for _ in range(T.dim))
+        lhs = T.apply(tuple(a * x for x in v))
+        assert lhs == tuple(T.twist(a) * y for y in T.apply(v))
     for i in range(fm.dimension):
         v = fm.basis_vector(i)
         direct = j2.apply_kappa(v)

@@ -383,23 +383,28 @@ _TIMED_MAIN = (
 )
 
 
-def _run_sol(tmp_path, max_m):
-    """``sol --max-m max_m`` on the F_4 rank-2 document in a subprocess;
-    returns the process and the seconds spent in ``main``."""
-    path = tmp_path / "f4_rank2.json"
-    path.write_text(json.dumps(F4_RANK2), encoding="utf-8")
+def _run_timed(argv, preexec_fn=None):
+    """Run ``cartier-lab argv`` in a subprocess; returns the process and
+    the seconds spent in ``main``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _TIMED_MAIN, "sol", str(path),
-         "--max-m", str(max_m), "--no-timings"],
+        [sys.executable, "-c", _TIMED_MAIN] + argv + ["--no-timings"],
         capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=preexec_fn,
     )
     elapsed = float(proc.stderr.rsplit("elapsed ", 1)[1])
     return proc, elapsed
+
+
+def _run_sol(tmp_path, max_m):
+    """``sol --max-m max_m`` on the F_4 rank-2 document in a subprocess."""
+    path = tmp_path / "f4_rank2.json"
+    path.write_text(json.dumps(F4_RANK2), encoding="utf-8")
+    return _run_timed(["sol", str(path), "--max-m", str(max_m)])
 
 
 @pytest.mark.parametrize("max_m", [17, 10**9])
@@ -416,6 +421,40 @@ def test_sol_over_f4_keeps_its_dimensions_up_to_m_12(tmp_path):
     proc, _ = _run_sol(tmp_path, 12)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"]["dims"] == [0, 0, 2] * 4
+
+
+def _truncated_line(tmp_path, n):
+    """F_2[x]/(x^n) with kappa(x^(2a)) = 0 and kappa(x^(2a+1)) = x^(a+n),
+    that is kappa = 0: every F_2[x]-linear endomorphism commutes with it,
+    so Hom from it to itself has F_2-dimension n."""
+    doc = {"ring": {"p": 2, "e": 1, "vars": ["x"]}, "generators": 1,
+           "relations": [[f"x^{n}"]],
+           "kappa": {"0,0": ["0"], "1,0": [f"x^{n}"]}}
+    path = tmp_path / f"line_{n}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_hom_of_a_300_dimensional_module_answers_under_1_gib(tmp_path):
+    """The Hom system of F_2[x]/(x^300) with itself has 900 x 300 cells."""
+    path = _truncated_line(tmp_path, 300)
+    proc, elapsed = _run_timed(["hom", path, path], _limit_address_space)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["dimension_fp"] == 300
+    assert result["partial"] is False
+    assert elapsed < 2.0
+
+
+def test_hom_over_the_cell_cap_exits_2_quickly(tmp_path):
+    """At x^3000 the system would have 9000 x 3000 cells, over
+    HOM_CELL_CAP; the cap is checked before any block is built."""
+    path = _truncated_line(tmp_path, 3000)
+    proc, elapsed = _run_timed(["hom", path, path], _limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 1.0
+    assert "HOM_CELL_CAP" in json.loads(proc.stdout)["error"]["message"]
 
 
 def test_field_over_the_size_cap_exits_2_quickly(capsys, tmp_path):
@@ -458,6 +497,19 @@ def test_tiny_iteration_cap_reports_non_stabilized(capsys):
     assert code == 3
     assert rep["error"]["type"] == "non_stabilized"
     assert rep["error"]["cap"] == 1
+
+
+def test_iteration_cap_from_the_environment_reports_the_partial_chain(
+    capsys, monkeypatch
+):
+    """With a cap of 1 the image chain of jordan2 stops at its first two
+    members, M and kappa(M); the report says how far it got."""
+    monkeypatch.setenv("CARTIER_LAB_MAX_ITER", "1")
+    code, rep, _ = report(capsys, ["stable-image", JORDAN2, "--no-timings"])
+    assert code == 3
+    assert rep["error"]["type"] == "non_stabilized"
+    assert rep["error"]["cap"] == 1
+    assert rep["error"]["partial_length"] == 2
 
 
 def test_invariant_violation_writes_reproduction_bundle(

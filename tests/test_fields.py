@@ -13,7 +13,6 @@ from cartier_lab.fields import (
     SemilinearMap,
     fixed_points_dimension,
     fq_in_span,
-    fq_nullspace,
     fq_rref,
     is_nilpotent_semilinear,
 )
@@ -38,8 +37,11 @@ SEED = 4021
 def test_modulus_is_first_monic_irreducible(p, e, modulus):
     """The defining polynomial is pinned: first monic irreducible of
     degree e in the coefficient-tuple enumeration order.  Values frozen
-    after checking irreducibility by hand (no roots / no factors)."""
-    assert Fq(p, e).modulus_str() == modulus
+    after checking irreducibility by hand (no roots / no factors).  The
+    modulus is monic; its lower terms print as the element t^e."""
+    ctx = Fq(p, e)
+    assert ctx.modulus[e] == 1
+    assert f"t^{e}+{ctx.from_coords(ctx.modulus[:e])}" == modulus
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (2, 3)])
@@ -90,10 +92,14 @@ def test_frobenius_is_additive_and_multiplicative(p, e):
 
 
 def test_prime_field_membership():
+    """The prime field is the fixed field of the Frobenius, and its
+    elements are the codes below p."""
     ctx = Fq(2, 2)
     t = ctx.from_coords((0, 1))
-    assert ctx.scalar(1).in_prime_field()
-    assert not t.in_prime_field()
+    assert ctx.frobenius(ctx.scalar(1)) == ctx.scalar(1)
+    assert ctx.frobenius(t) != t
+    for a in ctx.elements():
+        assert (ctx.frobenius(a) == a) == (a.to_int() < ctx.p)
 
 
 def test_context_mismatch_is_rejected():
@@ -106,6 +112,18 @@ def test_context_mismatch_is_rejected():
 # --------------------------------------------------------- semilinear maps
 
 
+def _law_holds(T, rng, trials):
+    """Spot-check the twist law T(a v) = twist(a) T(v) on random data."""
+    ctx = T.ctx
+    for _ in range(trials):
+        a = ctx.random_element(rng)
+        v = tuple(ctx.random_element(rng) for _ in range(T.dim))
+        lhs = T.apply(tuple(a * x for x in v))
+        if lhs != tuple(T.twist(a) * y for y in T.apply(v)):
+            return False
+    return True
+
+
 def _mat(ctx, ints):
     return tuple(tuple(ctx.from_int(v) for v in row) for row in ints)
 
@@ -114,7 +132,7 @@ def test_semilinear_law_p_linear():
     ctx = Fq(2, 2)
     T = SemilinearMap(ctx, P_LINEAR, _mat(ctx, [[2, 0], [0, 1]]))
     rng = random.Random(SEED)
-    assert T.check_law(rng, trials=40)
+    assert _law_holds(T, rng, trials=40)
     for _ in range(20):
         c = ctx.random_element(rng)
         v = (ctx.random_element(rng), ctx.random_element(rng))
@@ -127,7 +145,7 @@ def test_semilinear_law_p_inv_linear():
     ctx = Fq(3, 2)
     T = SemilinearMap(ctx, P_INV_LINEAR, _mat(ctx, [[1, 3], [0, 2]]))
     rng = random.Random(SEED + 1)
-    assert T.check_law(rng, trials=40)
+    assert _law_holds(T, rng, trials=40)
     for _ in range(20):
         c = ctx.random_element(rng)
         v = (ctx.random_element(rng), ctx.random_element(rng))
@@ -251,22 +269,6 @@ def test_fq_rref_and_span_membership():
     assert len(red) == 2
     assert fq_in_span((t, ctx.scalar(0)), red)
     assert fq_in_span((ctx.scalar(0), ctx.scalar(0)), red)
-
-
-def test_fq_nullspace_annihilates():
-    ctx = Fq(3, 1)
-    rows = [
-        (ctx.scalar(1), ctx.scalar(2), ctx.scalar(0)),
-        (ctx.scalar(0), ctx.scalar(1), ctx.scalar(1)),
-    ]
-    null = fq_nullspace(rows, ctx)
-    assert len(null) == 1
-    for vec in null:
-        for row in rows:
-            acc = ctx.scalar(0)
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            assert acc.is_zero()
 
 
 def test_fq_rref_random_rank_agreement():

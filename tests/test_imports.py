@@ -1,5 +1,7 @@
 """Every name a package module imports is used in that module, listed in
-its ``__all__``, or re-exported by an import marked ``# noqa: F401``."""
+its ``__all__``, or re-exported by an import marked ``# noqa: F401``; and
+every module-level private function or class is referenced somewhere in
+the package outside its own definition."""
 
 import ast
 import pathlib
@@ -49,3 +51,46 @@ def test_scanner_finds_an_unused_import():
 )
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_helpers(sources):
+    """(module, name) of each module-level ``_private`` function or class
+    in ``sources`` ({module: source text}) that no name or attribute in
+    any module refers to, outside the helper's own definition."""
+    defined, refs = [], set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = getattr(stmt, "name", None)
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and owner.startswith("_") and not owner.startswith("__")):
+                defined.append((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != owner:
+                    refs.add(name)
+    return sorted(item for item in defined if item[1] not in refs)
+
+
+def test_scanner_finds_a_dead_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\n"
+             "def _dead():\n    return _dead()\n\n"
+             "class _Shared:\n    pass\n",
+        "b": "from a import _Shared\n\nx = _used()\n",
+    }
+    assert dead_helpers(sources) == [("a", "_dead")]
+
+
+def test_package_has_no_dead_private_helpers():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert dead_helpers(sources) == []
