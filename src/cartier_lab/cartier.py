@@ -18,17 +18,16 @@ and element-level evaluation.
 """
 
 import itertools
-import os
 
 import numpy as np
 
 from . import kernels
 from .errors import (
     CapExceeded,
-    NonStabilized,
     InvariantViolation,
     UnsupportedRingError,
     ValidationError,
+    stabilize,
 )
 from .fields import SemilinearMap, P_INV_LINEAR
 from .poly import frobenius_decompose
@@ -38,15 +37,12 @@ from .submodules import (
     in_span,
     module_invariants,
     scalar_rows,
-    span_equal,
     syzygy_generators,
     solve_combination,
     vec_add,
     vec_scale,
     zero_vector,
 )
-
-DEFAULT_ITERATION_CAP = 256
 
 __all__ = [
     "CartierModule",
@@ -72,24 +68,7 @@ __all__ = [
     "omega_module",
     "point_module",
     "jordan_block_module",
-    "iteration_cap",
 ]
-
-
-def iteration_cap(explicit=None):
-    """Resolve the stabilization-loop cap: explicit arg, then the
-    CARTIER_LAB_MAX_ITER environment variable, then the default."""
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("CARTIER_LAB_MAX_ITER", "")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(
-                f"CARTIER_LAB_MAX_ITER={env!r} is not an integer"
-            ) from None
-    return DEFAULT_ITERATION_CAP
 
 
 def _check_table_keys(table, ring, rank):
@@ -313,27 +292,20 @@ def image_chain(module, cap=None):
     consecutive members agree.  Members are HNF row tuples of preimages in
     R^r (each containing the relation span)."""
     _require_pid(module, "image_chain")
-    cap = iteration_cap(cap)
     ring = module.ring
-    rels = module.effective_relations()
+    rels = list(module.effective_relations())
+
+    def image(chain):
+        images = [
+            module._apply_raw(vec_scale(row, ring.monomial(a)))
+            for row in chain[-1]
+            for a in ring.pth_basis()
+        ]
+        return hnf_rows(images + rels, module.rank, ring)
+
     full = scalar_rows(ring, module.rank, ring.one)
-    current = hnf_rows(full + list(rels), module.rank, ring)
-    chain = [current]
-    for _ in range(cap):
-        images = []
-        for row in current:
-            for a in ring.pth_basis():
-                xa = ring.monomial(a)
-                images.append(module._apply_raw(vec_scale(row, xa)))
-        nxt = hnf_rows(images + list(rels), module.rank, ring)
-        if span_equal(nxt, current):
-            return chain
-        chain.append(nxt)
-        current = nxt
-    raise NonStabilized(
-        f"image chain did not stabilize within {cap} steps",
-        partial=chain,
-        cap=cap,
+    return stabilize(
+        hnf_rows(full + rels, module.rank, ring), image, "image chain", cap
     )
 
 

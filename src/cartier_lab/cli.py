@@ -20,6 +20,7 @@ from .errors import (
     InvariantViolation,
     NonStabilized,
     ValidationError,
+    iteration_cap,
 )
 from .cartier import (
     CartierModule,
@@ -30,7 +31,6 @@ from .cartier import (
 from .gamma import (
     GammaSheaf,
     cartier_to_gamma,
-    gamma_image_chain,
     gamma_nilpotent,
     gamma_to_cartier,
     unit_root_stabilize,
@@ -57,12 +57,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NON_STABILIZED = 3
 EXIT_INVARIANT = 4
-
-
-def _names(module):
-    if module.generator_names is not None:
-        return module.generator_names
-    return tuple(f"m{i}" for i in range(module.rank))
 
 
 def _digest(paths):
@@ -111,9 +105,7 @@ def op_validate(args):
     kind = "module" if isinstance(doc, CartierModule) else "sheaf"
     if kind == "module":
         doc.semilinearity_check(rng, trials=20)
-        rank = doc.rank
-    else:
-        rank = doc.rank
+    rank = doc.rank
     return {
         "valid": True,
         "kind": kind,
@@ -127,7 +119,7 @@ def op_kappa_apply(args):
     module = _require_module(load_document(args.input), "kappa-apply")
     if args.elem is None:
         raise ValidationError("kappa-apply needs --elem")
-    names = _names(module)
+    names = module.generator_names
     vec = element_from_string(module.ring, args.elem, names)
     out = module.apply_kappa(vec)
     text = element_to_string(out, names)
@@ -152,7 +144,7 @@ def op_nilpotency(args):
 def op_stable_image(args):
     module = _require_module(load_document(args.input), "stable-image")
     sub, _, chain = stable_image(module, cap=args.max_iter)
-    names = _names(module)
+    names = module.generator_names
     rel = module.relation_hnf()
     from .submodules import in_span
 
@@ -201,14 +193,13 @@ def op_unit_root(args):
     if isinstance(doc, CartierModule):
         doc = cartier_to_gamma(doc)
     unit = unit_root_stabilize(doc, cap=args.max_iter)
-    chain = gamma_image_chain(doc, cap=args.max_iter)
     return {
         "root": sheaf_to_json(unit.root),
         "e_star": unit.e_star,
         "injective_verified": unit.injective_verified,
     }, {
-        "kernel_chain_lengths": [len(v) for v in chain["kernels"]],
-        "stabilized_at": chain["stabilized_at"],
+        "kernel_chain_lengths": [len(v) for v in unit.kernel_chain],
+        "stabilized_at": len(unit.kernel_chain) - 1,
     }, f"unit root of rank {unit.root.rank} at e*={unit.e_star}"
 
 
@@ -243,7 +234,7 @@ def op_gamma_z(args):
         raise ValidationError("gamma-z needs --g")
     g = _parse_poly_arg(module.ring, args.g, "--g")
     tors = torsion_gamma_Z(module, g, cap=args.max_iter)
-    names = _names(module)
+    names = module.generator_names
     return {
         "generators": [element_to_string(v, names) for v in tors["generators"]],
         "exponent": tors["exponent"],
@@ -257,7 +248,7 @@ def op_localize(args):
         raise ValidationError("localize needs --g")
     g = _parse_poly_arg(module.ring, args.g, "--g")
     loc = open_pullback(module, g, cap=args.max_iter)
-    names = _names(module)
+    names = module.generator_names
     return {
         "torsion_generators": [
             element_to_string(v, names) for v in loc.torsion["generators"]
@@ -343,8 +334,8 @@ def build_parser():
         p.add_argument("--seq2", help="second comma-separated sequence")
         p.add_argument("--elem", help="element string, e.g. 'x^2*dx'")
         p.add_argument("--max-iter", type=int, default=None,
-                       help="stabilization cap (default 256 or "
-                            "CARTIER_LAB_MAX_ITER)")
+                       help="stabilization cap, a positive integer "
+                            "(default 256 or CARTIER_LAB_MAX_ITER)")
         p.add_argument("--max-m", type=int, default=4,
                        help="largest extension degree m for sol; F_(q^m) "
                             "may have at most 2^32 elements")
@@ -394,16 +385,14 @@ def main(argv=None):
     paths = [args.input] + ([args.second] if nargs == 2 else [])
     start = time.monotonic()
     try:
+        args.max_iter = iteration_cap(args.max_iter)
         digest = _digest(paths)
         result, certificates, summary = func(args)
     except NonStabilized as exc:
-        # a chain is a list of its members; other loops keep their last
-        # span or lattice, which has no chain length
-        length = len(exc.partial) if isinstance(exc.partial, list) else None
         report = {
             "operation": args.operation,
             "error": {"type": "non_stabilized", "message": str(exc),
-                      "cap": exc.cap, "partial_length": length},
+                      "cap": exc.cap, "partial_length": len(exc.partial)},
         }
         sys.stdout.write(canonical_json(report))
         sys.stderr.write(f"{args.operation}: did not stabilize: {exc}\n")

@@ -1,8 +1,14 @@
-"""Exception hierarchy shared by every cartier_lab module.
+"""Exception hierarchy shared by every cartier_lab module, and the one
+stabilization loop that raises NonStabilized.
 
-The CLI maps these onto process exit codes: ValidationError -> 2,
-NonStabilized -> 3, InvariantViolation -> 4.
+The CLI maps these onto process exit codes: ValidationError (CapExceeded
+included) -> 2, NonStabilized -> 3, InvariantViolation and
+CertificateFailed -> 4.
 """
+
+import os
+
+DEFAULT_ITERATION_CAP = 256
 
 
 class CartierLabError(Exception):
@@ -39,11 +45,11 @@ class CapExceeded(ValidationError):
 class NonStabilized(CartierLabError):
     """An iterative chain hit its iteration cap before stabilizing.
 
-    ``partial`` holds whatever prefix of the chain was computed, so callers
-    can report it.
+    ``partial`` is the chain computed so far, a list of cap + 1 members,
+    so callers can report how far it got.
     """
 
-    def __init__(self, message, partial=None, cap=None):
+    def __init__(self, message, partial, cap):
         super().__init__(message)
         self.partial = partial
         self.cap = cap
@@ -55,3 +61,41 @@ class InvariantViolation(CartierLabError):
 
 class CertificateFailed(CartierLabError):
     """A post-hoc certificate check on a computed object did not hold."""
+
+
+def iteration_cap(explicit=None):
+    """Resolve the stabilization-loop cap: explicit arg, then the
+    CARTIER_LAB_MAX_ITER environment variable, then the default.  A cap
+    must be a positive integer."""
+    name, value = "iteration cap", explicit
+    if explicit is None:
+        value = os.environ.get("CARTIER_LAB_MAX_ITER", "")
+        if not value:
+            return DEFAULT_ITERATION_CAP
+        name = "CARTIER_LAB_MAX_ITER"
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValidationError(f"{name}={value!r} is not a positive integer")
+    return cap
+
+
+def stabilize(first, step, what, cap=None):
+    """The chain [first, m1, m2, ...] of a monotone iteration up to its
+    stable member.  Each new member is ``step(chain)`` on the chain so far,
+    so a step that depends on its index reads it from ``len(chain)``; the
+    loop stops at the first member equal to the last one, which is not
+    appended.  After ``cap`` steps without that, NonStabilized carries the
+    chain reached."""
+    cap = iteration_cap(cap)
+    chain = [first]
+    for _ in range(cap):
+        nxt = step(chain)
+        if nxt == chain[-1]:
+            return chain
+        chain.append(nxt)
+    raise NonStabilized(
+        f"{what} did not stabilize within {cap} steps", partial=chain, cap=cap
+    )

@@ -30,8 +30,8 @@ from .errors import (
     CapExceeded,
     ContextMismatchError,
     InvariantViolation,
-    NonStabilized,
     ValidationError,
+    stabilize,
 )
 from . import kernels
 
@@ -477,7 +477,7 @@ class SemilinearMap:
         return tuple(out)
 
 
-def iterated_image_chain(T, cap=256):
+def iterated_image_chain(T, cap=None):
     """Descending chain V, T(V), T^2(V), ... of subspaces of F_q^r.
 
     Stops at the first k with T^(k+1)(V) = T^k(V) and returns the list of
@@ -493,19 +493,15 @@ def iterated_image_chain(T, cap=256):
         ],
         ctx,
     )
-    chain = [full]
-    for _ in range(cap):
-        cur = chain[-1]
-        nxt = fq_rref([T.apply(b) for b in cur], ctx) if cur else ()
-        if nxt == cur:
-            return chain
-        chain.append(nxt)
-    raise NonStabilized(
-        f"image chain did not stabilize within {cap} steps", partial=chain, cap=cap
-    )
+
+    def image(chain):
+        basis = chain[-1]
+        return fq_rref([T.apply(b) for b in basis], ctx) if basis else ()
+
+    return stabilize(full, image, "image chain", cap)
 
 
-def is_nilpotent_semilinear(T, cap=256):
+def is_nilpotent_semilinear(T, cap=None):
     """(nilpotent?, order or None, chain dims).  Order is the first n with T^n = 0."""
     chain = iterated_image_chain(T, cap=cap)
     dims = [len(b) for b in chain]

@@ -15,13 +15,12 @@ by first raising the denominator to a p-th power:
 
 from .errors import (
     InvariantViolation,
-    NonStabilized,
     UnsupportedRingError,
     ValidationError,
+    stabilize,
 )
 from .cartier import (
     CartierModule,
-    iteration_cap,
     quotient_module,
     submodule_module,
 )
@@ -47,7 +46,6 @@ from .submodules import (
     module_invariants,
     scalar_rows,
     solve_combination,
-    span_equal,
     syzygy_generators,
     vec_add,
     vec_scale,
@@ -123,35 +121,25 @@ def torsion_gamma_Z(module, g, cap=None):
         raise UnsupportedRingError("torsion needs F_q or F_q[x]")
     if g.is_zero():
         raise ValidationError("torsion along the zero locus of 0 is everything")
-    cap = iteration_cap(cap)
-    rels = module.effective_relations()
+    rels = list(module.effective_relations())
     rel_hnf = module.relation_hnf()
     r = module.rank
-    prev = rel_hnf
-    power = ring.one
-    exponent = 0
-    for j in range(1, cap + 1):
-        power = power * g
+
+    def killed_by_next_power(chain):
+        power = g ** len(chain)
         gens = syzygy_generators(scalar_rows(ring, r, power), rels, r, ring)
-        span = hnf_rows(list(gens) + list(rels), r, ring)
-        if span_equal(span, prev):
-            exponent = j - 1
-            break
-        prev = span
-    else:
-        raise NonStabilized(
-            f"torsion chain did not stabilize within {cap} powers",
-            partial=prev,
-            cap=cap,
-        )
-    gens = [row for row in prev if not in_span(row, rel_hnf, ring)]
+        return hnf_rows(list(gens) + rels, r, ring)
+
+    chain = stabilize(rel_hnf, killed_by_next_power, "torsion chain", cap)
+    span = chain[-1]
+    gens = [row for row in span if not in_span(row, rel_hnf, ring)]
     sub, incl = submodule_module(module, gens)
     return {
         "module": sub,
         "inclusion": incl,
         "generators": gens,
-        "span": prev,
-        "exponent": exponent,
+        "span": span,
+        "exponent": len(chain) - 1,
     }
 
 

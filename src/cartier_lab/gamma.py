@@ -22,13 +22,15 @@ iterates form an ascending chain, which terminates over a Noetherian
 ring; the stable kernel drives nilpotency tests and unit-root extraction.
 """
 
+import itertools
+
 from .errors import (
-    NonStabilized,
     InvariantViolation,
     UnsupportedRingError,
     ValidationError,
+    stabilize,
 )
-from .cartier import CartierModule, iteration_cap
+from .cartier import CartierModule
 from .poly import frobenius_component
 from .submodules import (
     Presentation,
@@ -124,23 +126,16 @@ class GammaSheaf(Presentation):
             out.append(acc)
         return tuple(out)
 
-    def iterate_matrix(self, k):
-        """Matrix of gamma^k: N -> F^{k*}N (C^(p^{k-1}) ... C^(p) C)."""
+    def iterates(self):
+        """The matrices of gamma^0, gamma^1, ...: N -> F^{k*}N, where
+        gamma^k = C^(p^(k-1)) gamma^(k-1) (entrywise powers of C)."""
         ring = self.ring
-        p = ring.ctx.p
-        result = None
-        for j in range(k):
-            power = p**j
-            twisted = [
-                [entry**power for entry in row] for row in self.gamma_matrix
-            ]
-            if result is None:
-                result = twisted
-            else:
-                result = _matmul(twisted, result, ring)
-        if result is None:  # k == 0
-            result = scalar_rows(ring, self.rank, ring.one)
-        return tuple(tuple(row) for row in result)
+        gam = scalar_rows(ring, self.rank, ring.one)
+        twisted = self.gamma_matrix
+        while True:
+            yield gam
+            gam = _matmul(twisted, gam, ring)
+            twisted = [[f.pth_power() for f in row] for row in twisted]
 
 
 def _matmul(a, b, ring):
@@ -251,29 +246,26 @@ def gamma_kernel_chain(sheaf, cap=None):
         raise UnsupportedRingError(
             "kernel chains need the ring to be F_q or F_q[x]"
         )
-    cap = iteration_cap(cap)
-    ring = sheaf.ring
-    rels = sheaf.effective_relations()
-    chain = [hnf_rows(rels, sheaf.rank, ring)]
-    for e in range(1, cap + 2):
-        gam = sheaf.iterate_matrix(e)
-        cols = [
-            tuple(gam[i][j] for i in range(sheaf.rank))
-            for j in range(sheaf.rank)
-        ]
-        twisted = sheaf.twisted_relations(e)
-        ker = syzygy_generators(cols, twisted, sheaf.rank, ring)
-        span = hnf_rows(list(ker) + list(rels), sheaf.rank, ring)
-        if span_equal(span, chain[-1]):
-            return chain, e - 1
-        chain.append(span)
-        if e > cap:
-            break
-    raise NonStabilized(
-        f"gamma kernel chain did not stabilize within {cap} steps",
-        partial=chain,
-        cap=cap,
-    )
+    iterates = itertools.islice(sheaf.iterates(), 1, None)
+
+    def kernel(chain):
+        return _iterate_kernel(sheaf, next(iterates), len(chain))
+
+    chain = stabilize(sheaf.relation_hnf(), kernel, "gamma kernel chain", cap)
+    return chain, len(chain) - 1
+
+
+def _columns(gam):
+    return [tuple(row[j] for row in gam) for j in range(len(gam))]
+
+
+def _iterate_kernel(sheaf, gam, e):
+    """ker(gamma^e) from its matrix ``gam``, as an HNF span containing the
+    relation span."""
+    ring, r = sheaf.ring, sheaf.rank
+    twisted = sheaf.twisted_relations(e)
+    ker = syzygy_generators(_columns(gam), twisted, r, ring)
+    return hnf_rows(list(ker) + list(sheaf.effective_relations()), r, ring)
 
 
 def gamma_image_chain(sheaf, cap=None):
@@ -282,16 +274,13 @@ def gamma_image_chain(sheaf, cap=None):
     Returns a dict with kernels, images, and the stabilization index."""
     chain, e_star = gamma_kernel_chain(sheaf, cap=cap)
     ring = sheaf.ring
-    images = []
-    for k in range(1, len(chain) + 1):
-        gam = sheaf.iterate_matrix(k)
-        cols = [
-            tuple(gam[i][j] for i in range(sheaf.rank))
-            for j in range(sheaf.rank)
-        ]
-        images.append(
-            hnf_rows(cols + list(sheaf.twisted_relations(k)), sheaf.rank, ring)
+    iterates = itertools.islice(sheaf.iterates(), 1, len(chain) + 1)
+    images = [
+        hnf_rows(
+            _columns(gam) + list(sheaf.twisted_relations(k)), sheaf.rank, ring
         )
+        for k, gam in enumerate(iterates, 1)
+    ]
     return {"kernels": chain, "images": images, "stabilized_at": e_star}
 
 
@@ -324,9 +313,7 @@ def gamma_unit_defect(sheaf):
     if ring.nvars > 1:
         raise UnsupportedRingError("unit defect needs F_q or F_q[x]")
     r = sheaf.rank
-    cols = [
-        tuple(sheaf.gamma_matrix[i][j] for i in range(r)) for j in range(r)
-    ]
+    cols = _columns(sheaf.gamma_matrix)
     twisted = sheaf.twisted_relations(1)
     # kernel: coefficient vectors with gamma(v) in the twisted span
     ker_gens = syzygy_generators(cols, twisted, r, ring)
@@ -423,68 +410,51 @@ class UnitRoot:
 
 
 def unit_root_stabilize(sheaf, cap=None):
-    """Kill the nilpotent defect: find the first e where ker(gamma^e)
-    stabilizes and return the image of gamma^e with its induced map, on
-    which gamma is injective."""
+    """Kill the nilpotent defect: at the first e* where ker(gamma^e)
+    stabilizes, return the image of gamma^e* with its induced map, on
+    which gamma is injective.
+
+    The induced map exists because gamma^(e+1) = F^*(gamma^e) o gamma, and
+    it is injective because ker gamma^(e*+1) = ker gamma^e*.  Both are
+    checked; a failure is a bug (InvariantViolation)."""
     ring = sheaf.ring
     if ring.nvars > 1:
         raise UnsupportedRingError("unit roots need F_q or F_q[x]")
-    cap = iteration_cap(cap)
-    chain, e_star = gamma_kernel_chain(sheaf, cap=cap)
-    p = ring.ctx.p
-    for e in range(e_star, cap + 1):
-        gam = sheaf.iterate_matrix(e)
-        cols = [
-            tuple(gam[i][j] for i in range(sheaf.rank))
-            for j in range(sheaf.rank)
-        ]
-        twisted_e = sheaf.twisted_relations(e)
-        span_e = hnf_rows(twisted_e, sheaf.rank, ring)
-        gens = [c for c in cols if not in_span(c, span_e, ring)]
-        root_rels = syzygy_generators(gens, twisted_e, sheaf.rank, ring)
-        s = len(gens)
-        # induced matrix: solve F^{e*}(gamma)(g_j) in the twisted gens
-        ok = True
-        matrix = [[ring.zero for _ in range(s)] for _ in range(s)]
-        twisted_next = sheaf.twisted_relations(e + 1)
-        ce = [
-            [entry ** (p**e) for entry in row] for row in sheaf.gamma_matrix
-        ]
-        twisted_gens = [tuple(f**p for f in g) for g in gens]
-        for j, g in enumerate(gens):
-            img = tuple(
-                sum(
-                    (ce[i][k] * g[k] for k in range(sheaf.rank)),
-                    ring.zero,
-                )
-                for i in range(sheaf.rank)
-            )
-            coeffs = solve_combination(
-                twisted_gens, twisted_next, img, sheaf.rank, ring
-            )
-            if coeffs is None:
-                ok = False
-                break
-            for i in range(s):
-                matrix[i][j] = coeffs[i]
-        if not ok:
-            continue
-        root = GammaSheaf(
-            ring,
-            s,
-            matrix,
-            relations=root_rels,
-            ideal=sheaf.ideal,
-            generator_names=tuple(f"r{i + 1}" for i in range(s)),
+    chain, e = gamma_kernel_chain(sheaf, cap=cap)
+    r = sheaf.rank
+    gam = next(itertools.islice(sheaf.iterates(), e, None))
+    twisted_e = sheaf.twisted_relations(e)
+    span_e = hnf_rows(twisted_e, r, ring)
+    gens = [c for c in _columns(gam) if not in_span(c, span_e, ring)]
+    root_rels = syzygy_generators(gens, twisted_e, r, ring)
+    s = len(gens)
+    # induced matrix: solve F^{e*}(gamma)(g_j) in the twisted gens
+    matrix = [[ring.zero for _ in range(s)] for _ in range(s)]
+    twisted_next = sheaf.twisted_relations(e + 1)
+    q = ring.ctx.p**e
+    ce = [[entry**q for entry in row] for row in sheaf.gamma_matrix]
+    twisted_gens = [tuple(f.pth_power() for f in g) for g in gens]
+    for j, g in enumerate(gens):
+        img = tuple(
+            sum((ce[i][k] * g[k] for k in range(r)), ring.zero)
+            for i in range(r)
         )
-        # verify injectivity of the induced map
-        if s == 0:
-            return UnitRoot(root, True, e, chain)
-        rchain, _ = gamma_kernel_chain(root, cap=cap)
-        if len(rchain) == 1:  # ker(gamma) == relation span == ker(gamma^0)
-            return UnitRoot(root, True, e, chain)
-    raise NonStabilized(
-        f"unit root extraction did not stabilize within {cap} steps",
-        partial=chain,
-        cap=cap,
+        coeffs = solve_combination(twisted_gens, twisted_next, img, r, ring)
+        if coeffs is None:
+            raise InvariantViolation(
+                f"gamma^{e + 1} does not factor through the image of "
+                f"gamma^{e}"
+            )
+        for i in range(s):
+            matrix[i][j] = coeffs[i]
+    root = GammaSheaf(
+        ring,
+        s,
+        matrix,
+        relations=root_rels,
+        ideal=sheaf.ideal,
+        generator_names=tuple(f"r{i + 1}" for i in range(s)),
     )
+    if _iterate_kernel(root, root.gamma_matrix, 1) != root.relation_hnf():
+        raise InvariantViolation(f"the unit root at e* = {e} is not injective")
+    return UnitRoot(root, True, e, chain)

@@ -17,9 +17,10 @@ from .errors import (
     CapExceeded,
     CertificateFailed,
     InvariantViolation,
-    NonStabilized,
     UnsupportedRingError,
     ValidationError,
+    iteration_cap,
+    stabilize,
 )
 from .cartier import (
     CartierModule,
@@ -27,7 +28,6 @@ from .cartier import (
     FiniteModel,
     cokernel,
     is_nilpotent,
-    iteration_cap,
     kernel,
     max_nilpotent_submodule,
     quotient_module,
@@ -283,31 +283,29 @@ class Lattice:
         return f"Lattice(k={self.k}, {len(self.generator_rows())} generators)"
 
 
-def kappa_saturate(lattice, cap=None, with_count=False):
+def _saturation_chain(lattice, cap=None):
+    """L, L + kappa(L), ... up to the first operator-stable member."""
+
+    def saturate(chain):
+        return chain[-1].add(chain[-1].kappa_image())
+
+    return stabilize(lattice, saturate, "saturation", cap)
+
+
+def kappa_saturate(lattice, cap=None):
     """The smallest operator-stable lattice containing the input: iterate
     L <- L + kappa(L) to a fixed point."""
-    cap = iteration_cap(cap)
-    current = lattice
-    for e in range(cap):
-        bigger = current.add(current.kappa_image())
-        if bigger == current:
-            return (current, e) if with_count else current
-        current = bigger
-    raise NonStabilized(
-        f"saturation did not stabilize within {cap} iterations",
-        partial=current,
-        cap=cap,
-    )
+    return _saturation_chain(lattice, cap)[-1]
 
 
-def test_module_sum(lattice, k, cap=None, with_count=False):
+def test_module_sum(lattice, k, cap=None):
     """T_k: the operator-stable lattice generated by g^k times a stable
     lattice.  Descending in k; T_0 is the lattice itself."""
     if not lattice.is_kappa_stable():
         raise ValidationError("test sums need an operator-stable lattice")
     if k < 0:
         raise ValidationError("k must be >= 0")
-    return kappa_saturate(lattice.g_multiple(k), cap=cap, with_count=with_count)
+    return kappa_saturate(lattice.g_multiple(k), cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +354,6 @@ def intermediate_extension(localized, cap=None):
     ring = localized.ring
     g = localized.g
     quot = localized.quotient
-    cap_n = iteration_cap(cap)
 
     def finish(lattice, checks, indices, crystal_zero):
         module = lattice.to_module()
@@ -391,25 +388,24 @@ def intermediate_extension(localized, cap=None):
         }
         return finish(zero, checks, {"e_star": 0, "k_star": 0}, True)
 
-    saturated, e_count = kappa_saturate(base, cap=cap, with_count=True)
-    current, t_count = test_module_sum(saturated, 1, cap=cap, with_count=True)
-    e_star = max(e_count, t_count)
-    k_star = None
-    for k in range(1, cap_n + 1):
-        nxt, t_count = test_module_sum(
-            saturated, k + 1, cap=cap, with_count=True
-        )
-        e_star = max(e_star, t_count)
-        if nxt == current:
-            k_star = k
-            break
-        current = nxt
-    if k_star is None:
-        raise NonStabilized(
-            f"test sums did not stabilize within {cap_n} steps",
-            partial=current,
-            cap=cap_n,
-        )
+    # e* is the longest saturation, over the base and every T_k computed
+    counts = []
+
+    def saturation(lattice):
+        chain = _saturation_chain(lattice, cap)
+        counts.append(len(chain) - 1)
+        return chain[-1]
+
+    saturated = saturation(base)
+
+    def next_test_sum(sums):
+        return saturation(saturated.g_multiple(len(sums) + 1))
+
+    sums = stabilize(
+        saturation(saturated.g_multiple(1)), next_test_sum, "test sums", cap
+    )
+    current = sums[-1]
+    e_star, k_star = max(counts), len(sums)
 
     module = current.to_module()
     tors = torsion_gamma_Z(module, g, cap=cap)

@@ -247,6 +247,25 @@ def test_non_integer_iteration_cap_env_is_validation_error(
     assert "CARTIER_LAB_MAX_ITER" in rep["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "env, flags",
+    [("0", []), ("-1", []), (None, ["--max-iter", "0"]),
+     (None, ["--max-iter", "-1"])],
+    ids=["env-0", "env-minus-1", "flag-0", "flag-minus-1"],
+)
+def test_non_positive_iteration_cap_is_validation_error(
+    capsys, monkeypatch, env, flags
+):
+    if env is not None:
+        monkeypatch.setenv("CARTIER_LAB_MAX_ITER", env)
+    code, rep, _ = report(
+        capsys, ["nilpotency", JORDAN2, "--no-timings"] + flags
+    )
+    assert code == 2
+    assert rep["error"]["type"] == "validation"
+    assert "positive integer" in rep["error"]["message"]
+
+
 SHEAF_DOC = {
     "ring": {"p": 2, "e": 1, "vars": ["x"]},
     "rank": 2,
@@ -497,6 +516,20 @@ def test_tiny_iteration_cap_reports_non_stabilized(capsys):
     assert code == 3
     assert rep["error"]["type"] == "non_stabilized"
     assert rep["error"]["cap"] == 1
+    assert rep["error"]["partial_length"] == 2
+
+
+@pytest.mark.parametrize("operation", ["nilpotency", "unit-root"])
+def test_one_cap_means_the_same_steps_in_every_chain(capsys, operation):
+    """The image chain (nilpotency) and the kernel chain of gamma
+    (unit-root) of jordan2 both stop after one step under a cap of 1."""
+    code, rep, _ = report(
+        capsys, [operation, JORDAN2, "--max-iter", "1", "--no-timings"]
+    )
+    assert code == 3
+    assert rep["error"]["type"] == "non_stabilized"
+    assert rep["error"]["cap"] == 1
+    assert rep["error"]["partial_length"] == 2
 
 
 def test_iteration_cap_from_the_environment_reports_the_partial_chain(

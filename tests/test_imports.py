@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, listed in
 its ``__all__``, or re-exported by an import marked ``# noqa: F401``; and
 every module-level private function or class is referenced somewhere in
-the package outside its own definition."""
+the package outside its own definition; and NonStabilized is raised only
+by the one stabilization loop, ``errors.stabilize``."""
 
 import ast
 import pathlib
@@ -94,3 +95,48 @@ def test_package_has_no_dead_private_helpers():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert dead_helpers(sources) == []
+
+
+def non_stabilized_calls(sources):
+    """(module, line) of each call ``NonStabilized(...)`` in ``sources``
+    ({module: source text}) outside the function ``stabilize`` of module
+    ``errors``."""
+    found = []
+
+    def visit(module, node, allowed):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and not allowed:
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "NonStabilized":
+                    found.append((module, child.lineno))
+            visit(module, child, allowed or (
+                module == "errors"
+                and isinstance(child, ast.FunctionDef)
+                and child.name == "stabilize"
+            ))
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), False)
+    return sorted(found)
+
+
+def test_scanner_finds_a_stray_non_stabilized():
+    loop = (
+        "def stabilize(first, step, what, cap):\n"
+        "    raise NonStabilized(what, partial=[first], cap=cap)\n"
+    )
+    sources = {
+        "errors": loop,
+        "gamma": loop + "\ndef chain():\n"
+                 "    raise errors.NonStabilized('x', [], 1)\n",
+    }
+    assert non_stabilized_calls(sources) == [("gamma", 2), ("gamma", 5)]
+
+
+def test_non_stabilized_is_raised_only_by_stabilize():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert non_stabilized_calls(sources) == []
