@@ -217,7 +217,7 @@ class CartierMorphism:
 
     def _validate(self):
         src, tgt = self.source, self.target
-        if src.ring != tgt.ring:
+        if src.ring is not tgt.ring:
             raise ValidationError("morphism endpoints over different rings")
         if (src.ideal is None) != (tgt.ideal is None) or (
             src.ideal is not None and src.ideal != tgt.ideal
@@ -424,7 +424,7 @@ def image(phi):
 
 def direct_sum(m1, m2):
     """Block direct sum; returns (sum, include_left, include_right)."""
-    if m1.ring != m2.ring or m1.ideal != m2.ideal:
+    if m1.ring is not m2.ring or m1.ideal != m2.ideal:
         raise ValidationError("direct sum needs a common ring and quotient")
     ring = m1.ring
     r1, r2 = m1.rank, m2.rank
@@ -538,7 +538,7 @@ class FiniteModel:
         return {
             (c, mono[0] if univariate else 0): coeff
             for c, f in enumerate(self.module.normal_form(v))
-            for mono, coeff in f.terms.items()
+            for mono, coeff in f.items()
         }
 
     def to_coords(self, v):
@@ -827,7 +827,7 @@ def hom_cartier(source, target, degree_cap=None):
     it is built.
     """
     _require_pid(source, "hom_cartier")
-    if source.ring != target.ring or source.ideal != target.ideal:
+    if source.ring is not target.ring or source.ideal != target.ideal:
         raise ValidationError("hom endpoints need a common ring and quotient")
     ring = target.ring
     ctx = ring.ctx

@@ -14,12 +14,14 @@ q^m <= 2^32 for an extension (``CapExceeded``).
 An element is its integer code in [0, q): the same code of its
 coordinates over the power basis ``1, t, ..., t^{e-1}``.  Each context
 builds q-sized tables once (q <= 2^16, else ``CapExceeded``): the q
-element objects themselves, so arithmetic returns shared objects; the
-powers and discrete logarithms of the first primitive element g (in code
-order) and the Zech logarithms log_g(1 + g^n), so a product is one log
-sum and a sum one Zech lookup (in characteristic 2 a sum is the XOR of
-the codes, in a prime field their sum mod p); negation, inverse, the
-Frobenius a -> a^p and its inverse; and the coordinate digits.
+element objects themselves, so arithmetic returns shared objects; and,
+as int lists on codes, the powers and discrete logarithms of the first
+primitive element g (in code order) and the Zech logarithms
+log_g(1 + g^n), so a product is one log sum and a sum one Zech lookup (in
+characteristic 2 a sum is the XOR of the codes, in a prime field their
+sum mod p); negation, inverse, the Frobenius a -> a^p and its inverse;
+and the coordinate digits.  Polynomials (``poly``) work on these code
+lists directly and meet elements only at their edges.
 """
 
 from functools import lru_cache
@@ -200,10 +202,10 @@ class FieldElement:
             return ctx._elems[self.code ^ other.code]
         if ctx.e == 1:
             return ctx._elems[(self.code - other.code) % ctx.p]
-        return self + ctx._neg[other.code]
+        return self + ctx._elems[ctx._neg[other.code]]
 
     def __neg__(self):
-        return self.ctx._neg[self.code]
+        return self.ctx._elems[self.ctx._neg[self.code]]
 
     def __mul__(self, other):
         ctx = self.ctx
@@ -218,7 +220,7 @@ class FieldElement:
     def inv(self):
         if not self.code:
             raise ZeroDivisionError("inverse of 0 in F_q")
-        return self.ctx._inv[self.code]
+        return self.ctx._elems[self.ctx._inv[self.code]]
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -294,23 +296,28 @@ class FrobeniusContext:
             mat = np.einsum("k,kab->ab", digits[g], self._mul_blocks) % p
             if _has_order(mat, p, q - 1):
                 break
+        # the tables on codes, as int lists: the powers g^n (listed twice,
+        # so a sum of two logarithms needs no reduction), the logarithms,
+        # the Zech logarithms log(1 + g^n) (None where 1 + g^n = 0, also
+        # listed twice), negation, inverse, Frobenius and p-th root
         exp = _power_codes(mat, p, q)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
+        self._exp = exp.tolist() * 2
         self._log = log.tolist()
-        self._pow = [elems[c] for c in exp.tolist()] * 2
         low = digits[exp, 0]
         one_plus = (exp - low + (low + 1) % p).tolist()
-        self._zech = [self._log[c] if c else None for c in one_plus]
-        neg = (-digits % p) @ p ** np.arange(e)
-        self._neg = [elems[c] for c in neg.tolist()]
+        self._zech = [self._log[c] if c else None for c in one_plus] * 2
+        self._neg = ((-digits % p) @ p ** np.arange(e)).tolist()
 
         def power_map(n):  # a -> a^n, through the logarithms
-            return [elems[0]] + [self._pow[k * n % (q - 1)] for k in self._log[1:]]
+            return [0] + [self._exp[k * n % (q - 1)] for k in self._log[1:]]
 
         self._inv = power_map(-1)
         self._frob = power_map(p)
-        self._frob_inv = power_map(p ** (e - 1))
+        self._root = power_map(p ** (e - 1))
+        # the powers as elements, for products of elements
+        self._pow = [elems[c] for c in self._exp]
         # the F_p matrix of the p-th root, the inverse of the Frobenius
         self._frob_inv_matrix = _mat_pow(_frobenius_matrix(p, self.modulus), e - 1, p)
 
@@ -358,11 +365,11 @@ class FrobeniusContext:
     # -- Frobenius ----------------------------------------------------------
 
     def frobenius(self, a):
-        return self._frob[a.code]
+        return self._elems[self._frob[a.code]]
 
     def frobenius_inv(self, a):
         """The p-th root, equal to a -> a^(p^(e-1))."""
-        return self._frob_inv[a.code]
+        return self._elems[self._root[a.code]]
 
     def __hash__(self):
         return hash((self.p, self.e))
@@ -541,32 +548,44 @@ def fixed_points_dimension(T, m):
     check_extension_cap(ctx, m)
     p, e, r = ctx.p, ctx.e, T.dim
     n = e * m
-    mu = _first_irreducible_fp(p, n)
-    blocks = _mul_blocks(p, mu)
-    frob = _frobenius_matrix(p, mu)
+    blocks, frob, embedding = _extension_data(p, e, m)
     coords = np.array([[x.coords for x in row] for row in T.matrix], dtype=np.int64)
-    embedded = coords.reshape(r, r, e) @ _embedding(ctx, blocks, frob) % p
+    embedded = coords.reshape(r, r, e) @ embedding % p
     mult = np.einsum("ijk,kab->ijab", embedded, blocks) % p
     mat = np.einsum("ijab,bc->iajc", mult, frob).reshape(r * n, r * n)
     return r * n - kernels.rank_mod_p(mat - np.eye(r * n, dtype=np.int64), p)
 
 
-def _embedding(ctx, blocks, frob):
+@lru_cache(maxsize=None)
+def _extension_data(p, e, m):
+    """The data of K = F_{q^m} that depend only on (p, e, m), as read-only
+    arrays: the multiplication blocks of K, the matrix of x -> x^p on K and
+    the embedding of F_q in K."""
+    mu = _first_irreducible_fp(p, e * m)
+    blocks = _mul_blocks(p, mu)
+    frob = _frobenius_matrix(p, mu)
+    out = (blocks, frob, _embedding(p, e, blocks, frob))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _embedding(p, e, blocks, frob):
     """The F_p matrix of F_q -> K, row k the coordinates of beta^k: beta is
-    the first root of ``ctx.modulus`` in the copy of F_q inside K (the
+    the first root of the modulus of F_q in the copy of F_q inside K (the
     nullspace of F^e - I), in code order over its F_p basis.  The
     candidates are tested by Horner's rule, 1024 at a time, so their
     multiplication matrices take at most 1024 n^2 entries."""
-    p, e, n = ctx.p, ctx.e, len(frob)
+    n, q = len(frob), p**e
     one = np.eye(n, dtype=np.int64)
     basis = kernels.nullspace_mod_p(_mat_pow(frob, e, p) - one, p)
     mult_basis = np.einsum("in,nab->iab", basis, blocks) % p
-    for start in range(0, ctx.q, 1024):
-        codes = np.arange(start, min(start + 1024, ctx.q))
+    for start in range(0, q, 1024):
+        codes = np.arange(start, min(start + 1024, q))
         mult = np.einsum("ci,iab->cab", codes[:, None] // p ** np.arange(e) % p,
                          mult_basis) % p
         acc = np.tile(one[0], (len(codes), 1))
-        for c in reversed(ctx.modulus[:-1]):
+        for c in reversed(_first_irreducible_fp(p, e)[:-1]):
             acc = np.einsum("cab,cb->ca", mult, acc) % p
             acc[:, 0] = (acc[:, 0] + c) % p
         roots = np.flatnonzero(~acc.any(axis=1))

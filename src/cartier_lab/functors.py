@@ -444,7 +444,7 @@ def _linear_assignments(ideal):
         var_idx = None
         const = ring.ctx.zero
         ok = True
-        for mono, coeff in gdx.terms.items():
+        for mono, coeff in gdx.items():
             if sum(mono) == 0:
                 const = coeff
             elif sum(mono) == 1:
@@ -478,7 +478,7 @@ def restrict_to_subring(module):
 
     def convert(f):
         out = new_ring.zero
-        for mono, coeff in f.terms.items():
+        for mono, coeff in f.items():
             c = coeff
             for i, eexp in enumerate(mono):
                 if i in assign and eexp:
@@ -527,7 +527,7 @@ def _specialize_at_point(pres, point):
 
     def ev(f):
         acc = ctx.zero
-        for mono, coeff in f.terms.items():
+        for mono, coeff in f.items():
             acc = acc + coeff * c ** mono[0]
         return ring0.scalar(acc)
 

@@ -50,7 +50,6 @@ __all__ = [
     "cartier_to_gamma",
     "gamma_to_cartier",
     "gamma_kernel_chain",
-    "gamma_image_chain",
     "gamma_nilpotent",
     "gamma_unit_defect",
     "gamma_pullback",
@@ -268,22 +267,6 @@ def _iterate_kernel(sheaf, gam, e):
     return hnf_rows(list(ker) + list(sheaf.effective_relations()), r, ring)
 
 
-def gamma_image_chain(sheaf, cap=None):
-    """Spans of the iterate images inside the successive pullbacks, one per
-    step of the kernel chain (the driver that guarantees termination).
-    Returns a dict with kernels, images, and the stabilization index."""
-    chain, e_star = gamma_kernel_chain(sheaf, cap=cap)
-    ring = sheaf.ring
-    iterates = itertools.islice(sheaf.iterates(), 1, len(chain) + 1)
-    images = [
-        hnf_rows(
-            _columns(gam) + list(sheaf.twisted_relations(k)), sheaf.rank, ring
-        )
-        for k, gam in enumerate(iterates, 1)
-    ]
-    return {"kernels": chain, "images": images, "stabilized_at": e_star}
-
-
 def gamma_nilpotent(sheaf, cap=None):
     """(nilpotent?, order) by the direct iterate test: gamma^k vanishes
     when every matrix column lies in the k-fold twisted relation span."""
@@ -360,7 +343,7 @@ def gamma_pullback(sheaf, ideal_spec):
     """Restrict along the quotient by an ideal: same presentation with the
     ideal added, matrix entries in normal form."""
     ring = sheaf.ring
-    if ideal_spec.ring != ring:
+    if ideal_spec.ring is not ring:
         raise ValidationError("ideal over a different ring")
     if sheaf.ideal is not None:
         from .poly import IdealSpec

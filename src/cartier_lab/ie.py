@@ -460,7 +460,7 @@ class LocalizedMorphism:
     __slots__ = ("source", "target", "images")
 
     def __init__(self, source, target, images, validate=True):
-        if source.ring is not target.ring and source.ring != target.ring:
+        if source.ring is not target.ring:
             raise ValidationError("localized modules over different rings")
         if source.g != target.g:
             raise ValidationError("localized at different elements")
@@ -673,7 +673,7 @@ def minimality_oracle(cert, degree_bound=4, state_cap=20000):
     def poly_vec_to_trunc(vec):
         out = list(zero_vec)
         for l, f in enumerate(vec):
-            for mono, coeff in f.terms.items():
+            for mono, coeff in f.items():
                 if mono[0] <= D:
                     out[idx(l, mono[0])] = out[idx(l, mono[0])] + coeff
         return tuple(out)
@@ -686,7 +686,7 @@ def minimality_oracle(cert, degree_bound=4, state_cap=20000):
             val = module.kappa_table[((a,), l)]
             out = list(zero_vec)
             for i, f in enumerate(val):
-                for mono, coeff in f.terms.items():
+                for mono, coeff in f.items():
                     d = mono[0] + s2
                     if d <= D:
                         out[idx(i, d)] = out[idx(i, d)] + coeff

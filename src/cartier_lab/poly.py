@@ -1,10 +1,24 @@
 """Sparse multivariate polynomials over F_q with grevlex normal forms.
 
-Supports at most three variables.  Monomials are exponent tuples; the
-monomial order everywhere is graded reverse lexicographic.  Gröbner bases
-come from a plain Buchberger loop (inputs capped at total degree 12) and
-are inter-reduced to the unique reduced basis, so normal forms are
-canonical representatives in quotient rings.
+Supports at most three variables.  A polynomial is a dict {packed
+monomial: nonzero coefficient code}.  The exponents (e_0, ..., e_{n-1})
+are packed as their partial sums s_k = e_0 + ... + e_{k-1}, one per
+32-bit field, s_1 lowest and the total degree s_n highest.  Grevlex
+compares (d, -e_{n-1}, ..., -e_1), and d - e_{n-1} = s_{n-1} and so on
+down, so grevlex order is integer order and the leading monomial is the
+largest key; partial sums add, so monomial multiplication is integer
+addition.  Over F_q[x] the key is the exponent.  No field may carry, so
+the total degree is capped below 2^32 (``CapExceeded``): checked when a
+polynomial is parsed or built and after ``*``, ``**`` and ``pth_power``,
+by one comparison on the largest key.  Coefficients are combined on the
+context's code tables (sums mod p or by Zech logarithms, products by
+logarithms), and division works in place on one dict of codes.  Exponent
+tuples and ``FieldElement`` appear only at the edges: ``leading``,
+``coeff``, ``items``, ``sorted_terms``, parsing and printing.
+
+Gröbner bases come from a plain Buchberger loop (inputs capped at total
+degree 12) and are inter-reduced to the unique reduced basis, so normal
+forms are canonical representatives in quotient rings.
 
 The p-power structure enters through ``frobenius_decompose``: every f has
 a unique expansion f = sum_a g_a^p x^a over exponent vectors a in [0,p)^n,
@@ -12,6 +26,7 @@ computed termwise with the p-th root on coefficients.
 """
 
 import itertools
+import operator
 import re
 
 from .errors import (
@@ -25,38 +40,110 @@ from .errors import (
 _NVARS_CAP = 3
 _BUCHBERGER_DEGREE_CAP = 12
 _BUCHBERGER_PAIR_CAP = 20000
+_FIELD = 32
+_MASK = (1 << _FIELD) - 1
+_DEGREE_CAP = 1 << _FIELD  # total degrees stay below this
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-def grevlex_key(mono):
-    """Sort key: greater key = greater monomial in grevlex."""
-    return (sum(mono),) + tuple(-mono[i] for i in range(len(mono) - 1, -1, -1))
+# ---------------------------------------------------------------------------
+# Packed monomials and coefficient codes
+# ---------------------------------------------------------------------------
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _pack(exps):
+    """The packed key of an exponent vector of nonnegative ints."""
+    key = s = 0
+    for i, x in enumerate(exps):
+        s += x
+        key |= s << (_FIELD * i)
+    if s >= _DEGREE_CAP:
+        raise CapExceeded(f"total degree {s} exceeds the cap 2^32 - 1")
+    return key
 
 
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+def _unpack(key, n):
+    """The exponent vector of a packed key in n <= 3 variables."""
+    if n == 1:
+        return (key,)
+    if n == 0:
+        return ()
+    s1 = key & _MASK
+    if n == 2:
+        return (s1, (key >> _FIELD) - s1)
+    s2 = (key >> _FIELD) & _MASK
+    return (s1, s2 - s1, (key >> 2 * _FIELD) - s2)
 
 
-def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def _lcm(a, b, n):
+    return _pack(map(max, _unpack(a, n), _unpack(b, n)))
 
 
-def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _check_degree(ring, top):
+    """``top`` is the largest key of a result: its top field is the total
+    degree, which is below 2^32 exactly when top is below ring._key_cap."""
+    if top >= ring._key_cap:
+        raise CapExceeded(
+            f"total degree {top >> ring._top} exceeds the cap 2^32 - 1")
+
+
+def _cmul(ctx, a, b):
+    """The code of the product of two nonzero codes."""
+    if ctx.e == 1:
+        return a * b % ctx.p
+    log = ctx._log
+    return ctx._exp[log[a] + log[b]]
+
+
+def _axpy(ctx, acc, terms, shift, c):
+    """acc += c x^shift terms in place, for a packed monomial ``shift`` and
+    a nonzero code ``c``; terms that cancel leave acc."""
+    get = acc.get
+    if ctx.e == 1:
+        p = ctx.p
+        for k, a in terms.items():
+            k += shift
+            s = (get(k, 0) + a * c) % p
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return
+    log, exp, zech = ctx._log, ctx._exp, ctx._zech
+    lc = log[c]
+    for k, a in terms.items():
+        k += shift
+        lb = log[a] + lc
+        cur = get(k)
+        if cur is None:
+            acc[k] = exp[lb]
+            continue
+        # cur + g^lb = g^lcur (1 + g^(lb - lcur))
+        lcur = log[cur]
+        z = zech[lb - lcur]
+        if z is None:
+            del acc[k]
+        else:
+            acc[k] = exp[lcur + z]
+
+
+_RINGS = {}  # (ctx, variables) -> PolyRing; contexts compare by identity
 
 
 class PolyRing:
-    """F_q[x_1, ..., x_n] with named variables, n <= 3 (n = 0 allowed)."""
+    """F_q[x_1, ..., x_n] with named variables, n <= 3 (n = 0 allowed).
 
-    def __init__(self, ctx, variables=("x",)):
+    Rings are interned by (ctx, variables): ``PolyRing(ctx, vars)`` returns
+    the same object every time, so rings compare by identity."""
+
+    def __new__(cls, ctx, variables=("x",)):
         variables = tuple(variables)
         if len(variables) > _NVARS_CAP:
             raise CapExceeded(f"at most {_NVARS_CAP} variables supported")
+        ring = _RINGS.get((ctx, variables))
+        if ring is not None:
+            return ring
         seen = set()
         for v in variables:
             if not _NAME_RE.fullmatch(v) or v == "t":
@@ -64,47 +151,44 @@ class PolyRing:
             if v in seen:
                 raise ValidationError(f"duplicate variable name {v!r}")
             seen.add(v)
-        self.ctx = ctx
-        self.vars = variables
-        self.nvars = len(variables)
-        self.zero = Polynomial(self, {})
-        self.one = Polynomial(self, {(0,) * self.nvars: ctx.one})
+        ring = super().__new__(cls)
+        ring.ctx = ctx
+        ring.vars = variables
+        ring.nvars = n = len(variables)
+        ring._top = _FIELD * max(n - 1, 0)  # shift of the total degree field
+        ring._key_cap = 1 << (_FIELD * n)
+        ring.zero = Polynomial(ring, {})
+        ring.one = Polynomial(ring, {0: 1})
+        return _RINGS.setdefault((ctx, variables), ring)
+
+    def _code(self, c):
+        if c.ctx is not self.ctx:
+            raise ContextMismatchError(
+                f"a coefficient in F_{c.ctx.q} cannot enter {self}")
+        return c.code
 
     def scalar(self, c):
         if isinstance(c, int):
             c = self.ctx.scalar(c)
         if c.is_zero():
             return self.zero
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return Polynomial(self, {0: self._code(c)})
 
     def var(self, i):
         if not (0 <= i < self.nvars):
             raise ValidationError(f"no variable with index {i}")
-        expo = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {expo: self.ctx.one})
+        return Polynomial(self, {_pack(int(j == i) for j in range(self.nvars)): 1})
 
     def monomial(self, exps, coeff=None):
         exps = tuple(int(x) for x in exps)
         if len(exps) != self.nvars or any(x < 0 for x in exps):
             raise ValidationError(f"bad exponent vector {exps}")
+        key = _pack(exps)
         if coeff is None:
             coeff = self.ctx.one
         if coeff.is_zero():
             return self.zero
-        return Polynomial(self, {exps: coeff})
-
-    def from_terms(self, terms):
-        acc = {}
-        for exps, c in terms:
-            if c.is_zero():
-                continue
-            cur = acc.get(exps)
-            c = cur + c if cur is not None else c
-            if c.is_zero():
-                acc.pop(exps, None)
-            else:
-                acc[exps] = c
-        return Polynomial(self, acc)
+        return Polynomial(self, {key: self._code(coeff)})
 
     def pth_basis(self):
         """All exponent vectors in [0,p)^n, in itertools.product order."""
@@ -118,21 +202,11 @@ class PolyRing:
             )
             c = self.ctx.random_element(rng)
             if not c.is_zero():
-                terms[expo] = c
+                terms[_pack(expo)] = c.code
         return Polynomial(self, terms)
 
     def parse(self, text):
         return _parse_poly(self, text)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.ctx is other.ctx
-            and self.vars == other.vars
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.vars))
 
     def __repr__(self):
         inside = ", ".join(self.vars) if self.vars else ""
@@ -140,7 +214,7 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: dict {exponent tuple: nonzero coeff}."""
+    """Immutable sparse polynomial: dict {packed monomial: nonzero code}."""
 
     __slots__ = ("ring", "terms")
 
@@ -149,7 +223,7 @@ class Polynomial:
         self.terms = terms
 
     def _check(self, other):
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ContextMismatchError(
                 f"polynomials over {self.ring} and {other.ring} cannot be combined"
             )
@@ -158,10 +232,10 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(self.terms)
 
     def constant_value(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.ctx.zero)
+        return self.ring.ctx._elems[self.terms.get(0, 0)]
 
     def is_unit(self):
         return self.is_constant() and not self.is_zero()
@@ -169,98 +243,113 @@ class Polynomial:
     def total_degree(self):
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> self.ring._top
 
     def degree_in(self, i):
         if not self.terms:
             return -1
-        return max(e[i] for e in self.terms)
+        n = self.ring.nvars
+        if n == 1:
+            return max(self.terms)
+        return max(_unpack(k, n)[i] for k in self.terms)
+
+    def items(self):
+        """(exponent tuple, FieldElement) for each term."""
+        n, elems = self.ring.nvars, self.ring.ctx._elems
+        for k, c in self.terms.items():
+            yield _unpack(k, n), elems[c]
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            s = cur + c if cur is not None else c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+        a, b = self.terms, other.terms
+        if not b:
+            return self
+        if len(a) < len(b):
+            a, b = b, a
+        out = dict(a)
+        _axpy(self.ring.ctx, out, b, 0, 1)
         return Polynomial(self.ring, out)
 
     def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Polynomial(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.ring.scalar(other)
-        if not isinstance(other, Polynomial):
-            # field scalar
-            if other.is_zero():
-                return self.ring.zero
-            return Polynomial(
-                self.ring, {e: c * other for e, c in self.terms.items()}
-            )
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _mono_mul(e1, e2)
-                c = c1 * c2
-                cur = out.get(e)
-                s = cur + c if cur is not None else c
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+        if not other.terms:
+            return self
+        ctx = self.ring.ctx
+        out = dict(self.terms)
+        _axpy(ctx, out, other.terms, 0, ctx._neg[1])
         return Polynomial(self.ring, out)
 
-    __rmul__ = __mul__
+    def __neg__(self):
+        neg = self.ring.ctx._neg
+        return Polynomial(self.ring, {k: neg[c] for k, c in self.terms.items()})
 
-    def scale(self, c):
-        return self * c
+    def __mul__(self, other):
+        ring = self.ring
+        out = {}
+        if not isinstance(other, Polynomial):
+            # field scalar
+            if isinstance(other, int):
+                other = ring.ctx.scalar(other)
+            if not other.is_zero():
+                _axpy(ring.ctx, out, self.terms, 0, ring._code(other))
+            return Polynomial(ring, out)
+        self._check(other)
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return ring.zero
+        if len(a) > len(b):
+            a, b = b, a
+        _check_degree(ring, max(a) + max(b))
+        for k, c in a.items():
+            _axpy(ring.ctx, out, b, k, c)
+        return Polynomial(ring, out)
+
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValidationError("negative polynomial power")
+        if self.terms and n:
+            _check_degree(self.ring, max(self.terms) * n)
         result = self.ring.one
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def pth_power(self):
-        """f^p termwise (freshman's dream in characteristic p)."""
-        p = self.ring.ctx.p
-        return Polynomial(
-            self.ring,
-            {
-                tuple(x * p for x in e): self.ring.ctx.frobenius(c)
-                for e, c in self.terms.items()
-            },
-        )
+        """f^p termwise (freshman's dream in characteristic p): the packed
+        key of x^(p e) is p times that of x^e."""
+        ring = self.ring
+        p, frob = ring.ctx.p, ring.ctx._frob
+        if self.terms:
+            _check_degree(ring, max(self.terms) * p)
+        return Polynomial(ring, {k * p: frob[c] for k, c in self.terms.items()})
 
     def leading(self):
         """(monomial, coeff) of the grevlex-leading term."""
         if not self.terms:
             raise ValidationError("zero polynomial has no leading term")
-        m = max(self.terms, key=grevlex_key)
-        return m, self.terms[m]
+        k = max(self.terms)
+        return _unpack(k, self.ring.nvars), self.ring.ctx._elems[self.terms[k]]
 
     def monic(self):
         if self.is_zero():
             return self
-        _, c = self.leading()
-        return self * c.inv()
+        ctx = self.ring.ctx
+        out = {}
+        _axpy(ctx, out, self.terms, 0, ctx._inv[self.terms[max(self.terms)]])
+        return Polynomial(self.ring, out)
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.ring.ctx.zero)
+        exps = tuple(exps)
+        if len(exps) != self.ring.nvars or any(x < 0 for x in exps):
+            raise ValidationError(f"bad exponent vector {exps}")
+        return self.ring.ctx._elems[self.terms.get(_pack(exps), 0)]
 
     def substitute(self, assignments):
         """Substitute {var index: Polynomial in a target ring}.
@@ -274,7 +363,7 @@ class Polynomial:
         if ring is None:
             raise ValidationError("empty substitution")
         out = ring.zero
-        for e, c in self.terms.items():
+        for e, c in self.items():
             term = ring.scalar(c)
             for i, k in enumerate(e):
                 if k:
@@ -285,12 +374,15 @@ class Polynomial:
         return out
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
+        """(exponent tuple, FieldElement) pairs, grevlex-descending."""
+        n, elems = self.ring.nvars, self.ring.ctx._elems
+        return [(_unpack(k, n), elems[self.terms[k]])
+                for k in sorted(self.terms, reverse=True)]
 
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and (self.ring is other.ring or self.ring == other.ring)
+            and self.ring is other.ring
             and self.terms == other.terms
         )
 
@@ -362,7 +454,10 @@ class _Tokens:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an integer", self.text, self.pos)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # over int()'s digit limit, or a non-ASCII digit
+            raise ParseError("unreadable integer", self.text, start) from None
 
     def take_name(self):
         self.skip_ws()
@@ -515,20 +610,14 @@ def frobenius_decompose(f):
     root on coefficients makes the expansion exact over any F_{p^e}.
     """
     ring = f.ring
-    p = ring.ctx.p
+    n, p, root = ring.nvars, ring.ctx.p, ring.ctx._root
     comps = {}
-    for e, c in f.terms.items():
-        a = tuple(x % p for x in e)
-        q = tuple(x // p for x in e)
-        root = ring.ctx.frobenius_inv(c)
-        bucket = comps.setdefault(a, {})
-        cur = bucket.get(q)
-        s = cur + root if cur is not None else root
-        if s.is_zero():
-            bucket.pop(q, None)
-        else:
-            bucket[q] = s
-    return {a: Polynomial(ring, terms) for a, terms in comps.items() if terms}
+    for k, c in f.terms.items():
+        # e -> (e mod p, e div p) is injective: no two terms meet
+        e = _unpack(k, n)
+        a = tuple([x % p for x in e])
+        comps.setdefault(a, {})[_pack([x // p for x in e])] = root[c]
+    return {a: Polynomial(ring, terms) for a, terms in comps.items()}
 
 
 def frobenius_component(f, a):
@@ -543,27 +632,39 @@ def frobenius_component(f, a):
 
 def divmod_multi(f, divisors):
     """Multivariate division: f = sum q_i d_i + r with no r-term divisible
-    by any leading monomial of the d_i.  Returns (quotients, r)."""
+    by any leading monomial of the d_i.  Returns (quotients, r).
+
+    Works in place on one dict of codes: the leading monomial is the
+    largest key, and it is either cancelled by the first divisor whose
+    leading monomial divides it or moved to the remainder."""
     ring = f.ring
-    quots = [ring.zero] * len(divisors)
-    rem = ring.zero
-    leads = [d.leading() for d in divisors]
-    work = f
-    while not work.is_zero():
-        m, c = work.leading()
-        hit = False
-        for i, (lm, lc) in enumerate(leads):
-            if _mono_divides(lm, m):
-                factor = ring.monomial(_mono_div(m, lm), c * lc.inv())
-                quots[i] = quots[i] + factor
-                work = work - factor * divisors[i]
-                hit = True
+    ctx, n = ring.ctx, ring.nvars
+    neg, inv = ctx._neg, ctx._inv
+    leads = []  # (leading key, its exponents, -1 / leading coeff, terms)
+    for d in divisors:
+        f._check(d)
+        if not d.terms:
+            raise ValidationError("division by the zero polynomial")
+        lk = max(d.terms)
+        leads.append((lk, _unpack(lk, n), neg[inv[d.terms[lk]]], d.terms))
+    quots = [{} for _ in divisors]
+    rem = {}
+    work = dict(f.terms)
+    le = operator.le
+    while work:
+        m = max(work)
+        c = work[m]
+        me = _unpack(m, n)
+        for quot, (lk, lexps, factor, terms) in zip(quots, leads):
+            if all(map(le, lexps, me)):
+                qc = _cmul(ctx, c, factor)  # -c / lc
+                quot[m - lk] = neg[qc]
+                _axpy(ctx, work, terms, m - lk, qc)
                 break
-        if not hit:
-            t = ring.monomial(m, c)
-            rem = rem + t
-            work = work - t
-    return quots, rem
+        else:
+            rem[m] = c
+            del work[m]
+    return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
 
 
 def normal_form(f, basis):
@@ -573,12 +674,17 @@ def normal_form(f, basis):
 
 
 def s_polynomial(f, g):
+    """lcm/LT(f) f - lcm/LT(g) g, lcm the least common multiple of the
+    leading monomials and LT the leading terms."""
+    f._check(g)
     ring = f.ring
-    (mf, cf), (mg, cg) = f.leading(), g.leading()
-    lcm = _mono_lcm(mf, mg)
-    tf = ring.monomial(_mono_div(lcm, mf), cf.inv())
-    tg = ring.monomial(_mono_div(lcm, mg), cg.inv())
-    return tf * f - tg * g
+    ctx = ring.ctx
+    mf, mg = max(f.terms), max(g.terms)
+    lcm = _lcm(mf, mg, ring.nvars)
+    out = {}
+    _axpy(ctx, out, f.terms, lcm - mf, ctx._inv[f.terms[mf]])
+    _axpy(ctx, out, g.terms, lcm - mg, ctx._neg[ctx._inv[g.terms[mg]]])
+    return Polynomial(ring, out)
 
 
 def buchberger(generators, tracked=False):
@@ -599,22 +705,22 @@ def buchberger(generators, tracked=False):
     if ring is None:
         return ([], []) if tracked else []
 
-    def unit_expr(i, n):
-        return [ring.one if j == i else ring.zero for j in range(n)]
-
-    n_in = len(gens)
+    inv = ring.ctx._inv
+    # exprs[i] expresses basis[i] in the n_in inputs; untracked, they stay
+    # empty
+    n_in = len(gens) if tracked else 0
     basis = list(gens)
-    exprs = [unit_expr(i, n_in) for i in range(n_in)]
+    exprs = [[ring.one if j == i else ring.zero for j in range(n_in)]
+             for i in range(len(gens))]
 
-    def reduce_tracked(f, fexpr):
-        quots, rem = divmod_multi(f, basis)
-        rexpr = list(fexpr)
-        for q, bexpr in zip(quots, exprs):
-            if q.is_zero():
-                continue
-            for k in range(n_in):
-                rexpr[k] = rexpr[k] - q * bexpr[k]
-        return rem, rexpr
+    def minus_combination(fexpr, quots, bexprs):
+        """fexpr - sum_i quots[i] bexprs[i]."""
+        out = list(fexpr)
+        for q, bexpr in zip(quots, bexprs):
+            if not q.is_zero():
+                for k in range(n_in):
+                    out[k] = out[k] - q * bexpr[k]
+        return out
 
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     processed = 0
@@ -624,21 +730,21 @@ def buchberger(generators, tracked=False):
             raise CapExceeded("Buchberger pair cap exceeded")
         i, j = pairs.pop(0)
         fi, fj = basis[i], basis[j]
-        (mi, ci), (mj, cj) = fi.leading(), fj.leading()
-        if _mono_lcm(mi, mj) == _mono_mul(mi, mj):
+        mi, mj = max(fi.terms), max(fj.terms)
+        lcm = _lcm(mi, mj, ring.nvars)
+        if lcm == mi + mj:
             continue  # coprime leading monomials
         s = s_polynomial(fi, fj)
-        lcm = _mono_lcm(mi, mj)
         sexpr = [ring.zero] * n_in
-        tf = ring.monomial(_mono_div(lcm, mi), ci.inv())
-        tg = ring.monomial(_mono_div(lcm, mj), cj.inv())
+        tf = Polynomial(ring, {lcm - mi: inv[fi.terms[mi]]})
+        tg = Polynomial(ring, {lcm - mj: inv[fj.terms[mj]]})
         for k in range(n_in):
             sexpr[k] = tf * exprs[i][k] - tg * exprs[j][k]
-        rem, rexpr = reduce_tracked(s, sexpr)
+        quots, rem = divmod_multi(s, basis)
         if not rem.is_zero():
             pairs.extend((k, len(basis)) for k in range(len(basis)))
             basis.append(rem)
-            exprs.append(rexpr)
+            exprs.append(minus_combination(sexpr, quots, exprs))
 
     # inter-reduce to the unique reduced basis
     changed = True
@@ -651,27 +757,20 @@ def buchberger(generators, tracked=False):
                 continue
             quots, rem = divmod_multi(basis[i], others)
             if rem != basis[i]:
-                newexpr = list(exprs[i])
-                for q, bexpr in zip(quots, oexprs):
-                    if q.is_zero():
-                        continue
-                    for k in range(n_in):
-                        newexpr[k] = newexpr[k] - q * bexpr[k]
                 if rem.is_zero():
                     basis.pop(i)
                     exprs.pop(i)
                 else:
                     basis[i] = rem
-                    exprs[i] = newexpr
+                    exprs[i] = minus_combination(exprs[i], quots, oexprs)
                 changed = True
                 break
     # normalize monic, sort by leading monomial
     out = []
     for b, ex in zip(basis, exprs):
-        _, lc = b.leading()
-        inv = lc.inv()
-        out.append((b * inv, [e * inv for e in ex]))
-    out.sort(key=lambda t: grevlex_key(t[0].leading()[0]), reverse=True)
+        u = b.leading()[1].inv()
+        out.append((b * u, [e * u for e in ex]))
+    out.sort(key=lambda t: max(t[0].terms), reverse=True)
     if tracked:
         return [b for b, _ in out], [e for _, e in out]
     return [b for b, _ in out]
@@ -684,7 +783,7 @@ class IdealSpec:
         self.ring = ring
         self.generators = tuple(generators)
         for g in self.generators:
-            if g.ring != ring:
+            if g.ring is not ring:
                 raise ContextMismatchError("ideal generator from a different ring")
         self.groebner = tuple(buchberger(list(self.generators)))
         self._verify()
@@ -711,7 +810,7 @@ class IdealSpec:
     def __eq__(self, other):
         return (
             isinstance(other, IdealSpec)
-            and self.ring == other.ring
+            and self.ring is other.ring
             and self.groebner == other.groebner
         )
 
@@ -751,14 +850,6 @@ def solve_membership(f, generators):
 # ---------------------------------------------------------------------------
 
 
-def _to_dense_1var(f):
-    d = f.degree_in(0)
-    out = [f.ring.ctx.zero] * (d + 1)
-    for e, c in f.terms.items():
-        out[e[0]] = c
-    return out
-
-
 def gcd_univariate(f, g):
     """Monic gcd in F_q[x] (ring must have exactly one variable)."""
     ring = f.ring
@@ -766,29 +857,10 @@ def gcd_univariate(f, g):
         raise UnsupportedRingError("gcd_univariate needs a one-variable ring")
     a, b = f, g
     while not b.is_zero():
-        a, b = b, _poly_mod_1var(a, b)
+        a, b = b, divmod_multi(a, [b])[1]
     if a.is_zero():
         return a
     return a.monic()
-
-
-def _poly_mod_1var(a, b):
-    ring = a.ring
-    da, db = a.degree_in(0), b.degree_in(0)
-    dense_a = _to_dense_1var(a)
-    dense_b = _to_dense_1var(b)
-    inv_lb = dense_b[-1].inv()
-    while len(dense_a) - 1 >= db and dense_a:
-        if dense_a[-1].is_zero():
-            dense_a.pop()
-            continue
-        shift = len(dense_a) - 1 - db
-        coef = dense_a[-1] * inv_lb
-        for i in range(db + 1):
-            dense_a[shift + i] = dense_a[shift + i] - coef * dense_b[i]
-        while dense_a and dense_a[-1].is_zero():
-            dense_a.pop()
-    return ring.from_terms(((i,), c) for i, c in enumerate(dense_a))
 
 
 def _bivar_as_univar_in(f, main):
@@ -799,7 +871,7 @@ def _bivar_as_univar_in(f, main):
     sub = PolyRing(ring.ctx, (ring.vars[other],))
     d = f.degree_in(main)
     out = [sub.zero] * (d + 1)
-    for e, c in f.terms.items():
+    for e, c in f.items():
         out[e[main]] = out[e[main]] + sub.monomial((e[other],), c)
     return out, sub
 
@@ -850,7 +922,7 @@ def gcd_bivariate(f, g):
     pp_a = [_exact_div_1var(c, cont_a) for c in a]
     result = ring.zero
     for k, c in enumerate(pp_a):
-        for e, cc in c.terms.items():
+        for e, cc in c.items():
             mono = [0, 0]
             mono[main] = k
             mono[1 - main] = e[0]
@@ -904,7 +976,7 @@ def is_regular_sequence(seq, ring):
     """
     seq = list(seq)
     for f in seq:
-        if f.ring != ring:
+        if f.ring is not ring:
             raise ContextMismatchError("sequence element from a different ring")
     current = []
     gb = []

@@ -84,38 +84,14 @@ def _divmod1(a, d):
 
 
 def hnf_rows(vectors, r, ring):
-    """Hermite normal form of the span of ``vectors`` inside R^r."""
-    _check_ring(ring)
-    work = [tuple(v) for v in vectors if any(not a.is_zero() for a in v)]
-    for v in work:
-        if len(v) != r:
-            raise ValidationError("vector length does not match module rank")
+    """Hermite normal form of the span of ``vectors`` inside R^r: the
+    untagged echelon, with monic pivots and the entries above each pivot
+    reduced."""
+    pivots, _ = _tracked_echelon((), vectors, r, ring)
     result = []
-    for col in range(r):
-        active = [v for v in work if not v[col].is_zero()]
-        rest = [v for v in work if v[col].is_zero()]
-        if not active:
-            work = rest
-            continue
-        # Euclid on the col-entries until one survivor
-        while len(active) > 1:
-            active.sort(key=lambda v: v[col].degree_in(0) if ring.nvars else 0)
-            piv = active[0]
-            nxt = []
-            for v in active[1:]:
-                q, _ = _divmod1(v[col], piv[col])
-                v2 = vec_sub(v, vec_scale(piv, q))
-                if v2[col].is_zero():
-                    if any(not a.is_zero() for a in v2):
-                        rest.append(v2)
-                else:
-                    nxt.append(v2)
-            active = [piv] + nxt
-        piv = active[0]
-        lead = piv[col].leading()[1]
-        piv = vec_scale(piv, ring.scalar(lead.inv()))
-        result.append(piv)
-        work = rest
+    for val, _ in pivots:
+        lead = val[_leftmost(val)].leading()[1]
+        result.append(vec_scale(val, ring.scalar(lead.inv())))
     # back-reduce entries above pivots
     for k in range(len(result)):
         col = _leftmost(result[k])
@@ -127,7 +103,6 @@ def hnf_rows(vectors, r, ring):
                 q, _ = _divmod1(result[j][col], d)
                 if not q.is_zero():
                     result[j] = vec_sub(result[j], vec_scale(result[k], q))
-    result.sort(key=lambda v: _leftmost(v))
     return tuple(result)
 
 
@@ -224,7 +199,7 @@ class Presentation:
         if self.ideal is not None:
             if ring.nvars == 0:
                 raise ValidationError("constant rings take no ideal quotient")
-            if self.ideal.ring is not ring and self.ideal.ring != ring:
+            if self.ideal.ring is not ring:
                 raise ValidationError("ideal ring differs from module ring")
         if ring.nvars >= 2 and self.relations:
             raise UnsupportedRingError(
@@ -271,7 +246,7 @@ class Presentation:
             )
         ring = self.ring
         for f in v:
-            if f.ring is not ring and f.ring != ring:
+            if f.ring is not ring:
                 raise ValidationError(f"{what} coordinate over wrong ring")
         return v
 
@@ -305,7 +280,7 @@ class Presentation:
         if not isinstance(other, type(self)):
             return NotImplemented
         return (
-            self.ring == other.ring
+            self.ring is other.ring
             and self.rank == other.rank
             and self.ideal == other.ideal
             and self.relations == other.relations
@@ -323,11 +298,13 @@ class Presentation:
 
 
 def _tracked_echelon(gens, rels, r, ring):
-    """Echelonize rows [gens; rels] over value columns, tracking how each
-    surviving row is expressed in the generators (unit tags for gens, zero
-    tags for rels).  Returns (pivot_rows, zero_tag_rows): pivot rows are
-    (value, tag) pairs echelon in the value part; zero_tag_rows collect the
-    tags of rows whose value part vanished."""
+    """Echelonize rows [gens; rels] over value columns by Euclid on each
+    column, tracking how each surviving row is expressed in the generators
+    (unit tags for gens, zero tags for rels; with no gens the tags are
+    empty and this is the loop of ``hnf_rows``).  Returns (pivot_rows,
+    zero_tag_rows): pivot rows are (value, tag) pairs, one per pivot column
+    in column order; zero_tag_rows collect the nonzero tags of rows whose
+    value part vanished."""
     _check_ring(ring)
     k = len(gens)
 
@@ -339,6 +316,9 @@ def _tracked_echelon(gens, rels, r, ring):
         work.append((tuple(g), tag_unit(i)))
     for rel in rels:
         work.append((tuple(rel), tuple(ring.zero for _ in range(k))))
+    for val, _ in work:
+        if len(val) != r:
+            raise ValidationError("vector length does not match module rank")
 
     result = []
     zero_tags = []
@@ -377,30 +357,19 @@ def syzygy_generators(gens, rels, r, ring):
     if not gens:
         return []
     pivots, zero_tags = _tracked_echelon(gens, rels, r, ring)
-    return [t for t in hnf_rows(zero_tags, len(gens), ring)]
+    return list(hnf_rows(zero_tags, len(gens), ring))
 
 
 def solve_combination(gens, rels, target, r, ring):
     """Coefficients c with sum c_i gens_i = target modulo the span of rels,
     or None when no solution exists."""
-    if not gens:
-        reduced = reduce_vector(target, hnf_rows(rels, r, ring), ring)
-        return [] if all(a.is_zero() for a in reduced) else None
     pivots, _ = _tracked_echelon(gens, rels, r, ring)
-    k = len(gens)
-    t = tuple(target)
-    coeffs = [ring.zero] * k
-    for val, tag in pivots:
-        col = _leftmost(val)
-        if not t[col].is_zero():
-            q, _ = _divmod1(t[col], val[col])
-            if not q.is_zero():
-                t = vec_sub(t, vec_scale(val, q))
-                for i in range(k):
-                    coeffs[i] = coeffs[i] + q * tag[i]
-    if any(not a.is_zero() for a in t):
+    # reducing (target | 0) by the rows (value | tag) leaves (0 | -c)
+    rows = [val + tag for val, tag in pivots]
+    reduced = reduce_vector(tuple(target) + zero_vector(ring, len(gens)), rows, ring)
+    if any(not a.is_zero() for a in reduced[:r]):
         return None
-    return coeffs
+    return [-c for c in reduced[r:]]
 
 
 # ---------------------------------------------------------------------------

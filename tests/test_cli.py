@@ -487,6 +487,37 @@ def test_field_over_the_size_cap_exits_2_quickly(capsys, tmp_path):
     assert "exceeds 65536" in rep["error"]["message"]
 
 
+def _line_with_kappa(tmp_path, image):
+    doc = {"ring": {"p": 2, "e": 1, "vars": ["x"]}, "generators": 1,
+           "kappa": {"0,0": [image], "1,0": ["0"]}}
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "image,message",
+    [("x^4294967296", "exceeds the cap 2^32 - 1"),
+     ("x^" + "9" * 5000, "unreadable integer"),
+     ("x^\u00b2", "unreadable integer")],
+)
+def test_degree_over_the_cap_exits_2(capsys, tmp_path, image, message):
+    path = _line_with_kappa(tmp_path, image)
+    code, rep, err = report(capsys, ["validate", path, "--no-timings"])
+    assert code == 2
+    assert "Traceback" not in err
+    assert message in rep["error"]["message"]
+
+
+def test_degree_under_the_cap_validates_and_converts(capsys, tmp_path):
+    path = _line_with_kappa(tmp_path, "x^1000000000")
+    code, rep, _ = report(capsys, ["validate", path, "--no-timings"])
+    assert code == 0 and rep["result"]["valid"]
+    code, rep, _ = report(capsys, ["to-gamma", path, "--no-timings"])
+    assert code == 0
+    assert rep["result"]["gamma"] == [["x^2000000001"]]
+
+
 def test_missing_file_is_validation_error(capsys, tmp_path):
     code, rep, _ = report(
         capsys, ["validate", str(tmp_path / "absent.json"), "--no-timings"]

@@ -16,7 +16,6 @@ from cartier_lab.fields import Fq
 from cartier_lab.gamma import (
     GammaSheaf,
     cartier_to_gamma,
-    gamma_image_chain,
     gamma_kernel_chain,
     gamma_nilpotent,
     gamma_pullback,
@@ -307,15 +306,6 @@ def test_kernel_chain_is_ascending_and_stabilizes():
         # row counts ascend (larger kernels as the iterate deepens)
         sizes = [len(member) for member in chain]
         assert sizes == sorted(sizes)
-
-
-def test_image_chain_exists_and_stabilizes():
-    R = ring(2)
-    rng = random.Random(SEED + 43)
-    for _ in range(5):
-        sh = random_sheaf(R, rng)
-        out = gamma_image_chain(sh, cap=64)
-        assert out  # shape contract only: stabilization did not raise
 
 
 # ---------------------------------------------------------------- pullback

@@ -1,12 +1,19 @@
 """Tests for multivariate polynomials over F_q: parsing, graded reverse
 lexicographic order, Frobenius decomposition, and Groebner machinery."""
 
+import itertools
+import operator
 import random
 
 import pytest
 
-from cartier_lab.errors import ParseError, ValidationError
-from cartier_lab.fields import Fq
+from cartier_lab.errors import (
+    CapExceeded,
+    ContextMismatchError,
+    ParseError,
+    ValidationError,
+)
+from cartier_lab.fields import Fq, FrobeniusContext
 from cartier_lab.poly import (
     IdealSpec,
     PolyRing,
@@ -15,11 +22,12 @@ from cartier_lab.poly import (
     frobenius_component,
     frobenius_decompose,
     gcd_univariate,
-    grevlex_key,
     is_regular_sequence,
     normal_form,
     s_polynomial,
     solve_membership,
+    _pack,
+    _unpack,
 )
 
 SEED = 7301
@@ -27,6 +35,11 @@ SEED = 7301
 
 def ring(p, e=1, nvars=1):
     return PolyRing(Fq(p, e), tuple("xyz"[:nvars]))
+
+
+def grevlex_key(mono):
+    """Reference sort key: greater key = greater monomial in grevlex."""
+    return (sum(mono),) + tuple(-mono[i] for i in range(len(mono) - 1, -1, -1))
 
 
 # ------------------------------------------------------------ parse/format
@@ -334,3 +347,155 @@ def test_gcd_univariate_divides_both():
         for h in (f, g):
             _, rem = divmod_multi(h, [d])
             assert rem.is_zero()
+
+
+# -------------------------------------------------------------- the engine
+
+
+def _exponents(nvars, max_degree):
+    return [
+        e for e in itertools.product(range(max_degree + 1), repeat=nvars)
+        if sum(e) <= max_degree
+    ]
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_packed_order_is_grevlex_and_packing_roundtrips(nvars):
+    monos = _exponents(nvars, 6)
+    assert [_unpack(_pack(m), nvars) for m in monos] == monos
+    assert sorted(monos, key=_pack) == sorted(monos, key=grevlex_key)
+    # multiplication of monomials is addition of keys
+    for a, b in zip(monos, reversed(monos)):
+        assert _pack(tuple(x + y for x, y in zip(a, b))) == _pack(a) + _pack(b)
+
+
+def _sympy_terms(poly):
+    p = poly.get_modulus()
+    return {m: int(c) % p for m, c in poly.terms() if int(c) % p}
+
+
+def _our_terms(f):
+    return {e: c.code for e, c in f.items()}
+
+
+def _to_sympy(f, gens):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly.from_dict(_our_terms(f) or {(0,) * len(gens): 0},
+                                *gens, modulus=f.ring.ctx.p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_products_agree_with_sympy(p, nvars):
+    sympy = pytest.importorskip("sympy")
+    R = ring(p, nvars=nvars)
+    gens = sympy.symbols("x y z")[:nvars]
+    rng = random.Random(SEED + 100 * p + nvars)
+    for _ in range(20):
+        f = R.random_poly(rng, max_degree=5, max_terms=6)
+        g = R.random_poly(rng, max_degree=5, max_terms=6)
+        expected = _sympy_terms(_to_sympy(f, gens) * _to_sympy(g, gens))
+        assert _our_terms(f * g) == expected
+        assert _our_terms(f - g) == _sympy_terms(
+            _to_sympy(f, gens) - _to_sympy(g, gens))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("nvars", [2, 3])
+def test_normal_forms_agree_with_sympy(p, nvars):
+    """Reduced Groebner bases and normal forms modulo them equal sympy's
+    (grevlex with x > y > z)."""
+    sympy = pytest.importorskip("sympy")
+    R = ring(p, nvars=nvars)
+    gens = sympy.symbols("x y z")[:nvars]
+    rng = random.Random(SEED + 10 * p + nvars)
+    for _ in range(6):
+        ideal = [f for f in (R.random_poly(rng, max_degree=3, max_terms=4)
+                             for _ in range(nvars + 1)) if not f.is_zero()]
+        if not ideal:
+            continue
+        gb = buchberger(ideal)
+        theirs = sympy.groebner([_to_sympy(f, gens).as_expr() for f in ideal],
+                                *gens, modulus=p, order="grevlex")
+        expected = []
+        for g in theirs.exprs:
+            terms = _sympy_terms(sympy.Poly(g, *gens, modulus=p))
+            lead = max(terms, key=grevlex_key)
+            inv = pow(terms[lead], p - 2, p)
+            expected.append({m: c * inv % p for m, c in terms.items()})
+        key = lambda t: sorted(t.items())  # noqa: E731
+        assert sorted(map(key, map(_our_terms, gb))) == sorted(map(key, expected))
+        for _ in range(5):
+            f = R.random_poly(rng, max_degree=5, max_terms=6)
+            rem = theirs.reduce(_to_sympy(f, gens).as_expr())[1]
+            assert _our_terms(normal_form(f, gb)) == _sympy_terms(
+                sympy.Poly(rem, *gens, modulus=p))
+
+
+def _reference_product(f, g):
+    """Schoolbook product on exponent tuples and FieldElement arithmetic."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, c1.ctx.zero) + c1 * c2
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_products_over_extensions_agree_with_the_reference(p, e, nvars):
+    """Sums of colliding terms go through the Zech tables."""
+    R = ring(p, e, nvars)
+    rng = random.Random(SEED + 1000 * p + 10 * e + nvars)
+    for _ in range(20):
+        f = R.random_poly(rng, max_degree=3, max_terms=6)
+        g = R.random_poly(rng, max_degree=3, max_terms=6)
+        assert dict((f * g).items()) == _reference_product(f, g)
+        diff = dict(f.items())
+        for m, c in g.items():
+            diff[m] = diff.get(m, R.ctx.zero) - c
+        assert dict((f - g).items()) == {
+            m: c for m, c in diff.items() if not c.is_zero()}
+
+
+@pytest.mark.parametrize("p,e,nvars", [(2, 2, 2), (2, 2, 3), (3, 2, 1), (3, 2, 2)])
+def test_frobenius_decompose_roundtrip_over_extensions(p, e, nvars):
+    R = ring(p, e, nvars)
+    rng = random.Random(SEED + 7 * p + nvars)
+    for _ in range(20):
+        f = R.random_poly(rng, max_degree=7, max_terms=6)
+        total = R.zero
+        for a, g in frobenius_decompose(f).items():
+            assert all(0 <= x < p for x in a) and not g.is_zero()
+            total = total + g.pth_power() * R.monomial(a)
+        assert total == f
+
+
+def test_rings_are_interned_and_compare_by_identity():
+    assert PolyRing(Fq(3), ("x", "y")) is PolyRing(Fq(3), ["x", "y"])
+    fresh = FrobeniusContext(2, 1)
+    assert PolyRing(fresh, ("x",)) is PolyRing(fresh, ("x",))
+    f = PolyRing(fresh, ("x",)).var(0)
+    g = PolyRing(Fq(2), ("x",)).var(0)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ContextMismatchError):
+            op(f, g)
+
+
+def test_total_degree_is_capped_below_2_32():
+    R = ring(2, nvars=2)
+    top = R.monomial((2**31, 2**31 - 1))
+    assert top.total_degree() == 2**32 - 1
+    assert R.parse("x^4294967295").leading()[0] == (2**32 - 1, 0)
+    x = R.var(0)
+    for build in (
+        lambda: R.monomial((2**31, 2**31)),
+        lambda: R.parse("x^4294967296"),
+        lambda: R.parse("x^2147483648*y^2147483648+1"),
+        lambda: top * x,
+        lambda: x ** (2**32),
+        lambda: (x ** (2**31)).pth_power(),
+    ):
+        with pytest.raises(CapExceeded, match="cap 2\\^32 - 1"):
+            build()
