@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     stabilize,
 )
-from .fields import SemilinearMap, P_INV_LINEAR
+from .fields import SemilinearMap, P_INV_LINEAR, _mat_pow
 from .poly import frobenius_decompose
 from .submodules import (
     Presentation,
@@ -576,16 +576,18 @@ class FiniteModel:
         ]
         return SemilinearMap(ctx, P_INV_LINEAR, matrix)
 
-    def multiplication_matrix(self, f):
-        """F_q-matrix of multiplication by the ring element f."""
-        cols = [
-            self.to_coords(vec_scale(self.basis_vector(j), f))
-            for j in range(self.dimension)
-        ]
-        return [
-            [cols[j][i] for j in range(self.dimension)]
-            for i in range(self.dimension)
-        ]
+    def fp_blocks(self, columns, index=None):
+        """F_p form of the F_q matrix whose column i is the sparse normal
+        form columns[i] ({(column, degree): coefficient}, as ``support``
+        gives it), with rows indexed by ``index`` (default: this model's
+        basis).  Axes: (row, row coordinate, column, column coordinate)."""
+        index = self._index if index is None else index
+        ctx = self.module.ring.ctx
+        mat = [[ctx.zero] * len(columns) for _ in range(len(index))]
+        for i, col in enumerate(columns):
+            for key, c in col.items():
+                mat[index[key]][i] = c
+        return ctx.fp_blocks(mat).transpose(0, 2, 1, 3)
 
 
 def finite_model(module):
@@ -609,94 +611,46 @@ def _finite_length(module):
 # ---------------------------------------------------------------------------
 
 
-def _fp_square(blocks):
-    """Flatten (d, d, e, e) F_p blocks into a (d e) x (d e) matrix on
-    coordinates ordered (basis index, field coordinate)."""
-    d, _, e, _ = blocks.shape
-    return blocks.transpose(0, 2, 1, 3).reshape(d * e, d * e)
-
-
-def _fp_operator_matrices(model):
-    """F_p matrices (as numpy arrays) of kappa, multiplication by x, and
-    multiplication by the field generator, acting on F_p coordinates."""
-    module = model.module
-    ctx = module.ring.ctx
-    p, e = ctx.p, ctx.e
-    d = model.dimension
-    kap = ctx.fp_blocks(model.kappa_semilinear().matrix) @ ctx._frob_inv_matrix
-    ops = [_fp_square(kap % p)]
-    if module.ring.nvars == 1:
-        xmat = model.multiplication_matrix(module.ring.var(0))
-        ops.append(_fp_square(ctx.fp_blocks(xmat)))
-    if e > 1:
-        gen = ctx.fp_blocks([[ctx.gen]])[0, 0]
-        ops.append(np.kron(np.eye(d, dtype=np.int64), gen))
-    return ops, d * e
-
-
 def _max_nil_finite(module):
-    """Greatest submodule W with W inside ker(kappa^dim), x W <= W,
-    kappa(W) <= W -- the maximal nilpotent Cartier submodule of a
-    finite-length module.  Pure F_p linear algebra."""
+    """The maximal nilpotent Cartier submodule of a finite-length module,
+    as the HNF rows of its span that lie outside the relation span.
+
+    With d = dim_{F_q} M it is W = {m : kappa^d(x^s m) = 0, 0 <= s < d}.
+    W is a submodule: x^d is an F_q-combination of the x^s on M.  It is
+    kappa-stable, because kappa^d(f kappa(m)) = kappa(kappa^d(f^p m)), and
+    kappa^d vanishes on it.  Every nilpotent submodule N has kappa^d N = 0,
+    because its chain of kappa-images drops in F_q-dimension at each step.
+    So W is one F_p nullspace, with K and X the F_p matrices of kappa and
+    x: of K^d alone over F_q; over F_q[x], of the rows of every K^d X^s
+    with s < d, kept as a basis of at most d e rows while s doubles."""
     model = FiniteModel(module)
-    ctx = module.ring.ctx
-    p = ctx.p
-    d = model.dimension
-    if d == 0:
-        return [], model, 0
-    ops, nfp = _fp_operator_matrices(model)
-    kap_fp = ops[0]
-    # seed: ker(kappa^d) over F_p
-    power = np.eye(nfp, dtype=np.int64)
-    for _ in range(d):
-        power = kernels.matmul_mod_p(kap_fp, power, p)
-    seed = kernels.nullspace_mod_p(power, p)  # rows are kernel basis
-    basis = seed.T.copy()  # columns span W
-    while basis.shape[1] > 0:
-        span_rows, _ = kernels.rref_mod_p(basis.T.copy(), p)
-        span_rows = span_rows[
-            ~np.all(span_rows == 0, axis=1)
-        ]
-        pivcols = []
-        for row in span_rows:
-            nz = np.nonzero(row)[0]
-            pivcols.append(nz[0])
-
-        def residual(vec):
-            v = vec.copy()
-            for row, pc in zip(span_rows, pivcols):
-                if v[pc]:
-                    v = (v - v[pc] * row) % p
-            return v
-
-        stacked = []
-        for op in ops:
-            imgs = (op @ basis) % p
-            for c in range(basis.shape[1]):
-                stacked.append(residual(imgs[:, c]))
-        cond = np.array(stacked, dtype=np.int64)
-        # unknowns: coefficient vector c with residual(ops . basis c) = 0;
-        # rearrange rows so columns index the basis coefficients
-        rows = []
-        nops = len(ops)
-        ncols = basis.shape[1]
-        for k in range(nops):
-            block = cond[k * ncols : (k + 1) * ncols]  # ncols x nfp
-            rows.append(block.T)  # nfp x ncols
-        cond_mat = np.vstack(rows) % p
-        ker = kernels.nullspace_mod_p(cond_mat, p)
-        if ker.shape[0] == basis.shape[1]:
-            break
-        basis = (basis @ ker.T) % p
-    gens = []
-    e = ctx.e
-    for c in range(basis.shape[1]):
-        coords = []
-        for i in range(d):
-            fp = tuple(int(basis[i * e + k, c]) for k in range(e))
-            coords.append(ctx.from_coords(fp))
-        gens.append(model.from_coords(coords))
-    return gens, model, basis.shape[1]
+    ring, d = module.ring, model.dimension
+    ctx = ring.ctx
+    p, e = ctx.p, ctx.e
+    units = [model.basis_vector(i) for i in range(d)]
+    kap = model.fp_blocks([model.support(module.apply_kappa(u)) for u in units])
+    kap = (kap @ ctx._frob_inv_matrix).reshape(d * e, d * e) % p
+    rows = _mat_pow(kap, d, p)
+    if ring.nvars:
+        x = model.fp_blocks([
+            model.support(vec_scale(u, ring.var(0))) for u in units
+        ]).reshape(d * e, d * e)
+        # after k doublings the rows span every K^d X^s with s < 2^k
+        for _ in range((d - 1).bit_length()):
+            rows, pivots = kernels.rref_mod_p(np.vstack([rows, rows @ x % p]), p)
+            rows, x = rows[: pivots.size], x @ x % p
+    null = kernels.nullspace_mod_p(rows, p)
+    codes = null.reshape(len(null), d, e) @ p ** np.arange(e)
+    vecs = [
+        model.from_coords([ctx.from_int(c) for c in row])
+        for row in codes.tolist()
+    ]
+    rels = list(module.effective_relations())
+    rel_hnf = module.relation_hnf()
+    return [
+        row for row in hnf_rows(vecs + rels, module.rank, ring)
+        if not in_span(row, rel_hnf, ring)
+    ]
 
 
 def max_nilpotent_submodule(module, cap=None):
@@ -723,7 +677,7 @@ def max_nilpotent_submodule(module, cap=None):
         }
     ring = module.ring
     if _finite_length(module):
-        gens, _, _ = _max_nil_finite(module)
+        gens = _max_nil_finite(module)
         sub, incl = submodule_module(module, gens)
         nil2, order2 = is_nilpotent(sub, cap=cap)
         if not nil2:
@@ -872,17 +826,11 @@ def hom_cartier(source, target, degree_cap=None):
     if rows > d:
         _check_hom_size(len(conditions) * rows * e, d * r * e)
 
-    def fp(cols):
-        """F_p form of an F_q matrix given by sparse columns, with axes
-        (output index, output coordinate, input index, input coordinate)."""
-        mat = [[ctx.zero] * d for _ in range(rows)]
-        for i, col in enumerate(cols):
-            for key, c in col.items():
-                mat[index[key]][i] = c
-        return ctx.fp_blocks(mat).transpose(0, 2, 1, 3)
-
-    mult = {g: fp(cols) for g, cols in mult.items()}
-    kap = {a: fp(cols) @ ctx._frob_inv_matrix for a, cols in kap.items()}
+    mult = {g: model.fp_blocks(cols, index) for g, cols in mult.items()}
+    kap = {
+        a: model.fp_blocks(cols, index) @ ctx._frob_inv_matrix
+        for a, cols in kap.items()
+    }
     # unknown order: (target model index, source generator, F_p coordinate)
     system = np.zeros((len(conditions), rows, e, d, r, e), dtype=np.int64)
     for c, (vec, key) in enumerate(conditions):

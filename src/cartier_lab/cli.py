@@ -9,6 +9,7 @@ directory).
 """
 
 import argparse
+import functools
 import hashlib
 import random
 import sys
@@ -261,7 +262,7 @@ def op_localize(args):
 
 def op_sol(args):
     module = _require_module(load_document(args.input), "sol")
-    dims = sol_dimension(module, args.max_m, cap=args.max_iter)
+    dims = sol_dimension(module, args.max_m)
     return {"dims": dims}, None, f"dims {dims}"
 
 
@@ -317,7 +318,9 @@ OPERATIONS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cartier-lab",
         description="Cartier modules, their linear duals, and minimal "

@@ -534,25 +534,25 @@ def check_extension_cap(ctx, m):
 def fixed_points_dimension(T, m):
     """dim_{F_p} of the fixed space of T extended to F_{q^m}^r.
 
-    T must be P_LINEAR.  K = F_{q^m} is F_p[s]/(mu), mu the canonical
-    modulus of degree n = e m, and F_q embeds in K by t -> beta, a root of
-    ``ctx.modulus`` in the fixed space of x -> x^q.  The extension acts by
-    the same matrix with the Frobenius of K as twist, so T - id is
-    F_p-linear on F_p^{n r}: block (i, j) is multiplication by the embedded
-    entry a_ij times the n x n matrix F of x -> x^p, whose column j is the
-    coordinates of s^(p j).  The answer is the nullity of T - id.
+    K = F_{q^m} is F_p[s]/(mu), mu the canonical modulus of degree
+    n = e m, and F_q embeds in K by t -> beta, a root of ``ctx.modulus``
+    in the fixed space of x -> x^q.  The extension acts by the same matrix
+    with the twist of K: the n x n matrix F of x -> x^p (column j is the
+    coordinates of s^(p j)) for P_LINEAR, and its inverse F^(n-1), the
+    p-th root, for P_INV_LINEAR.  So T - id is F_p-linear on F_p^{n r}:
+    block (i, j) is multiplication by the embedded entry a_ij times the
+    twist.  The answer is the nullity of T - id.
     """
-    if T.kind != P_LINEAR:
-        raise ValidationError("fixed_points_dimension expects a p-linear map")
     ctx = T.ctx
     check_extension_cap(ctx, m)
     p, e, r = ctx.p, ctx.e, T.dim
     n = e * m
     blocks, frob, embedding = _extension_data(p, e, m)
+    twist = frob if T.kind == P_LINEAR else _mat_pow(frob, n - 1, p)
     coords = np.array([[x.coords for x in row] for row in T.matrix], dtype=np.int64)
     embedded = coords.reshape(r, r, e) @ embedding % p
     mult = np.einsum("ijk,kab->ijab", embedded, blocks) % p
-    mat = np.einsum("ijab,bc->iajc", mult, frob).reshape(r * n, r * n)
+    mat = np.einsum("ijab,bc->iajc", mult, twist).reshape(r * n, r * n)
     return r * n - kernels.rank_mod_p(mat - np.eye(r * n, dtype=np.int64), p)
 
 

@@ -21,17 +21,12 @@ from .errors import (
 )
 from .cartier import (
     CartierModule,
+    FiniteModel,
     quotient_module,
     submodule_module,
 )
-from .fields import (
-    P_LINEAR,
-    SemilinearMap,
-    check_extension_cap,
-    fixed_points_dimension,
-    fq_rref,
-)
-from .gamma import GammaSheaf, cartier_to_gamma, unit_root_stabilize
+from .fields import check_extension_cap, fixed_points_dimension
+from .gamma import GammaSheaf
 from .poly import (
     IdealSpec,
     PolyRing,
@@ -640,62 +635,15 @@ def sequence_change_factor(seq_f, seq_g, module):
 # ---------------------------------------------------------------------------
 
 
-def _point_root_matrix(sheaf):
-    """Reduce a sheaf over F_q to a basis of its underlying space and
-    return the structural matrix in that basis (entries in F_q)."""
-    ctx = sheaf.ring.ctx
-    p = ctx.p
-    r = sheaf.rank
-    rows = []
-    for rho in sheaf.effective_relations():
-        rows.append(tuple(f.constant_value() for f in rho))
-    rref = fq_rref(rows, ctx) if rows else ()
-    pivots = []
-    for row in rref:
-        pivots.append(next(i for i, v in enumerate(row) if not v.is_zero()))
-    free = [i for i in range(r) if i not in pivots]
-    twisted = [tuple(v**p for v in row) for row in rref]
-
-    def reduce_vec(vec):
-        v = list(vec)
-        for row, piv in zip(twisted, pivots):
-            if not v[piv].is_zero():
-                fac = v[piv]
-                v = [a - fac * b for a, b in zip(v, row)]
-        return v
-
-    cols = []
-    for l in free:
-        col = [sheaf.gamma_matrix[i][l].constant_value() for i in range(r)]
-        red = reduce_vec(col)
-        cols.append([red[k] for k in free])
-    matrix = [[cols[l][k] for l in range(len(free))] for k in range(len(free))]
-    return matrix, free
-
-
-def sol_dimension(module, max_m, cap=None):
+def sol_dimension(module, max_m):
     """F_p-dimensions of the solution space over F_{q^m}, m = 1..max_m:
-    convert to the linear side, pass to the unit root, and count fixed
-    points of the inverse structural matrix acting p-linearly."""
+    the vectors of M (x) F_{q^m} that kappa fixes (Katz's equivalence
+    reads solutions at a point as these).  They lie in the bijective
+    Fitting part, since v = kappa^k(v) for every k, so nilpotent parts
+    never contribute.  kappa is the p^{-1}-linear matrix of the module's
+    finite model, and each count is one ``fixed_points_dimension``."""
     if module.ring.nvars != 0:
         raise ValidationError("solution dimensions need a zero-dimensional module")
-    ctx = module.ring.ctx
-    check_extension_cap(ctx, max_m)
-    sheaf = cartier_to_gamma(module)
-    unit = unit_root_stabilize(sheaf, cap=cap)
-    matrix, free = _point_root_matrix(unit.root)
-    if not free:
-        return [0] * max_m
-    # the inverse is the right block of the RREF of [matrix | identity]
-    n = len(matrix)
-    aug = fq_rref(
-        [
-            tuple(row) + tuple(ctx.one if j == i else ctx.zero for j in range(n))
-            for i, row in enumerate(matrix)
-        ],
-        ctx,
-    )
-    if all(x.is_zero() for x in aug[-1][:n]):
-        raise InvariantViolation("unit root structural matrix not invertible")
-    semi = SemilinearMap(ctx, P_LINEAR, [row[n:] for row in aug])
-    return [fixed_points_dimension(semi, m) for m in range(1, max_m + 1)]
+    check_extension_cap(module.ring.ctx, max_m)
+    kappa = FiniteModel(module).kappa_semilinear()
+    return [fixed_points_dimension(kappa, m) for m in range(1, max_m + 1)]

@@ -43,7 +43,6 @@ from .submodules import (
 )
 
 __all__ = [
-    "DualizingData",
     "GammaSheaf",
     "UnitRoot",
     "structure_gamma",
@@ -55,19 +54,6 @@ __all__ = [
     "gamma_pullback",
     "unit_root_stabilize",
 ]
-
-
-class DualizingData:
-    """The rank-1 dualizing module's data for the conversions: the top
-    exponent a* = (p-1, ..., p-1), at which Frobenius components of the
-    dual projections are read."""
-
-    __slots__ = ("ring", "top")
-
-    def __init__(self, ring):
-        self.ring = ring
-        p = ring.ctx.p
-        self.top = tuple(p - 1 for _ in range(ring.nvars))
 
 
 class GammaSheaf(Presentation):
@@ -162,7 +148,7 @@ def structure_gamma(ring):
 # ---------------------------------------------------------------------------
 
 
-def cartier_to_gamma(module, dualizing=None):
+def cartier_to_gamma(module):
     """Convert an operator table to the matrix of the corresponding linear
     structural map (tensor with the inverse dualizing module)."""
     ring = module.ring
@@ -171,9 +157,7 @@ def cartier_to_gamma(module, dualizing=None):
             "conversion over a quotient ring is ambiguous; re-present the "
             "module over the quotient's own coordinate ring first"
         )
-    if dualizing is None:
-        dualizing = DualizingData(ring)
-    top = dualizing.top
+    top = (ring.ctx.p - 1,) * ring.nvars
     r = module.rank
     C = [[ring.zero for _ in range(r)] for _ in range(r)]
     for (a, j), val in module.kappa_table.items():
@@ -191,7 +175,7 @@ def cartier_to_gamma(module, dualizing=None):
     )
 
 
-def gamma_to_cartier(sheaf, dualizing=None):
+def gamma_to_cartier(sheaf):
     """Convert a structural matrix back to an operator table (tensor with
     the dualizing module): the table entry at shift a is the Frobenius
     component of C[i][j] x^a at the top exponent."""
@@ -201,9 +185,7 @@ def gamma_to_cartier(sheaf, dualizing=None):
             "conversion over a quotient ring is ambiguous; re-present the "
             "sheaf over the quotient's own coordinate ring first"
         )
-    if dualizing is None:
-        dualizing = DualizingData(ring)
-    top = dualizing.top
+    top = (ring.ctx.p - 1,) * ring.nvars
     r = sheaf.rank
     table = {}
     for a in ring.pth_basis() if r else ():

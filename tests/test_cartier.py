@@ -38,7 +38,7 @@ from cartier_lab.fields import (
     fq_rref,
 )
 from cartier_lab.poly import PolyRing
-from cartier_lab.submodules import vec_scale, zero_vector
+from cartier_lab.submodules import vec_add, vec_scale, zero_vector
 
 SEED = 91
 
@@ -543,6 +543,125 @@ def test_hom_of_torsion_modules_matches_brute_force(p):
         assert count_morphisms(source, target) == p**res.dimension_fp
         dims.append(res.dimension_fp)
     assert min(dims) < max(dims)
+
+
+def cartier_span(module, gens):
+    """Every element, as a normal form, of the Cartier submodule that gens
+    generate in a finite module over F_q or F_q[x]: an F_q-span grown one
+    generator at a time.  x and kappa are additive, so applying them to
+    each new generator closes the span under both."""
+    ring = module.ring
+    scalars = [ring.scalar(c) for c in ring.ctx.elements()]
+    group = {module.normal_form(zero_vector(ring, module.rank))}
+    todo = list(gens)
+    while todo:
+        g = module.normal_form(todo.pop())
+        if g in group:
+            continue
+        group = {
+            module.normal_form(vec_add(s, vec_scale(g, c)))
+            for s in group for c in scalars
+        }
+        todo.append(module.apply_kappa(g))
+        if ring.nvars:
+            todo.append(vec_scale(g, ring.var(0)))
+    return group
+
+
+def nilpotent_set(module, elements):
+    """Whether kappa^k of a kappa-stable set of elements is {0} for some k:
+    the images shrink until they stop changing."""
+    while True:
+        image = {module.normal_form(module.apply_kappa(v)) for v in elements}
+        if image == elements:
+            return all(module.is_zero_element(v) for v in image)
+        elements = image
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_max_nilpotent_submodule_is_maximal_by_enumeration(p):
+    """On tiny torsion modules over F_p[x] the maximal nilpotent submodule
+    is the set of the elements whose Cartier submodule is nilpotent,
+    found by enumerating every element."""
+    rng = random.Random(SEED + 20 * p)
+    R = ring(p)
+    x = R.var(0)
+    point = CartierModule(
+        R, 1, {((a,), 0): (R.one if a == 0 else R.zero,) for a in range(p)},
+        relations=[(x,)],
+    )
+    # one nilpotent and one non-nilpotent R/((x + c)^p), alone and beside
+    # the point
+    smalls = {}
+    while len(smalls) < 2:
+        small = torsion_line_module(rng, p, 1, c=rng.randrange(p))
+        smalls.setdefault(is_nilpotent(small)[0], small)
+    modules = [point]
+    for small in smalls.values():
+        modules += [small, direct_sum(small, point)[0]]
+    if p == 2:
+        pair = torsion_line_module(rng, p, 2)
+        modules += [pair, direct_sum(pair, point)[0]]
+    proper = hidden = 0
+    for module in modules:
+        model = finite_model(module)
+        everything = [
+            model.from_coords(coords)
+            for coords in itertools.product(
+                list(R.ctx.elements()), repeat=model.dimension
+            )
+        ]
+        expected = {
+            module.normal_form(v) for v in everything
+            if nilpotent_set(module, cartier_span(module, [v]))
+        }
+        found = max_nilpotent_submodule(module)["generators"]
+        assert cartier_span(module, found) == expected
+        proper += 1 < len(expected) < len(everything)
+        # kappa kills a nonzero element, yet no nonzero submodule is
+        # nilpotent: the kernel of kappa^d is no submodule here
+        hidden += len(expected) == 1 and any(
+            not module.is_zero_element(v)
+            and module.is_zero_element(module.apply_kappa(v))
+            for v in everything
+        )
+    assert proper and hidden
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])
+def test_max_nilpotent_submodule_over_fq_by_enumeration(p, e):
+    """Over F_q the Cartier submodule of v is the F_q-span of its kappa
+    iterates, so the maximal nilpotent submodule is {v : kappa^r(v) = 0},
+    found here by applying kappa to every element.  Half of the operators
+    are made singular; kappa^r then mixes the sigma^{-1} twists of A."""
+    ctx = Fq(p, e)
+    R = PolyRing(ctx, ())
+    rank = 3 if ctx.q == 4 else 2
+    rng = random.Random(SEED + 21 * p + e)
+    proper = 0
+    for k in range(6):
+        a = [[ctx.random_element(rng) for _ in range(rank)]
+             for _ in range(rank)]
+        if k % 2:
+            c = ctx.random_element(rng)
+            for row in a:
+                row[-1] = c * row[0]
+        module = CartierModule(R, rank, {
+            ((), j): tuple(R.scalar(a[i][j]) for i in range(rank))
+            for j in range(rank)
+        })
+        expected = set()
+        for v in itertools.product([R.scalar(c) for c in ctx.elements()],
+                                   repeat=rank):
+            image = v
+            for _ in range(rank):
+                image = module.apply_kappa(image)
+            if module.is_zero_element(image):
+                expected.add(module.normal_form(v))
+        found = max_nilpotent_submodule(module)["generators"]
+        assert cartier_span(module, found) == expected
+        proper += 1 < len(expected) < ctx.q**rank
+    assert proper
 
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]

@@ -181,6 +181,43 @@ def test_sol_respects_max_m(capsys):
     assert rep["result"] == {"dims": [1, 1]}
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    """The shared parser keeps no answer of one call for the next: an
+    explicit --max-m does not become the default, and an argparse error
+    does not carry over."""
+    code, rep, _ = report(
+        capsys, ["sol", POINT_OMEGA, "--max-m", "2", "--no-timings"]
+    )
+    assert (code, rep["result"]) == (0, {"dims": [1, 1]})
+    code, rep, _ = report(capsys, ["sol", POINT_OMEGA, "--no-timings"])
+    assert (code, rep["result"]) == (0, {"dims": [1, 1, 1, 1]})
+    code, _, _ = run_cli(capsys, ["sol", POINT_OMEGA, "--max-m", "two"])
+    assert code == 2
+    code, rep, _ = report(capsys, ["sol", POINT_OMEGA, "--no-timings"])
+    assert (code, rep["result"]) == (0, {"dims": [1, 1, 1, 1]})
+
+
+@pytest.mark.parametrize("doc, dims", [(JORDAN2, [0] * 4),
+                                       (POINT_OMEGA, [1] * 4)],
+                         ids=["jordan2", "point"])
+def test_sol_takes_no_iteration_cap(capsys, monkeypatch, doc, dims):
+    """sol counts fixed vectors without a chain, so a cap of 1 from the
+    flag or the environment changes nothing (jordan2's kernel chain needs
+    two steps)."""
+    code, rep, _ = report(capsys, ["sol", doc, "--no-timings"])
+    assert (code, rep["result"]) == (0, {"dims": dims})
+    code, rep, _ = report(capsys, ["sol", doc, "--max-iter", "1",
+                                   "--no-timings"])
+    assert (code, rep["result"]) == (0, {"dims": dims})
+    monkeypatch.setenv("CARTIER_LAB_MAX_ITER", "1")
+    code, rep, _ = report(capsys, ["sol", doc, "--no-timings"])
+    assert (code, rep["result"]) == (0, {"dims": dims})
+
+
 def test_ie_twisted_form_lattice_display(capsys):
     code, rep, err = report(
         capsys, ["ie", OMEGA_TWIST, "--g", "x", "--no-timings"]

@@ -1,6 +1,7 @@
 """Tests for pullback/pushforward functors, localization, torsion
 extraction, and Frobenius fixed-point dimensions."""
 
+import itertools
 import random
 
 import pytest
@@ -8,12 +9,14 @@ import pytest
 from cartier_lab.cartier import (
     CartierModule,
     direct_sum,
+    finite_model,
     jordan_block_module,
+    max_nilpotent_submodule,
     omega_module,
     point_module,
 )
 from cartier_lab.errors import UnsupportedRingError, ValidationError
-from cartier_lab.fields import Fq
+from cartier_lab.fields import Fq, fq_rref
 from cartier_lab.functors import (
     LocalizedCartier,
     RegularSequence,
@@ -34,6 +37,7 @@ from cartier_lab.gamma import (
     cartier_to_gamma,
     gamma_pullback,
     gamma_to_cartier,
+    unit_root_stabilize,
 )
 from cartier_lab.poly import IdealSpec, PolyRing
 from cartier_lab.submodules import (
@@ -435,6 +439,134 @@ def test_sol_rank_two_over_f4_against_brute_force():
                 if v2.frob() == t_up * v1 and v1.frob() == v2:
                     count += 1
         assert count == 2**dim
+
+
+# the fields of the Hom oracles in test_cartier
+ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]
+
+
+def random_point_quotient(rng, ctx, rank):
+    """A module over F_q with kappa(v) = A sigma^{-1}(v), A block diagonal
+    with blocks of size 1 or 2 that are random, invertible or nilpotent
+    (strictly upper triangular).  Mostly it is taken modulo the span of
+    kappa^k(v) for k0 <= k < k0 + rank, with k0 random and v random on one
+    block.  That span is kappa-stable: once an iterate lies in the span of
+    the earlier ones, so do all later ones."""
+    R = PolyRing(ctx, ())
+    a = [[ctx.zero] * rank for _ in range(rank)]
+    blocks = []
+    while not blocks or blocks[-1][1] < rank:
+        lo = blocks[-1][1] if blocks else 0
+        hi = min(rank, lo + rng.randint(1, 2))
+        kind = rng.choice(("random", "invertible", "nilpotent"))
+        while True:
+            for i in range(lo, hi):
+                for j in range(lo, hi):
+                    if kind != "nilpotent" or i < j:
+                        a[i][j] = ctx.random_element(rng)
+            square = [row[lo:hi] for row in a[lo:hi]]
+            if kind != "invertible" or len(fq_rref(square, ctx)) == hi - lo:
+                break
+        blocks.append((lo, hi))
+    table = {
+        ((), j): tuple(R.scalar(a[i][j]) for i in range(rank))
+        for j in range(rank)
+    }
+    module = CartierModule(R, rank, table)
+    lo, hi = rng.choice(blocks)
+    v = tuple(R.scalar(ctx.random_element(rng)) if lo <= i < hi else R.zero
+              for i in range(rank))
+    if rng.random() < 0.5:
+        v = module.apply_kappa(v)
+    relations = []
+    if rng.random() < 0.75:
+        for _ in range(rank):
+            relations.append(v)
+            v = module.apply_kappa(v)
+    return CartierModule(R, rank, table, relations=relations)
+
+
+def count_fixed_classes(module, m):
+    """|{v in F_{q^m}^r : kappa(v) - v in the relation span}| divided by
+    the size of that span, with kappa(v)_i = sum_j a_ij v_j^(1/p)."""
+    ctx, r = module.ring.ctx, module.rank
+    big = Fq(ctx.p, ctx.e * m)
+    # F_q -> F_{q^m} sends t to the first root of the modulus of F_q
+    root = next(
+        x for x in big.elements()
+        if sum((big.scalar(c) * x**k for k, c in enumerate(ctx.modulus)),
+               big.zero).is_zero()
+    )
+
+    def embed(a):
+        return sum((big.scalar(c) * root**k for k, c in enumerate(a.coords)),
+                   big.zero)
+
+    a = [[embed(module.kappa_table[((), j)][i].constant_value())
+          for j in range(r)] for i in range(r)]
+    rel_rows = fq_rref(
+        [tuple(f.constant_value() for f in rho) for rho in module.relations],
+        ctx,
+    )
+    rel_rows = [[embed(x) for x in row] for row in rel_rows]
+    span = set()
+    for coeffs in itertools.product(list(big.elements()), repeat=len(rel_rows)):
+        vec = [big.zero] * r
+        for c, row in zip(coeffs, rel_rows):
+            vec = [x + c * y for x, y in zip(vec, row)]
+        span.add(tuple(x.code for x in vec))
+    count = 0
+    for v in itertools.product(list(big.elements()), repeat=r):
+        roots = [x.frob_inv() for x in v]
+        image = [sum((c * y for c, y in zip(row, roots)), big.zero)
+                 for row in a]
+        count += tuple((y - x).code for x, y in zip(v, image)) in span
+    assert count % len(span) == 0
+    return count // len(span)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3)])
+def test_sol_counts_kappa_fixed_vectors_by_brute_force(p, e):
+    """sol's dimension is that of the kappa-fixed classes of M (x) F_{q^m},
+    counted over every vector of F_{q^m}^r with q^(m r) <= 2^12.  Over
+    F_8 the count also tells the p-th root twist from the Frobenius,
+    which give the same dimensions while sigma^2 fixes F_q."""
+    ctx = Fq(p, e)
+    rng = random.Random(SEED + 40 * p + e)
+    related = 0
+    for _ in range(16):
+        rank = rng.randint(1, 3)
+        module = random_point_quotient(rng, ctx, rank)
+        related += bool(module.relation_hnf())
+        ms = [m for m in range(1, 5) if ctx.q ** (m * rank) <= 2**12]
+        dims = sol_dimension(module, ms[-1])
+        for m in ms:
+            assert count_fixed_classes(module, m) == p ** dims[m - 1], (m, dims)
+    assert related
+
+
+def test_sol_equals_sol_of_the_unit_root():
+    """Every solution lies in the bijective part, which the unit root of
+    the linear side presents, so sol agrees on both; and the maximal
+    nilpotent submodule is the other Fitting summand, so its dimension is
+    the rest.  Checked on 108 seeded modules with nilpotent blocks and
+    quotient relations."""
+    rng = random.Random(SEED + 50)
+    seen = set()
+    for p, e in ORACLE_FIELDS:
+        ctx = Fq(p, e)
+        for _ in range(18):
+            module = random_point_quotient(rng, ctx, rng.randint(1, 4))
+            root = unit_root_stabilize(cartier_to_gamma(module)).root
+            dims = sol_dimension(module, 2)
+            assert dims == sol_dimension(gamma_to_cartier(root), 2), (p, e)
+            nil = max_nilpotent_submodule(module)["module"]
+            assert (finite_model(nil).dimension + finite_model(root).dimension
+                    == finite_model(module).dimension), (p, e)
+            nilpotent_part = finite_model(nil).dimension > 0
+            seen.add((bool(module.relation_hnf()), nilpotent_part, dims[1]))
+    assert len({key[:2] for key in seen}) == 4
+    assert len({key[2] for key in seen}) > 2
 
 
 def test_sol_refuses_positive_dimensional_rings():

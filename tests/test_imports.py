@@ -1,8 +1,10 @@
 """Every name a package module imports is used in that module, listed in
 its ``__all__``, or re-exported by an import marked ``# noqa: F401``; and
 every module-level private function or class is referenced somewhere in
-the package outside its own definition; and NonStabilized is raised only
-by the one stabilization loop, ``errors.stabilize``."""
+the package outside its own definition; and every method of a package
+class is referenced by name in ``src``, ``tests`` or ``perfbench``
+outside its own definition; and NonStabilized is raised only by the one
+stabilization loop, ``errors.stabilize``."""
 
 import ast
 import pathlib
@@ -140,3 +142,64 @@ def test_non_stabilized_is_raised_only_by_stabilize():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert non_stabilized_calls(sources) == []
+
+
+def dead_methods(defining, referencing):
+    """(module, class, method) of each method, dunders aside, of a class
+    in ``defining`` ({module: source text}) whose name no name, attribute
+    or import in ``referencing`` (a list of source texts) mentions outside
+    the method's own definition."""
+    methods = [
+        (module, cls.name, item.name)
+        for module, source in defining.items()
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    ]
+    refs = set()
+
+    def visit(node, enclosing):
+        for child in ast.iter_child_nodes(node):
+            name = (getattr(child, "id", None) if isinstance(child, ast.Name)
+                    else getattr(child, "attr", None)
+                    if isinstance(child, ast.Attribute)
+                    else getattr(child, "name", None)
+                    if isinstance(child, ast.alias) else None)
+            if name is not None and name not in enclosing:
+                refs.add(name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, enclosing | {child.name})
+            else:
+                visit(child, enclosing)
+
+    for source in referencing:
+        visit(ast.parse(source), frozenset())
+    return sorted(item for item in methods if item[2] not in refs)
+
+
+def test_scanner_finds_a_dead_method():
+    defining = {
+        "a": "class A:\n"
+             "    def __init__(self):\n        self.used()\n\n"
+             "    def used(self):\n        pass\n\n"
+             "    def recursive(self):\n        return self.recursive()\n\n"
+             "    def elsewhere(self):\n        pass\n",
+    }
+    referencing = list(defining.values()) + ["A().elsewhere()\n"]
+    assert dead_methods(defining, referencing) == [("a", "A", "recursive")]
+
+
+def test_package_has_no_dead_methods():
+    root = PACKAGE.parent.parent
+    defining = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    referencing = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    assert dead_methods(defining, referencing) == []
