@@ -30,7 +30,7 @@ from .errors import (
     stabilize,
 )
 from .fields import SemilinearMap, P_INV_LINEAR, _mat_pow
-from .poly import frobenius_decompose
+from .poly import Polynomial, frobenius_decompose
 from .submodules import (
     Presentation,
     hnf_rows,
@@ -63,7 +63,6 @@ __all__ = [
     "HomResult",
     "HOM_CELL_CAP",
     "FiniteModel",
-    "finite_model",
     "to_semilinear",
     "omega_module",
     "point_module",
@@ -553,15 +552,14 @@ class FiniteModel:
         return tuple(coords)
 
     def from_coords(self, coords):
+        """The canonical representative with these coordinates: the term
+        x^s of column c takes the code of the coordinate of (c, s)."""
         ring = self.module.ring
-        v = list(zero_vector(ring, self.module.rank))
-        for i, c in enumerate(coords):
-            if c.is_zero():
-                continue
-            col, s = self.basis[i]
-            mono = ring.monomial((s,)) if ring.nvars else ring.one
-            v[col] = v[col] + ring.scalar(c) * mono
-        return tuple(v)
+        terms = [{} for _ in range(self.module.rank)]
+        for (col, s), c in zip(self.basis, coords, strict=True):
+            if c.code:
+                terms[col][s] = ring._code(c)
+        return tuple(Polynomial(ring, t) for t in terms)
 
     def kappa_semilinear(self):
         """The operator as a p^{-1}-linear matrix map on coordinates."""
@@ -588,10 +586,6 @@ class FiniteModel:
             for key, c in col.items():
                 mat[index[key]][i] = c
         return ctx.fp_blocks(mat).transpose(0, 2, 1, 3)
-
-
-def finite_model(module):
-    return FiniteModel(module)
 
 
 def to_semilinear(module):
@@ -733,8 +727,10 @@ HOM_CELL_CAP = 2**24
 class HomResult:
     """F_p-basis of a Hom space.
 
-    ``basis`` holds validated CartierMorphism objects, F_p-independent as
-    maps; ``dimension_fp`` is their number.  ``partial`` is True when the
+    ``basis`` holds CartierMorphism objects, F_p-independent as maps and
+    certified by one exact F_p product: the Hom system annihilates their
+    coordinates, so no morphism is re-validated with polynomials;
+    ``dimension_fp`` is their number.  ``partial`` is True when the
     target has positive rank: the generator images were then searched in
     the target's truncated model, with free-column degrees up to
     ``degree_cap`` (None when the target has finite length).
@@ -751,6 +747,21 @@ class HomResult:
     def __repr__(self):
         flag = ", partial" if self.partial else ""
         return f"HomResult(dim_Fp={self.dimension_fp}{flag})"
+
+
+def _annihilates(system, ker, p):
+    """Whether system @ ker.T vanishes mod p.  The product runs in
+    float64, which numpy hands to BLAS; its inner dimension is cut into
+    chunks of at most (2^53 - 1) / (p - 1)^2 columns, so every partial
+    sum of products of entries in [0, p) is an exact integer."""
+    step = (2**53 - 1) // (p - 1) ** 2
+    kf = ker.astype(np.float64)
+    acc = np.zeros((system.shape[0], ker.shape[0]))
+    for lo in range(0, system.shape[1], step):
+        cols = slice(lo, lo + step)
+        part = system[:, cols].astype(np.float64) @ kf[:, cols].T
+        acc += np.fmod(part, p, out=part)
+    return not np.fmod(acc, p, out=acc).any()
 
 
 def _check_hom_size(rows, cols):
@@ -770,7 +781,10 @@ def hom_cartier(source, target, degree_cap=None):
     each source relation maps to zero, and phi(kappa(x^a g_j)) equals
     kappa(x^a phi(g_j)) at every key (a, j) of the source's kappa table.
     The keys suffice because phi kappa - kappa phi is p^{-1}-linear.  One
-    F_p nullspace, in reduced echelon form, gives the basis.
+    F_p elimination gives the nullspace in reduced echelon form, and the
+    basis is certified by one exact matrix product (the system times the
+    basis vanishes mod p; InvariantViolation otherwise) instead of a
+    polynomial re-validation of each morphism.
 
     When the target has finite length (every module over F_q, torsion
     modules over F_q[x]) the answer is exact: partial=False and
@@ -841,15 +855,19 @@ def hom_cartier(source, target, degree_cap=None):
             a, j = key
             system[c, :, :, :, j] -= kap[a]
     system = system.reshape(len(conditions) * rows * e, d * r * e) % p
-    ker = kernels.nullspace_mod_p(system, p)
-    if ker.shape[0]:
-        ker, _ = kernels.rref_mod_p(ker, p)  # canonical basis
+    # With the columns reversed, each null vector's last nonzero entry is
+    # the 1 in its free column; reversed back, that 1 leads, so the
+    # kernel comes out in reduced echelon form, the canonical basis.
+    ker = kernels.nullspace_mod_p(system[:, ::-1], p)[::-1, ::-1]
+    if not _annihilates(system, ker, p):
+        raise InvariantViolation("Hom basis fails its F_p certificate")
     codes = ker.reshape(len(ker), d, r, e) @ p ** np.arange(e)
+    elems = ctx._elems
     basis = [
         CartierMorphism(source, target, [
-            model.from_coords([ctx.from_int(c) for c in column])
+            model.from_coords([elems[c] for c in column])
             for column in images
-        ])
+        ], validate=False)
         for images in codes.transpose(0, 2, 1).tolist()
     ]
     return HomResult(basis, len(basis), not finite, degree_cap)

@@ -14,9 +14,6 @@ __all__ = [
     "rref_mod_p",
     "rank_mod_p",
     "nullspace_mod_p",
-    "solve_mod_p",
-    "inv_mod_p",
-    "matmul_mod_p",
 ]
 
 
@@ -25,8 +22,8 @@ def _inv_scalar(a, p):
     return pow(int(a), p - 2, p)
 
 
-def _rref(a, p):
-    m = a.copy() % p
+def _rref(m, p):
+    """Row-reduce ``m``, a fresh array reduced mod p, in place."""
     rows, cols = m.shape
     pivots = []
     r = 0
@@ -43,7 +40,8 @@ def _rref(a, p):
         other = np.nonzero(m[:, c])[0]
         other = other[other != r]
         if other.size:
-            m[other] = (m[other] - np.outer(m[other, c], m[r])) % p
+            # row r is zero left of c, so the update starts at column c
+            m[other, c:] = (m[other, c:] - np.outer(m[other, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, np.array(pivots, dtype=np.int64)
@@ -57,7 +55,7 @@ def rref_mod_p(a, p):
     """
     a = np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
     if a.size == 0:
-        return a.copy(), np.empty(0, dtype=np.int64)
+        return a, np.empty(0, dtype=np.int64)
     return _rref(a, p)
 
 
@@ -66,51 +64,19 @@ def rank_mod_p(a, p):
 
 
 def nullspace_mod_p(a, p):
-    """Basis of the right kernel {x : a @ x = 0 mod p}, rows = basis vectors."""
-    a = np.asarray(a, dtype=np.int64) % p
+    """Basis of the right kernel {x : a @ x = 0 mod p}, rows = basis vectors.
+
+    The basis vector of a free column f is 1 at f, 0 at the other free
+    columns and minus column f of the RREF at the pivots."""
+    a = np.asarray(a, dtype=np.int64)
+    n = a.shape[1] if a.ndim == 2 else 0
     if a.size == 0:
-        n = a.shape[1] if a.ndim == 2 else 0
         return np.eye(n, dtype=np.int64)
     r, pivots = rref_mod_p(a, p)
-    n = a.shape[1]
-    pivset = set(int(c) for c in pivots)
-    free = [c for c in range(n) if c not in pivset]
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, fc]) % p
+    free = np.ones(n, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, n), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-r[: pivots.size, free].T) % p
     return basis
-
-
-def solve_mod_p(a, b, p):
-    """One solution x of a @ x = b mod p, or None if inconsistent."""
-    a = np.asarray(a, dtype=np.int64) % p
-    b = np.asarray(b, dtype=np.int64) % p
-    if a.ndim != 2:
-        raise ValueError("matrix expected")
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    r, pivots = rref_mod_p(aug, p)
-    n = a.shape[1]
-    for i, c in enumerate(pivots):
-        if c == n:
-            return None
-    x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, n]
-    return x
-
-
-def inv_mod_p(a, p):
-    """Inverse of a square matrix mod p, or None if singular."""
-    a = np.asarray(a, dtype=np.int64) % p
-    n = a.shape[0]
-    aug = np.hstack([a, np.eye(n, dtype=np.int64)])
-    r, pivots = rref_mod_p(aug, p)
-    if pivots.size < n or int(pivots[n - 1]) != n - 1:
-        return None
-    return r[:n, n:].copy()
-
-
-def matmul_mod_p(a, b, p):
-    return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % p

@@ -16,8 +16,8 @@ from pathlib import Path
 from cartier_lab import cli
 from cartier_lab.cartier import (
     CartierModule,
+    FiniteModel,
     direct_sum,
-    finite_model,
     hom_cartier,
     is_nilpotent,
     jordan_block_module,
@@ -467,7 +467,7 @@ def test_08_image_chains_and_hom_finiteness():
         suite.append(direct_sum(suite[0], suite[1])[0])
         suite.append(direct_sum(suite[3], suite[2])[0])
         for mod in suite:
-            dim = finite_model(mod).dimension
+            dim = FiniteModel(mod).dimension
             sub, _, chain = stable_image(mod, cap=dim + 8)
             assert len(chain) <= dim + 2, (dim, len(chain))
             lengths = [len(step) for step in chain]

@@ -8,14 +8,16 @@ every component of E is congruent to p-1 mod p, and zero otherwise.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from cartier_lab import kernels
 from cartier_lab.cartier import (
     CartierModule,
     CartierMorphism,
+    FiniteModel,
     cokernel,
     direct_sum,
-    finite_model,
     hom_cartier,
     image,
     image_chain,
@@ -29,7 +31,7 @@ from cartier_lab.cartier import (
     stable_image,
     submodule_module,
 )
-from cartier_lab.errors import ValidationError
+from cartier_lab.errors import InvariantViolation, ValidationError
 from cartier_lab.fields import (
     P_LINEAR,
     Fq,
@@ -245,7 +247,7 @@ def test_stable_image_of_mixed_module_is_the_unit_root_part():
     j2 = jordan_block_module(Fq(2, 1), 2)
     total, _, _ = direct_sum(pt, j2)
     sub, inclusion, chain = stable_image(total)
-    assert finite_model(sub).dimension == 1
+    assert FiniteModel(sub).dimension == 1
     assert len(chain) >= 2
     assert inclusion.source is sub and inclusion.target is total
 
@@ -258,7 +260,7 @@ def test_max_nilpotent_submodule_of_mixed_sum():
     j2 = jordan_block_module(Fq(2, 1), 2)
     total, _, _ = direct_sum(pt, j2)
     info = max_nilpotent_submodule(total)
-    assert finite_model(info["module"]).dimension == 2
+    assert FiniteModel(info["module"]).dimension == 2
     assert info["order"] == 2
     assert not info["partial"]
     nil, _ = is_nilpotent(info["module"])
@@ -267,7 +269,7 @@ def test_max_nilpotent_submodule_of_mixed_sum():
 
 def test_max_nilpotent_submodule_of_unit_root_module_is_zero():
     info = max_nilpotent_submodule(point_module(Fq(3, 1)))
-    assert finite_model(info["module"]).dimension == 0
+    assert FiniteModel(info["module"]).dimension == 0
 
 
 def test_quotient_by_stable_span():
@@ -276,7 +278,7 @@ def test_quotient_by_stable_span():
     R = j2.ring
     quot, proj = quotient_module(j2, [(R.one, R.zero)])
     assert quot.rank == 2
-    assert finite_model(quot).dimension == 1
+    assert FiniteModel(quot).dimension == 1
     nil, order = is_nilpotent(quot)
     assert nil and order == 1
     # projection commutes by construction
@@ -330,11 +332,11 @@ def test_kernel_image_cokernel_of_projection():
     R = j2.ring
     quot, proj = quotient_module(j2, [(R.one, R.zero)])
     ker, ker_incl = kernel(proj)
-    assert finite_model(ker).dimension == 1
+    assert FiniteModel(ker).dimension == 1
     img, img_incl = image(proj)
-    assert finite_model(img).dimension == finite_model(quot).dimension
+    assert FiniteModel(img).dimension == FiniteModel(quot).dimension
     cok, cok_proj = cokernel(proj)
-    assert finite_model(cok).dimension == 0
+    assert FiniteModel(cok).dimension == 0
 
 
 def test_first_isomorphism_dimension_count():
@@ -347,12 +349,40 @@ def test_first_isomorphism_dimension_count():
     ker, _ = kernel(phi)
     img, _ = image(phi)
     assert (
-        finite_model(line).dimension
-        == finite_model(ker).dimension + finite_model(img).dimension
+        FiniteModel(line).dimension
+        == FiniteModel(ker).dimension + FiniteModel(img).dimension
     )
 
 
 # -------------------------------------------------------------------- hom
+
+
+def revalidated(res, source, target):
+    """``res`` after rebuilding every basis morphism with the polynomial
+    validation: hom_cartier certifies its basis by one F_p product, and
+    CartierMorphism's check of the relations and of kappa on every table
+    key stays the reference in the tests."""
+    for phi in res.basis:
+        CartierMorphism(source, target, phi.images, validate=True)
+    return res
+
+
+def test_a_corrupted_nullspace_fails_the_certificate(monkeypatch):
+    """One entry of the kernel changed, in a column where the Hom system
+    is nonzero, makes the system times the basis nonzero."""
+    nullspace = kernels.nullspace_mod_p
+
+    def corrupted(a, p):
+        null = nullspace(a, p)
+        col = int(np.flatnonzero(a.any(axis=0))[0])
+        null[0, col] = (null[0, col] + 1) % p
+        return null
+
+    jordan = jordan_block_module(Fq(2, 1), 2)
+    assert hom_cartier(jordan, jordan).dimension_fp == 2
+    monkeypatch.setattr(kernels, "nullspace_mod_p", corrupted)
+    with pytest.raises(InvariantViolation, match="certificate"):
+        hom_cartier(jordan, jordan)
 
 
 def test_hom_of_top_forms_is_the_prime_field():
@@ -500,7 +530,7 @@ def count_morphisms(source, target):
     """Brute force: every choice of generator images among the elements of
     the target, kept when CartierMorphism accepts it."""
     ctx = target.ring.ctx
-    model = finite_model(target)
+    model = FiniteModel(target)
     elements = [
         model.from_coords(coords)
         for coords in itertools.product(
@@ -538,11 +568,17 @@ def test_hom_of_torsion_modules_matches_brute_force(p):
         pairs.append((pair, pair))
     dims = []
     for source, target in pairs:
-        res = hom_cartier(source, target)
+        res = revalidated(hom_cartier(source, target), source, target)
         assert not res.partial and res.degree_cap is None
         assert count_morphisms(source, target) == p**res.dimension_fp
         dims.append(res.dimension_fp)
     assert min(dims) < max(dims)
+    # a positive-rank target, truncated at the default degree cap: twice
+    # the largest relation degree (p) plus p
+    mixed = direct_sum(omega, small)[0]
+    res = revalidated(hom_cartier(mixed, mixed), mixed, mixed)
+    assert res.partial and res.degree_cap == 3 * p
+    assert res.dimension_fp >= 2
 
 
 def cartier_span(module, gens):
@@ -604,7 +640,7 @@ def test_max_nilpotent_submodule_is_maximal_by_enumeration(p):
         modules += [pair, direct_sum(pair, point)[0]]
     proper = hidden = 0
     for module in modules:
-        model = finite_model(module)
+        model = FiniteModel(module)
         everything = [
             model.from_coords(coords)
             for coords in itertools.product(
@@ -712,7 +748,8 @@ def test_hom_of_bijective_modules_is_the_fixed_space_of_the_internal_hom():
             expected = fixed_points_dimension(
                 SemilinearMap(ctx, P_LINEAR, kron), 1
             )
-            assert hom_cartier(M, N).dimension_fp == expected, (p, e)
+            res = revalidated(hom_cartier(M, N), M, N)
+            assert res.dimension_fp == expected, (p, e)
             dims.append(expected)
     assert len(dims) >= 100 and min(dims) < max(dims)
 
@@ -732,16 +769,16 @@ def test_hom_splits_along_the_fitting_decomposition():
                 mod, _ = random_fq_module(rng, ctx, rng.randint(1, 4))
                 nil = max_nilpotent_submodule(mod)["module"]
                 bij = stable_image(mod)[0]
-                assert (finite_model(nil).dimension
-                        + finite_model(bij).dimension
-                        == finite_model(mod).dimension)
+                assert (FiniteModel(nil).dimension
+                        + FiniteModel(bij).dimension
+                        == FiniteModel(mod).dimension)
                 parts.append((mod, nil, bij))
                 mixed += nil.rank > 0 and bij.rank > 0
-            (m, m_nil, m_bij), (n, n_nil, n_bij) = parts
-            assert hom_cartier(m, n).dimension_fp == (
-                hom_cartier(m_nil, n_nil).dimension_fp
-                + hom_cartier(m_bij, n_bij).dimension_fp
-            ), (p, e)
+            dim = [
+                revalidated(hom_cartier(src, tgt), src, tgt).dimension_fp
+                for src, tgt in zip(*parts)
+            ]
+            assert dim[0] == dim[1] + dim[2], (p, e)
     assert mixed > 0
 
 
@@ -769,7 +806,7 @@ def test_finite_model_coordinates_roundtrip():
         {((0,), 0): (x,), ((1,), 0): (R.zero,)},
         relations=[(x * x * x,)],
     )
-    fm = finite_model(mod)
+    fm = FiniteModel(mod)
     assert fm.dimension == 3
     for i in range(fm.dimension):
         v = fm.basis_vector(i)
@@ -779,7 +816,7 @@ def test_finite_model_coordinates_roundtrip():
 
 def test_finite_model_semilinear_operator_agrees():
     j2 = jordan_block_module(Fq(2, 1), 2)
-    fm = finite_model(j2)
+    fm = FiniteModel(j2)
     T = fm.kappa_semilinear()
     rng = random.Random(SEED)
     ctx = T.ctx

@@ -8,8 +8,8 @@ import pytest
 
 from cartier_lab.cartier import (
     CartierModule,
+    FiniteModel,
     direct_sum,
-    finite_model,
     jordan_block_module,
     max_nilpotent_submodule,
     omega_module,
@@ -561,9 +561,9 @@ def test_sol_equals_sol_of_the_unit_root():
             dims = sol_dimension(module, 2)
             assert dims == sol_dimension(gamma_to_cartier(root), 2), (p, e)
             nil = max_nilpotent_submodule(module)["module"]
-            assert (finite_model(nil).dimension + finite_model(root).dimension
-                    == finite_model(module).dimension), (p, e)
-            nilpotent_part = finite_model(nil).dimension > 0
+            assert (FiniteModel(nil).dimension + FiniteModel(root).dimension
+                    == FiniteModel(module).dimension), (p, e)
+            nilpotent_part = FiniteModel(nil).dimension > 0
             seen.add((bool(module.relation_hnf()), nilpotent_part, dims[1]))
     assert len({key[:2] for key in seen}) == 4
     assert len({key[2] for key in seen}) > 2

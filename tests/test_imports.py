@@ -1,10 +1,12 @@
 """Every name a package module imports is used in that module, listed in
 its ``__all__``, or re-exported by an import marked ``# noqa: F401``; and
 every module-level private function or class is referenced somewhere in
-the package outside its own definition; and every method of a package
-class is referenced by name in ``src``, ``tests`` or ``perfbench``
-outside its own definition; and NonStabilized is raised only by the one
-stabilization loop, ``errors.stabilize``."""
+the package outside its own definition, and every public one is
+re-exported by ``cartier_lab/__init__`` or referenced in ``src`` or
+``perfbench`` outside its definition and ``__all__``; and every method
+of a package class is referenced by name in ``src``, ``tests`` or
+``perfbench`` outside its own definition; and NonStabilized is raised
+only by the one stabilization loop, ``errors.stabilize``."""
 
 import ast
 import pathlib
@@ -56,47 +58,90 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def dead_helpers(sources):
-    """(module, name) of each module-level ``_private`` function or class
-    in ``sources`` ({module: source text}) that no name or attribute in
-    any module refers to, outside the helper's own definition."""
-    defined, refs = [], set()
-    for module, source in sources.items():
-        for stmt in ast.parse(source).body:
-            owner = getattr(stmt, "name", None)
-            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and owner.startswith("_") and not owner.startswith("__")):
-                defined.append((module, owner))
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
-                else:
-                    continue
-                if name != owner:
-                    refs.add(name)
-    return sorted(item for item in defined if item[1] not in refs)
+def names_referenced(source):
+    """Every name, attribute or imported name in ``source``, outside the
+    module-level definition of that same name."""
+    refs = set()
+    for stmt in ast.parse(source).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name != owner:
+                refs.add(name)
+    return refs
+
+
+def dead_helpers(sources, referencing=()):
+    """(module, name) of each module-level function or class in
+    ``sources`` ({module: source text}, ``__init__`` among them) that
+    nothing refers to outside its own definition: for a ``_private`` one,
+    no name, attribute or import in ``sources``; for a public one, none in
+    ``sources`` or in ``referencing`` (a list of source texts) either.  So
+    a re-export by ``__init__`` counts, and a string in ``__all__`` does
+    not."""
+    defined = [
+        (module, stmt.name)
+        for module, source in sources.items()
+        for stmt in ast.parse(source).body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("__")
+    ]
+    private = set().union(*map(names_referenced, sources.values()))
+    public = private.union(*map(names_referenced, referencing))
+    return sorted(
+        (module, name) for module, name in defined
+        if name not in (private if name.startswith("_") else public)
+    )
 
 
 def test_scanner_finds_a_dead_helper():
     sources = {
-        "a": "def _used():\n    pass\n\n"
+        "a": "__all__ = ['kept', 'dead']\n\n"
+             "def _used():\n    pass\n\n"
              "def _dead():\n    return _dead()\n\n"
-             "class _Shared:\n    pass\n",
+             "class _Shared:\n    pass\n\n"
+             "def kept():\n    pass\n\n"
+             "def dead():\n    return dead()\n\n"
+             "class Exported:\n    pass\n",
         "b": "from a import _Shared\n\nx = _used()\n",
+        "__init__": "from .a import Exported  # noqa: F401\n",
     }
-    assert dead_helpers(sources) == [("a", "_dead")]
+    # outside the package only public names count
+    referencing = ["import a\n\na.kept()\n_dead = 1\n"]
+    assert dead_helpers(sources, referencing) == [("a", "_dead"), ("a", "dead")]
 
 
-def test_package_has_no_dead_private_helpers():
+def package_dead_helpers():
+    root = PACKAGE.parent.parent
     sources = {
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted(PACKAGE.glob("*.py"))
     }
-    assert dead_helpers(sources) == []
+    referencing = [
+        path.read_text(encoding="utf-8")
+        for folder in ("src", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    return dead_helpers(sources, referencing)
+
+
+def test_package_has_no_dead_private_helpers():
+    assert [h for h in package_dead_helpers() if h[1].startswith("_")] == []
+
+
+def test_package_has_no_dead_public_helpers():
+    """A public function or class that neither ``cartier_lab/__init__``
+    re-exports nor anything in ``src`` or ``perfbench`` uses is a helper
+    kept for the tests alone."""
+    assert [h for h in package_dead_helpers()
+            if not h[1].startswith("_")] == []
 
 
 def non_stabilized_calls(sources):
