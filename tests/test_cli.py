@@ -7,6 +7,7 @@ invariant violation (with a reproduction bundle written to the working
 directory)."""
 
 import glob
+import importlib
 import json
 import os
 import resource
@@ -685,3 +686,15 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == {"dims": [1, 1, 1, 1]}
+
+
+def test_console_script_is_declared_for_cli_main():
+    """The installed ``cartier-lab`` script runs ``cartier_lab.cli:main``;
+    checked from pyproject.toml, so it needs no install."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["cartier-lab"] == "cartier_lab.cli:main"
+    module_name, _, attr = scripts["cartier-lab"].partition(":")
+    assert getattr(importlib.import_module(module_name), attr) is main

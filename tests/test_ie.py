@@ -11,15 +11,22 @@ import random
 
 import pytest
 
+from cartier_lab import ie
 from cartier_lab.cartier import (
     CartierModule,
     CartierMorphism,
+    is_nilpotent,
     jordan_block_module,
     omega_module,
     point_module,
+    quotient_module,
     stable_image,
 )
-from cartier_lab.errors import InvariantViolation, ValidationError
+from cartier_lab.errors import (
+    CertificateFailed,
+    InvariantViolation,
+    ValidationError,
+)
 from cartier_lab.fields import Fq
 from cartier_lab.functors import closed_pushforward, open_pullback
 from cartier_lab.ie import (
@@ -37,6 +44,12 @@ from cartier_lab.ie import (
 )
 from cartier_lab.ie import test_module_sum as lattice_test_sum
 from cartier_lab.poly import PolyRing
+from cartier_lab.submodules import (
+    hnf_rows,
+    scalar_rows,
+    solve_combination,
+    vec_scale,
+)
 
 SEED = 271828
 
@@ -252,6 +265,149 @@ def test_certificate_is_idempotent(twisted, line):
     cert = intermediate_extension(loc_tw)
     again = intermediate_extension(open_pullback(cert.module, x))
     assert again.module.kappa_table == cert.module.kappa_table
+
+
+def seeded_localizations():
+    """Modules over F_2[x] and F_3[x] of rank 1-3, localized at x or at
+    x + c.  The first ``torsion`` generators carry the relation
+    (x + c)^p e_i and have operator values that are multiples of
+    (x + c)^(p - 1) supported on them, so the relations are stable; the
+    other generators are free with random values."""
+    rng = random.Random(SEED)
+    out = []
+    for p in (2, 3):
+        R = PolyRing(Fq(p, 1), ("x",))
+        x = R.var(0)
+        for rank in (1, 2, 3):
+            for torsion in range(rank + 1):
+                lin = x + R.scalar(rng.randrange(1, p))
+                table = {}
+                for a in range(p):
+                    for j in range(rank):
+                        col = []
+                        for i in range(rank):
+                            if j >= torsion:
+                                col.append(R.random_poly(rng, 2, 3))
+                            elif i < torsion:
+                                h = R.scalar(rng.randrange(1, p)) + (
+                                    R.scalar(rng.randrange(p)) * x
+                                )
+                                col.append(h * lin ** (p - 1))
+                            else:
+                                col.append(R.zero)
+                        table[((a,), j)] = tuple(col)
+                relations = [
+                    tuple(lin**p if i == t else R.zero for i in range(rank))
+                    for t in range(torsion)
+                ]
+                module = CartierModule(R, rank, table, relations=relations)
+                g = rng.choice((x, lin))
+                out.append(open_pullback(module, g))
+    return out
+
+
+def quotient_by_test_sum(cert, k):
+    """L / T_k(L) as a presented module, L the certificate lattice: the
+    quotient check as computed before the fixed-point identity replaced
+    it, kept here as its reference."""
+    lattice = cert.lattice
+    loc = cert.localized
+    R = loc.ring
+    inner = lattice_test_sum(lattice, k)
+    k_common = max(lattice.k, inner.k)
+    lift = loc.g ** (k_common - lattice.k)
+    gens = [vec_scale(v, lift) for v in lattice.generator_rows()]
+    rels = loc.quotient.effective_relations()
+    sub_rows = []
+    for row in inner.generator_rows():
+        target = vec_scale(row, loc.g ** (k_common - inner.k))
+        coords = solve_combination(gens, rels, target, lattice.rank, R)
+        assert coords is not None, "test sum escaped the lattice"
+        sub_rows.append(tuple(coords))
+    quot, _ = quotient_module(cert.module, sub_rows)
+    return quot
+
+
+def test_test_sums_of_the_certified_lattice_are_the_lattice():
+    """The identity behind both quotient checks: every test sum of the
+    stabilized lattice is the lattice itself, so the old quotient
+    modules are zero (hence nilpotent) on seeded inputs."""
+    k_stars = []
+    for loc in seeded_localizations():
+        cert = intermediate_extension(loc)
+        k_star = cert.indices["k_star"]
+        if k_star == 0:
+            continue
+        k_stars.append(k_star)
+        L = cert.lattice
+        R = loc.ring
+        rels = loc.quotient.effective_relations()
+        rehnf = hnf_rows(list(L.span) + list(rels), L.rank, R)
+        assert L.scaled_span(L.k) == rehnf
+        for j in range(1, k_star + 2):
+            assert lattice_test_sum(L, j) == L
+        for k in sorted({1, k_star}):
+            quot = quotient_by_test_sum(cert, k)
+            assert is_nilpotent(quot)[0]
+            units = scalar_rows(R, quot.rank, R.one)
+            assert all(quot.is_zero_element(e) for e in units)
+    # most inputs take the full path, some with a separate k* check
+    assert len(k_stars) >= 6 and max(k_stars) >= 2
+
+
+def test_identity_check_rejects_an_enlarged_lattice(twisted):
+    """The full lattice restricts the twisted operator but is not the
+    minimal extension: its first test sum is strictly smaller."""
+    _, loc_tw = twisted
+    R = loc_tw.ring
+    big = Lattice(loc_tw, 0, [(R.one,)])
+    assert big.is_kappa_stable()
+    assert kappa_saturate(big.g_multiple(1)) != big
+
+
+def test_a_failed_identity_check_refuses_the_certificate(
+    twisted, monkeypatch
+):
+    _, loc_tw = twisted
+    def shrunk(lattice, cap=None):
+        return Lattice(lattice.localized, 0, [])
+
+    monkeypatch.setattr(ie, "kappa_saturate", shrunk)
+    with pytest.raises(CertificateFailed, match="quotient_nilpotent"):
+        intermediate_extension(loc_tw)
+
+
+def test_each_certificate_path_builds_its_lattice_module_once(
+    standard, line, monkeypatch
+):
+    _, R, x = line
+    _, loc = standard
+    zero_base = CartierModule(
+        R, 1, {((0,), 0): (R.zero,), ((1,), 0): (R.zero,)},
+        relations=[(R.one,)],
+    )
+    free_nil = CartierModule(
+        R, 1, {((0,), 0): (R.zero,), ((1,), 0): (R.zero,)}
+    )
+    built = []
+    to_module = Lattice.to_module
+
+    def counted(self):
+        built.append(self)
+        return to_module(self)
+
+    monkeypatch.setattr(Lattice, "to_module", counted)
+    paths = {
+        "zero base": open_pullback(zero_base, x),
+        "crystal zero": open_pullback(free_nil, x),
+        "full": loc,
+    }
+    for name, localized in paths.items():
+        built.clear()
+        cert = intermediate_extension(localized)
+        assert cert.crystal_zero == (name == "crystal zero")
+        assert (cert.indices["k_star"] > 0) == (name == "full")
+        assert len(built) == 1 and built[0] is cert.lattice, name
 
 
 # ------------------------------------------------------------ functoriality
