@@ -580,12 +580,11 @@ class FiniteModel:
         gives it), with rows indexed by ``index`` (default: this model's
         basis).  Axes: (row, row coordinate, column, column coordinate)."""
         index = self._index if index is None else index
-        ctx = self.module.ring.ctx
-        mat = [[ctx.zero] * len(columns) for _ in range(len(index))]
+        codes = np.zeros((len(index), len(columns)), dtype=np.int64)
         for i, col in enumerate(columns):
             for key, c in col.items():
-                mat[index[key]][i] = c
-        return ctx.fp_blocks(mat).transpose(0, 2, 1, 3)
+                codes[index[key], i] = c.code
+        return self.module.ring.ctx.fp_blocks(codes).transpose(0, 2, 1, 3)
 
 
 def to_semilinear(module):

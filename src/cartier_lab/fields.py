@@ -348,17 +348,13 @@ class FrobeniusContext:
 
     # -- F_p coordinates -----------------------------------------------------
 
-    def fp_blocks(self, matrix):
-        """F_p form of an F_q matrix: an int64 array of shape
-        (rows, cols, e, e) whose [i, j] block is the matrix of
-        multiplication by matrix[i][j] on power-basis coordinates.  A block
-        is linear in its entry, so it is the entry's coordinates applied
-        to the blocks of 1, t, ..., t^(e-1)."""
-        rows = len(matrix)
-        cols = len(matrix[0]) if rows else 0
-        codes = np.array(
-            [[x.code for x in row] for row in matrix], dtype=np.int64
-        ).reshape(rows, cols)
+    def fp_blocks(self, codes):
+        """F_p form of an F_q matrix given as a 2-d int64 array of element
+        codes: an int64 array of shape (rows, cols, e, e) whose [i, j]
+        block is the matrix of multiplication by entry [i, j] on
+        power-basis coordinates.  A block is linear in its entry, so it is
+        the entry's coordinates applied to the blocks of 1, t, ...,
+        t^(e-1)."""
         coords = self._digits[codes]
         return np.einsum("ijk,kab->ijab", coords, self._mul_blocks) % self.p
 

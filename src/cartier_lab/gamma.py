@@ -252,7 +252,7 @@ def _iterate_kernel(sheaf, gam, e):
 def gamma_nilpotent(sheaf, cap=None):
     """(nilpotent?, order) by the direct iterate test: gamma^k vanishes
     when every matrix column lies in the k-fold twisted relation span."""
-    chain, e_star = gamma_kernel_chain(sheaf, cap=cap)
+    chain, _ = gamma_kernel_chain(sheaf, cap=cap)
     ring = sheaf.ring
     full = hnf_rows(
         scalar_rows(ring, sheaf.rank, ring.one)

@@ -13,9 +13,12 @@ kappa^i(Y), g kappa^i(y) = kappa^i(g^(p^i) y) gives T_(k+1) = sat(g T_k),
 so the lattice L' where the test sums stop has sat(g L') = L': its
 quotient by every test sum is zero, hence nilpotent.
 
-Lattices are finitely generated submodules of the localization, stored as
-g^{-k} times an HNF-spanned submodule of the g-torsion-free quotient
-presentation.
+Lattices are HNF-spanned submodules of the g-torsion-free quotient
+presentation, which embeds in the localization.  Integral lattices are
+all the minimal extension needs: it is reached from above, starting at the
+whole quotient (the image of the module, which the operator maps into
+itself), and every test sum sat(g^k L) lies inside the lattice L it
+starts from.
 """
 
 from .errors import (
@@ -97,31 +100,21 @@ def supported_on_Z(module, g, cap=None):
 
 
 class Lattice:
-    """g^{-k} times a submodule of the torsion-free quotient presentation.
+    """A submodule of the g-torsion-free quotient presentation, which embeds
+    in the localization.
 
-    The span always contains the presentation relations, so two lattices
-    are equal iff their spans agree once brought to a common exponent."""
+    The span is the HNF of the rows together with the presentation
+    relations, so two lattices are equal iff their spans are equal."""
 
-    __slots__ = ("localized", "k", "span")
+    __slots__ = ("localized", "span")
 
-    def __init__(self, localized, k, rows, reduce_exponent=True):
-        if k < 0:
-            raise ValidationError("denominator exponent must be >= 0")
-        ring = localized.ring
-        r = localized.quotient.rank
-        rels = localized.quotient.effective_relations()
+    k = 0  # denominator exponent of the certificate format: always 0
+
+    def __init__(self, localized, rows):
         self.localized = localized
-        self.k = k
-        self.span = hnf_rows(list(rows) + list(rels), r, ring)
-        if reduce_exponent:
-            self._reduce_exponent()
-
-    @classmethod
-    def from_fractions(cls, localized, fractions):
-        k0 = max((k for _, k in fractions), default=0)
-        g = localized.g
-        rows = [vec_scale(v, g ** (k0 - k)) for v, k in fractions]
-        return cls(localized, k0, rows)
+        self.span = hnf_rows(
+            list(rows) + list(self._rel_hnf()), self.rank, self.ring
+        )
 
     @property
     def ring(self):
@@ -134,39 +127,6 @@ class Lattice:
     def _rel_hnf(self):
         return self.localized.quotient.relation_hnf()
 
-    def _reduce_exponent(self):
-        """Lower k while the span is exactly g times a smaller span."""
-        ring = self.ring
-        g = self.localized.g
-        r = self.rank
-        while self.k > 0:
-            divided = syzygy_generators(
-                scalar_rows(ring, r, g), list(self.span), r, ring
-            )
-            candidate = hnf_rows(
-                list(divided) + list(self._rel_hnf()), r, ring
-            )
-            back = hnf_rows(
-                [vec_scale(v, g) for v in candidate] + list(self._rel_hnf()),
-                r,
-                ring,
-            )
-            if span_equal(back, self.span):
-                self.k -= 1
-                self.span = candidate
-            else:
-                break
-
-    def scaled_span(self, k):
-        """The span presented at denominator exponent k >= self.k."""
-        if k < self.k:
-            raise ValidationError("cannot present at a smaller exponent")
-        if k == self.k:
-            return self.span  # already the HNF, relations included
-        g = self.localized.g
-        rows = [vec_scale(v, g ** (k - self.k)) for v in self.span]
-        return hnf_rows(rows + list(self._rel_hnf()), self.rank, self.ring)
-
     def __eq__(self, other):
         if not isinstance(other, Lattice):
             return NotImplemented
@@ -175,11 +135,7 @@ class Lattice:
             or self.localized.base != other.localized.base
         ):
             return False
-        k = max(self.k, other.k)
-        return span_equal(self.scaled_span(k), other.scaled_span(k))
-
-    def __hash__(self):  # pragma: no cover - lattices are not dict keys
-        return hash((self.k, self.span))
+        return span_equal(self.span, other.span)
 
     def is_zero(self):
         return span_equal(self.span, self._rel_hnf())
@@ -188,53 +144,31 @@ class Lattice:
         rel = self._rel_hnf()
         return [row for row in self.span if not in_span(row, rel, self.ring)]
 
-    def contains(self, fraction):
-        v, kf = self.localized.normalize(fraction)
-        if kf > self.k:
-            return False
-        g = self.localized.g
-        row = vec_scale(v, g ** (self.k - kf))
-        return in_span(row, self.span, self.ring)
-
-    def add(self, other):
-        k = max(self.k, other.k)
-        rows = list(self.scaled_span(k)) + list(other.scaled_span(k))
-        return Lattice(self.localized, k, rows)
+    def contains(self, vector):
+        return in_span(tuple(vector), self.span, self.ring)
 
     def g_multiple(self, j):
         """The lattice g^j * L."""
         if j < 0:
-            raise ValidationError("use fractions for negative powers")
-        if j <= self.k:
-            return Lattice(self.localized, self.k - j, list(self.span))
-        g = self.localized.g
-        rows = [vec_scale(v, g ** (j - self.k)) for v in self.span]
-        return Lattice(self.localized, 0, rows)
+            raise ValidationError("g_multiple needs j >= 0")
+        gj = self.localized.g ** j
+        return Lattice(self.localized, [vec_scale(v, gj) for v in self.span])
 
-    def kappa_image(self):
-        """The lattice generated by the operator images of this lattice."""
-        loc = self.localized
+    def _kappa_images(self, rows):
+        """kappa(x^a row) in the quotient presentation for each a of the
+        p-th power basis and each row, a varying slowest (the order of
+        the operator table keys)."""
+        quot = self.localized.quotient
         ring = self.ring
-        fracs = []
-        for row in self.generator_rows():
-            for a in ring.pth_basis():
-                xa = ring.monomial(a)
-                fracs.append(loc.apply_kappa((vec_scale(row, xa), self.k)))
-        if not fracs:
-            return Lattice(loc, 0, [])
-        return Lattice.from_fractions(loc, fracs)
+        return [
+            quot.apply_kappa(vec_scale(row, ring.monomial(a)))
+            for a in ring.pth_basis()
+            for row in rows
+        ]
 
     def is_kappa_stable(self):
-        loc = self.localized
-        ring = self.ring
-        for row in self.generator_rows():
-            for a in ring.pth_basis():
-                xa = ring.monomial(a)
-                if not self.contains(
-                    loc.apply_kappa((vec_scale(row, xa), self.k))
-                ):
-                    return False
-        return True
+        images = self._kappa_images(self.generator_rows())
+        return all(self.contains(w) for w in images)
 
     def divides_in(self, vector, cap=None):
         """Least n with g^n * vector inside the lattice, or None."""
@@ -242,7 +176,7 @@ class Lattice:
         g = self.localized.g
         v = tuple(vector)
         for n in range(cap + 1):
-            if self.contains((v, 0)):
+            if self.contains(v):
                 return n
             v = vec_scale(v, g)
         return None
@@ -255,46 +189,38 @@ class Lattice:
     def to_module(self):
         """The lattice as an abstract module with the restricted operator,
         presented on its generator rows."""
-        loc = self.localized
         ring = self.ring
-        g = loc.g
         gens = self.generator_rows()
         if not gens:
             return CartierModule(ring, 0, {}, relations=())
-        rels = loc.quotient.effective_relations()
+        rels = self.localized.quotient.effective_relations()
         relations = syzygy_generators(gens, rels, self.rank, ring)
+        keys = [(a, j) for a in ring.pth_basis() for j in range(len(gens))]
         table = {}
-        for a in ring.pth_basis():
-            xa = ring.monomial(a)
-            for j, row in enumerate(gens):
-                frac = loc.apply_kappa((vec_scale(row, xa), self.k))
-                w, kf = frac
-                if kf > self.k:
-                    raise InvariantViolation(
-                        "lattice is not stable under the operator"
-                    )
-                integral = vec_scale(w, g ** (self.k - kf))
-                coords = solve_combination(
-                    gens, rels, integral, self.rank, ring
+        for key, image in zip(keys, self._kappa_images(gens)):
+            coords = solve_combination(gens, rels, image, self.rank, ring)
+            if coords is None:
+                raise InvariantViolation(
+                    "operator image escaped the lattice span"
                 )
-                if coords is None:
-                    raise InvariantViolation(
-                        "operator image escaped the lattice span"
-                    )
-                table[(a, j)] = tuple(coords)
+            table[key] = tuple(coords)
         return CartierModule(
             ring, len(gens), table, relations=relations
         )
 
     def __repr__(self):
-        return f"Lattice(k={self.k}, {len(self.generator_rows())} generators)"
+        return f"Lattice({len(self.generator_rows())} generators)"
 
 
 def _saturation_chain(lattice, cap=None):
-    """L, L + kappa(L), ... up to the first operator-stable member."""
+    """L, L + kappa(L), ... up to the first operator-stable member.  A step
+    is one HNF of the generator rows, their operator images and the
+    relations."""
 
     def saturate(chain):
-        return chain[-1].add(chain[-1].kappa_image())
+        last = chain[-1]
+        gens = last.generator_rows()
+        return Lattice(last.localized, gens + last._kappa_images(gens))
 
     return stabilize(lattice, saturate, "saturation", cap)
 
@@ -393,7 +319,7 @@ def intermediate_extension(localized, cap=None):
             lattice, lattice.to_module(), checks, indices, crystal_zero
         )
 
-    base = Lattice(localized, 0, scalar_rows(ring, quot.rank, ring.one))
+    base = Lattice(localized, scalar_rows(ring, quot.rank, ring.one))
     if base.is_zero():
         return shortcut(base, False)
 
@@ -401,7 +327,7 @@ def intermediate_extension(localized, cap=None):
     # g, the minimal extension is the zero lattice and the localization
     # check holds as crystals (both sides nilpotent), not as modules.
     if span_equal(image_chain(quot, cap=cap)[-1], quot.relation_hnf()):
-        return shortcut(Lattice(localized, 0, []), True)
+        return shortcut(Lattice(localized, []), True)
 
     # e* is the longest saturation, over the base and every T_k computed
     counts = []
@@ -535,20 +461,13 @@ def ie_functorial(phi, cert_source=None, cert_target=None, cap=None):
     src_lat = cert_source.lattice
     tgt_lat = cert_target.lattice
     ring = phi.source.ring
-    g = phi.target.g
     tgt_gens = tgt_lat.generator_rows()
     tgt_rels = phi.target.quotient.effective_relations()
     images = []
     for row in src_lat.generator_rows():
-        frac = phi.apply((row, src_lat.k))
-        w, kf = frac
-        if kf > tgt_lat.k:
-            raise InvariantViolation(
-                "restricted image escaped the target lattice"
-            )
-        integral = vec_scale(w, g ** (tgt_lat.k - kf))
-        coords = solve_combination(
-            tgt_gens, tgt_rels, integral, tgt_lat.rank, ring
+        w, kf = phi.apply((row, 0))
+        coords = None if kf else solve_combination(
+            tgt_gens, tgt_rels, w, tgt_lat.rank, ring
         )
         if coords is None:
             raise InvariantViolation(
@@ -560,19 +479,16 @@ def ie_functorial(phi, cert_source=None, cert_target=None, cap=None):
 
 def _integral_matrix(phi):
     """Clear denominators: columns of g^D phi(e_j) in the target quotient,
-    together with the exponent D."""
+    D the largest exponent among the images."""
     g = phi.target.g
     D = max((k for _, k in phi.images), default=0)
-    cols = []
-    for w, k in phi.images:
-        cols.append(vec_scale(w, g ** (D - k)))
-    return cols, D
+    return [vec_scale(w, g ** (D - k)) for w, k in phi.images]
 
 
 def localized_kernel_is_zero(phi):
     """Is the morphism injective after inverting g?"""
     ring = phi.source.ring
-    cols, _ = _integral_matrix(phi)
+    cols = _integral_matrix(phi)
     rels_t = phi.target.quotient.effective_relations()
     rt = phi.target.quotient.rank
     gens = syzygy_generators(cols, rels_t, rt, ring) if cols else []
@@ -582,24 +498,11 @@ def localized_kernel_is_zero(phi):
 
 
 def localized_cokernel_is_zero(phi, cap=None):
-    """Is the morphism surjective after inverting g?"""
-    ring = phi.source.ring
-    g = phi.target.g
-    cols, _ = _integral_matrix(phi)
-    rels_t = list(phi.target.quotient.effective_relations())
-    rt = phi.target.quotient.rank
-    image_span = hnf_rows(cols + rels_t, rt, ring)
-    cap_n = iteration_cap(cap)
-    for v in scalar_rows(ring, rt, ring.one):
-        ok = False
-        for _ in range(cap_n + 1):
-            if in_span(v, image_span, ring):
-                ok = True
-                break
-            v = vec_scale(v, g)
-        if not ok:
-            return False
-    return True
+    """Is the morphism surjective after inverting g?  That is, does the
+    lattice its image spans in the target localize to everything?"""
+    return Lattice(phi.target, _integral_matrix(phi)).localization_agrees(
+        cap=cap
+    )
 
 
 def ie_exactness_probe(phi, cap=None):
@@ -761,7 +664,7 @@ def minimality_oracle(cert, degree_bound=4, state_cap=20000):
         n = lat.divides_in(e)
         if n is None:
             raise InvariantViolation("certificate lattice lost agreement")
-        target = vec_scale(e, g**n * g**lat.k)
+        target = vec_scale(e, g**n)
         coords = solve_combination(gens, rels, target, lat.rank, ring)
         if coords is None:
             raise InvariantViolation("certificate lattice lost agreement")

@@ -272,9 +272,6 @@ def sheaf_from_json(obj):
 def certificate_to_json(cert):
     lat = cert.lattice
     module = cert.module
-    names = module.generator_names or tuple(
-        f"m{i}" for i in range(module.rank)
-    )
     base_names = cert.localized.base.generator_names or tuple(
         f"m{i}" for i in range(cert.localized.base.rank)
     )

@@ -356,7 +356,7 @@ def syzygy_generators(gens, rels, r, ring):
     """Generators of {c in R^k : sum c_i gens_i lies in the span of rels}."""
     if not gens:
         return []
-    pivots, zero_tags = _tracked_echelon(gens, rels, r, ring)
+    _, zero_tags = _tracked_echelon(gens, rels, r, ring)
     return list(hnf_rows(zero_tags, len(gens), ring))
 
 
@@ -523,7 +523,7 @@ def module_invariants(relation_rows, r, ring):
     # generators of the relation module are columns of G (r x k)
     k = len(rels)
     G = [[rels[j][i] for j in range(k)] for i in range(r)]
-    D, U, V, Uinv = smith_normal_form(G, ring)
+    D, U, _, Uinv = smith_normal_form(G, ring)
     factors = []
     torsion, free = [], []
     for i in range(r):

@@ -608,7 +608,7 @@ def test_10_minimal_extension_certificates():
     w = omega_module(R)
     loc = open_pullback(w, x)
     cert = intermediate_extension(loc)
-    assert cert.lattice == Lattice(loc, 0, [(R.one,)])
+    assert cert.lattice == Lattice(loc, [(R.one,)])
     assert cert.indices["k_star"] == 1
     assert all(cert.checks.values())
     assert cert.module.kappa_table == w.kappa_table
@@ -622,7 +622,7 @@ def test_10_minimal_extension_certificates():
     )
     loc_tw = open_pullback(twisted, x)
     cert_tw = intermediate_extension(loc_tw)
-    assert cert_tw.lattice == Lattice(loc_tw, 0, [(x,)])
+    assert cert_tw.lattice == Lattice(loc_tw, [(x,)])
     assert all(cert_tw.checks.values())
     assert cert_tw.checks["quotient_nilpotent"]
     assert cert_tw.checks["quotient_nilpotent_kstar"]

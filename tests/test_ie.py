@@ -7,7 +7,9 @@ operator kappa'(f dx) = kappa(x f dx) extends to the sublattice x * (top
 forms), which is abstractly isomorphic to the standard module (the
 difference lives only in the embedding)."""
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,11 @@ from cartier_lab.ie import (
 )
 from cartier_lab.ie import test_module_sum as lattice_test_sum
 from cartier_lab.poly import PolyRing
+from cartier_lab.serialize import (
+    canonical_json,
+    certificate_to_json,
+    load_document,
+)
 from cartier_lab.submodules import (
     hnf_rows,
     scalar_rows,
@@ -52,6 +59,12 @@ from cartier_lab.submodules import (
 )
 
 SEED = 271828
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
+# sha256 over canonical_json(certificate_to_json(cert)) of every
+# certificate of pinned_localizations(), in order
+CERTIFICATE_PIN = (
+    "2b56c1d6454c70b70a8fd4df7c8a65be36691b185416715d13e2c0a529379a62"
+)
 
 
 @pytest.fixture
@@ -132,37 +145,24 @@ def test_nilpotent_free_module_counts_as_supported(line):
 def test_standard_lattice_is_saturated(standard, line):
     _, R, x = line
     w, loc = standard
-    L = Lattice(loc, 0, [(R.one,)])
+    L = Lattice(loc, [(R.one,)])
     assert kappa_saturate(L) == L
 
 
 def test_saturation_climbs_from_a_smaller_lattice(standard, line):
     _, R, x = line
     _, loc = standard
-    L = Lattice(loc, 0, [(R.one,)])
+    L = Lattice(loc, [(R.one,)])
     # x * (top forms) saturates up to the full lattice: kappa(x dx) = dx
-    assert kappa_saturate(Lattice(loc, 0, [(x,)])) == L
-
-
-def test_negative_exponent_lattice_is_fixed(standard, line):
-    _, R, x = line
-    _, loc = standard
-    L_inv = Lattice(loc, 1, [(R.one,)], reduce_exponent=False)
-    assert kappa_saturate(L_inv) == L_inv
-
-
-def test_lattice_equality_normalizes_exponents(standard, line):
-    _, R, x = line
-    _, loc = standard
-    assert Lattice(loc, 1, [(x,)]) == Lattice(loc, 0, [(R.one,)])
+    assert kappa_saturate(Lattice(loc, [(x,)])) == L
 
 
 def test_lattice_membership_and_division(standard, line):
     _, R, x = line
     _, loc = standard
-    L = Lattice(loc, 0, [(x,)])
-    assert L.contains(((x,), 0))
-    assert L.contains(((x,), 1)) is False  # x/x = 1 is not in x*omega
+    L = Lattice(loc, [(x,)])
+    assert L.contains((x,))
+    assert L.contains((R.one,)) is False  # dx is not in x * (top forms)
     exponent = L.divides_in((R.one,), cap=8)
     assert exponent is not None and exponent >= 1  # some x-power of dx enters
 
@@ -173,7 +173,7 @@ def test_unstable_lattice_refuses_module_presentation(standard, line):
     must fail loudly."""
     _, R, x = line
     _, loc = standard
-    L = Lattice(loc, 0, [(x,)])
+    L = Lattice(loc, [(x,)])
     assert not L.is_kappa_stable()
     with pytest.raises(InvariantViolation):
         L.to_module()
@@ -185,7 +185,7 @@ def test_unstable_lattice_refuses_module_presentation(standard, line):
 def test_sum_chain_is_stationary_for_the_standard_lattice(standard, line):
     _, R, x = line
     _, loc = standard
-    L = Lattice(loc, 0, [(R.one,)])
+    L = Lattice(loc, [(R.one,)])
     assert lattice_test_sum(L, 0) == L
     assert lattice_test_sum(L, 1) == L
 
@@ -193,15 +193,15 @@ def test_sum_chain_is_stationary_for_the_standard_lattice(standard, line):
 def test_sum_chain_for_the_twisted_lattice(twisted, line):
     _, R, x = line
     _, loc_tw = twisted
-    L = kappa_saturate(Lattice(loc_tw, 0, [(R.one,)]))
-    assert lattice_test_sum(L, 1) == Lattice(loc_tw, 0, [(x,)])
+    L = kappa_saturate(Lattice(loc_tw, [(R.one,)]))
+    assert lattice_test_sum(L, 1) == Lattice(loc_tw, [(x,)])
 
 
 def test_sum_requires_a_stable_lattice(standard, line):
     _, R, x = line
     _, loc = standard
     with pytest.raises(ValidationError):
-        lattice_test_sum(Lattice(loc, 0, [(x,)]), 1)
+        lattice_test_sum(Lattice(loc, [(x,)]), 1)
 
 
 # -------------------------------------------------------------- certificates
@@ -211,7 +211,7 @@ def test_certificate_for_the_standard_module(standard, line):
     _, R, x = line
     w, loc = standard
     cert = intermediate_extension(loc)
-    assert cert.lattice == Lattice(loc, 0, [(R.one,)])
+    assert cert.lattice == Lattice(loc, [(R.one,)])
     assert cert.indices["k_star"] == 1
     assert all(cert.checks.values())
     assert cert.module.kappa_table == w.kappa_table
@@ -225,7 +225,7 @@ def test_certificate_for_the_twisted_module(twisted, standard, line):
     w, _ = standard
     _, loc_tw = twisted
     cert = intermediate_extension(loc_tw)
-    assert cert.lattice == Lattice(loc_tw, 0, [(x,)])
+    assert cert.lattice == Lattice(loc_tw, [(x,)])
     assert all(cert.checks.values())
     assert cert.module.kappa_table == w.kappa_table
     assert cert.checks["quotient_nilpotent"]
@@ -314,14 +314,11 @@ def quotient_by_test_sum(cert, k):
     loc = cert.localized
     R = loc.ring
     inner = lattice_test_sum(lattice, k)
-    k_common = max(lattice.k, inner.k)
-    lift = loc.g ** (k_common - lattice.k)
-    gens = [vec_scale(v, lift) for v in lattice.generator_rows()]
+    gens = lattice.generator_rows()
     rels = loc.quotient.effective_relations()
     sub_rows = []
     for row in inner.generator_rows():
-        target = vec_scale(row, loc.g ** (k_common - inner.k))
-        coords = solve_combination(gens, rels, target, lattice.rank, R)
+        coords = solve_combination(gens, rels, row, lattice.rank, R)
         assert coords is not None, "test sum escaped the lattice"
         sub_rows.append(tuple(coords))
     quot, _ = quotient_module(cert.module, sub_rows)
@@ -341,9 +338,6 @@ def test_test_sums_of_the_certified_lattice_are_the_lattice():
         k_stars.append(k_star)
         L = cert.lattice
         R = loc.ring
-        rels = loc.quotient.effective_relations()
-        rehnf = hnf_rows(list(L.span) + list(rels), L.rank, R)
-        assert L.scaled_span(L.k) == rehnf
         for j in range(1, k_star + 2):
             assert lattice_test_sum(L, j) == L
         for k in sorted({1, k_star}):
@@ -360,7 +354,7 @@ def test_identity_check_rejects_an_enlarged_lattice(twisted):
     minimal extension: its first test sum is strictly smaller."""
     _, loc_tw = twisted
     R = loc_tw.ring
-    big = Lattice(loc_tw, 0, [(R.one,)])
+    big = Lattice(loc_tw, [(R.one,)])
     assert big.is_kappa_stable()
     assert kappa_saturate(big.g_multiple(1)) != big
 
@@ -370,11 +364,100 @@ def test_a_failed_identity_check_refuses_the_certificate(
 ):
     _, loc_tw = twisted
     def shrunk(lattice, cap=None):
-        return Lattice(lattice.localized, 0, [])
+        return Lattice(lattice.localized, [])
 
     monkeypatch.setattr(ie, "kappa_saturate", shrunk)
     with pytest.raises(CertificateFailed, match="quotient_nilpotent"):
         intermediate_extension(loc_tw)
+
+
+def pinned_localizations():
+    """The seeded localizations and the twisted example at g = x."""
+    twist = load_document(EXAMPLES / "omega_twist_x.json")
+    return seeded_localizations() + [open_pullback(twist, twist.ring.var(0))]
+
+
+def test_certificates_match_the_pinned_digest():
+    """Any change to a certificate lattice, its operator table, a check,
+    e* or k* changes the report bytes and fails here."""
+    digest = hashlib.sha256()
+    for loc in pinned_localizations():
+        cert = intermediate_extension(loc)
+        digest.update(canonical_json(certificate_to_json(cert)).encode())
+    assert digest.hexdigest() == CERTIFICATE_PIN
+
+
+def reference_saturation(loc, rows):
+    """The operator saturation of the span of ``rows`` as a plain loop on
+    HNFs: rows <- HNF(rows + kappa(x^a rows) + relations) to a fixed
+    point."""
+    quot = loc.quotient
+    R = loc.ring
+    rels = list(quot.effective_relations())
+    span = hnf_rows(list(rows) + rels, quot.rank, R)
+    for _ in range(64):
+        images = [
+            quot.apply_kappa(vec_scale(row, R.monomial(a)))
+            for row in span
+            for a in R.pth_basis()
+        ]
+        nxt = hnf_rows(list(span) + images + rels, quot.rank, R)
+        if nxt == span:
+            return span
+        span = nxt
+    raise AssertionError("reference saturation did not stop")
+
+
+def reference_lattice(loc):
+    """The certificate lattice recomputed with ``reference_saturation``:
+    T_k = sat(g^k L0), L0 the saturated whole quotient, down to the first
+    k with T_(k+1) = T_k."""
+    R = loc.ring
+    saturated = reference_saturation(
+        loc, scalar_rows(R, loc.quotient.rank, R.one)
+    )
+    current = None
+    for k in range(1, 64):
+        gk = loc.g ** k
+        nxt = reference_saturation(loc, [vec_scale(v, gk) for v in saturated])
+        if nxt == current:
+            return current
+        current = nxt
+    raise AssertionError("reference test sums did not stop")
+
+
+def test_saturation_matches_a_reference_fixed_point_loop(monkeypatch):
+    """kappa_saturate and every full-path certificate lattice agree with
+    the reference loop, and every lattice the minimal extension reaches
+    lies inside its base lattice, the whole quotient."""
+    reached = []
+    chain = ie._saturation_chain
+
+    def recorded(lattice, cap=None):
+        out = chain(lattice, cap)
+        reached.extend(out)
+        return out
+
+    monkeypatch.setattr(ie, "_saturation_chain", recorded)
+    full_path = 0
+    for loc in seeded_localizations():
+        R = loc.ring
+        x = R.var(0)
+        units = scalar_rows(R, loc.quotient.rank, R.one)
+        for f in (x, loc.g, x + R.one):
+            rows = [vec_scale(e, f) for e in units]
+            assert kappa_saturate(Lattice(loc, rows)).span == (
+                reference_saturation(loc, rows)
+            )
+        reached.clear()
+        cert = intermediate_extension(loc)
+        base = Lattice(loc, units)
+        assert all(base.contains(row) for L in reached for row in L.span)
+        if cert.indices["k_star"] == 0:
+            continue
+        full_path += 1
+        assert cert.lattice.span == reference_lattice(loc)
+    assert full_path >= 6
 
 
 def test_each_certificate_path_builds_its_lattice_module_once(
@@ -481,7 +564,7 @@ def test_minimality_oracle_rejects_an_enlarged_lattice(twisted):
     must flag it."""
     _, loc_tw = twisted
     R = loc_tw.ring
-    big = Lattice(loc_tw, 0, [(R.one,)])
+    big = Lattice(loc_tw, [(R.one,)])
     assert big.is_kappa_stable()
     fake = IECertificate(
         big,

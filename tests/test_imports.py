@@ -3,7 +3,8 @@ its ``__all__``, or re-exported by an import marked ``# noqa: F401``; and
 every module-level private function or class is referenced somewhere in
 the package outside its own definition, and every public one is
 re-exported by ``cartier_lab/__init__`` or referenced in ``src`` or
-``perfbench`` outside its definition and ``__all__``; and every method
+``perfbench`` outside its definition and ``__all__``; and every name a
+function stores is loaded somewhere in that function; and every method
 of a package class is referenced by name in ``src``, ``tests`` or
 ``perfbench`` outside its own definition; and NonStabilized is raised
 only by the one stabilization loop, ``errors.stabilize``."""
@@ -142,6 +143,61 @@ def test_package_has_no_dead_public_helpers():
     kept for the tests alone."""
     assert [h for h in package_dead_helpers()
             if not h[1].startswith("_")] == []
+
+
+def dead_locals(source):
+    """(line, name) of each name a function in ``source`` stores and that
+    nothing in the function, its nested functions included, loads.  Names
+    declared global or nonlocal and the placeholder ``_`` are exempt; a
+    nested function's or class's own stores count for that scope."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, scopes) or isinstance(fn, ast.ClassDef):
+            continue
+        loaded = {
+            n.id for n in ast.walk(fn)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        declared, stored = {"_"}, []
+        todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.append((node.lineno, node.id))
+            if not isinstance(node, scopes):
+                todo.extend(ast.iter_child_nodes(node))
+        found.update(
+            (line, name) for line, name in stored
+            if name not in loaded and name not in declared
+        )
+    return sorted(found)
+
+
+def test_scanner_finds_a_dead_local():
+    source = (
+        "def f(v):\n"
+        "    a, b = v\n"
+        "    _, c = v\n"
+        "    total = 0\n"
+        "    def g():\n"
+        "        nonlocal total\n"
+        "        total = c\n"
+        "        unused = 1\n"
+        "    for i in v:\n"
+        "        g()\n"
+        "    return a, total\n"
+    )
+    assert dead_locals(source) == [(2, "b"), (8, "unused"), (9, "i")]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name
+)
+def test_module_has_no_dead_locals(path):
+    assert dead_locals(path.read_text(encoding="utf-8")) == []
 
 
 def non_stabilized_calls(sources):

@@ -112,7 +112,7 @@ def _saturation():
     # x * (top forms) saturates to all top forms in one proper step
     R, x = _line(2)
     loc = open_pullback(omega_module(R), x)
-    return lambda cap: kappa_saturate(Lattice(loc, 0, [(x,)]), cap=cap)
+    return lambda cap: kappa_saturate(Lattice(loc, [(x,)]), cap=cap)
 
 
 def _test_sums():
