@@ -30,7 +30,7 @@ from .errors import (
     stabilize,
 )
 from .fields import SemilinearMap, P_INV_LINEAR, _mat_pow
-from .poly import Polynomial, frobenius_decompose
+from .poly import Polynomial, _addmul, frobenius_decompose
 from .submodules import (
     Presentation,
     hnf_rows,
@@ -160,16 +160,18 @@ class CartierModule(Presentation):
     # -- kappa -------------------------------------------------------------
 
     def _apply_raw(self, v):
-        out = list(zero_vector(self.ring, self.rank))
+        """kappa(sum_j f_j g_j) = sum_(j, a) g_(j,a) kappa(x^a g_j), summed
+        in place into one term dict per output coordinate."""
+        ring = self.ring
+        out = [{} for _ in range(self.rank)]
         for j, f in enumerate(v):
             if f.is_zero():
                 continue
             for a, g in frobenius_decompose(f).items():
-                val = self.kappa_table[(a, j)]
-                for i in range(self.rank):
-                    if not val[i].is_zero():
-                        out[i] = out[i] + g * val[i]
-        return tuple(out)
+                for acc, h in zip(out, self.kappa_table[(a, j)]):
+                    if h.terms:
+                        _addmul(ring, acc, g.terms, h.terms)
+        return tuple(Polynomial(ring, acc) for acc in out)
 
     def apply_kappa(self, v):
         return self.normal_form(self._apply_raw(self.check_element(v)))

@@ -16,9 +16,12 @@ logarithms), and division works in place on one dict of codes.  Exponent
 tuples and ``FieldElement`` appear only at the edges: ``leading``,
 ``coeff``, ``items``, ``sorted_terms``, parsing and printing.
 
-Gröbner bases come from a plain Buchberger loop (inputs capped at total
-degree 12) and are inter-reduced to the unique reduced basis, so normal
-forms are canonical representatives in quotient rings.
+Gröbner bases come from Buchberger's algorithm with the normal strategy
+and the Gebauer–Möller pair criteria (inputs capped at total degree 12,
+reduced S-pairs capped at 20000); the final basis is made minimal and
+each element is reduced once by the others, which gives the unique
+reduced basis, so normal forms are canonical representatives in
+quotient rings.
 
 The p-power structure enters through ``frobenius_decompose``: every f has
 a unique expansion f = sum_a g_a^p x^a over exponent vectors a in [0,p)^n,
@@ -126,6 +129,18 @@ def _axpy(ctx, acc, terms, shift, c):
             del acc[k]
         else:
             acc[k] = exp[lcur + z]
+
+
+def _addmul(ring, acc, a, b):
+    """acc += a b in place, for nonzero term dicts a and b of ``ring``: the
+    loop runs over the shorter factor, and the degree cap is checked once
+    for the product."""
+    if len(a) > len(b):
+        a, b = b, a
+    _check_degree(ring, max(a) + max(b))
+    ctx = ring.ctx
+    for k, c in a.items():
+        _axpy(ctx, acc, b, k, c)
 
 
 _RINGS = {}  # (ctx, variables) -> PolyRing; contexts compare by identity
@@ -294,14 +309,9 @@ class Polynomial:
                 _axpy(ring.ctx, out, self.terms, 0, ring._code(other))
             return Polynomial(ring, out)
         self._check(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
+        if not self.terms or not other.terms:
             return ring.zero
-        if len(a) > len(b):
-            a, b = b, a
-        _check_degree(ring, max(a) + max(b))
-        for k, c in a.items():
-            _axpy(ring.ctx, out, b, k, c)
+        _addmul(ring, out, self.terms, other.terms)
         return Polynomial(ring, out)
 
     __rmul__ = __mul__
@@ -690,6 +700,22 @@ def s_polynomial(f, g):
 def buchberger(generators, tracked=False):
     """Reduced Gröbner basis (grevlex) of the given generators.
 
+    Buchberger's algorithm with the normal strategy: the pending pair
+    with the smallest lcm of leading monomials is reduced first.  Each
+    input generator, and each nonzero remainder h, enters through the
+    Gebauer–Möller update (J. Symb. Comput. 6, 1988; in the form of
+    Becker–Weispfenning, *Gröbner Bases*, 1993, p. 230):
+    of the new pairs (g, h) only those whose lcm is minimal under
+    divisibility survive, one per lcm, and none whose lcm class holds a
+    coprime pair; an old pair (i, j) goes when LM(h) divides its lcm L
+    and neither lcm(i, h) nor lcm(j, h) is L; and every active element
+    whose leading monomial LM(h) divides leaves the active set, which is
+    what S-polynomials are divided by.  The active set ends as a
+    Gröbner basis; dropping the elements whose leading monomial is a
+    multiple of another's makes it minimal, and reducing each element
+    once by the others makes it the unique reduced basis
+    (Cox–Little–O'Shea, §2.7).
+
     With ``tracked=True`` also returns, for each basis element, its
     expression as a combination of the input generators.
     """
@@ -705,13 +731,15 @@ def buchberger(generators, tracked=False):
     if ring is None:
         return ([], []) if tracked else []
 
+    n = ring.nvars
     inv = ring.ctx._inv
+    le = operator.le
     # exprs[i] expresses basis[i] in the n_in inputs; untracked, they stay
     # empty
     n_in = len(gens) if tracked else 0
-    basis = list(gens)
-    exprs = [[ring.one if j == i else ring.zero for j in range(n_in)]
-             for i in range(len(gens))]
+    basis, exprs, lexps = [], [], []  # lexps: leading exponents
+    active = []  # indices into basis, in order of arrival
+    pairs = []  # (lcm key, i, j, lcm exponents)
 
     def minus_combination(fexpr, quots, bexprs):
         """fexpr - sum_i quots[i] bexprs[i]."""
@@ -722,52 +750,76 @@ def buchberger(generators, tracked=False):
                     out[k] = out[k] - q * bexpr[k]
         return out
 
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    def update(h, hexpr):
+        """The Gebauer–Möller update for a new element h."""
+        k = len(basis)
+        eh = _unpack(max(h.terms), n)
+        basis.append(h)
+        exprs.append(hexpr)
+        lexps.append(eh)
+        # lcm of each new pair (g, h) -> the first g, or None if one is coprime
+        new = {}
+        for g in active:
+            e = tuple(map(max, lexps[g], eh))
+            if any(map(min, lexps[g], eh)):
+                new.setdefault(e, g)
+            else:
+                new[e] = None
+        # an old pair goes if LM(h) divides its lcm L and lcm(i, h) and
+        # lcm(j, h) both differ from L
+        pairs[:] = [
+            pr for pr in pairs
+            if not all(map(le, eh, pr[3]))
+            or tuple(map(max, lexps[pr[1]], eh)) == pr[3]
+            or tuple(map(max, lexps[pr[2]], eh)) == pr[3]
+        ]
+        for e, g in new.items():
+            if g is not None and not any(
+                    f != e and all(map(le, f, e)) for f in new):
+                pairs.append((_pack(e), g, k, e))
+        active[:] = [g for g in active if not all(map(le, eh, lexps[g]))]
+        active.append(k)
+
+    for i, g in enumerate(gens):
+        update(g, [ring.one if j == i else ring.zero for j in range(n_in)])
+
     processed = 0
     while pairs:
         processed += 1
         if processed > _BUCHBERGER_PAIR_CAP:
             raise CapExceeded("Buchberger pair cap exceeded")
-        i, j = pairs.pop(0)
+        pair = min(pairs)
+        pairs.remove(pair)
+        lcm, i, j, _ = pair
         fi, fj = basis[i], basis[j]
-        mi, mj = max(fi.terms), max(fj.terms)
-        lcm = _lcm(mi, mj, ring.nvars)
-        if lcm == mi + mj:
-            continue  # coprime leading monomials
         s = s_polynomial(fi, fj)
-        sexpr = [ring.zero] * n_in
-        tf = Polynomial(ring, {lcm - mi: inv[fi.terms[mi]]})
-        tg = Polynomial(ring, {lcm - mj: inv[fj.terms[mj]]})
-        for k in range(n_in):
-            sexpr[k] = tf * exprs[i][k] - tg * exprs[j][k]
-        quots, rem = divmod_multi(s, basis)
-        if not rem.is_zero():
-            pairs.extend((k, len(basis)) for k in range(len(basis)))
-            basis.append(rem)
-            exprs.append(minus_combination(sexpr, quots, exprs))
+        quots, rem = divmod_multi(s, [basis[g] for g in active])
+        if rem.is_zero():
+            continue
+        sexpr = []
+        if tracked:
+            mi, mj = max(fi.terms), max(fj.terms)
+            tf = Polynomial(ring, {lcm - mi: inv[fi.terms[mi]]})
+            tg = Polynomial(ring, {lcm - mj: inv[fj.terms[mj]]})
+            sexpr = [tf * a - tg * b for a, b in zip(exprs[i], exprs[j])]
+        update(rem, minus_combination(
+            sexpr, quots, [exprs[g] for g in active]))
 
-    # inter-reduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            others = basis[:i] + basis[i + 1 :]
-            oexprs = exprs[:i] + exprs[i + 1 :]
-            if not others:
-                continue
-            quots, rem = divmod_multi(basis[i], others)
-            if rem != basis[i]:
-                if rem.is_zero():
-                    basis.pop(i)
-                    exprs.pop(i)
-                else:
-                    basis[i] = rem
-                    exprs[i] = minus_combination(exprs[i], quots, oexprs)
-                changed = True
-                break
-    # normalize monic, sort by leading monomial
+    # the minimal basis: no leading monomial divides another (update
+    # leaves no two equal ones active), then each element reduced once by
+    # the others
+    minimal = [
+        g for g in active
+        if not any(o != g and all(map(le, lexps[o], lexps[g]))
+                   for o in active)
+    ]
     out = []
-    for b, ex in zip(basis, exprs):
+    for g in minimal:
+        others = [o for o in minimal if o != g]
+        b, ex = basis[g], exprs[g]
+        if others:
+            quots, b = divmod_multi(b, [basis[o] for o in others])
+            ex = minus_combination(ex, quots, [exprs[o] for o in others])
         u = b.leading()[1].inv()
         out.append((b * u, [e * u for e in ex]))
     out.sort(key=lambda t: max(t[0].terms), reverse=True)
@@ -978,37 +1030,23 @@ def is_regular_sequence(seq, ring):
     for f in seq:
         if f.ring is not ring:
             raise ContextMismatchError("sequence element from a different ring")
-    current = []
-    gb = []
+    gb = []  # reduced basis of the prefix ideal
     for f in seq:
         if any(g.is_unit() for g in gb):
             return True  # quotient is the zero ring; all further steps regular
-        nf = normal_form(f, gb) if gb else f
+        nf = normal_form(f, gb)
         if nf.is_zero():
             return False  # f lies in the ideal: multiplies to zero
-        if not current:
-            current.append(f)
-            gb = buchberger(current)
-            continue
-        if all(g.total_degree() <= 1 for g in gb):
-            # ideal generated by linear polynomials: quotient is a domain
-            current.append(f)
-            gb = buchberger(current)
-            continue
-        if len(gb) == 1 and ring.nvars <= 2:
-            g = gb[0]
-            d = (
-                gcd_univariate(g, nf)
-                if ring.nvars == 1
-                else gcd_bivariate(g, nf)
-            )
-            if not d.is_unit():
+        # the first element, or an ideal generated by linear polynomials
+        # (the quotient is a domain), passes as it is
+        if gb and not all(g.total_degree() <= 1 for g in gb):
+            if len(gb) != 1 or ring.nvars > 2:
+                raise UnsupportedRingError(
+                    "cannot certify regularity at this step (ideal neither "
+                    "linear nor principal in <= 2 variables)"
+                )
+            gcd = gcd_univariate if ring.nvars == 1 else gcd_bivariate
+            if not gcd(gb[0], nf).is_unit():
                 return False
-            current.append(f)
-            gb = buchberger(current)
-            continue
-        raise UnsupportedRingError(
-            "cannot certify regularity at this step (ideal neither linear nor "
-            "principal in <= 2 variables)"
-        )
+        gb = buchberger(gb + [f])
     return True

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from cartier_lab import cli
+from cartier_lab import cli, poly
 from cartier_lab.cli import main
 from cartier_lab.errors import InvariantViolation
 
@@ -554,6 +554,25 @@ def test_degree_under_the_cap_validates_and_converts(capsys, tmp_path):
     code, rep, _ = report(capsys, ["to-gamma", path, "--no-timings"])
     assert code == 0
     assert rep["result"]["gamma"] == [["x^2000000001"]]
+
+
+def test_buchberger_pair_cap_exits_2(capsys, tmp_path, monkeypatch):
+    """koszul-pullback of the top forms on F_3[x,y] along (x*y+1, x^2+y)
+    reduces S-pairs; with the pair cap at 0 it exits 2 with no traceback."""
+    kappa = {f"{a} {b},0": ["1" if (a, b) == (2, 2) else "0"]
+             for a in range(3) for b in range(3)}
+    doc = {"ring": {"p": 3, "e": 1, "vars": ["x", "y"]}, "generators": 1,
+           "kappa": kappa}
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["koszul-pullback", str(path), "--seq", "x*y+1,x^2+y", "--no-timings"]
+    code, _, _ = report(capsys, argv)
+    assert code == 0
+    monkeypatch.setattr(poly, "_BUCHBERGER_PAIR_CAP", 0)
+    code, rep, err = report(capsys, argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "pair cap" in rep["error"]["message"]
 
 
 def test_missing_file_is_validation_error(capsys, tmp_path):

@@ -13,10 +13,12 @@ from cartier_lab.errors import (
     ParseError,
     ValidationError,
 )
+from cartier_lab import poly
 from cartier_lab.fields import Fq, FrobeniusContext
 from cartier_lab.poly import (
     IdealSpec,
     PolyRing,
+    Polynomial,
     buchberger,
     divmod_multi,
     frobenius_component,
@@ -26,6 +28,7 @@ from cartier_lab.poly import (
     normal_form,
     s_polynomial,
     solve_membership,
+    _lcm,
     _pack,
     _unpack,
 )
@@ -499,3 +502,113 @@ def test_total_degree_is_capped_below_2_32():
     ):
         with pytest.raises(CapExceeded, match="cap 2\\^32 - 1"):
             build()
+
+
+# ------------------------------------------- Buchberger against a reference
+
+
+def _reference_buchberger(generators):
+    """The plain Buchberger loop ``buchberger`` replaced, kept as the
+    reference: pairs in arrival order with only the coprime test, each
+    S-polynomial divided by every element so far, and inter-reduction
+    restarted after every change.  Untracked and uncapped."""
+    basis = [g for g in generators if not g.is_zero()]
+    if not basis:
+        return []
+    n = basis[0].ring.nvars
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        i, j = pairs.pop(0)
+        mi, mj = max(basis[i].terms), max(basis[j].terms)
+        if _lcm(mi, mj, n) == mi + mj:
+            continue  # coprime leading monomials
+        rem = divmod_multi(s_polynomial(basis[i], basis[j]), basis)[1]
+        if not rem.is_zero():
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(rem)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            others = basis[:i] + basis[i + 1:]
+            if not others:
+                continue
+            rem = divmod_multi(basis[i], others)[1]
+            if rem != basis[i]:
+                if rem.is_zero():
+                    basis.pop(i)
+                else:
+                    basis[i] = rem
+                changed = True
+                break
+    out = [b * b.leading()[1].inv() for b in basis]
+    return sorted(out, key=lambda b: max(b.terms), reverse=True)
+
+
+def _shaped_generator(rng, R, degree, nterms):
+    """One term of exact degree ``degree`` and nterms - 1 of lower degree,
+    with random nonzero coefficients: the shape of perfbench's ideals."""
+    n = R.nvars
+    while True:
+        lead = tuple(rng.randrange(degree + 1) for _ in range(n))
+        if sum(lead) == degree:
+            break
+    support = [lead]
+    while len(support) < nterms:
+        exps = tuple(rng.randrange(degree) for _ in range(n))
+        if sum(exps) < degree and exps not in support:
+            support.append(exps)
+    return Polynomial(R, {_pack(e): rng.randrange(1, R.ctx.q) for e in support})
+
+
+def _shaped_ideals(p, e, count=20):
+    """Seeded ideals of three generators: degree 4 with 3 terms in two
+    variables, or degree 3 with 4 terms in three.  Every fourth ideal gets
+    a fourth generator x*g_0 + g_1, whose leading monomial is a multiple
+    of g_0's, so the active set ends with a non-minimal element."""
+    rng = random.Random(SEED + 100 * p + e)
+    for k in range(count):
+        R = ring(p, e, 2 + k % 2)
+        degree, nterms = (4, 3) if R.nvars == 2 else (3, 4)
+        gens = [_shaped_generator(rng, R, degree, nterms) for _ in range(3)]
+        if k % 4 == 3:
+            gens.append(R.var(0) * gens[0] + gens[1])
+        yield R, gens
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_buchberger_equals_the_reference_loop(p, e):
+    """Same reduced bases as the plain loop, term for term; the tracked
+    expressions rebuild every element, and membership cofactors rebuild
+    seeded members."""
+    rng = random.Random(SEED + p + 10 * e)
+    for R, gens in _shaped_ideals(p, e):
+        gb = buchberger(gens)
+        assert [g.terms for g in gb] == [
+            g.terms for g in _reference_buchberger(gens)]
+        tracked, exprs = buchberger(gens, tracked=True)
+        assert tracked == gb
+        for g, row in zip(tracked, exprs):
+            acc = R.zero
+            for c, gen in zip(row, gens):
+                acc = acc + c * gen
+            assert acc == g
+        member = R.zero
+        for gen in gens:
+            member = member + R.random_poly(rng, max_degree=2, max_terms=2) * gen
+        coeffs = solve_membership(member, gens)
+        acc = R.zero
+        for c, gen in zip(coeffs, gens):
+            acc = acc + c * gen
+        assert acc == member
+
+
+def test_buchberger_pair_cap(monkeypatch):
+    """The cap counts the S-pairs actually reduced."""
+    R = ring(5, nvars=3)
+    gens = [R.parse("y+4*x^2"), R.parse("z+4*x^3")]
+    monkeypatch.setattr(poly, "_BUCHBERGER_PAIR_CAP", 1)
+    with pytest.raises(CapExceeded, match="pair cap"):
+        buchberger(gens)
+    monkeypatch.setattr(poly, "_BUCHBERGER_PAIR_CAP", 3)
+    assert len(buchberger(gens)) == 3
