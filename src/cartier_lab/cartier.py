@@ -608,7 +608,8 @@ def _finite_length(module):
 
 def _max_nil_finite(module):
     """The maximal nilpotent Cartier submodule of a finite-length module,
-    as the HNF rows of its span that lie outside the relation span.
+    as the HNF rows of its span that lie outside the relation span, or
+    None when it is the whole module.
 
     With d = dim_{F_q} M it is W = {m : kappa^d(x^s m) = 0, 0 <= s < d}.
     W is a submodule: x^d is an F_q-combination of the x^s on M.  It is
@@ -635,6 +636,8 @@ def _max_nil_finite(module):
             rows, pivots = kernels.rref_mod_p(np.vstack([rows, rows @ x % p]), p)
             rows, x = rows[: pivots.size], x @ x % p
     null = kernels.nullspace_mod_p(rows, p)
+    if len(null) == d * e:
+        return None
     codes = null.reshape(len(null), d, e) @ p ** np.arange(e)
     vecs = [
         model.from_coords([ctx.from_int(c) for c in row])
@@ -660,6 +663,23 @@ def max_nilpotent_submodule(module, cap=None):
     order (nilpotency order of the submodule).
     """
     _require_pid(module, "max_nilpotent_submodule")
+    finite = _finite_length(module)
+    gens = _max_nil_finite(module) if finite else None
+    if gens is not None:
+        sub, incl = submodule_module(module, gens)
+        nil, order = is_nilpotent(sub, cap=cap)
+        if not nil:
+            raise InvariantViolation(
+                "maximal nilpotent candidate failed its nilpotency check"
+            )
+        return {
+            "generators": gens,
+            "module": sub,
+            "inclusion": incl,
+            "partial": False,
+            "order": order,
+        }
+    # kappa^d vanishes on all of M, or M has positive rank
     nil, order = is_nilpotent(module, cap=cap)
     if nil:
         ident = CartierMorphism.identity(module)
@@ -670,22 +690,11 @@ def max_nilpotent_submodule(module, cap=None):
             "partial": False,
             "order": order,
         }
+    if finite:
+        raise InvariantViolation(
+            "module on which kappa^d vanishes failed its nilpotency check"
+        )
     ring = module.ring
-    if _finite_length(module):
-        gens = _max_nil_finite(module)
-        sub, incl = submodule_module(module, gens)
-        nil2, order2 = is_nilpotent(sub, cap=cap)
-        if not nil2:
-            raise InvariantViolation(
-                "maximal nilpotent candidate failed its nilpotency check"
-            )
-        return {
-            "generators": gens,
-            "module": sub,
-            "inclusion": incl,
-            "partial": False,
-            "order": order2,
-        }
     # positive free rank: restrict to the torsion part
     info = module_invariants(module.effective_relations(), module.rank, ring)
     tors_gens = []

@@ -23,9 +23,14 @@ each element is reduced once by the others, which gives the unique
 reduced basis, so normal forms are canonical representatives in
 quotient rings.
 
+Weak regular sequences are decided by dimension count: each prefix ideal
+must be the unit ideal or have height equal to its length, with
+dim R/I read off the leading monomials of its reduced Gröbner basis.
+
 The p-power structure enters through ``frobenius_decompose``: every f has
 a unique expansion f = sum_a g_a^p x^a over exponent vectors a in [0,p)^n,
-computed termwise with the p-th root on coefficients.
+computed termwise with the p-th root on coefficients; powers f^n with
+n >= p take their base-p digits through the termwise ``pth_power``.
 """
 
 import itertools
@@ -321,6 +326,10 @@ class Polynomial:
             raise ValidationError("negative polynomial power")
         if self.terms and n:
             _check_degree(self.ring, max(self.terms) * n)
+        p = self.ring.ctx.p
+        if n >= p:
+            # f^n = (f^(n div p))^p f^(n mod p), the p-th power termwise
+            return (self ** (n // p)).pth_power() * self ** (n % p)
         result = self.ring.one
         base = self
         while n:
@@ -360,28 +369,6 @@ class Polynomial:
         if len(exps) != self.ring.nvars or any(x < 0 for x in exps):
             raise ValidationError(f"bad exponent vector {exps}")
         return self.ring.ctx._elems[self.terms.get(_pack(exps), 0)]
-
-    def substitute(self, assignments):
-        """Substitute {var index: Polynomial in a target ring}.
-
-        Every variable of self must be assigned; constants map through.
-        """
-        ring = None
-        for v in assignments.values():
-            ring = v.ring
-            break
-        if ring is None:
-            raise ValidationError("empty substitution")
-        out = ring.zero
-        for e, c in self.items():
-            term = ring.scalar(c)
-            for i, k in enumerate(e):
-                if k:
-                    if i not in assignments:
-                        raise ValidationError(f"no assignment for variable index {i}")
-                    term = term * (assignments[i] ** k)
-            out = out + term
-        return out
 
     def sorted_terms(self):
         """(exponent tuple, FieldElement) pairs, grevlex-descending."""
@@ -501,6 +488,17 @@ def _parse_coeff_atom(tk, ctx):
     raise ParseError("expected a coefficient", tk.text, tk.pos)
 
 
+def _take_exponent(tk):
+    """An optional ^k with k >= 1; 1 when there is none."""
+    if tk.peek() != "^":
+        return 1
+    tk.expect("^")
+    k = tk.take_int()
+    if k < 1:
+        raise ParseError("exponent must be >= 1", tk.text, tk.pos)
+    return k
+
+
 def _parse_t_term(tk, ctx):
     """One term of a t-polynomial: INT, t, t^k, INT*t, INT*t^k."""
     ch = tk.peek()
@@ -514,12 +512,7 @@ def _parse_t_term(tk, ctx):
     name = tk.take_name()
     if name != "t":
         raise ParseError(f"unknown name {name!r} in coefficient", tk.text, tk.pos)
-    k = 1
-    if tk.peek() == "^":
-        tk.expect("^")
-        k = tk.take_int()
-        if k < 1:
-            raise ParseError("exponent must be >= 1", tk.text, tk.pos)
+    k = _take_exponent(tk)
     if ctx.e == 1:
         raise ParseError("generator t used over a prime field", tk.text, tk.pos)
     return ctx.scalar(coeff) * ctx.gen**k
@@ -529,39 +522,21 @@ def _parse_term(tk, ring):
     ctx = ring.ctx
     coeff = ctx.one
     exps = [0] * ring.nvars
-    saw_factor = False
     ch = tk.peek()
-    bare_t = False
+    lead = None  # the reader of a leading coefficient, if the term has one
     if ch is not None and ch.isalpha():
         # a bare t-power may lead a term as its coefficient
         mark = tk.pos
-        name = tk.take_name()
-        if name == "t":
-            bare_t = True
-        else:
-            tk.pos = mark
-    if bare_t:
-        k = 1
-        if tk.peek() == "^":
-            tk.expect("^")
-            k = tk.take_int()
-            if k < 1:
-                raise ParseError("exponent must be >= 1", tk.text, tk.pos)
-        if ctx.e == 1:
-            raise ParseError("generator t used over a prime field", tk.text, tk.pos)
-        coeff = ctx.gen**k
-        saw_factor = True
-        if tk.peek() == "*":
-            tk.expect("*")
-        else:
-            return ring.scalar(coeff)
+        if tk.take_name() == "t":
+            lead = _parse_t_term
+        tk.pos = mark
     elif ch is not None and (ch.isdigit() or ch == "("):
-        coeff = _parse_coeff_atom(tk, ctx)
-        saw_factor = True
-        if tk.peek() == "*":
-            tk.expect("*")
-        else:
+        lead = _parse_coeff_atom
+    if lead is not None:
+        coeff = lead(tk, ctx)
+        if tk.peek() != "*":
             return ring.scalar(coeff)
+        tk.expect("*")
     while True:
         name = tk.take_name()
         if name == "t":
@@ -573,21 +548,10 @@ def _parse_term(tk, ring):
         i = ring.vars.index(name)
         if exps[i] != 0:
             raise ParseError(f"variable {name!r} repeated in term", tk.text, tk.pos)
-        k = 1
-        if tk.peek() == "^":
-            tk.expect("^")
-            k = tk.take_int()
-            if k < 1:
-                raise ParseError("exponent must be >= 1", tk.text, tk.pos)
-        exps[i] = k
-        saw_factor = True
-        if tk.peek() == "*":
-            tk.expect("*")
-            continue
-        break
-    if not saw_factor:
-        raise ParseError("empty term", tk.text, tk.pos)
-    return ring.monomial(exps, coeff)
+        exps[i] = _take_exponent(tk)
+        if tk.peek() != "*":
+            return ring.monomial(exps, coeff)
+        tk.expect("*")
 
 
 def _parse_poly(ring, text):
@@ -898,7 +862,7 @@ def solve_membership(f, generators):
 
 
 # ---------------------------------------------------------------------------
-# Univariate and bivariate gcd
+# Univariate gcd
 # ---------------------------------------------------------------------------
 
 
@@ -915,138 +879,58 @@ def gcd_univariate(f, g):
     return a.monic()
 
 
-def _bivar_as_univar_in(f, main):
-    """Dense coefficients of f in variable ``main``; each coeff is a
-    polynomial of the one-variable ring in the other variable."""
-    ring = f.ring
-    other = 1 - main
-    sub = PolyRing(ring.ctx, (ring.vars[other],))
-    d = f.degree_in(main)
-    out = [sub.zero] * (d + 1)
-    for e, c in f.items():
-        out[e[main]] = out[e[main]] + sub.monomial((e[other],), c)
-    return out, sub
-
-
-def _univar_list_gcd(polys):
-    g = None
-    for f in polys:
-        if f.is_zero():
-            continue
-        g = f if g is None else gcd_univariate(g, f)
-    return g
-
-
-def gcd_bivariate(f, g):
-    """Monic-leading gcd in F_q[x,y] via primitive-part pseudo-Euclid."""
-    ring = f.ring
-    if ring.nvars != 2:
-        raise UnsupportedRingError("gcd_bivariate needs a two-variable ring")
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    main = 1  # treat as polynomials in the second variable
-
-    def content_pp(h):
-        dense, sub = _bivar_as_univar_in(h, main)
-        cont = _univar_list_gcd(dense)
-        pp = [_exact_div_1var(c, cont) for c in dense]
-        return cont, pp, sub
-
-    cf, pf, sub = content_pp(f)
-    cg, pg, _ = content_pp(g)
-    cont_gcd = gcd_univariate(cf, cg)
-
-    a, b = pf, pg
-    while True:
-        b = [c for c in b]
-        while b and b[-1].is_zero():
-            b.pop()
-        if not b:
-            break
-        a = _pseudo_rem(a, b)
-        a, b = b, a
-    while a and a[-1].is_zero():
-        a.pop()
-    # primitive part of the final remainder sequence element
-    cont_a = _univar_list_gcd(a)
-    pp_a = [_exact_div_1var(c, cont_a) for c in a]
-    result = ring.zero
-    for k, c in enumerate(pp_a):
-        for e, cc in c.items():
-            mono = [0, 0]
-            mono[main] = k
-            mono[1 - main] = e[0]
-            result = result + ring.monomial(tuple(mono), cc)
-    result = result * cont_gcd.substitute({0: ring.var(1 - main)})
-    return result.monic()
-
-
-def _exact_div_1var(f, d):
-    if f.is_zero():
-        return f
-    quots, rem = divmod_multi(f, [d])
-    if not rem.is_zero():
-        raise ValidationError("inexact content division")  # pragma: no cover
-    return quots[0]
-
-
-def _pseudo_rem(a, b):
-    """Pseudo-remainder of dense coefficient lists over F_q[x]."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db and a:
-        if a[-1].is_zero():
-            a.pop()
-            continue
-        shift = len(a) - 1 - db
-        top = a[-1]
-        a = [c * lb for c in a]
-        for i in range(db + 1):
-            a[shift + i] = a[shift + i] - top * b[i]
-        while a and a[-1].is_zero():
-            a.pop()
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Regular sequences
 # ---------------------------------------------------------------------------
 
 
-def is_regular_sequence(seq, ring):
-    """Decide whether seq is a regular sequence in F_q[x_1..x_n].
+def _quotient_dimension(gb, n):
+    """dim R/I for a Gröbner basis gb of I in n variables: the size of the
+    largest set S of variables such that no leading monomial of gb is a
+    monomial in S alone (Cox–Little–O'Shea, ch. 9 §3), or -1 for the unit
+    ideal, whose leading monomial 1 lies in every S."""
+    supports = []  # bit i set when x_i divides the leading monomial
+    for g in gb:
+        e = _unpack(max(g.terms), n)
+        supports.append(sum(1 << i for i in range(n) if e[i]))
+    return max((s.bit_count() for s in range(1 << n)
+                if all(m & ~s for m in supports)), default=-1)
 
-    Decidable cases at this scale: the empty sequence; steps where the
-    accumulated ideal is the unit ideal (everything is regular on the zero
-    ring); first elements (the ring is a domain); ideals generated by
-    degree-<=1 polynomials (the quotient is a polynomial ring, hence a
-    domain); principal ideals in <= 2 variables (UFD gcd test).  Anything
-    else raises UnsupportedRingError rather than guessing.
+
+def is_regular_sequence(seq, ring):
+    """Decide whether seq is a weak regular sequence in R = F_q[x_1..x_n].
+
+    By dimension count.  Given a regular prefix f_1..f_(k-1), its ideal is
+    unmixed (R is Cohen–Macaulay), so f_k is regular modulo it exactly
+    when f_k lies in none of its minimal primes, that is when the ideal
+    I_k of f_1..f_k has height k = n - dim R/I_k; dim R/I_k is read off
+    the leading monomials of the reduced Gröbner basis of I_k.  Once I_k
+    is the unit ideal every further step is regular (the zero ring; the
+    weak convention, Bruns–Herzog §2.1), and an f_k already in I_(k-1)
+    is not.
+
+    The refusal boundary is kept: a step after a prefix ideal that is
+    neither generated by polynomials of degree <= 1 nor principal in
+    <= 2 variables raises UnsupportedRingError instead of being decided.
     """
     seq = list(seq)
     for f in seq:
         if f.ring is not ring:
             raise ContextMismatchError("sequence element from a different ring")
+    n = ring.nvars
     gb = []  # reduced basis of the prefix ideal
-    for f in seq:
+    for k, f in enumerate(seq, 1):
+        if normal_form(f, gb).is_zero():
+            return False  # f lies in the ideal: multiplies to zero
+        if gb and not all(g.total_degree() <= 1 for g in gb) and (
+                len(gb) != 1 or n > 2):
+            raise UnsupportedRingError(
+                "cannot certify regularity at this step (ideal neither "
+                "linear nor principal in <= 2 variables)"
+            )
+        gb = buchberger(gb + [f])
         if any(g.is_unit() for g in gb):
             return True  # quotient is the zero ring; all further steps regular
-        nf = normal_form(f, gb)
-        if nf.is_zero():
-            return False  # f lies in the ideal: multiplies to zero
-        # the first element, or an ideal generated by linear polynomials
-        # (the quotient is a domain), passes as it is
-        if gb and not all(g.total_degree() <= 1 for g in gb):
-            if len(gb) != 1 or ring.nvars > 2:
-                raise UnsupportedRingError(
-                    "cannot certify regularity at this step (ideal neither "
-                    "linear nor principal in <= 2 variables)"
-                )
-            gcd = gcd_univariate if ring.nvars == 1 else gcd_bivariate
-            if not gcd(gb[0], nf).is_unit():
-                return False
-        gb = buchberger(gb + [f])
+        if n - _quotient_dimension(gb, n) != k:
+            return False
     return True

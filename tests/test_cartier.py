@@ -272,6 +272,23 @@ def test_max_nilpotent_submodule_of_unit_root_module_is_zero():
     assert FiniteModel(info["module"]).dimension == 0
 
 
+def test_max_nilpotent_submodule_of_nilpotent_module_is_the_module():
+    """When kappa^d vanishes on all of a finite-length module, the answer
+    is the module itself, with is_nilpotent's order."""
+    modules = [jordan_block_module(Fq(2, 1), 2),
+               jordan_block_module(Fq(3, 1), 3)]
+    rng = random.Random(SEED + 5)
+    while len(modules) < 4:
+        small = torsion_line_module(rng, 2, len(modules) - 1)
+        if is_nilpotent(small)[0]:
+            modules.append(small)
+    for module in modules:
+        info = max_nilpotent_submodule(module)
+        assert info["module"] is module and not info["partial"]
+        assert info["order"] == is_nilpotent(module)[1] > 0
+        assert info["inclusion"].images == CartierMorphism.identity(module).images
+
+
 def test_quotient_by_stable_span():
     """jordan2 / <e1> is a rank-1 module with the zero operator."""
     j2 = jordan_block_module(Fq(2, 1), 2)

@@ -11,6 +11,7 @@ from cartier_lab.errors import (
     CapExceeded,
     ContextMismatchError,
     ParseError,
+    UnsupportedRingError,
     ValidationError,
 )
 from cartier_lab import poly
@@ -140,14 +141,42 @@ def test_pth_power_is_frobenius_on_polynomials():
             assert f.pth_power() == naive
 
 
-def test_substitute_evaluates():
-    R = ring(3, nvars=2)
-    f = R.parse("x^2*y + 2*y + 1")
-    two = R.ctx.scalar(2)
-    one = R.ctx.scalar(1)
-    val = f.substitute({0: R.scalar(two), 1: R.scalar(one)})
-    # 4*1 + 2 + 1 = 7 = 1 mod 3
-    assert val == R.one
+def _square_and_multiply(f, n):
+    out = f.ring.one
+    while n:
+        if n & 1:
+            out = out * f
+        n >>= 1
+        if n:
+            f = f * f
+    return out
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_power_equals_square_and_multiply(p, e, nvars):
+    """Exponents n >= p go through p-th powers; the answer is the plain
+    square-and-multiply one for every n in [0, 3p^3]."""
+    R = ring(p, e, nvars)
+    rng = random.Random(SEED + 50 * p + 5 * e + nvars)
+    top = 3 * p**3
+    exponents = {0, 1, p - 1, p, p + 1, p * p, p**3, top}
+    exponents |= {rng.randrange(top + 1) for _ in range(4)}
+    for _ in range(3):
+        f = R.random_poly(rng, max_degree=2, max_terms=3)
+        for n in sorted(exponents):
+            assert f ** n == _square_and_multiply(f, n), (f, n)
+
+
+def test_power_cap_is_checked_before_any_product(monkeypatch):
+    x = ring(2, nvars=2).var(0)
+
+    def no_products(*args):
+        raise AssertionError("multiplied before the degree check")
+
+    monkeypatch.setattr(poly, "_addmul", no_products)
+    with pytest.raises(CapExceeded, match="cap 2\\^32 - 1"):
+        x ** 2**32
 
 
 # ------------------------------------------- Frobenius decomposition
@@ -319,6 +348,146 @@ def test_unit_containing_sequence_is_weakly_regular():
     quotient)."""
     R = ring(3, nvars=2)
     assert is_regular_sequence([R.parse("x"), R.parse("1")], R)
+
+
+def _sympy_regular(seq, gens):
+    """Regularity of a sequence whose prefixes have domain quotients
+    (linear or empty): each element is nonzero modulo the ones before,
+    until they generate the unit ideal, decided by sympy's Groebner
+    bases."""
+    sympy = pytest.importorskip("sympy")
+    p = seq[0].ring.ctx.p
+    exprs = [_to_sympy(f, gens).as_expr() for f in seq]
+    for k, f in enumerate(exprs):
+        if k == 0:
+            if f == 0:
+                return False
+            continue
+        prefix = sympy.groebner(exprs[:k], *gens, modulus=p, order="grevlex")
+        if prefix.exprs == [1]:
+            return True
+        if prefix.reduce(f)[1] == 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_regular_pairs_agree_with_sympy_gcd(p, nvars):
+    """(g, f) with g nonconstant is regular exactly when f is not a
+    multiple of g and gcd(g, f) is constant; half the pairs get a
+    planted common factor."""
+    sympy = pytest.importorskip("sympy")
+    R = ring(p, nvars=nvars)
+    gens = sympy.symbols("x y")[:nvars]
+    rng = random.Random(SEED + 40 * p + nvars)
+    seen = set()
+    for k in range(40):
+        g = _dense_poly(rng, R, rng.randrange(1, 4))
+        f = _dense_poly(rng, R, rng.randrange(4))
+        if k % 2:
+            h = _dense_poly(rng, R, rng.randrange(1, 3))
+            g, f = g * h, f * h
+        if g.is_constant():
+            continue
+        G, F = _to_sympy(g, gens), _to_sympy(f, gens)
+        expected = (not sympy.rem(F, G).is_zero
+                    and sympy.gcd(G, F).total_degree() == 0)
+        assert is_regular_sequence([g, f], R) == expected, (g, f)
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_linear_prefixes_agree_with_sympy(p):
+    """After a prefix of degree-1 polynomials in three variables (a
+    polynomial ring quotient), f is regular exactly when it is nonzero
+    modulo the prefix."""
+    sympy = pytest.importorskip("sympy")
+    R = ring(p, nvars=3)
+    gens = sympy.symbols("x y z")
+    rng = random.Random(SEED + 60 * p)
+    seen = set()
+    for k in range(30):
+        seq = []
+        for _ in range(1 + k % 2):
+            lin = R.scalar(rng.randrange(p))
+            for i in range(3):
+                lin = lin + R.var(i) * rng.randrange(p)
+            seq.append(lin)
+        f = R.random_poly(rng, max_degree=2, max_terms=3)
+        if k % 3 == 0:
+            f = f * seq[0] + seq[-1] * rng.randrange(p)  # in the prefix ideal
+        seq.append(f)
+        expected = _sympy_regular(seq, gens)
+        assert is_regular_sequence(seq, R) == expected, seq
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_common_factors_are_not_regular(p, e, nvars):
+    R = ring(p, e, nvars)
+    rng = random.Random(SEED + 70 * p + e + nvars)
+    for _ in range(10):
+        g, f = _dense_poly(rng, R, 2), _dense_poly(rng, R, 2)
+        h = _dense_poly(rng, R, rng.randrange(1, 3))
+        if g.is_zero() or f.is_zero() or h.is_constant():
+            continue
+        assert not is_regular_sequence([g * h, f * h], R)
+
+
+def _dense_poly(rng, R, degree):
+    """Random coefficients, zero ones included, on every monomial of total
+    degree at most ``degree``."""
+    return Polynomial(R, {
+        _pack(m): c for m in _exponents(R.nvars, degree)
+        if (c := rng.randrange(R.ctx.q))
+    })
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (3, 2)])
+def test_coprime_leading_powers_are_regular(p, e):
+    """Leading monomials x^a and y^b: a Groebner basis of a height-2
+    ideal."""
+    R = ring(p, e, nvars=2)
+    rng = random.Random(SEED + 80 * p + e)
+    x, y = R.var(0), R.var(1)
+    for _ in range(10):
+        a, b = rng.randrange(1, 5), rng.randrange(1, 5)
+        f = x**a + _dense_poly(rng, R, a - 1)
+        g = y**b + _dense_poly(rng, R, b - 1)
+        assert is_regular_sequence([f, g], R)
+        assert is_regular_sequence([g, f], R)
+
+
+def test_refused_prefixes_stay_refused():
+    """Steps after an ideal neither linear nor principal in <= 2
+    variables are refused, not decided."""
+    for p, e in [(5, 1), (2, 2), (3, 1)]:
+        R = ring(p, e, nvars=3)
+        rng = random.Random(SEED + p + e)
+        for _ in range(3):
+            a, b, c = (R.ctx.random_element(rng) for _ in range(3))
+            seq = [R.parse("x^2") + R.var(1) * a + R.scalar(b),
+                   R.parse("z^2") + R.var(0) * c]
+            with pytest.raises(UnsupportedRingError):
+                is_regular_sequence(seq, R)
+    R = ring(3, nvars=2)
+    seq = [R.parse(f) for f in ("x^2+y", "y^2+x", "x")]
+    with pytest.raises(UnsupportedRingError):
+        is_regular_sequence(seq, R)
+
+
+def test_members_of_a_refused_prefix_ideal_are_rejected_first():
+    R = ring(3, nvars=2)
+    g1, g2 = R.parse("x^2+y"), R.parse("y^2+x")
+    member = R.parse("x") * g1 + R.parse("y+1") * g2
+    assert is_regular_sequence([g1, g2, member], R) is False
+    R3 = ring(5, nvars=3)
+    g = R3.parse("x^2+y")
+    assert is_regular_sequence([g, R3.parse("z") * g], R3) is False
 
 
 # ------------------------------------------------------------------- gcd
