@@ -33,12 +33,12 @@ from .fields import SemilinearMap, P_INV_LINEAR, _mat_pow
 from .poly import Polynomial, _addmul, frobenius_decompose
 from .submodules import (
     Presentation,
-    hnf_rows,
+    hnf_extend,
     in_span,
     module_invariants,
     scalar_rows,
+    solve_combinations,
     syzygy_generators,
-    solve_combination,
     vec_add,
     vec_scale,
     zero_vector,
@@ -294,7 +294,7 @@ def image_chain(module, cap=None):
     R^r (each containing the relation span)."""
     _require_pid(module, "image_chain")
     ring = module.ring
-    rels = list(module.effective_relations())
+    rel_hnf = module.relation_hnf()
 
     def image(chain):
         images = [
@@ -302,11 +302,11 @@ def image_chain(module, cap=None):
             for row in chain[-1]
             for a in ring.pth_basis()
         ]
-        return hnf_rows(images + rels, module.rank, ring)
+        return hnf_extend(rel_hnf, images, module.rank, ring)
 
     full = scalar_rows(ring, module.rank, ring.one)
     return stabilize(
-        hnf_rows(full + rels, module.rank, ring), image, "image chain", cap
+        hnf_extend(rel_hnf, full, module.rank, ring), image, "image chain", cap
     )
 
 
@@ -320,17 +320,18 @@ def submodule_module(module, gens, names=None):
     gens = [module.check_element(g) for g in gens]
     rels = module.effective_relations()
     sub_rels = syzygy_generators(gens, rels, module.rank, ring)
-    table = {}
+    keys, images = [], []
     for a in ring.pth_basis():
         xa = ring.monomial(a)
         for j, g in enumerate(gens):
-            img = module._apply_raw(vec_scale(g, xa))
-            coeffs = solve_combination(gens, rels, img, module.rank, ring)
-            if coeffs is None:
-                raise InvariantViolation(
-                    "submodule is not stable under the structural operator"
-                )
-            table[(a, j)] = tuple(coeffs)
+            keys.append((a, j))
+            images.append(module._apply_raw(vec_scale(g, xa)))
+    solutions = solve_combinations(gens, rels, images, module.rank, ring)
+    if None in solutions:
+        raise InvariantViolation(
+            "submodule is not stable under the structural operator"
+        )
+    table = {key: tuple(c) for key, c in zip(keys, solutions)}
     if names is None:
         names = tuple(f"s{i + 1}" for i in range(len(gens)))
     sub = CartierModule(
@@ -643,10 +644,9 @@ def _max_nil_finite(module):
         model.from_coords([ctx.from_int(c) for c in row])
         for row in codes.tolist()
     ]
-    rels = list(module.effective_relations())
     rel_hnf = module.relation_hnf()
     return [
-        row for row in hnf_rows(vecs + rels, module.rank, ring)
+        row for row in hnf_extend(rel_hnf, vecs, module.rank, ring)
         if not in_span(row, rel_hnf, ring)
     ]
 

@@ -36,6 +36,7 @@ from .poly import (
     solve_membership,
 )
 from .submodules import (
+    hnf_extend,
     hnf_rows,
     in_span,
     module_invariants,
@@ -123,7 +124,7 @@ def torsion_gamma_Z(module, g, cap=None):
     def killed_by_next_power(chain):
         power = g ** len(chain)
         gens = syzygy_generators(scalar_rows(ring, r, power), rels, r, ring)
-        return hnf_rows(list(gens) + rels, r, ring)
+        return hnf_extend(rel_hnf, gens, r, ring)
 
     chain = stabilize(rel_hnf, killed_by_next_power, "torsion chain", cap)
     span = chain[-1]

@@ -34,12 +34,13 @@ from .cartier import CartierModule
 from .poly import frobenius_component
 from .submodules import (
     Presentation,
+    hnf_extend,
     hnf_rows,
     in_span,
     scalar_rows,
+    solve_combinations,
     span_equal,
     syzygy_generators,
-    solve_combination,
 )
 
 __all__ = [
@@ -246,7 +247,7 @@ def _iterate_kernel(sheaf, gam, e):
     ring, r = sheaf.ring, sheaf.rank
     twisted = sheaf.twisted_relations(e)
     ker = syzygy_generators(_columns(gam), twisted, r, ring)
-    return hnf_rows(list(ker) + list(sheaf.effective_relations()), r, ring)
+    return hnf_extend(sheaf.relation_hnf(), ker, r, ring)
 
 
 def gamma_nilpotent(sheaf, cap=None):
@@ -254,11 +255,9 @@ def gamma_nilpotent(sheaf, cap=None):
     when every matrix column lies in the k-fold twisted relation span."""
     chain, _ = gamma_kernel_chain(sheaf, cap=cap)
     ring = sheaf.ring
-    full = hnf_rows(
-        scalar_rows(ring, sheaf.rank, ring.one)
-        + list(sheaf.effective_relations()),
-        sheaf.rank,
-        ring,
+    full = hnf_extend(
+        sheaf.relation_hnf(), scalar_rows(ring, sheaf.rank, ring.one),
+        sheaf.rank, ring,
     )
     for k, span in enumerate(chain):
         if span_equal(span, full):
@@ -393,25 +392,24 @@ def unit_root_stabilize(sheaf, cap=None):
     gens = [c for c in _columns(gam) if not in_span(c, span_e, ring)]
     root_rels = syzygy_generators(gens, twisted_e, r, ring)
     s = len(gens)
-    # induced matrix: solve F^{e*}(gamma)(g_j) in the twisted gens
-    matrix = [[ring.zero for _ in range(s)] for _ in range(s)]
     twisted_next = sheaf.twisted_relations(e + 1)
     q = ring.ctx.p**e
     ce = [[entry**q for entry in row] for row in sheaf.gamma_matrix]
     twisted_gens = [tuple(f.pth_power() for f in g) for g in gens]
-    for j, g in enumerate(gens):
-        img = tuple(
+    images = [
+        tuple(
             sum((ce[i][k] * g[k] for k in range(r)), ring.zero)
             for i in range(r)
         )
-        coeffs = solve_combination(twisted_gens, twisted_next, img, r, ring)
-        if coeffs is None:
-            raise InvariantViolation(
-                f"gamma^{e + 1} does not factor through the image of "
-                f"gamma^{e}"
-            )
-        for i in range(s):
-            matrix[i][j] = coeffs[i]
+        for g in gens
+    ]
+    solutions = solve_combinations(twisted_gens, twisted_next, images, r, ring)
+    if None in solutions:
+        raise InvariantViolation(
+            f"gamma^{e + 1} does not factor through the image of gamma^{e}"
+        )
+    # induced matrix: column j solves F^{e*}(gamma)(g_j) in the twisted gens
+    matrix = [list(row) for row in zip(*solutions)]
     root = GammaSheaf(
         ring,
         s,

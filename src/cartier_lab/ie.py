@@ -45,10 +45,11 @@ from .cartier import (
 from .fields import fq_in_span, fq_rref
 from .functors import LocalizedCartier, torsion_gamma_Z
 from .submodules import (
-    hnf_rows,
+    hnf_extend,
     in_span,
     scalar_rows,
     solve_combination,
+    solve_combinations,
     span_equal,
     syzygy_generators,
     vec_scale,
@@ -104,17 +105,19 @@ class Lattice:
     in the localization.
 
     The span is the HNF of the rows together with the presentation
-    relations, so two lattices are equal iff their spans are equal."""
+    relations, so two lattices are equal iff their spans are equal.  It
+    extends ``span``, an HNF that contains the relations (by default
+    their own HNF)."""
 
     __slots__ = ("localized", "span")
 
     k = 0  # denominator exponent of the certificate format: always 0
 
-    def __init__(self, localized, rows):
+    def __init__(self, localized, rows, span=None):
         self.localized = localized
-        self.span = hnf_rows(
-            list(rows) + list(self._rel_hnf()), self.rank, self.ring
-        )
+        if span is None:
+            span = self._rel_hnf()
+        self.span = hnf_extend(span, rows, self.rank, self.ring)
 
     @property
     def ring(self):
@@ -196,14 +199,12 @@ class Lattice:
         rels = self.localized.quotient.effective_relations()
         relations = syzygy_generators(gens, rels, self.rank, ring)
         keys = [(a, j) for a in ring.pth_basis() for j in range(len(gens))]
-        table = {}
-        for key, image in zip(keys, self._kappa_images(gens)):
-            coords = solve_combination(gens, rels, image, self.rank, ring)
-            if coords is None:
-                raise InvariantViolation(
-                    "operator image escaped the lattice span"
-                )
-            table[key] = tuple(coords)
+        solutions = solve_combinations(
+            gens, rels, self._kappa_images(gens), self.rank, ring
+        )
+        if None in solutions:
+            raise InvariantViolation("operator image escaped the lattice span")
+        table = {key: tuple(c) for key, c in zip(keys, solutions)}
         return CartierModule(
             ring, len(gens), table, relations=relations
         )
@@ -214,13 +215,13 @@ class Lattice:
 
 def _saturation_chain(lattice, cap=None):
     """L, L + kappa(L), ... up to the first operator-stable member.  A step
-    is one HNF of the generator rows, their operator images and the
-    relations."""
+    extends the span of the last member by the operator images of its
+    generator rows."""
 
     def saturate(chain):
         last = chain[-1]
-        gens = last.generator_rows()
-        return Lattice(last.localized, gens + last._kappa_images(gens))
+        images = last._kappa_images(last.generator_rows())
+        return Lattice(last.localized, images, last.span)
 
     return stabilize(lattice, saturate, "saturation", cap)
 
@@ -463,17 +464,15 @@ def ie_functorial(phi, cert_source=None, cert_target=None, cap=None):
     ring = phi.source.ring
     tgt_gens = tgt_lat.generator_rows()
     tgt_rels = phi.target.quotient.effective_relations()
-    images = []
-    for row in src_lat.generator_rows():
-        w, kf = phi.apply((row, 0))
-        coords = None if kf else solve_combination(
-            tgt_gens, tgt_rels, w, tgt_lat.rank, ring
+    fractions = [phi.apply((row, 0)) for row in src_lat.generator_rows()]
+    solutions = None
+    if not any(kf for _, kf in fractions):
+        solutions = solve_combinations(
+            tgt_gens, tgt_rels, [w for w, _ in fractions], tgt_lat.rank, ring
         )
-        if coords is None:
-            raise InvariantViolation(
-                "restricted image escaped the target lattice"
-            )
-        images.append(tuple(coords))
+    if solutions is None or None in solutions:
+        raise InvariantViolation("restricted image escaped the target lattice")
+    images = [tuple(c) for c in solutions]
     return CartierMorphism(cert_source.module, cert_target.module, images)
 
 
@@ -493,7 +492,7 @@ def localized_kernel_is_zero(phi):
     rt = phi.target.quotient.rank
     gens = syzygy_generators(cols, rels_t, rt, ring) if cols else []
     rel_s = phi.source.quotient.relation_hnf()
-    span = hnf_rows(list(gens) + list(rel_s), phi.source.quotient.rank, ring)
+    span = hnf_extend(rel_s, gens, phi.source.quotient.rank, ring)
     return span_equal(span, rel_s)
 
 

@@ -21,21 +21,22 @@ subclasses.
 """
 
 from .errors import UnsupportedRingError, ValidationError
-from .poly import divmod_multi
+from .poly import Polynomial, _addmul, _axpy, _cmul
 
 __all__ = [
     "Presentation",
     "scalar_rows",
     "zero_vector",
     "vec_add",
-    "vec_sub",
     "vec_scale",
     "hnf_rows",
+    "hnf_extend",
     "reduce_vector",
     "in_span",
     "span_equal",
     "syzygy_generators",
     "solve_combination",
+    "solve_combinations",
     "smith_normal_form",
     "module_invariants",
 ]
@@ -62,10 +63,6 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(u, f):
     return tuple(f * a for a in u)
 
@@ -78,9 +75,42 @@ def _leftmost(v):
 
 
 def _divmod1(a, d):
-    """(q, r) with a = q d + r, deg r < deg d (exact over constants)."""
-    quots, rem = divmod_multi(a, [d])
-    return quots[0], rem
+    """(q, r) with a = q d + r, deg r < deg d (exact over constants): long
+    division on the exponent keys, in place on one dict of codes."""
+    a._check(d)
+    if not d.terms:
+        raise ValidationError("division by the zero polynomial")
+    ring = a.ring
+    ctx = ring.ctx
+    top = max(d.terms)
+    if not a.terms or max(a.terms) < top:
+        return ring.zero, a
+    factor = ctx._neg[ctx._inv[d.terms[top]]]  # -1 / lc(d)
+    quot, rem = {}, dict(a.terms)
+    while rem:
+        m = max(rem)
+        if m < top:
+            break
+        c = _cmul(ctx, rem[m], factor)
+        quot[m - top] = ctx._neg[c]
+        _axpy(ctx, rem, d.terms, m - top, c)
+    return Polynomial(ring, quot), Polynomial(ring, rem)
+
+
+def _sub_multiple(u, v, q, start=0):
+    """u - q v for a nonzero q, when v vanishes before coordinate
+    ``start``: -q v_i is added into a copy of the terms of each u_i from
+    there on."""
+    ring = q.ring
+    neg = ring.ctx._neg
+    mq = {k: neg[c] for k, c in q.terms.items()}
+    out = list(u)
+    for i in range(start, len(u)):
+        if v[i].terms:
+            acc = dict(u[i].terms)
+            _addmul(ring, acc, v[i].terms, mq)
+            out[i] = Polynomial(ring, acc)
+    return tuple(out)
 
 
 def hnf_rows(vectors, r, ring):
@@ -88,22 +118,42 @@ def hnf_rows(vectors, r, ring):
     untagged echelon, with monic pivots and the entries above each pivot
     reduced."""
     pivots, _ = _tracked_echelon((), vectors, r, ring)
-    result = []
+    result, cols = [], []
     for val, _ in pivots:
-        lead = val[_leftmost(val)].leading()[1]
-        result.append(vec_scale(val, ring.scalar(lead.inv())))
-    # back-reduce entries above pivots
-    for k in range(len(result)):
-        col = _leftmost(result[k])
+        col = _leftmost(val)
+        lead = val[col].leading()[1]
+        if lead != ring.ctx.one:
+            val = vec_scale(val, ring.scalar(lead.inv()))
+        result.append(val)
+        cols.append(col)
+    # back-reduce entries above pivots; rows below a pivot vanish there
+    for k, col in enumerate(cols):
         d = result[k][col]
-        for j in range(len(result)):
-            if j == k:
-                continue
+        for j in range(k):
             if not result[j][col].is_zero():
                 q, _ = _divmod1(result[j][col], d)
                 if not q.is_zero():
-                    result[j] = vec_sub(result[j], vec_scale(result[k], q))
+                    result[j] = _sub_multiple(result[j], result[k], q, col)
     return tuple(result)
+
+
+def hnf_extend(hnf, rows, r, ring):
+    """Hermite normal form of span(hnf) + span(rows), for ``hnf`` already
+    in Hermite normal form.  The new rows are reduced by ``hnf``; when none
+    survives, ``hnf`` is the answer, else the echelon runs on ``hnf`` plus
+    the survivors (the HNF of a span is unique, so either way the result
+    is the HNF of the whole)."""
+    _check_ring(ring)
+    survivors = []
+    for v in rows:
+        if len(v) != r:
+            raise ValidationError("vector length does not match module rank")
+        v = reduce_vector(v, hnf, ring)
+        if any(not a.is_zero() for a in v):
+            survivors.append(v)
+    if not survivors:
+        return tuple(hnf)
+    return hnf_rows(list(hnf) + survivors, r, ring)
 
 
 def reduce_vector(v, hnf, ring):
@@ -114,7 +164,7 @@ def reduce_vector(v, hnf, ring):
         if not v[col].is_zero():
             q, _ = _divmod1(v[col], row[col])
             if not q.is_zero():
-                v = vec_sub(v, vec_scale(row, q))
+                v = _sub_multiple(v, row, q, col)
     return v
 
 
@@ -334,8 +384,8 @@ def _tracked_echelon(gens, rels, r, ring):
             nxt = []
             for w in active[1:]:
                 q, _ = _divmod1(w[0][col], piv[0][col])
-                val = vec_sub(w[0], vec_scale(piv[0], q))
-                tag = vec_sub(w[1], vec_scale(piv[1], q))
+                val = _sub_multiple(w[0], piv[0], q, col)
+                tag = _sub_multiple(w[1], piv[1], q)
                 if val[col].is_zero():
                     if any(not a.is_zero() for a in val):
                         rest.append((val, tag))
@@ -360,16 +410,30 @@ def syzygy_generators(gens, rels, r, ring):
     return list(hnf_rows(zero_tags, len(gens), ring))
 
 
-def solve_combination(gens, rels, target, r, ring):
-    """Coefficients c with sum c_i gens_i = target modulo the span of rels,
-    or None when no solution exists."""
+def solve_combinations(gens, rels, targets, r, ring):
+    """For each target, coefficients c with sum c_i gens_i = target modulo
+    the span of rels, or None when no solution exists; one echelon serves
+    every target."""
+    if not targets:
+        return []
     pivots, _ = _tracked_echelon(gens, rels, r, ring)
     # reducing (target | 0) by the rows (value | tag) leaves (0 | -c)
     rows = [val + tag for val, tag in pivots]
-    reduced = reduce_vector(tuple(target) + zero_vector(ring, len(gens)), rows, ring)
-    if any(not a.is_zero() for a in reduced[:r]):
-        return None
-    return [-c for c in reduced[r:]]
+    pad = zero_vector(ring, len(gens))
+    out = []
+    for target in targets:
+        reduced = reduce_vector(tuple(target) + pad, rows, ring)
+        if any(not a.is_zero() for a in reduced[:r]):
+            out.append(None)
+        else:
+            out.append([-c for c in reduced[r:]])
+    return out
+
+
+def solve_combination(gens, rels, target, r, ring):
+    """Coefficients c with sum c_i gens_i = target modulo the span of rels,
+    or None when no solution exists."""
+    return solve_combinations(gens, rels, [target], r, ring)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cartier_lab import ie
+from cartier_lab import ie, submodules
 from cartier_lab.cartier import (
     CartierModule,
     CartierMorphism,
@@ -23,6 +23,7 @@ from cartier_lab.cartier import (
     point_module,
     quotient_module,
     stable_image,
+    submodule_module,
 )
 from cartier_lab.errors import (
     CertificateFailed,
@@ -491,6 +492,38 @@ def test_each_certificate_path_builds_its_lattice_module_once(
         assert cert.crystal_zero == (name == "crystal zero")
         assert (cert.indices["k_star"] > 0) == (name == "full")
         assert len(built) == 1 and built[0] is cert.lattice, name
+
+
+def test_module_presentations_echelonize_their_generators_twice(
+    monkeypatch
+):
+    """Lattice.to_module and submodule_module echelonize their generator
+    rows twice in all, once for the syzygies and once for every solve of
+    the operator table, however many table keys there are."""
+    certs = [intermediate_extension(loc) for loc in seeded_localizations()]
+    calls = []
+    echelon = submodules._tracked_echelon
+
+    def counted(gens, rels, r, ring):
+        if gens:
+            calls.append(len(gens))
+        return echelon(gens, rels, r, ring)
+
+    monkeypatch.setattr(submodules, "_tracked_echelon", counted)
+    keys = set()
+    for cert in certs:
+        R = cert.localized.ring
+        calls.clear()
+        module = cert.lattice.to_module()
+        assert len(calls) <= 2
+        calls.clear()
+        sub, _ = submodule_module(
+            module, scalar_rows(R, module.rank, R.one)
+        )
+        assert len(calls) <= 2 and len(sub.kappa_table) == len(
+            module.kappa_table)
+        keys.add(len(module.kappa_table))
+    assert max(keys) >= 6
 
 
 # ------------------------------------------------------------ functoriality

@@ -322,6 +322,19 @@ def test_ideal_spec_equality_ignores_generator_choice():
     assert I != K
 
 
+def test_ideal_spec_rejects_a_basis_failing_a_shared_variable_pair(
+    monkeypatch
+):
+    """The S-pair check skips only coprime pairs: a basis whose failing
+    pair shares a variable in its leading monomials is still refused."""
+    R = ring(2, nvars=2)
+    bad = [R.parse("x^2+y"), R.parse("x*y")]  # S-pair y^2 is irreducible
+    assert normal_form(s_polynomial(*bad), bad) == R.parse("y^2")
+    monkeypatch.setattr(poly, "buchberger", lambda gens: list(bad))
+    with pytest.raises(ValidationError, match="S-pair verification"):
+        IdealSpec(R, [R.parse("x")])
+
+
 # ------------------------------------------------------- regular sequences
 
 

@@ -5,15 +5,20 @@ import random
 
 import pytest
 
+from cartier_lab.errors import ValidationError
 from cartier_lab.fields import Fq
-from cartier_lab.poly import PolyRing
+from cartier_lab.poly import PolyRing, divmod_multi
 from cartier_lab.submodules import (
+    _divmod1,
+    _leftmost,
+    hnf_extend,
     hnf_rows,
     in_span,
     module_invariants,
     reduce_vector,
     smith_normal_form,
     solve_combination,
+    solve_combinations,
     span_equal,
     syzygy_generators,
     vec_add,
@@ -26,6 +31,16 @@ SEED = 5150
 
 def univariate(p):
     return PolyRing(Fq(p, 1), ("x",))
+
+
+# F_2[x], F_3[x], F_4[x], F_9[x] and the constant rings F_2, F_4
+KERNEL_RINGS = [(2, 1, ("x",)), (3, 1, ("x",)), (2, 2, ("x",)),
+                (3, 2, ("x",)), (2, 1, ()), (2, 2, ())]
+
+
+def kernel_ring(spec):
+    p, e, variables = spec
+    return PolyRing(Fq(p, e), variables)
 
 
 def random_rows(R, rng, count, r, max_degree=3):
@@ -163,6 +178,89 @@ def test_solve_combination_reports_failure():
     R = univariate(2)
     x = R.parse("x")
     assert solve_combination([(x, R.zero)], [], (R.one, R.zero), 2, R) is None
+
+
+def _is_hnf(rows, R):
+    """Nonzero rows with strictly increasing pivot columns, monic pivots,
+    and every entry above a pivot of smaller degree than the pivot."""
+    cols = [_leftmost(row) for row in rows]
+    if None in cols or cols != sorted(set(cols)):
+        return False
+    for k, col in enumerate(cols):
+        pivot = rows[k][col]
+        if pivot.leading()[1] != R.ctx.one:
+            return False
+        if any(rows[j][col].terms and max(rows[j][col].terms) >= max(
+                pivot.terms) for j in range(k)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS, ids=str)
+def test_hnf_extend_equals_the_hnf_of_the_union(spec):
+    R = kernel_ring(spec)
+    rng = random.Random(SEED + 31 * spec[0] + spec[1] + len(spec[2]))
+    inside = 0
+    for trial in range(25):
+        r = rng.randrange(1, 4)
+        A = random_rows(R, rng, rng.randrange(0, 4), r)
+        if trial % 3 == 0:  # B lies in the span of A
+            B = [random_combination(R, rng, A, r) for _ in range(3)]
+        else:
+            B = random_rows(R, rng, rng.randrange(0, 4), r)
+        hnf = hnf_rows(A, r, R)
+        extended = hnf_extend(hnf, B, r, R)
+        assert extended == hnf_rows(A + B, r, R)
+        assert _is_hnf(extended, R)
+        if all(in_span(v, hnf, R) for v in B):
+            inside += 1
+            assert extended == hnf
+    assert inside >= 8
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS, ids=str)
+def test_solve_combinations_equals_each_solve_combination(spec):
+    R = kernel_ring(spec)
+    rng = random.Random(SEED + 37 * spec[0] + spec[1] + len(spec[2]))
+    found = {"solved": 0, "none": 0}
+    for _ in range(15):
+        r = rng.randrange(1, 4)
+        gens = random_rows(R, rng, rng.randrange(0, 3), r)
+        rels = random_rows(R, rng, rng.randrange(0, 2), r, max_degree=1)
+        targets = [random_combination(R, rng, gens, r) for _ in range(2)]
+        targets += random_rows(R, rng, 2, r)
+        solutions = solve_combinations(gens, rels, targets, r, R)
+        assert solutions == [
+            solve_combination(gens, rels, t, r, R) for t in targets
+        ]
+        rel_h = hnf_rows(rels, r, R)
+        for target, coeffs in zip(targets, solutions):
+            if coeffs is None:
+                found["none"] += 1
+                continue
+            found["solved"] += 1
+            acc = zero_vector(R, r)
+            for c, g in zip(coeffs, gens):
+                acc = vec_add(acc, vec_scale(g, c))
+            assert in_span(vec_add(target, vec_scale(acc, -R.one)), rel_h, R)
+    assert found["solved"] >= 20 and found["none"] >= 1
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS, ids=str)
+def test_divmod1_equals_multivariate_division(spec):
+    R = kernel_ring(spec)
+    rng = random.Random(SEED + 41 * spec[0] + spec[1] + len(spec[2]))
+    for _ in range(60):
+        a = R.random_poly(rng, max_degree=6, max_terms=5)
+        d = R.random_poly(rng, max_degree=3, max_terms=3)
+        if d.is_zero():
+            with pytest.raises(ValidationError, match="zero polynomial"):
+                _divmod1(a, d)
+            continue
+        quots, rem = divmod_multi(a, [d])
+        assert _divmod1(a, d) == (quots[0], rem)
+    with pytest.raises(ValidationError, match="zero polynomial"):
+        _divmod1(R.one, R.zero)
 
 
 # ------------------------------------------------------- Smith normal form
