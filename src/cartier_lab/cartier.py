@@ -555,14 +555,29 @@ class FiniteModel:
         return tuple(coords)
 
     def from_coords(self, coords):
-        """The canonical representative with these coordinates: the term
-        x^s of column c takes the code of the coordinate of (c, s)."""
+        """The canonical representative with these coordinates."""
         ring = self.module.ring
-        terms = [{} for _ in range(self.module.rank)]
-        for (col, s), c in zip(self.basis, coords, strict=True):
-            if c.code:
-                terms[col][s] = ring._code(c)
-        return tuple(Polynomial(ring, t) for t in terms)
+        if len(coords) != len(self.basis):
+            raise ValueError("one coordinate per basis vector expected")
+        codes = np.array([[ring._code(c) for c in coords]], dtype=np.int64)
+        return self.from_codes(codes)[0]
+
+    def from_codes(self, codes):
+        """The canonical representatives whose coordinate codes are the
+        rows of the int64 array ``codes``, in one pass over its nonzero
+        entries: the term x^s of column c takes the code at (c, s), and a
+        column without terms is ``ring.zero``."""
+        ring, rank, basis = self.module.ring, self.module.rank, self.basis
+        terms = [[{} for _ in range(rank)] for _ in range(len(codes))]
+        rows, idx = np.nonzero(codes)
+        for i, k, c in zip(rows.tolist(), idx.tolist(),
+                           codes[rows, idx].tolist()):
+            col, s = basis[k]
+            terms[i][col][s] = c
+        return [
+            tuple(Polynomial(ring, t) if t else ring.zero for t in vec)
+            for vec in terms
+        ]
 
     def kappa_semilinear(self):
         """The operator as a p^{-1}-linear matrix map on coordinates."""
@@ -639,11 +654,7 @@ def _max_nil_finite(module):
     null = kernels.nullspace_mod_p(rows, p)
     if len(null) == d * e:
         return None
-    codes = null.reshape(len(null), d, e) @ p ** np.arange(e)
-    vecs = [
-        model.from_coords([ctx.from_int(c) for c in row])
-        for row in codes.tolist()
-    ]
+    vecs = model.from_codes(null.reshape(len(null), d, e) @ p ** np.arange(e))
     rel_hnf = module.relation_hnf()
     return [
         row for row in hnf_extend(rel_hnf, vecs, module.rank, ring)
@@ -871,14 +882,15 @@ def hom_cartier(source, target, degree_cap=None):
     ker = kernels.nullspace_mod_p(system[:, ::-1], p)[::-1, ::-1]
     if not _annihilates(system, ker, p):
         raise InvariantViolation("Hom basis fails its F_p certificate")
+    # one representative per (basis morphism, source generator)
     codes = ker.reshape(len(ker), d, r, e) @ p ** np.arange(e)
-    elems = ctx._elems
+    images = model.from_codes(
+        codes.transpose(0, 2, 1).reshape(len(ker) * r, d)
+    )
     basis = [
-        CartierMorphism(source, target, [
-            model.from_coords([elems[c] for c in column])
-            for column in images
-        ], validate=False)
-        for images in codes.transpose(0, 2, 1).tolist()
+        CartierMorphism(source, target, images[i * r:(i + 1) * r],
+                        validate=False)
+        for i in range(len(ker))
     ]
     return HomResult(basis, len(basis), not finite, degree_cap)
 

@@ -158,13 +158,14 @@ class Lattice:
         return Lattice(self.localized, [vec_scale(v, gj) for v in self.span])
 
     def _kappa_images(self, rows):
-        """kappa(x^a row) in the quotient presentation for each a of the
-        p-th power basis and each row, a varying slowest (the order of
-        the operator table keys)."""
+        """kappa(x^a row) for each a of the p-th power basis and each row,
+        a varying slowest (the order of the operator table keys), as raw
+        operator images: not normal-formed by the quotient relations,
+        which every span of a lattice holds already."""
         quot = self.localized.quotient
         ring = self.ring
         return [
-            quot.apply_kappa(vec_scale(row, ring.monomial(a)))
+            quot._apply_raw(vec_scale(row, ring.monomial(a)))
             for a in ring.pth_basis()
             for row in rows
         ]
@@ -196,12 +197,13 @@ class Lattice:
         gens = self.generator_rows()
         if not gens:
             return CartierModule(ring, 0, {}, relations=())
-        rels = self.localized.quotient.effective_relations()
+        quot = self.localized.quotient
+        rels = quot.effective_relations()
         relations = syzygy_generators(gens, rels, self.rank, ring)
         keys = [(a, j) for a in ring.pth_basis() for j in range(len(gens))]
-        solutions = solve_combinations(
-            gens, rels, self._kappa_images(gens), self.rank, ring
-        )
+        # normal-formed images: the coordinates depend on the representative
+        images = [quot.normal_form(w) for w in self._kappa_images(gens)]
+        solutions = solve_combinations(gens, rels, images, self.rank, ring)
         if None in solutions:
             raise InvariantViolation("operator image escaped the lattice span")
         table = {key: tuple(c) for key, c in zip(keys, solutions)}

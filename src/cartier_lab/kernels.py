@@ -3,6 +3,11 @@
 Everything in this package that is F_p-linear -- fixed-point counting,
 Hom solving, brute-force enumeration -- bottoms out in row reduction of
 int64 matrices mod p, done here with vectorized numpy row operations.
+The nullspace first peels off the unknowns that rows with one nonzero
+force to zero, repeatedly, and eliminates only what is left: structured
+Gaussian elimination (LaMacchia and Odlyzko, "Solving large sparse
+linear systems over finite fields", CRYPTO '90).  Hom systems are sparse
+and about half of their pivots are such forced zeros.
 
 Matrices are numpy int64 arrays with entries already reduced into
 ``[0, p)``; all functions return arrays in the same normal form.
@@ -63,20 +68,44 @@ def rank_mod_p(a, p):
     return int(rref_mod_p(a, p)[1].size)
 
 
+def _peel(nz):
+    """The mask of the columns left after peeling the nonzero pattern
+    ``nz``: a row with one nonzero in the columns left forces that column
+    to zero in every kernel vector, and dropping the column may leave
+    other rows with one nonzero."""
+    live = np.ones(nz.shape[1], dtype=bool)
+    counts = nz.sum(axis=1)
+    rows = np.flatnonzero(counts == 1)
+    while rows.size:
+        forced = np.zeros_like(live)
+        forced[np.argmax(nz[rows] & live, axis=1)] = True
+        live &= ~forced
+        counts -= nz[:, forced].sum(axis=1)
+        rows = np.flatnonzero(counts == 1)
+    return live
+
+
 def nullspace_mod_p(a, p):
     """Basis of the right kernel {x : a @ x = 0 mod p}, rows = basis vectors.
 
     The basis vector of a free column f is 1 at f, 0 at the other free
-    columns and minus column f of the RREF at the pivots."""
+    columns and minus column f of the RREF at the pivots.  Only the rows
+    and columns left by ``_peel`` reach ``_rref``: a forced column is a
+    pivot of the whole matrix and the others keep their order, so the
+    basis is the whole matrix's, zero at the forced columns."""
     a = np.asarray(a, dtype=np.int64)
     n = a.shape[1] if a.ndim == 2 else 0
     if a.size == 0:
         return np.eye(n, dtype=np.int64)
-    r, pivots = rref_mod_p(a, p)
-    free = np.ones(n, dtype=bool)
+    a = a % p
+    nz = a != 0
+    live = _peel(nz)
+    cols = np.flatnonzero(live)
+    r, pivots = _rref(a[np.ix_(nz[:, live].any(axis=1), cols)], p)
+    free = np.ones(cols.size, dtype=bool)
     free[pivots] = False
     free = np.flatnonzero(free)
     basis = np.zeros((free.size, n), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-r[: pivots.size, free].T) % p
+    basis[np.arange(free.size), cols[free]] = 1
+    basis[:, cols[pivots]] = (-r[: pivots.size, free].T) % p
     return basis

@@ -47,10 +47,19 @@ def ring_to_json(ring):
     }
 
 
+def _json_int(obj, key):
+    """obj[key] if it is a JSON integer; a bool, float or string is not
+    read as one (ValueError; KeyError when the key is missing)."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be a JSON integer, not {value!r}")
+    return value
+
+
 def ring_from_json(obj):
     try:
-        p = int(obj["p"])
-        e = int(obj["e"])
+        p = _json_int(obj, "p")
+        e = _json_int(obj, "e")
         variables = tuple(str(v) for v in obj.get("vars", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad ring description: {exc}") from None
@@ -201,7 +210,7 @@ def _presentation_from_json(obj, rank_key):
     """The constructor arguments shared by module and sheaf documents."""
     ring = ring_from_json(obj.get("ring", {}))
     try:
-        rank = int(obj[rank_key])
+        rank = _json_int(obj, rank_key)
     except (KeyError, TypeError, ValueError):
         raise ValidationError(f"missing or bad {rank_key!r}") from None
     rows = _json_list(obj.get("relations", []), "'relations'")

@@ -5,6 +5,7 @@ independent oracle throughout: kappa(x^E dx) is x^{(E+1)/p - 1} dx when
 every component of E is congruent to p-1 mod p, and zero otherwise.
 """
 
+import hashlib
 import itertools
 import random
 
@@ -13,6 +14,7 @@ import pytest
 
 from cartier_lab import kernels
 from cartier_lab.cartier import (
+    _max_nil_finite,
     CartierModule,
     CartierMorphism,
     FiniteModel,
@@ -847,3 +849,147 @@ def test_finite_model_semilinear_operator_agrees():
         direct = j2.apply_kappa(v)
         via_model = fm.from_coords(T.apply(fm.to_coords(v)))
         assert direct == via_model
+
+
+# ----------------------------------------------------- hom basis pin
+
+# sha256 over the Hom bases of PIN_PAIRS and the _max_nil_finite answers
+# of PIN_MODULES (see pinned_answers), recorded when each representative
+# was still built one kernel row at a time by FiniteModel.from_coords
+HOM_PIN = (
+    "36ee2afb7d44c5ae2cc5dcdb307e32a46d3c4739bccede056a89e5566e62d984"
+)
+
+
+def pin_pairs():
+    """Seeded (kind, source, target) Hom pairs: over F_q with e > 1,
+    torsion pairs over F_p[x], and targets of positive rank over F_p[x],
+    whose sources have relations of positive degree, so that products
+    reach degrees past the truncated model."""
+    rng = random.Random(SEED + 404)
+    pairs = []
+    for p, e, rank in ((2, 2, 3), (2, 3, 2), (3, 2, 2)):
+        ctx = Fq(p, e)
+        mods = [random_fq_module(rng, ctx, rank)[0] for _ in range(2)]
+        mods.append(jordan_block_module(ctx, rank))
+        pairs += [("fq", a, b) for a in mods for b in mods]
+    for p in (2, 3):
+        mods = [torsion_line_module(rng, p, rank, c=rng.randrange(p))
+                for rank in (1, 2, 2)]
+        mods.append(direct_sum(mods[0], mods[1])[0])
+        pairs += [("torsion", a, b) for a in mods for b in mods]
+    for p in (2, 3):
+        R = ring(p)
+        x = R.var(0)
+        T = CartierModule(
+            R, 1, {((a,), 0): (R.one if a == 0 else R.zero,)
+                   for a in range(p)}, relations=[(x,)]
+        )
+        omega = omega_module(R)
+        targets = [omega, direct_sum(omega, T)[0]]
+        sources = [torsion_line_module(rng, p, 1), T, omega]
+        pairs += [("free", a, b) for a in sources for b in targets]
+    return pairs
+
+
+def pin_modules():
+    """Seeded finite-length modules for _max_nil_finite: over F_q with
+    e > 1 (half of the operators singular) and torsion over F_p[x]."""
+    rng = random.Random(SEED + 505)
+    mods = []
+    for p, e, rank in ((2, 2, 3), (2, 3, 2), (3, 2, 2)):
+        ctx = Fq(p, e)
+        for k in range(4):
+            module, a = random_fq_module(rng, ctx, rank)
+            if k % 2:  # kappa(g_0) = 0
+                R = module.ring
+                module = CartierModule(R, rank, {
+                    ((), j): tuple(R.scalar(a[i][j]) if j else R.zero
+                                   for i in range(rank))
+                    for j in range(rank)
+                })
+            mods.append(module)
+    for p in (2, 3):
+        for rank in (1, 2, 3):
+            mods.append(torsion_line_module(rng, p, rank, c=rng.randrange(p)))
+        small = torsion_line_module(rng, p, 1)
+        mods.append(direct_sum(small, jordan_line(p))[0])
+    return mods
+
+
+def jordan_line(p):
+    """F_p[x]/(x^2) with kappa(g) = x g: a nilpotent torsion module."""
+    R = ring(p)
+    x = R.var(0)
+    return CartierModule(
+        R, 1, {((a,), 0): (x if a == 0 else R.zero,) for a in range(p)},
+        relations=[(x * x,)],
+    )
+
+
+def pinned_answers():
+    for _, source, target in pin_pairs():
+        res = hom_cartier(source, target)
+        yield [res.dimension_fp, res.partial, res.degree_cap]
+        yield [[str(f) for f in img] for phi in res.basis
+               for img in phi.images]
+    for module in pin_modules():
+        gens = _max_nil_finite(module)
+        yield None if gens is None else [[str(f) for f in v] for v in gens]
+
+
+def test_hom_and_max_nil_answers_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for item in pinned_answers():
+        digest.update(repr(item).encode())
+    assert digest.hexdigest() == HOM_PIN
+
+
+def coords_vector(model, coords):
+    """Independent of FiniteModel: the sum of coefficient times x^s on
+    column c over the model basis."""
+    ring_ = model.module.ring
+    vec = zero_vector(ring_, model.module.rank)
+    for (c, s), coeff in zip(model.basis, coords, strict=True):
+        unit = [ring_.zero] * model.module.rank
+        unit[c] = ring_.monomial((s,) * ring_.nvars, coeff)
+        vec = vec_add(vec, tuple(unit))
+    return vec
+
+
+def test_hom_basis_images_are_the_kernel_rows(monkeypatch):
+    """Every image of every basis morphism is the representative whose
+    coordinates are its block of the kernel row; positive-rank targets
+    do reach residual rows past the model dimension."""
+    nullspace = kernels.nullspace_mod_p
+    seen = []
+
+    def recording(a, p):
+        null = nullspace(a, p)
+        seen.append((a.shape, null))
+        return null
+
+    monkeypatch.setattr(kernels, "nullspace_mod_p", recording)
+    kinds, residual = set(), 0
+    for kind, source, target in pin_pairs():
+        res = hom_cartier(source, target)
+        shape, null = seen[-1]
+        ctx = target.ring.ctx
+        p, e, r = ctx.p, ctx.e, source.rank
+        model = FiniteModel(target, res.degree_cap)
+        d = model.dimension
+        conditions = (len(source.effective_relations())
+                      + len(source.kappa_table))
+        residual += shape[0] > conditions * d * e
+        ker = null[::-1, ::-1]
+        codes = ker.reshape(len(ker), d, r, e) @ p ** np.arange(e)
+        assert len(res.basis) == len(ker)
+        for phi, row in zip(res.basis, codes.tolist()):
+            for j, img in enumerate(phi.images):
+                coords = [ctx.from_int(code[j]) for code in row]
+                assert img == model.from_coords(coords)
+                assert img == coords_vector(model, coords)
+                assert all(f is target.ring.zero for f in img if f.is_zero())
+        kinds.add(kind)
+    assert kinds == {"fq", "torsion", "free"}
+    assert residual

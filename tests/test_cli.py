@@ -357,6 +357,29 @@ def test_string_in_place_of_a_vector_is_validation_error(
     assert rep["error"]["message"] == f"{field} must be a JSON list"
 
 
+@pytest.mark.parametrize("kind", ["module", "sheaf"])
+@pytest.mark.parametrize("key", ["p", "e", "rank"])
+@pytest.mark.parametrize("value", [2.9, 1.0, True, "2"],
+                         ids=["float", "integral-float", "bool", "string"])
+def test_non_integer_ring_or_rank_is_validation_error(
+    capsys, tmp_path, kind, key, value
+):
+    """p, e and the rank key must be JSON integers: 2.9 is not read as 2,
+    true as 1, or "2" as 2."""
+    doc = _module_doc() if kind == "module" else _sheaf_doc()
+    if key == "rank":
+        key = "generators" if kind == "module" else "rank"
+        doc[key] = value
+    else:
+        doc["ring"][key] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep, _ = report(capsys, ["validate", str(path), "--no-timings"])
+    assert code == 2
+    assert rep["error"]["type"] == "validation"
+    assert repr(key) in rep["error"]["message"]
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -147,3 +147,149 @@ def test_empty_matrix_edge_cases():
     null = kernels.nullspace_mod_p(empty, 3)
     assert null.shape == (4, 4)
     assert np.array_equal(null, np.eye(4, dtype=np.int64))
+
+
+# ------------------------------------------------- forced-zero pre-pass
+
+
+def rref_nullspace(mat, p):
+    """The nullspace read off ``rref_mod_p`` of the whole matrix: 1 at
+    each free column f, minus column f of the RREF at the pivots."""
+    red, pivots = kernels.rref_mod_p(mat, p)
+    n = mat.shape[1]
+    free = [f for f in range(n) if f not in set(pivots.tolist())]
+    null = np.zeros((len(free), n), dtype=np.int64)
+    for k, f in enumerate(free):
+        null[k, f] = 1
+        null[k, pivots] = -red[: pivots.size, f] % p
+    return null
+
+
+def nonzero(rng, p):
+    return rng.randrange(1, p)
+
+
+def sparse_system(rng, p, chain, dense, zero_rows, coupled):
+    """(matrix, shape left for the elimination).  A cascade of ``chain``
+    rows: row 0 has one nonzero, row i > 0 has nonzeros at columns i - 1
+    and i, so each peeled column leaves the next row with one nonzero.
+    Next to it a ``dense`` x (dense + 1) block of nonzeros, where no row
+    has one nonzero; when ``coupled`` its rows also meet the cascade's
+    columns.  Then ``zero_rows`` zero rows, two zero columns, and rows
+    and columns shuffled."""
+    width = dense + 1 if dense else 0
+    rows, cols = chain + dense + zero_rows, chain + width + 2
+    mat = np.zeros((rows, cols), dtype=np.int64)
+    for i in range(chain):
+        mat[i, i] = nonzero(rng, p)
+        if i:
+            mat[i, i - 1] = nonzero(rng, p)
+    for i in range(dense):
+        for j in range(width):
+            mat[chain + i, chain + j] = nonzero(rng, p)
+        if coupled and chain:
+            mat[chain + i, rng.randrange(chain)] = nonzero(rng, p)
+    mat = mat[rng.sample(range(rows), rows)][:, rng.sample(range(cols), cols)]
+    return mat, (dense, width + 2)
+
+
+def checked_nullspace(mat, p, monkeypatch):
+    """``nullspace_mod_p`` of ``mat``, checked against the whole matrix's
+    RREF and the inline oracle; returns it with the shapes that reached
+    ``_rref``."""
+    shapes = []
+    rref = kernels._rref
+
+    def recording(m, q):
+        shapes.append(m.shape)
+        return rref(m, q)
+
+    monkeypatch.setattr(kernels, "_rref", recording)
+    null = kernels.nullspace_mod_p(mat, p)
+    monkeypatch.setattr(kernels, "_rref", rref)
+    assert null.dtype == np.int64
+    assert np.array_equal(null, rref_nullspace(mat, p))
+    rank = len(python_rref(mat.tolist(), p)[1])
+    assert null.shape == (mat.shape[1] - rank, mat.shape[1])
+    if null.size:
+        assert not (mat @ null.T % p).any()
+    return null, shapes
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cascading_singletons_are_peeled_to_the_end(p, monkeypatch):
+    """Every cascade column is peeled, over as many rounds as the cascade
+    is long, and only the block without singleton rows is eliminated;
+    with ``coupled`` the block's rows lose their cascade entries first."""
+    rng = random.Random(SEED + 7 * p)
+    for trial in range(24):
+        chain, dense = rng.randrange(2, 9), rng.randrange(0, 5)
+        mat, left = sparse_system(
+            rng, p, chain, dense, zero_rows=trial % 3, coupled=trial % 2
+        )
+        _, shapes = checked_nullspace(mat, p, monkeypatch)
+        assert shapes == [left]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_zero_rows_never_reach_the_elimination(p, monkeypatch):
+    rng = random.Random(SEED + 11 * p)
+    for _ in range(10):
+        rows, cols = rng.randrange(2, 8), rng.randrange(2, 8)
+        mat = np.zeros((rows, cols), dtype=np.int64)
+        mat[0] = [nonzero(rng, p) for _ in range(cols)]
+        _, shapes = checked_nullspace(mat, p, monkeypatch)
+        assert shapes == [(1, cols)]
+        _, shapes = checked_nullspace(0 * mat, p, monkeypatch)
+        assert shapes == [(0, cols)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_full_rank_triangular_matrix_is_peeled_whole(p, monkeypatch):
+    """A permuted lower-triangular matrix with a nonzero diagonal: every
+    column is forced, the kernel is zero and nothing is eliminated."""
+    rng = random.Random(SEED + 13 * p)
+    for _ in range(10):
+        n = rng.randrange(1, 12)
+        mat = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            mat[i, i] = nonzero(rng, p)
+            for j in range(i):
+                mat[i, j] = rng.randrange(p)
+        mat = mat[rng.sample(range(n), n)][:, rng.sample(range(n), n)]
+        null, shapes = checked_nullspace(mat, p, monkeypatch)
+        assert null.shape == (0, n)
+        assert shapes == [(0, 0)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_a_matrix_without_singleton_rows_is_eliminated_whole(p, monkeypatch):
+    rng = random.Random(SEED + 17 * p)
+    for _ in range(10):
+        rows, cols = rng.randrange(1, 9), rng.randrange(2, 9)
+        mat = np.array(
+            [[nonzero(rng, p) for _ in range(cols)] for _ in range(rows)],
+            dtype=np.int64,
+        )
+        _, shapes = checked_nullspace(mat, p, monkeypatch)
+        assert shapes == [(rows, cols)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_sparse_random_nullspaces_match_the_whole_rref(p, monkeypatch):
+    """Sparse random matrices, where some rows peel and some do not."""
+    rng = random.Random(SEED + 19 * p)
+    for _ in range(40):
+        rows, cols = rng.randrange(1, 12), rng.randrange(1, 12)
+        mat = np.array(
+            [[nonzero(rng, p) if rng.random() < 0.2 else 0
+              for _ in range(cols)] for _ in range(rows)],
+            dtype=np.int64,
+        )
+        checked_nullspace(mat, p, monkeypatch)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_shapes(shape):
+    null = kernels.nullspace_mod_p(np.zeros(shape, dtype=np.int64), 5)
+    assert np.array_equal(null, np.eye(shape[1], dtype=np.int64))
