@@ -35,7 +35,7 @@ from .submodules import (
     Presentation,
     hnf_extend,
     in_span,
-    module_invariants,
+    saturation,
     scalar_rows,
     solve_combinations,
     syzygy_generators,
@@ -706,13 +706,10 @@ def max_nilpotent_submodule(module, cap=None):
             "module on which kappa^d vanishes failed its nilpotency check"
         )
     ring = module.ring
-    # positive free rank: restrict to the torsion part
-    info = module_invariants(module.effective_relations(), module.rank, ring)
-    tors_gens = []
-    for i in info["torsion_coords"]:
-        col = tuple(info["from_canonical"][r][i] for r in range(module.rank))
-        tors_gens.append(module.normal_form(col))
-    tors_gens = [g for g in tors_gens if not module.is_zero_element(g)]
+    # positive free rank: restrict to the torsion part sat(N) / N
+    rel_hnf = module.relation_hnf()
+    sat = saturation(module.effective_relations(), module.rank, ring)
+    tors_gens = [row for row in sat if not in_span(row, rel_hnf, ring)]
     if not tors_gens:
         zero_sub, incl = submodule_module(module, [])
         return {

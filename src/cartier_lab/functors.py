@@ -13,6 +13,9 @@ by first raising the denominator to a p-th power:
     kappa(v / g^k) = kappa(g^j v) / g^((k+j)/p)   with j = (-k) mod p.
 """
 
+import numpy as np
+
+from . import kernels
 from .errors import (
     InvariantViolation,
     UnsupportedRingError,
@@ -25,21 +28,18 @@ from .cartier import (
     quotient_module,
     submodule_module,
 )
-from .fields import check_extension_cap, fixed_points_dimension
+from .fields import _mat_pow, check_extension_cap, fixed_points_dimension
 from .gamma import GammaSheaf
 from .poly import (
     IdealSpec,
     PolyRing,
-    divmod_multi,
-    gcd_univariate,
     is_regular_sequence,
     solve_membership,
 )
 from .submodules import (
     hnf_extend,
-    hnf_rows,
     in_span,
-    module_invariants,
+    saturation,
     scalar_rows,
     solve_combination,
     syzygy_generators,
@@ -140,33 +140,28 @@ def torsion_gamma_Z(module, g, cap=None):
 
 
 def torsion_invariant_oracle(module, g):
-    """Independent computation of the g-power torsion through invariant
-    factors: coordinate i of the canonical decomposition contributes the
-    classes divisible by d_i / gcd(d_i, g^(deg d_i))."""
+    """Independent computation of the g-power torsion, with no g-power
+    chain: the torsion part T = sat(N) / N of M = R^r / N has a finite
+    F_q-dimension d, so its g-power torsion is the kernel of g^d on T,
+    one F_p nullspace on the finite model of T."""
     ring = module.ring
     if ring.nvars != 1:
-        raise UnsupportedRingError("the invariant-factor path needs F_q[x]")
-    info = module_invariants(module.effective_relations(), module.rank, ring)
-    gens = []
-    dim = 0
-    for i, d in enumerate(info["factors"]):
-        if d.is_zero() or d.is_unit():
-            continue
-        bound = g ** max(d.degree_in(0), 1)
-        gpart = gcd_univariate(d, bound)
-        quots, rem = divmod_multi(d, [gpart])
-        if not rem.is_zero():
-            raise InvariantViolation("invariant factor not divisible by its g-part")
-        cop = quots[0]
-        if gpart.is_unit():
-            continue
-        dim += gpart.degree_in(0)
-        col = tuple(info["from_canonical"][r][i] for r in range(module.rank))
-        gens.append(vec_scale(col, cop))
-    span = hnf_rows(
-        list(gens) + list(module.effective_relations()), module.rank, ring
+        raise UnsupportedRingError("the saturation path needs F_q[x]")
+    rel_hnf = module.relation_hnf()
+    sat = saturation(module.effective_relations(), module.rank, ring)
+    torsion, incl = submodule_module(
+        module, [row for row in sat if not in_span(row, rel_hnf, ring)]
     )
-    return {"generators": gens, "span": span, "dimension": dim}
+    model = FiniteModel(torsion)
+    p, e, d = ring.ctx.p, ring.ctx.e, model.dimension
+    mult = model.fp_blocks([
+        model.support(vec_scale(model.basis_vector(i), g)) for i in range(d)
+    ]).reshape(d * e, d * e)
+    null = kernels.nullspace_mod_p(_mat_pow(mult, d, p), p)
+    codes = null.reshape(len(null), d, e) @ p ** np.arange(e)
+    gens = [incl.apply(v) for v in model.from_codes(codes)]
+    span = hnf_extend(rel_hnf, gens, module.rank, ring)
+    return {"generators": gens, "span": span, "dimension": len(null) // e}
 
 
 # ---------------------------------------------------------------------------

@@ -356,14 +356,6 @@ class Polynomial:
         k = max(self.terms)
         return _unpack(k, self.ring.nvars), self.ring.ctx._elems[self.terms[k]]
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        ctx = self.ring.ctx
-        out = {}
-        _axpy(ctx, out, self.terms, 0, ctx._inv[self.terms[max(self.terms)]])
-        return Polynomial(self.ring, out)
-
     def coeff(self, exps):
         exps = tuple(exps)
         if len(exps) != self.ring.nvars or any(x < 0 for x in exps):
@@ -876,24 +868,6 @@ def solve_membership(f, generators):
     for g in generators:
         out.append(next(it) if not g.is_zero() else ring.zero)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Univariate gcd
-# ---------------------------------------------------------------------------
-
-
-def gcd_univariate(f, g):
-    """Monic gcd in F_q[x] (ring must have exactly one variable)."""
-    ring = f.ring
-    if ring.nvars != 1:
-        raise UnsupportedRingError("gcd_univariate needs a one-variable ring")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, divmod_multi(a, [b])[1]
-    if a.is_zero():
-        return a
-    return a.monic()
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,12 @@ def ring_from_json(obj):
     try:
         p = _json_int(obj, "p")
         e = _json_int(obj, "e")
-        variables = tuple(str(v) for v in obj.get("vars", ()))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad ring description: {exc}") from None
-    return PolyRing(Fq(p, e), variables)
+    variables = _json_list(obj.get("vars", []), "'vars'")
+    if not all(isinstance(v, str) for v in variables):
+        raise ValidationError("'vars' must hold strings")
+    return PolyRing(Fq(p, e), tuple(variables))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ form: rows in echelon order by pivot column, monic pivots, and entries
 above each pivot of strictly smaller degree.  HNF rows are the canonical
 form used for equality tests, membership, and vector reduction.
 
-Syzygies and linear solves are done by row-reducing value|tag stacks; the
-Smith normal form (with unimodular transforms) yields invariant factors
-and the torsion decomposition of a presented module.
+Syzygies and linear solves are done by row-reducing value|tag stacks.
+The torsion submodule of R^r / N is sat(N) / N, and the saturation
+sat(N) is two syzygy computations: the vectors orthogonal to the
+vectors orthogonal to N.
 
 Rings with two or more variables are rejected: callers must arrange their
 modules to be free in that case.
@@ -37,8 +38,7 @@ __all__ = [
     "syzygy_generators",
     "solve_combination",
     "solve_combinations",
-    "smith_normal_form",
-    "module_invariants",
+    "saturation",
 ]
 
 
@@ -436,171 +436,16 @@ def solve_combination(gens, rels, target, r, ring):
     return solve_combinations(gens, rels, [target], r, ring)[0]
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
+def saturation(rels, r, ring):
+    """Hermite normal form of the saturation of N = span(rels) in R^r: the
+    vectors v with f v in N for some nonzero f, whose classes form the
+    torsion submodule of R^r / N.  Over a principal ideal domain it is
+    (N^perp)^perp, where N^perp, the vectors orthogonal to every row, is
+    the syzygy module of the r coordinate columns of the rows (Newman,
+    Integral Matrices, 1972)."""
 
+    def perp(rows):
+        columns = [tuple(row[j] for row in rows) for j in range(r)]
+        return syzygy_generators(columns, [], len(rows), ring)
 
-def _deg(f):
-    return f.degree_in(0) if f.ring.nvars else 0
-
-
-def smith_normal_form(matrix, ring):
-    """(D, U, V, Uinv) with U A V = D diagonal, d_1 | d_2 | ..., pivots monic.
-
-    U and V are unimodular; Uinv is maintained alongside U so callers can
-    map canonical coordinates back without a separate inversion.
-    """
-    _check_ring(ring)
-    A = [list(row) for row in matrix]
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-
-    U = [[ring.one if i == j else ring.zero for j in range(rows)] for i in range(rows)]
-    Uinv = [
-        [ring.one if i == j else ring.zero for j in range(rows)] for i in range(rows)
-    ]
-    V = [[ring.one if i == j else ring.zero for j in range(cols)] for i in range(cols)]
-
-    def row_sub(i, k, q):  # row_i -= q * row_k
-        A[i] = [a - q * b for a, b in zip(A[i], A[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-        for rr in range(rows):  # Uinv: col_k += q * col_i
-            Uinv[rr][k] = Uinv[rr][k] + q * Uinv[rr][i]
-
-    def row_swap(i, k):
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
-        for rr in range(rows):
-            Uinv[rr][i], Uinv[rr][k] = Uinv[rr][k], Uinv[rr][i]
-
-    def row_scale(i, u, uinv):
-        A[i] = [u * a for a in A[i]]
-        U[i] = [u * a for a in U[i]]
-        for rr in range(rows):
-            Uinv[rr][i] = uinv * Uinv[rr][i]
-
-    def col_sub(j, k, q):  # col_j -= q * col_k
-        for i in range(rows):
-            A[i][j] = A[i][j] - q * A[i][k]
-        for i in range(cols):
-            V[i][j] = V[i][j] - q * V[i][k]
-
-    def col_swap(j, k):
-        for i in range(rows):
-            A[i][j], A[i][k] = A[i][k], A[i][j]
-        for i in range(cols):
-            V[i][j], V[i][k] = V[i][k], V[i][j]
-
-    def find_pivot(k):
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if not A[i][j].is_zero():
-                    if best is None or _deg(A[i][j]) < _deg(A[best[0]][best[1]]):
-                        best = (i, j)
-        return best
-
-    k = 0
-    while k < min(rows, cols):
-        piv = find_pivot(k)
-        if piv is None:
-            break
-        i0, j0 = piv
-        if i0 != k:
-            row_swap(i0, k)
-        if j0 != k:
-            col_swap(j0, k)
-        while True:
-            # clear column k
-            dirty = False
-            for i in range(k + 1, rows):
-                if not A[i][k].is_zero():
-                    q, rem = _divmod1(A[i][k], A[k][k])
-                    row_sub(i, k, q)
-                    if not A[i][k].is_zero():
-                        row_swap(i, k)
-                        dirty = True
-            if dirty:
-                continue
-            # clear row k
-            dirty = False
-            for j in range(k + 1, cols):
-                if not A[k][j].is_zero():
-                    q, rem = _divmod1(A[k][j], A[k][k])
-                    col_sub(j, k, q)
-                    if not A[k][j].is_zero():
-                        col_swap(j, k)
-                        dirty = True
-            if dirty:
-                continue
-            # divisibility fix-up: pivot must divide the whole submatrix
-            offender = None
-            for i in range(k + 1, rows):
-                for j in range(k + 1, cols):
-                    if not A[i][j].is_zero():
-                        _, rem = _divmod1(A[i][j], A[k][k])
-                        if not rem.is_zero():
-                            offender = i
-                            break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_sub(k, offender, -ring.one)  # row_k += row_offender
-        lead = A[k][k].leading()[1]
-        if lead != ring.ctx.one:
-            u = ring.scalar(lead.inv())
-            row_scale(k, u, ring.scalar(lead))
-        k += 1
-    D = [[A[i][j] for j in range(cols)] for i in range(rows)]
-    return D, U, V, Uinv
-
-
-def module_invariants(relation_rows, r, ring):
-    """Invariant-factor data of M = R^r / span(relation_rows).
-
-    Returns a dict with:
-      ``factors``: list of length r; entry i is the invariant factor d_i in
-          canonical coordinates (ring.one for killed coordinates, zero
-          polynomial for free coordinates);
-      ``to_canonical``: matrix U (list of rows) with canonical = U . vector;
-      ``from_canonical``: Uinv with vector = Uinv . canonical;
-      ``torsion_coords`` / ``free_coords``: index lists.
-    """
-    _check_ring(ring)
-    rels = [list(row) for row in relation_rows]
-    if not rels:
-        return {
-            "factors": [ring.zero] * r,
-            "to_canonical": [
-                [ring.one if i == j else ring.zero for j in range(r)]
-                for i in range(r)
-            ],
-            "from_canonical": [
-                [ring.one if i == j else ring.zero for j in range(r)]
-                for i in range(r)
-            ],
-            "torsion_coords": [],
-            "free_coords": list(range(r)),
-        }
-    # generators of the relation module are columns of G (r x k)
-    k = len(rels)
-    G = [[rels[j][i] for j in range(k)] for i in range(r)]
-    D, U, _, Uinv = smith_normal_form(G, ring)
-    factors = []
-    torsion, free = [], []
-    for i in range(r):
-        d = D[i][i] if i < min(r, k) else ring.zero
-        factors.append(d)
-        if d.is_zero():
-            free.append(i)
-        elif not d.is_unit():
-            torsion.append(i)
-    return {
-        "factors": factors,
-        "to_canonical": U,
-        "from_canonical": Uinv,
-        "torsion_coords": torsion,
-        "free_coords": free,
-    }
+    return tuple(perp(perp(rels)))

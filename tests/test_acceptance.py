@@ -321,7 +321,7 @@ def test_05_point_specialization_commutes_with_conversion():
 def test_06_localization_kernel_equals_power_torsion():
     """The kernel of the localization map is exactly the set of vectors
     killed by a power of g: the syzygy-chain computation, the
-    invariant-factor oracle, the localization's own kernel, and brute
+    saturation oracle, the localization's own kernel, and brute
     power-membership all agree on 50+ instances."""
     t0 = time.monotonic()
     instances = 0
@@ -351,6 +351,7 @@ def test_06_localization_kernel_equals_power_torsion():
             assert span_equal(
                 tors["span"], hnf_rows(list(oracle["span"]), mod.rank, R)
             )
+            assert oracle["dimension"] == FiniteModel(tors["module"]).dimension
             loc = open_pullback(mod, g)
             for gen in loc.torsion["generators"]:
                 assert in_span(gen, tors["span"], R)

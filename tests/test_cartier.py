@@ -42,7 +42,7 @@ from cartier_lab.fields import (
     fq_rref,
 )
 from cartier_lab.poly import PolyRing
-from cartier_lab.submodules import vec_add, vec_scale, zero_vector
+from cartier_lab.submodules import hnf_extend, vec_add, vec_scale, zero_vector
 
 SEED = 91
 
@@ -681,6 +681,68 @@ def test_max_nilpotent_submodule_is_maximal_by_enumeration(p):
             for v in everything
         )
     assert proper and hidden
+
+
+def unimodular_rows(rng, R, r):
+    """The rows of a random unimodular r x r matrix over R: the identity
+    after elementary row operations and a shuffle."""
+    rows = [tuple(R.one if j == i else R.zero for j in range(r))
+            for i in range(r)]
+    for _ in range(2 * r):
+        i, j = rng.sample(range(r), 2)
+        rows[i] = vec_add(rows[i], vec_scale(rows[j], R.random_poly(rng, 2)))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_max_nilpotent_submodule_of_positive_rank_by_enumeration(p):
+    """M = omega + T, for a small torsion module T, has positive rank and
+    is not nilpotent.  Its answer is partial and nilpotent, and it spans
+    the maximal nilpotent submodule of T, found by enumerating every
+    element of T; also when M is re-presented on a unimodular change of
+    generators, so that T lies along no coordinate."""
+    rng = random.Random(SEED + 30 * p)
+    R = ring(p)
+    x = R.var(0)
+    point = CartierModule(
+        R, 1, {((a,), 0): (R.one if a == 0 else R.zero,) for a in range(p)},
+        relations=[(x,)],
+    )
+    smalls = {}
+    while len(smalls) < 2:
+        small = torsion_line_module(rng, p, 1, c=rng.randrange(p))
+        smalls.setdefault(is_nilpotent(small)[0], small)
+    torsions = [jordan_line(p), direct_sum(jordan_line(p), point)[0],
+                smalls[True], direct_sum(smalls[False], point)[0]]
+    if p == 2:
+        torsions.append(torsion_line_module(rng, p, 2))
+    nonzero = 0
+    for tors in torsions:
+        model = FiniteModel(tors)
+        expected = [
+            v for v in (
+                model.from_coords(coords) for coords in itertools.product(
+                    list(R.ctx.elements()), repeat=model.dimension
+                )
+            )
+            if nilpotent_set(tors, cartier_span(tors, [v]))
+        ]
+        total, _, i2 = direct_sum(omega_module(R), tors)
+        r, rel_hnf = total.rank, total.relation_hnf()
+        want = hnf_extend(rel_hnf, [i2.apply(v) for v in expected], r, R)
+        nonzero += want != rel_hnf
+        presentations = [(total, CartierMorphism.identity(total))] + [
+            submodule_module(total, unimodular_rows(rng, R, r))
+            for _ in range(2)
+        ]
+        for module, incl in presentations:
+            res = max_nilpotent_submodule(module)
+            assert res["partial"]
+            assert is_nilpotent(res["module"])[0]
+            found = [incl.apply(g) for g in res["generators"]]
+            assert hnf_extend(rel_hnf, found, r, R) == want
+    assert nonzero >= 3
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2)])

@@ -380,6 +380,26 @@ def test_non_integer_ring_or_rank_is_validation_error(
     assert repr(key) in rep["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "value,message",
+    [("xy", "'vars' must be a JSON list"),
+     ({"x": 1}, "'vars' must be a JSON list"),
+     (2, "'vars' must be a JSON list"),
+     (["x", 1], "'vars' must hold strings")],
+    ids=["string", "dict", "number", "non-string-entry"],
+)
+def test_ring_vars_must_be_a_list_of_strings(capsys, tmp_path, value, message):
+    """The string "xy" is not read as the two variables x and y."""
+    doc = {"ring": {"p": 2, "e": 1, "vars": value}, "generators": 0,
+           "kappa": {}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep, _ = report(capsys, ["validate", str(path), "--no-timings"])
+    assert code == 2
+    assert rep["error"]["type"] == "validation"
+    assert rep["error"]["message"] == message
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

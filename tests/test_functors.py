@@ -263,6 +263,7 @@ def test_torsion_of_split_module_is_the_point_summand(p):
     assert span_equal(tors["span"], expected)
     oracle = torsion_invariant_oracle(total, x)
     assert span_equal(tors["span"], hnf_rows(list(oracle["span"]), total.rank, R))
+    assert oracle["dimension"] == FiniteModel(tors["module"]).dimension
 
 
 def _block_library(ctx, R, rng):
@@ -326,11 +327,12 @@ def test_torsion_matches_power_membership_brute_force(p):
                     break
                 power = power * g
             assert in_span(v, tors["span"], R) == brute
-        # (c) and the invariant-factor oracle agrees on the span
+        # (c) and the saturation oracle agrees on the span and dimension
         oracle = torsion_invariant_oracle(total, g)
         assert span_equal(
             tors["span"], hnf_rows(list(oracle["span"]), total.rank, R)
         )
+        assert oracle["dimension"] == FiniteModel(tors["module"]).dimension
 
 
 # ------------------------------------------------------- closed pushforward

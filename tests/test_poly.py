@@ -24,7 +24,6 @@ from cartier_lab.poly import (
     divmod_multi,
     frobenius_component,
     frobenius_decompose,
-    gcd_univariate,
     is_regular_sequence,
     normal_form,
     s_polynomial,
@@ -501,37 +500,6 @@ def test_members_of_a_refused_prefix_ideal_are_rejected_first():
     R3 = ring(5, nvars=3)
     g = R3.parse("x^2+y")
     assert is_regular_sequence([g, R3.parse("z") * g], R3) is False
-
-
-# ------------------------------------------------------------------- gcd
-
-
-@pytest.mark.parametrize(
-    "f,g,expected",
-    [
-        ("x^2+4", "x^3+4", "x+4"),
-        ("x^2+2", "x+2", "1"),
-        ("x^4", "x^2", "x^2"),
-    ],
-)
-def test_gcd_univariate(f, g, expected):
-    R = ring(5)
-    got = gcd_univariate(R.parse(f), R.parse(g))
-    assert str(got) == expected
-
-
-def test_gcd_univariate_divides_both():
-    R = ring(3)
-    rng = random.Random(SEED + 23)
-    for _ in range(15):
-        f = R.random_poly(rng, max_degree=4)
-        g = R.random_poly(rng, max_degree=4)
-        if f.is_zero() or g.is_zero():
-            continue
-        d = gcd_univariate(f, g)
-        for h in (f, g):
-            _, rem = divmod_multi(h, [d])
-            assert rem.is_zero()
 
 
 # -------------------------------------------------------------- the engine

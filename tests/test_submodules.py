@@ -1,11 +1,12 @@
-"""Tests for row-span normal forms, syzygies, and Smith normal form over
-F_q[x]."""
+"""Tests for row-span normal forms, syzygies, linear solves and the
+saturation (the torsion preimage) over F_q[x]."""
 
+import hashlib
 import random
 
 import pytest
 
-from cartier_lab.errors import ValidationError
+from cartier_lab.errors import UnsupportedRingError, ValidationError
 from cartier_lab.fields import Fq
 from cartier_lab.poly import PolyRing, divmod_multi
 from cartier_lab.submodules import (
@@ -14,9 +15,9 @@ from cartier_lab.submodules import (
     hnf_extend,
     hnf_rows,
     in_span,
-    module_invariants,
     reduce_vector,
-    smith_normal_form,
+    saturation,
+    scalar_rows,
     solve_combination,
     solve_combinations,
     span_equal,
@@ -112,8 +113,6 @@ def test_reduce_vector_is_linear_over_the_span():
 def test_multivariate_rings_are_rejected():
     """Span machinery is principal-ideal-domain only; rings with two or
     more variables must be refused loudly, never silently mishandled."""
-    from cartier_lab.errors import UnsupportedRingError
-
     R = PolyRing(Fq(2, 1), ("x", "y"))
     x, y = R.parse("x"), R.parse("y")
     with pytest.raises(UnsupportedRingError):
@@ -263,105 +262,88 @@ def test_divmod1_equals_multivariate_division(spec):
         _divmod1(R.one, R.zero)
 
 
-# ------------------------------------------------------- Smith normal form
+# -------------------------------------------------------------- saturation
 
 
-def _is_diagonal(D):
-    for i, row in enumerate(D):
-        for j, entry in enumerate(row):
-            if i != j and not entry.is_zero():
-                return False
-    return True
-
-
-def _mat_mul(A, B, R):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    out = [[R.zero for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = R.zero
-            for t in range(k):
-                acc = acc + A[i][t] * B[t][j]
-            out[i][j] = acc
-    return out
-
-
-@pytest.mark.parametrize("p", [2, 3])
-def test_smith_normal_form_randomized_identities(p):
-    """D = U A V with D diagonal, monic nonzero entries in divisibility
-    order, and U invertible (witnessed by the returned inverse)."""
-    R = univariate(p)
-    rng = random.Random(SEED + 7 * p)
-    for _ in range(12):
-        n = rng.randrange(1, 4)
-        m = rng.randrange(1, 4)
-        A = [
-            [R.random_poly(rng, max_degree=2) for _ in range(m)]
-            for _ in range(n)
-        ]
-        D, U, V, Uinv = smith_normal_form(A, R)
-        assert _is_diagonal(D)
-        assert _mat_mul(U, _mat_mul(A, V, R), R) == D
-        ident = [
-            [R.one if i == j else R.zero for j in range(n)] for i in range(n)
-        ]
-        assert _mat_mul(U, Uinv, R) == ident
-        diag = [D[i][i] for i in range(min(n, m))]
-        for i in range(len(diag) - 1):
-            if diag[i].is_zero():
-                assert diag[i + 1].is_zero()
-            elif not diag[i + 1].is_zero():
-                from cartier_lab.poly import divmod_multi
-
-                _, rem = divmod_multi(diag[i + 1], [diag[i]])
-                assert rem.is_zero()
-        for d in diag:
-            if not d.is_zero() and not d.is_constant():
-                _, lead = d.leading()
-                assert lead == R.ctx.scalar(1)
-
-
-def test_smith_normal_form_worked_example():
+def test_saturation_splits_torsion_and_free():
+    """R^2 / <(x^2, 0)> is R/(x^2) plus a free R: the saturation is the
+    first coordinate line, and the torsion it leaves is R/(x^2)."""
     R = univariate(2)
     x = R.parse("x")
-    D, U, V, Uinv = smith_normal_form([(x * x, R.zero), (R.zero, x)], R)
-    assert [str(D[0][0]), str(D[1][1])] == ["x", "x^2"]
+    sat = saturation([(x * x, R.zero)], 2, R)
+    assert sat == ((R.one, R.zero),)
+    assert syzygy_generators(list(sat), [(x * x, R.zero)], 2, R) == [(x * x,)]
 
 
-# -------------------------------------------------------- module invariants
-
-
-def test_module_invariants_splits_torsion_and_free():
-    R = univariate(2)
-    x = R.parse("x")
-    # R^2 / <(x^2, 0)>: one torsion coordinate R/(x^2), one free.  A zero
-    # factor denotes a free coordinate (R/(0) = R).
-    info = module_invariants([(x * x, R.zero)], 2, R)
-    assert [str(f) for f in info["factors"]] == ["x^2", "0"]
-    assert len(info["free_coords"]) == 1
-    assert len(info["torsion_coords"]) == 1
-
-
-def test_module_invariants_of_free_module():
+def test_saturation_of_free_module():
     R = univariate(3)
-    info = module_invariants([], 2, R)
-    assert all(f.is_zero() for f in info["factors"])
-    assert len(info["free_coords"]) == 2
-    assert info["torsion_coords"] == []
+    assert saturation([], 2, R) == ()
 
 
-def test_module_invariants_change_of_basis_is_consistent():
-    """to_canonical and from_canonical compose to the identity modulo the
-    relation span."""
+def test_saturation_edge_cases():
     R = univariate(2)
     x = R.parse("x")
-    rows = [(x * x, x), (R.zero, x * x * x)]
-    info = module_invariants(rows, 2, R)
-    to_c = info["to_canonical"]
-    from_c = info["from_canonical"]
-    prod = _mat_mul(from_c, to_c, R)
-    rel_h = hnf_rows(rows, 2, R)
-    for i in range(2):
-        unit = tuple(R.one if j == i else R.zero for j in range(2))
-        diff = vec_add(tuple(prod[i]), vec_scale(unit, -R.one))
-        assert in_span(diff, rel_h, R)
+    # zero rows span N = 0, which is saturated
+    assert saturation([(R.zero, R.zero)] * 2, 2, R) == ()
+    # relations of full rank: R^r / N is all torsion
+    full = [(x, R.one), (R.zero, x * x + R.one)]
+    assert saturation(full, 2, R) == hnf_rows(scalar_rows(R, 2, R.one), 2, R)
+    # rank 0
+    assert saturation([], 0, R) == ()
+    assert saturation([()], 0, R) == ()
+    with pytest.raises(UnsupportedRingError):
+        saturation([], 1, PolyRing(Fq(2, 1), ("x", "y")))
+
+
+# F_2[x], F_3[x], F_4[x], F_5[x] and F_9[x]
+SATURATION_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+def saturation_inputs():
+    """Seeded (ring, rank, relation rows): in every other set each row is
+    kept or scaled by one common nonconstant factor h, which adds torsion
+    along the scaled rows."""
+    rng = random.Random(SEED + 777)
+    for p, e in SATURATION_FIELDS:
+        R = PolyRing(Fq(p, e), ("x",))
+        x = R.var(0)
+        for trial in range(60):
+            r = rng.randrange(1, 4)
+            rows = random_rows(R, rng, rng.randrange(0, 4), r, max_degree=2)
+            if trial % 2:
+                h = x * R.random_poly(rng, max_degree=1) + R.one
+                rows = [vec_scale(row, h) if rng.randrange(2) else row
+                        for row in rows]
+            yield R, r, rows
+
+
+def test_saturation_is_the_torsion_preimage():
+    """The saturation contains N, each of its rows has a nonzero multiple
+    in N, and it is saturated itself: R^r / sat(N) is torsion free."""
+    torsion = 0
+    for R, r, rows in saturation_inputs():
+        sat = saturation(rows, r, R)
+        rel_h = hnf_rows(rows, r, R)
+        assert all(in_span(v, sat, R) for v in rel_h)
+        for v in sat:
+            assert syzygy_generators([v], rows, r, R)
+        assert saturation(sat, r, R) == sat
+        torsion += sat != rel_h
+    assert torsion >= 100
+
+
+# sha256 over the HNF of sat(N) for every set of saturation_inputs,
+# recorded from the torsion columns of the Smith normal form (the
+# canonical coordinates with a nonconstant invariant factor, mapped back
+# to R^r) together with the relations, before Smith left the package
+SATURATION_PIN = (
+    "79e8d8b68d19d9d91bd6cce27bf51c70487dd4ce7287d610899608690c2e02b9"
+)
+
+
+def test_saturation_matches_the_pinned_digest():
+    digest = hashlib.sha256()
+    for R, r, rows in saturation_inputs():
+        span = saturation(rows, r, R)
+        digest.update(repr([[str(f) for f in row] for row in span]).encode())
+    assert digest.hexdigest() == SATURATION_PIN
