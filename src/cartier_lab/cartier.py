@@ -202,7 +202,8 @@ class CartierMorphism:
     ``images[j]`` is the image of the j-th source generator, as a vector
     over the target presentation.  Validation checks that relations map to
     zero and that the commuting square holds on every table key; both
-    checks extend to all elements by additivity and semilinearity.
+    checks extend to all elements by additivity and semilinearity; with
+    ``validate=False`` (library-built maps) no check runs, shapes included.
     """
 
     __slots__ = ("source", "target", "images")
@@ -210,14 +211,16 @@ class CartierMorphism:
     def __init__(self, source, target, images, validate=True):
         self.source = source
         self.target = target
-        self.images = tuple(target.check_element(v) for v in images)
-        if len(self.images) != source.rank:
-            raise ValidationError("need one image per source generator")
+        self.images = tuple(tuple(v) for v in images)
         if validate:
             self._validate()
 
     def _validate(self):
         src, tgt = self.source, self.target
+        for v in self.images:
+            tgt.check_element(v)
+        if len(self.images) != src.rank:
+            raise ValidationError("need one image per source generator")
         if src.ring is not tgt.ring:
             raise ValidationError("morphism endpoints over different rings")
         if (src.ideal is None) != (tgt.ideal is None) or (
@@ -310,7 +313,7 @@ def image_chain(module, cap=None):
     )
 
 
-def submodule_module(module, gens, names=None):
+def submodule_module(module, gens):
     """Present the submodule of ``module`` generated by ``gens`` as a
     CartierModule, with the inclusion morphism.  The span must be stable
     under every kappa(x^a .) -- callers use this for kernels, torsion and
@@ -332,21 +335,19 @@ def submodule_module(module, gens, names=None):
             "submodule is not stable under the structural operator"
         )
     table = {key: tuple(c) for key, c in zip(keys, solutions)}
-    if names is None:
-        names = tuple(f"s{i + 1}" for i in range(len(gens)))
     sub = CartierModule(
         ring,
         len(gens),
         table,
         relations=sub_rels,
         ideal=module.ideal,
-        generator_names=names,
+        generator_names=tuple(f"s{i + 1}" for i in range(len(gens))),
     )
     incl = CartierMorphism(sub, module, gens, validate=False)
     return sub, incl
 
 
-def quotient_module(module, gens, names=None):
+def quotient_module(module, gens):
     """Quotient of ``module`` by the span of ``gens``, with projection."""
     gens = [module.check_element(g) for g in gens]
     quot = CartierModule(
@@ -355,7 +356,7 @@ def quotient_module(module, gens, names=None):
         module.kappa_table,
         relations=tuple(module.relations) + tuple(tuple(g) for g in gens),
         ideal=module.ideal,
-        generator_names=names or module.generator_names,
+        generator_names=module.generator_names,
     )
     proj = CartierMorphism(
         module, quot, CartierMorphism.identity(module).images, validate=False
@@ -403,19 +404,9 @@ def kernel(phi):
 def cokernel(phi):
     """Cokernel: the target with the image span added to its relations."""
     tgt = phi.target
-    extra = [im for im in phi.images if not tgt.is_zero_element(im)]
-    coker = CartierModule(
-        tgt.ring,
-        tgt.rank,
-        tgt.kappa_table,
-        relations=tuple(tgt.relations) + tuple(tuple(v) for v in extra),
-        ideal=tgt.ideal,
-        generator_names=tgt.generator_names,
+    return quotient_module(
+        tgt, [im for im in phi.images if not tgt.is_zero_element(im)]
     )
-    proj = CartierMorphism(
-        tgt, coker, CartierMorphism.identity(tgt).images, validate=False
-    )
-    return coker, proj
 
 
 def image(phi):
@@ -509,7 +500,7 @@ class FiniteModel:
     free column contributes x^s g_c for 0 <= s <= degree_cap.
     """
 
-    __slots__ = ("module", "basis", "_index")
+    __slots__ = ("module", "basis", "degree_cap", "_index")
 
     def __init__(self, module, degree_cap=None):
         if module.ring.nvars > 1:
@@ -521,6 +512,7 @@ class FiniteModel:
         ]
         self.module = module
         self.basis = tuple(basis)
+        self.degree_cap = degree_cap
         self._index = {bs: i for i, bs in enumerate(basis)}
 
     @property
@@ -544,15 +536,8 @@ class FiniteModel:
         }
 
     def to_coords(self, v):
-        coords = [self.module.ring.ctx.zero] * len(self.basis)
-        for key, coeff in self.support(v).items():
-            idx = self._index.get(key)
-            if idx is None:
-                raise InvariantViolation(
-                    "normal form left the finite basis support"
-                )
-            coords[idx] = coeff
-        return tuple(coords)
+        elems = self.module.ring.ctx._elems
+        return tuple(elems[c] for c in self._codes([v])[0].tolist())
 
     def from_coords(self, coords):
         """The canonical representative with these coordinates."""
@@ -582,22 +567,60 @@ class FiniteModel:
     def kappa_semilinear(self):
         """The operator as a p^{-1}-linear matrix map on coordinates."""
         ctx = self.module.ring.ctx
-        cols = [
-            self.to_coords(self.module.apply_kappa(self.basis_vector(j)))
-            for j in range(self.dimension)
-        ]
-        matrix = [
-            [cols[j][i] for j in range(self.dimension)]
-            for i in range(self.dimension)
-        ]
+        codes = self._images(self.module.apply_kappa).T.tolist()
+        matrix = [[ctx._elems[c] for c in row] for row in codes]
         return SemilinearMap(ctx, P_INV_LINEAR, matrix)
 
-    def fp_blocks(self, columns, index=None):
+    def _codes(self, vectors):
+        """Coordinate codes of the vectors, one row each.  A term past the
+        truncation is dropped; any other term outside the model raises."""
+        codes = np.zeros((len(vectors), self.dimension), dtype=np.int64)
+        for i, v in enumerate(vectors):
+            for (c, s), coeff in self.support(v).items():
+                if (c, s) in self._index:
+                    codes[i, self._index[c, s]] = coeff.code
+                elif self.degree_cap is None or s <= self.degree_cap:
+                    raise InvariantViolation(
+                        "normal form left the finite basis support")
+        return codes
+
+    def fp_rows(self, vectors):
+        """F_p coordinates of the vectors, one row each."""
+        ctx = self.module.ring.ctx
+        digits = ctx._digits[self._codes(vectors)]
+        return digits.reshape(len(vectors), self.dimension * ctx.e)
+
+    def from_fp(self, rows):
+        """The canonical representatives with these F_p coordinate rows."""
+        ctx = self.module.ring.ctx
+        rows = np.asarray(rows).reshape(len(rows), self.dimension, ctx.e)
+        return self.from_codes(rows @ ctx.p ** np.arange(ctx.e))
+
+    def _images(self, fn):
+        """Codes of fn(basis_vector(j)), one row per j."""
+        return self._codes([fn(self.basis_vector(j))
+                            for j in range(self.dimension)])
+
+    def fp_matrix(self, fn):
+        """The F_p matrix of the F_q-linear map ``fn`` on the model: column
+        block j holds the coordinates of fn(basis_vector(j))."""
+        ctx, n = self.module.ring.ctx, self.dimension * self.module.ring.ctx.e
+        blocks = ctx.fp_blocks(self._images(fn).T)
+        return blocks.transpose(0, 2, 1, 3).reshape(n, n)
+
+    def kappa_fp(self):
+        """The F_p matrix of the operator: the p-th root of each input
+        coordinate, then the F_q matrix of the operator on the basis."""
+        ctx = self.module.ring.ctx
+        root = np.kron(np.eye(self.dimension, dtype=np.int64),
+                       ctx._frob_inv_matrix)
+        return self.fp_matrix(self.module.apply_kappa) @ root % ctx.p
+
+    def fp_blocks(self, columns, index):
         """F_p form of the F_q matrix whose column i is the sparse normal
         form columns[i] ({(column, degree): coefficient}, as ``support``
-        gives it), with rows indexed by ``index`` (default: this model's
-        basis).  Axes: (row, row coordinate, column, column coordinate)."""
-        index = self._index if index is None else index
+        gives it), with rows indexed by ``index``.  Axes: (row, row
+        coordinate, column, column coordinate)."""
         codes = np.zeros((len(index), len(columns)), dtype=np.int64)
         for i, col in enumerate(columns):
             for key, c in col.items():
@@ -636,25 +659,18 @@ def _max_nil_finite(module):
     x: of K^d alone over F_q; over F_q[x], of the rows of every K^d X^s
     with s < d, kept as a basis of at most d e rows while s doubles."""
     model = FiniteModel(module)
-    ring, d = module.ring, model.dimension
-    ctx = ring.ctx
-    p, e = ctx.p, ctx.e
-    units = [model.basis_vector(i) for i in range(d)]
-    kap = model.fp_blocks([model.support(module.apply_kappa(u)) for u in units])
-    kap = (kap @ ctx._frob_inv_matrix).reshape(d * e, d * e) % p
-    rows = _mat_pow(kap, d, p)
+    ring, d, p = module.ring, model.dimension, module.ring.ctx.p
+    rows = _mat_pow(model.kappa_fp(), d, p)
     if ring.nvars:
-        x = model.fp_blocks([
-            model.support(vec_scale(u, ring.var(0))) for u in units
-        ]).reshape(d * e, d * e)
+        x = model.fp_matrix(lambda u: vec_scale(u, ring.var(0)))
         # after k doublings the rows span every K^d X^s with s < 2^k
         for _ in range((d - 1).bit_length()):
             rows, pivots = kernels.rref_mod_p(np.vstack([rows, rows @ x % p]), p)
             rows, x = rows[: pivots.size], x @ x % p
     null = kernels.nullspace_mod_p(rows, p)
-    if len(null) == d * e:
+    if len(null) == null.shape[1]:
         return None
-    vecs = model.from_codes(null.reshape(len(null), d, e) @ p ** np.arange(e))
+    vecs = model.from_fp(null)
     rel_hnf = module.relation_hnf()
     return [
         row for row in hnf_extend(rel_hnf, vecs, module.rank, ring)

@@ -83,6 +83,13 @@ def _parse_seq_arg(ring, text, flag):
     ]
 
 
+def _truncate(args, default):
+    """The --truncate degree bound, ``default`` when the flag is absent."""
+    if args.truncate is not None and args.truncate < 0:
+        raise ValidationError("--truncate must be >= 0")
+    return default if args.truncate is None else args.truncate
+
+
 def _require_module(doc, operation):
     if not isinstance(doc, CartierModule):
         raise ValidationError(f"{operation} expects a module document")
@@ -164,7 +171,7 @@ def op_stable_image(args):
 def op_hom(args):
     source = _require_module(load_document(args.input), "hom")
     target = _require_module(load_document(args.second), "hom")
-    res = hom_cartier(source, target, degree_cap=args.truncate)
+    res = hom_cartier(source, target, degree_cap=_truncate(args, None))
     basis = [
         [[str(f) for f in vec] for vec in phi.images]
         for phi in res.basis
@@ -280,6 +287,7 @@ def op_ie(args):
 
 
 def op_oracle(args):
+    degree_bound = _truncate(args, 4)
     module = _require_module(load_document(args.input), "oracle")
     if args.g is None:
         raise ValidationError("oracle needs --g")
@@ -287,7 +295,7 @@ def op_oracle(args):
     loc = open_pullback(module, g, cap=args.max_iter)
     cert = intermediate_extension(loc, cap=args.max_iter)
     try:
-        minimal = minimality_oracle(cert, degree_bound=args.truncate or 4)
+        minimal = minimality_oracle(cert, degree_bound=degree_bound)
     except CapExceeded as exc:
         return {
             "skipped": True,
@@ -343,9 +351,10 @@ def build_parser():
                        help="largest extension degree m for sol; F_(q^m) "
                             "may have at most 2^32 elements")
         p.add_argument("--truncate", type=int, default=None,
-                       help="degree bound: oracle truncation, and the hom "
-                            "search cap on the target's free columns "
-                            "(ignored when the target has finite length)")
+                       help="degree bound >= 0: oracle truncation (default "
+                            "4), and the hom search cap on the target's free "
+                            "columns (ignored when the target has finite "
+                            "length)")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized spot checks")
         p.add_argument("--no-timings", action="store_true",

@@ -421,17 +421,6 @@ def fq_rref(vectors, ctx):
     return tuple(tuple(elems[c] for c in row) for row in keep.tolist())
 
 
-def fq_in_span(vector, rref_rows):
-    """Membership of a vector in the span given by RREF rows."""
-    v = list(vector)
-    for row in rref_rows:
-        c = next(i for i, x in enumerate(row) if not x.is_zero())
-        if not v[c].is_zero():
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(a.is_zero() for a in v)
-
-
 # ---------------------------------------------------------------------------
 # Semilinear maps
 # ---------------------------------------------------------------------------

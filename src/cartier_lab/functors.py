@@ -13,8 +13,6 @@ by first raising the denominator to a p-th power:
     kappa(v / g^k) = kappa(g^j v) / g^((k+j)/p)   with j = (-k) mod p.
 """
 
-import numpy as np
-
 from . import kernels
 from .errors import (
     InvariantViolation,
@@ -154,12 +152,9 @@ def torsion_invariant_oracle(module, g):
     )
     model = FiniteModel(torsion)
     p, e, d = ring.ctx.p, ring.ctx.e, model.dimension
-    mult = model.fp_blocks([
-        model.support(vec_scale(model.basis_vector(i), g)) for i in range(d)
-    ]).reshape(d * e, d * e)
+    mult = model.fp_matrix(lambda u: vec_scale(u, g))
     null = kernels.nullspace_mod_p(_mat_pow(mult, d, p), p)
-    codes = null.reshape(len(null), d, e) @ p ** np.arange(e)
-    gens = [incl.apply(v) for v in model.from_codes(codes)]
+    gens = [incl.apply(v) for v in model.from_fp(null)]
     span = hnf_extend(rel_hnf, gens, module.rank, ring)
     return {"generators": gens, "span": span, "dimension": len(null) // e}
 

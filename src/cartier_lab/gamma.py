@@ -25,6 +25,7 @@ ring; the stable kernel drives nilpotency tests and unit-root extraction.
 import itertools
 
 from .errors import (
+    CapExceeded,
     InvariantViolation,
     UnsupportedRingError,
     ValidationError,
@@ -54,7 +55,12 @@ __all__ = [
     "gamma_unit_defect",
     "gamma_pullback",
     "unit_root_stabilize",
+    "TABLE_CAP",
 ]
+
+# Largest operator table gamma_to_cartier builds, in entries p^n * rank (one
+# per exponent vector in [0,p)^n and generator), checked before it starts.
+TABLE_CAP = 2**20
 
 
 class GammaSheaf(Presentation):
@@ -179,15 +185,22 @@ def cartier_to_gamma(module):
 def gamma_to_cartier(sheaf):
     """Convert a structural matrix back to an operator table (tensor with
     the dualizing module): the table entry at shift a is the Frobenius
-    component of C[i][j] x^a at the top exponent."""
+    component of C[i][j] x^a at the top exponent.  A table above
+    TABLE_CAP entries raises CapExceeded."""
     ring = sheaf.ring
     if sheaf.ideal is not None:
         raise UnsupportedRingError(
             "conversion over a quotient ring is ambiguous; re-present the "
             "sheaf over the quotient's own coordinate ring first"
         )
-    top = (ring.ctx.p - 1,) * ring.nvars
     r = sheaf.rank
+    size = ring.ctx.p**ring.nvars * r
+    if size > TABLE_CAP:
+        raise CapExceeded(
+            f"operator table of p^n * rank = {size} entries exceeds "
+            f"{TABLE_CAP} (TABLE_CAP)"
+        )
+    top = (ring.ctx.p - 1,) * ring.nvars
     table = {}
     for a in ring.pth_basis() if r else ():
         xa = ring.monomial(a)

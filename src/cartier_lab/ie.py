@@ -21,6 +21,11 @@ itself), and every test sum sat(g^k L) lies inside the lattice L it
 starts from.
 """
 
+import itertools
+
+import numpy as np
+
+from . import kernels
 from .errors import (
     CapExceeded,
     CertificateFailed,
@@ -42,7 +47,7 @@ from .cartier import (
     quotient_module,
     stable_image,
 )
-from .fields import fq_in_span, fq_rref
+from .fields import _mat_pow
 from .functors import LocalizedCartier, torsion_gamma_Z
 from .submodules import (
     hnf_extend,
@@ -537,14 +542,69 @@ def ie_exactness_probe(phi, cap=None):
 # ---------------------------------------------------------------------------
 
 
+def _rref(rows, p):
+    red, pivots = kernels.rref_mod_p(rows, p)
+    return red[: pivots.size]
+
+
+def _closure(rows, maps, p):
+    """The smallest F_p row space containing ``rows`` and closed under
+    every matrix of ``maps`` (acting on rows), as RREF rows: add the
+    images of the span until its rank stops rising."""
+    span = _rref(rows, p)
+    while True:
+        grown = _rref(np.vstack([span] + [span @ m % p for m in maps]), p)
+        if len(grown) == len(span):
+            return span
+        span = grown
+
+
+def _in_span(vectors, span, p):
+    """Which rows of ``vectors`` lie in the row space of the RREF rows
+    ``span``: those that vanish once reduced at its pivots."""
+    pivots = (span != 0).argmax(axis=1)
+    return ~((vectors - vectors[:, pivots] @ span) % p).any(axis=1)
+
+
+def _line_closures(model):
+    """The stable closure of one vector per F_q-line of the model (first
+    nonzero coordinate 1), as F_p RREF rows: closed under the operator
+    (with its p-th-root twist), x over F_q[x], and multiplication by the
+    generator t of F_q, so an F_q-subspace.  The closure of v spans the
+    v a over a basis of the algebra these F_p matrices generate, found
+    once as the closure of the identity under right multiplication."""
+    ring = model.module.ring
+    ctx = ring.ctx
+    p, d, n = ctx.p, model.dimension, model.dimension * ctx.e
+    gens = [ring.var(0)] if ring.nvars else []
+    if ctx.e > 1:
+        gens.append(ring.scalar(ctx.gen))
+    maps = [model.kappa_fp()]
+    maps += [model.fp_matrix(lambda u: vec_scale(u, g)) for g in gens]
+    one = np.eye(n, dtype=np.int64)
+    right = [np.kron(one, m.T) for m in maps]
+    algebra = _closure(one.reshape(1, n * n), right, p)
+    algebra = algebra.reshape(len(algebra), n, n)
+    codes = [
+        (0,) * lead + (1,) + tail
+        for lead in range(d)
+        for tail in itertools.product(range(ctx.q), repeat=d - lead - 1)
+    ]
+    codes = np.array(codes, dtype=np.int64).reshape(len(codes), d)
+    for v in ctx._digits[codes].reshape(len(codes), n):
+        yield _rref(v @ algebra % p, p)
+
+
 def minimality_oracle(cert, degree_bound=4, state_cap=20000):
     """Exhaustively confirm minimality on a truncated model.
 
     Truncate the lattice module to polynomial coefficients of degree at
-    most degree_bound, enumerate every operator- and shift-stable subspace
-    as a join of single-vector closures, and verify that each one whose
-    localization still agrees has nilpotent quotient.  Feasible only for
-    tiny instances; raises CapExceeded (reported as skipped) beyond that.
+    most degree_bound (its FiniteModel with that degree cap), enumerate
+    every operator- and shift-stable subspace as a sum of single-vector
+    closures, and verify that each one whose localization still agrees
+    has nilpotent quotient: V / W is nilpotent iff kappa^dim(V) lies in
+    W, since W is stable.  Feasible only for tiny instances; raises
+    CapExceeded (reported as skipped) beyond that.
     """
     if cert.crystal_zero or cert.module.rank == 0:
         return True
@@ -557,168 +617,58 @@ def minimality_oracle(cert, degree_bound=4, state_cap=20000):
         raise CapExceeded(
             "minimality oracle skipped: lattice module is not free"
         )
-    r = module.rank
-    D = degree_bound
-    dim = r * (D + 1)
+    model = FiniteModel(module, degree_cap=degree_bound)
+    dim = model.dimension
     if ctx.q**dim > 5000:
         raise CapExceeded("minimality oracle skipped: truncation too large")
     p = ctx.p
-
-    def idx(l, s):
-        return l * (D + 1) + s
-
-    zero_vec = (ctx.zero,) * dim
-
-    def poly_vec_to_trunc(vec):
-        out = list(zero_vec)
-        for l, f in enumerate(vec):
-            for mono, coeff in f.items():
-                if mono[0] <= D:
-                    out[idx(l, mono[0])] = out[idx(l, mono[0])] + coeff
-        return tuple(out)
-
-    # operator on truncated basis vectors
-    kappa_basis = {}
-    for l in range(r):
-        for s in range(D + 1):
-            a, s2 = s % p, s // p
-            val = module.kappa_table[((a,), l)]
-            out = list(zero_vec)
-            for i, f in enumerate(val):
-                for mono, coeff in f.items():
-                    d = mono[0] + s2
-                    if d <= D:
-                        out[idx(i, d)] = out[idx(i, d)] + coeff
-            kappa_basis[(l, s)] = tuple(out)
-
-    def kappa_vec(v):
-        out = list(zero_vec)
-        for l in range(r):
-            for s in range(D + 1):
-                c = v[idx(l, s)]
-                if c.is_zero():
-                    continue
-                croot = c.frob_inv()
-                img = kappa_basis[(l, s)]
-                for t in range(dim):
-                    if not img[t].is_zero():
-                        out[t] = out[t] + croot * img[t]
-        return tuple(out)
-
-    def shift_vec(v):
-        out = list(zero_vec)
-        for l in range(r):
-            for s in range(D):
-                out[idx(l, s + 1)] = v[idx(l, s)]
-        return tuple(out)
-
-    def closure(vectors):
-        basis = list(fq_rref([v for v in vectors if any(
-            not c.is_zero() for c in v)], ctx))
-        while True:
-            new = []
-            for v in basis:
-                for img in (kappa_vec(v), shift_vec(v)):
-                    if any(not c.is_zero() for c in img) and not fq_in_span(
-                        img, tuple(basis)
-                    ):
-                        new.append(img)
-            if not new:
-                return tuple(basis)
-            basis = list(fq_rref(list(basis) + new, ctx))
-
-    # all single-vector closures
-    from itertools import product as iproduct
-
-    elements = list(ctx.elements())
-    atoms = set()
-    for coords in iproduct(range(ctx.q), repeat=dim):
-        v = tuple(elements[c] for c in coords)
-        if all(c.is_zero() for c in v):
-            continue
-        atoms.add(closure([v]))
+    atoms = {}
+    for span in _line_closures(model):
+        atoms.setdefault(span.tobytes(), span)
         if len(atoms) > state_cap:
             raise CapExceeded("minimality oracle skipped: too many closures")
 
-    subspaces = set(atoms)
-    frontier = list(atoms)
+    # the sum of two stable subspaces is stable: a join is one RREF
+    subspaces = dict(atoms)
+    frontier = list(atoms.values())
     while frontier:
         cur = frontier.pop()
-        for atom in atoms:
-            joined = closure(list(cur) + list(atom))
-            if joined not in subspaces:
+        for atom in atoms.values():
+            joined = _rref(np.vstack([cur, atom]), p)
+            if joined.tobytes() not in subspaces:
                 if len(subspaces) > state_cap:
                     raise CapExceeded(
                         "minimality oracle skipped: too many subspaces"
                     )
-                subspaces.add(joined)
+                subspaces[joined.tobytes()] = joined
                 frontier.append(joined)
 
     # truncated vectors certifying localization agreement
-    loc = cert.localized
-    lat = cert.lattice
+    loc, lat = cert.localized, cert.lattice
     gens = lat.generator_rows()
     rels = loc.quotient.effective_relations()
-    g = loc.g
-    agree_vectors = []
-    for e in scalar_rows(ring, loc.quotient.rank, ring.one):
-        n = lat.divides_in(e)
-        if n is None:
-            raise InvariantViolation("certificate lattice lost agreement")
-        target = vec_scale(e, g**n)
-        coords = solve_combination(gens, rels, target, lat.rank, ring)
+    witnesses = []
+    for unit in scalar_rows(ring, loc.quotient.rank, ring.one):
+        n = lat.divides_in(unit)
+        coords = None if n is None else solve_combination(
+            gens, rels, vec_scale(unit, loc.g**n), lat.rank, ring
+        )
         if coords is None:
             raise InvariantViolation("certificate lattice lost agreement")
-        shifts = []
-        v = tuple(coords)
-        for _ in range(D + 1):
-            tv = poly_vec_to_trunc(v)
-            if any(not c.is_zero() for c in tv):
-                shifts.append(tv)
-            v = vec_scale(v, g)
-        if not shifts:
+        shifts = [vec_scale(coords, loc.g**s) for s in range(degree_bound + 1)]
+        rows = model.fp_rows(shifts)
+        rows = rows[rows.any(axis=1)]
+        if not len(rows):
             raise CapExceeded(
                 "minimality oracle skipped: agreement witness exceeds truncation"
             )
-        agree_vectors.append(shifts)
+        witnesses.append(rows)
 
-    def admissible(basis):
-        for shifts in agree_vectors:
-            if not any(fq_in_span(tv, basis) for tv in shifts):
-                return False
-        return True
-
-    def quotient_nilpotent(basis):
-        # descending chain U <- span(kappa(U)) + W until it meets W
-        wspan = tuple(fq_rref(list(basis), ctx))
-        current = tuple(
-            fq_rref(
-                [
-                    tuple(
-                        ctx.one if t == i else ctx.zero for t in range(dim)
-                    )
-                    for i in range(dim)
-                ],
-                ctx,
-            )
-        )
-        for _ in range(dim + 1):
-            nxt = tuple(
-                fq_rref(
-                    [kappa_vec(v) for v in current] + list(wspan), ctx
-                )
-            )
-            if nxt == wspan:
-                return True
-            if nxt == current:
-                return False
-            current = nxt
-        return False
-
-    for basis in subspaces:
-        if not admissible(basis):
-            continue
-        if not quotient_nilpotent(basis):
+    # rows spanning kappa^dim of the whole model
+    top = _mat_pow(model.kappa_fp(), dim, p).T
+    for span in subspaces.values():
+        admissible = all(_in_span(rows, span, p).any() for rows in witnesses)
+        if admissible and not _in_span(top, span, p).all():
             return False
     return True
 
@@ -727,8 +677,9 @@ def simple_crystal_probe(module):
     """Is the crystal represented by a zero-dimensional module simple?
 
     Reduce to the minimal representative (stable image modulo the maximal
-    nilpotent part, where the operator is bijective) and exhaustively
-    check for proper nonzero operator-stable subspaces."""
+    nilpotent part, where the operator is bijective) and check that the
+    operator-stable closure of every nonzero vector is the whole space:
+    a proper nonzero stable subspace contains such a closure."""
     if module.ring.nvars != 0:
         raise UnsupportedRingError("simplicity probe is zero-dimensional only")
     ctx = module.ring.ctx
@@ -738,33 +689,9 @@ def simple_crystal_probe(module):
     nil = max_nilpotent_submodule(si)
     rep, _ = quotient_module(si, nil["generators"])
     model = FiniteModel(rep)
-    d = len(model.basis)
+    d = model.dimension
     if d == 0:
         return False
     if d > 3:
         raise CapExceeded("simplicity probe: dimension must be at most 3")
-    semi = model.kappa_semilinear()
-
-    from itertools import product as iproduct
-
-    elements = list(ctx.elements())
-    vectors = []
-    for coords in iproduct(range(ctx.q), repeat=d):
-        v = tuple(elements[c] for c in coords)
-        if any(not c.is_zero() for c in v):
-            vectors.append(v)
-
-    seen = set()
-    for size in range(1, d):
-        for combo in iproduct(vectors, repeat=size):
-            basis = tuple(fq_rref(list(combo), ctx))
-            if not basis or len(basis) >= d or basis in seen:
-                continue
-            seen.add(basis)
-            stable = all(
-                fq_in_span(tuple(semi.apply(list(v))), basis)
-                for v in basis
-            )
-            if stable:
-                return False
-    return True
+    return all(len(span) == d * ctx.e for span in _line_closures(model))

@@ -240,6 +240,58 @@ def test_oracle_confirms_minimality(capsys):
     assert rep["certificates"]["indices"] == {"e_star": 1, "k_star": 1}
 
 
+def _omega_square(tmp_path):
+    """Top forms twice over F_3[x]: at the default truncation (degree 4)
+    its oracle model has 3^10 vectors, at degree 0 only 3^2."""
+    doc = {
+        "ring": {"p": 3, "e": 1, "vars": ["x"]},
+        "generators": 2,
+        "kappa": {
+            f"{a},{j}": ["1" if a == 2 and i == j else "0" for i in range(2)]
+            for a in range(3)
+            for j in range(2)
+        },
+        "relations": [],
+    }
+    path = tmp_path / "omega_square.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flags,result",
+    [
+        ([], {"skipped": True, "reason":
+              "minimality oracle skipped: truncation too large"}),
+        (["--truncate", "0"], {"skipped": False, "minimal": True}),
+    ],
+)
+def test_oracle_truncation_defaults_to_4_only_when_absent(
+    capsys, tmp_path, flags, result
+):
+    code, rep, _ = report(
+        capsys,
+        ["oracle", _omega_square(tmp_path), "--g", "x", "--no-timings"]
+        + flags,
+    )
+    assert code == 0
+    assert rep["result"] == result
+
+
+@pytest.mark.parametrize("operation", ["oracle", "hom"])
+def test_negative_truncation_is_validation_error(capsys, tmp_path, operation):
+    path = _omega_square(tmp_path)
+    inputs = [path] if operation == "oracle" else [path, path]
+    code, rep, _ = report(
+        capsys,
+        [operation, *inputs, "--g", "x", "--truncate", "-1", "--no-timings"],
+    )
+    assert code == 2
+    assert rep["error"] == {
+        "type": "validation", "message": "--truncate must be >= 0"
+    }
+
+
 @pytest.mark.parametrize(
     "argv_tail",
     [
@@ -441,6 +493,17 @@ def test_large_prime_table_is_checked_without_listing_exponents(
         assert rep["result"]["valid"] and rep["result"]["rank"] == 0
     else:
         assert "kappa table keys mismatch" in rep["error"]["message"]
+
+
+def test_operator_table_size_is_capped_before_it_is_built(tmp_path):
+    """from-gamma over F_401[x,y,z] would list 401^3 exponent vectors for a
+    rank-1 table; the p^n * rank cap refuses it first, with exit 2."""
+    doc = {"ring": {"p": 401, "e": 1, "vars": ["x", "y", "z"]},
+           "rank": 1, "relations": [], "gamma": [["1"]]}
+    proc = _run_limited(tmp_path, doc, "from-gamma")
+    assert proc.returncode == 2, proc.stderr
+    message = json.loads(proc.stdout)["error"]["message"]
+    assert "64481201 entries exceeds 1048576 (TABLE_CAP)" in message
 
 
 def test_rank_zero_conversion_never_lists_exponents(tmp_path):

@@ -26,8 +26,10 @@ from cartier_lab.cartier import (
     submodule_module,
 )
 from cartier_lab.errors import (
+    CapExceeded,
     CertificateFailed,
     InvariantViolation,
+    NonStabilized,
     ValidationError,
 )
 from cartier_lab.fields import Fq
@@ -65,6 +67,10 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 # certificate of pinned_localizations(), in order
 CERTIFICATE_PIN = (
     "2b56c1d6454c70b70a8fd4df7c8a65be36691b185416715d13e2c0a529379a62"
+)
+# sha256 over the "\n"-joined oracle_verdicts()
+ORACLE_PIN = (
+    "e65f977be85d615888dd950a3c66d42dc69b8723f5626788b836333b66585a11"
 )
 
 
@@ -628,3 +634,130 @@ def test_simplicity_probe_worked_examples():
     # the swap module contains the diagonal as a proper stable subspace
     assert simple_crystal_probe(swap) is False
     assert simple_crystal_probe(point_module(Fq(2, 2))) is True
+
+
+def oracle_localizations():
+    """Seeded localizations over F_2, F_3, F_4 and F_9[x] of rank 1-3,
+    built as in seeded_localizations() but with the torsion operator
+    values drawn over all of F_q, so that the p-th-root twist of the
+    operator shows over F_4 and F_9."""
+    rng = random.Random(SEED + 3)
+    out = []
+    for p, e in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        ctx = Fq(p, e)
+        R = PolyRing(ctx, ("x",))
+        x = R.var(0)
+        for rank in (1, 2, 3):
+            for torsion in range(rank + 1):
+                lin = x + R.scalar(rng.randrange(1, p))
+                table = {}
+                for a in range(p):
+                    for j in range(rank):
+                        col = []
+                        for i in range(rank):
+                            if j >= torsion:
+                                col.append(R.random_poly(rng, 2, 3))
+                            elif i < torsion:
+                                h = R.scalar(ctx.random_element(rng)) + (
+                                    R.monomial((1,), ctx.random_element(rng))
+                                )
+                                col.append(h * lin ** (p - 1))
+                            else:
+                                col.append(R.zero)
+                        table[((a,), j)] = tuple(col)
+                relations = [
+                    tuple(lin**p if i == t else R.zero for i in range(rank))
+                    for t in range(torsion)
+                ]
+                module = CartierModule(R, rank, table, relations=relations)
+                out.append(open_pullback(module, rng.choice((x, lin))))
+    return out
+
+
+def oracle_certificates():
+    """The certificate of each oracle_localizations() entry, then fake
+    certificates on the other operator-stable lattices among: the
+    saturated whole lattice, its test sums T_1 and T_2, and the
+    g-multiples of it and of the certified lattice.  A localization
+    whose test sums do not stabilize is left out."""
+    out = []
+    for loc in oracle_localizations():
+        try:
+            cert = intermediate_extension(loc)
+        except NonStabilized:
+            continue
+        out.append(cert)
+        if cert.crystal_zero or cert.module.rank == 0:
+            continue
+        R = loc.ring
+        big = kappa_saturate(
+            Lattice(loc, scalar_rows(R, loc.quotient.rank, R.one))
+        )
+        seen = [cert.lattice]
+        for lat in (
+            big,
+            lattice_test_sum(big, 1),
+            lattice_test_sum(big, 2),
+            big.g_multiple(1),
+            cert.lattice.g_multiple(1),
+        ):
+            if lat not in seen and lat.is_kappa_stable():
+                seen.append(lat)
+                out.append(IECertificate(
+                    lat, lat.to_module(), cert.checks, cert.indices, False, loc
+                ))
+    return out
+
+
+def probe_modules():
+    """Seeded modules over F_2, F_3 and F_4 of rank 1-4, with random
+    operator tables."""
+    rng = random.Random(SEED + 4)
+    out = []
+    for p, e in ((2, 1), (3, 1), (2, 2)):
+        ctx = Fq(p, e)
+        R0 = PolyRing(ctx, ())
+        for rank in (1, 2, 3, 4):
+            for _ in range(6):
+                table = {
+                    ((), j): tuple(
+                        R0.scalar(ctx.random_element(rng))
+                        if rng.random() < 0.6 else R0.zero
+                        for _ in range(rank)
+                    )
+                    for j in range(rank)
+                }
+                out.append(CartierModule(R0, rank, table))
+    return out
+
+
+def oracle_verdict(oracle, *args, **kwargs):
+    try:
+        return repr(oracle(*args, **kwargs))
+    except (CapExceeded, InvariantViolation) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def oracle_verdicts():
+    certs = oracle_certificates()
+    lines = [
+        oracle_verdict(minimality_oracle, cert, degree_bound=bound)
+        for bound in (0, 1, 2)
+        for cert in certs
+    ]
+    lines += [oracle_verdict(simple_crystal_probe, m) for m in probe_modules()]
+    return lines
+
+
+def test_oracle_verdicts_match_the_pinned_digest():
+    """The verdict or skip reason of minimality_oracle at degree bounds
+    0-2 on oracle_certificates(), and of simple_crystal_probe on
+    probe_modules(), pinned from the implementation that enumerated
+    subspaces with F_q element arithmetic.  Dropping the p-th-root twist
+    from the operator's F_p matrix, or multiplication by x or by t from
+    the closures, changes the digest."""
+    lines = oracle_verdicts()
+    assert {"True", "False"} <= set(lines)
+    assert any(line.startswith("CapExceeded") for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ORACLE_PIN
