@@ -176,6 +176,17 @@ class CartierModule(Presentation):
     def apply_kappa(self, v):
         return self.normal_form(self._apply_raw(self.check_element(v)))
 
+    def kappa_images(self, rows):
+        """{(a, j): kappa(x^a rows[j])} for each a of the p-th power basis,
+        keys in table order (a slowest), as raw operator images: not
+        normal-formed by the relations."""
+        ring, out = self.ring, {}
+        for a in ring.pth_basis():
+            xa = ring.monomial(a)
+            for j, row in enumerate(rows):
+                out[a, j] = self._apply_raw(vec_scale(row, xa))
+        return out
+
     def kappa_power(self, n, v):
         if n < 0:
             raise ValidationError("kappa_power needs n >= 0")
@@ -232,11 +243,8 @@ class CartierMorphism:
                 raise ValidationError(
                     "not well defined: a source relation has nonzero image"
                 )
-        ring = src.ring
-        for (a, j), val in src.kappa_table.items():
-            lhs = self._push(val)
-            xa = ring.monomial(a)
-            rhs = tgt._apply_raw(vec_scale(self.images[j], xa))
+        for (a, j), rhs in tgt.kappa_images(self.images).items():
+            lhs = self._push(src.kappa_table[a, j])
             if not tgt.elements_equal(lhs, rhs):
                 raise ValidationError(
                     f"does not commute with kappa at shift {a}, generator {j}"
@@ -300,11 +308,7 @@ def image_chain(module, cap=None):
     rel_hnf = module.relation_hnf()
 
     def image(chain):
-        images = [
-            module._apply_raw(vec_scale(row, ring.monomial(a)))
-            for row in chain[-1]
-            for a in ring.pth_basis()
-        ]
+        images = module.kappa_images(chain[-1]).values()
         return hnf_extend(rel_hnf, images, module.rank, ring)
 
     full = scalar_rows(ring, module.rank, ring.one)
@@ -317,24 +321,24 @@ def submodule_module(module, gens):
     """Present the submodule of ``module`` generated by ``gens`` as a
     CartierModule, with the inclusion morphism.  The span must be stable
     under every kappa(x^a .) -- callers use this for kernels, torsion and
-    stable images, which are stable by construction."""
+    stable images, which are stable by construction.  The solve that fills
+    the table certifies it, so it is not validated again: the relations
+    are the syzygies c of the gens g_j, and kappa(x^a sum_j c_j g_j) lies in
+    kappa(N), inside N, so the table maps syzygies to syzygies."""
     _require_pid(module, "submodule presentation")
     ring = module.ring
     gens = [module.check_element(g) for g in gens]
     rels = module.effective_relations()
     sub_rels = syzygy_generators(gens, rels, module.rank, ring)
-    keys, images = [], []
-    for a in ring.pth_basis():
-        xa = ring.monomial(a)
-        for j, g in enumerate(gens):
-            keys.append((a, j))
-            images.append(module._apply_raw(vec_scale(g, xa)))
-    solutions = solve_combinations(gens, rels, images, module.rank, ring)
+    images = module.kappa_images(gens)
+    solutions = solve_combinations(
+        gens, rels, list(images.values()), module.rank, ring
+    )
     if None in solutions:
         raise InvariantViolation(
             "submodule is not stable under the structural operator"
         )
-    table = {key: tuple(c) for key, c in zip(keys, solutions)}
+    table = {key: tuple(c) for key, c in zip(images, solutions)}
     sub = CartierModule(
         ring,
         len(gens),
@@ -342,6 +346,7 @@ def submodule_module(module, gens):
         relations=sub_rels,
         ideal=module.ideal,
         generator_names=tuple(f"s{i + 1}" for i in range(len(gens))),
+        validate=False,
     )
     incl = CartierMorphism(sub, module, gens, validate=False)
     return sub, incl
@@ -567,7 +572,7 @@ class FiniteModel:
     def kappa_semilinear(self):
         """The operator as a p^{-1}-linear matrix map on coordinates."""
         ctx = self.module.ring.ctx
-        codes = self._images(self.module.apply_kappa).T.tolist()
+        codes = self._images(self.module._apply_raw).T.tolist()
         matrix = [[ctx._elems[c] for c in row] for row in codes]
         return SemilinearMap(ctx, P_INV_LINEAR, matrix)
 
@@ -614,7 +619,7 @@ class FiniteModel:
         ctx = self.module.ring.ctx
         root = np.kron(np.eye(self.dimension, dtype=np.int64),
                        ctx._frob_inv_matrix)
-        return self.fp_matrix(self.module.apply_kappa) @ root % ctx.p
+        return self.fp_matrix(self.module._apply_raw) @ root % ctx.p
 
     def fp_blocks(self, columns, index):
         """F_p form of the F_q matrix whose column i is the sparse normal
@@ -692,59 +697,42 @@ def max_nilpotent_submodule(module, cap=None):
     _require_pid(module, "max_nilpotent_submodule")
     finite = _finite_length(module)
     gens = _max_nil_finite(module) if finite else None
-    if gens is not None:
-        sub, incl = submodule_module(module, gens)
-        nil, order = is_nilpotent(sub, cap=cap)
-        if not nil:
+    if gens is None:
+        # kappa^d vanishes on all of M, or M has positive rank
+        nil, order = is_nilpotent(module, cap=cap)
+        if nil:
+            ident = CartierMorphism.identity(module)
+            return {
+                "generators": list(ident.images),
+                "module": module,
+                "inclusion": ident,
+                "partial": False,
+                "order": order,
+            }
+        if finite:
             raise InvariantViolation(
-                "maximal nilpotent candidate failed its nilpotency check"
+                "module on which kappa^d vanishes failed its nilpotency check"
             )
-        return {
-            "generators": gens,
-            "module": sub,
-            "inclusion": incl,
-            "partial": False,
-            "order": order,
-        }
-    # kappa^d vanishes on all of M, or M has positive rank
-    nil, order = is_nilpotent(module, cap=cap)
-    if nil:
-        ident = CartierMorphism.identity(module)
-        return {
-            "generators": list(ident.images),
-            "module": module,
-            "inclusion": ident,
-            "partial": False,
-            "order": order,
-        }
-    if finite:
-        raise InvariantViolation(
-            "module on which kappa^d vanishes failed its nilpotency check"
+        # positive free rank: restrict to the torsion part sat(N) / N
+        ring, rel_hnf = module.ring, module.relation_hnf()
+        sat = saturation(module.effective_relations(), module.rank, ring)
+        torsion, t_incl = submodule_module(
+            module, [row for row in sat if not in_span(row, rel_hnf, ring)]
         )
-    ring = module.ring
-    # positive free rank: restrict to the torsion part sat(N) / N
-    rel_hnf = module.relation_hnf()
-    sat = saturation(module.effective_relations(), module.rank, ring)
-    tors_gens = [row for row in sat if not in_span(row, rel_hnf, ring)]
-    if not tors_gens:
-        zero_sub, incl = submodule_module(module, [])
-        return {
-            "generators": [],
-            "module": zero_sub,
-            "inclusion": incl,
-            "partial": True,
-            "order": 0,
-        }
-    torsion, t_incl = submodule_module(module, tors_gens)
-    inner = max_nilpotent_submodule(torsion, cap=cap)
-    gens = [t_incl.apply(g) for g in inner["generators"]]
+        inner = max_nilpotent_submodule(torsion, cap=cap)
+        gens = [t_incl.apply(g) for g in inner["generators"]]
     sub, incl = submodule_module(module, gens)
+    nil, order = is_nilpotent(sub, cap=cap)
+    if not nil:
+        raise InvariantViolation(
+            "maximal nilpotent candidate failed its nilpotency check"
+        )
     return {
         "generators": gens,
         "module": sub,
         "inclusion": incl,
-        "partial": True,
-        "order": inner["order"],
+        "partial": not finite,
+        "order": order,
     }
 
 
@@ -858,11 +846,9 @@ def hom_cartier(source, target, degree_cap=None):
         g for vec, _ in conditions for g in vec if not g.is_zero()
     )
     mult = {g: [model.support(vec_scale(u, g)) for u in units] for g in coeffs}
-    kap = {
-        a: [model.support(target.apply_kappa(vec_scale(u, ring.monomial(a))))
-            for u in units]
-        for a in ring.pth_basis()
-    }
+    images = target.kappa_images(units)
+    kap = {a: [model.support(images[a, i]) for i in range(d)]
+           for a in ring.pth_basis()}
     # residual coordinates: the model's, then the degrees past the cap
     # that a product or a normal form reaches on a free column
     index = {key: i for i, key in enumerate(model.basis)}

@@ -382,30 +382,22 @@ def koszul_pullback(module, seq, validate_sequence=True):
     if ideal.is_unit_ideal():
         # quotient by the unit ideal is the zero module; present it with
         # the relation 1 in each coordinate
-        rows = scalar_rows(ring, module.rank, ring.one)
         if ring.nvars >= 2:
             raise UnsupportedRingError(
                 "zero quotient over a multivariate ring has no free presentation"
             )
-        return CartierModule(
-            ring,
-            module.rank,
-            module.kappa_table,
-            relations=tuple(module.relations) + tuple(rows),
-            ideal=None,
-            generator_names=module.generator_names,
-        )
+        rows = scalar_rows(ring, module.rank, ring.one)
+        return quotient_module(module, rows)[0]
     p = ring.ctx.p
     twist = ring.one
     for f in seq:
         twist = twist * f
     twist = twist ** (p - 1)
-    table = {}
-    for a in ring.pth_basis():
-        shifted = scalar_rows(ring, module.rank, ring.monomial(a) * twist)
-        for j, unit in enumerate(shifted):
-            val = module._apply_raw(unit)
-            table[(a, j)] = tuple(ideal.normal_form(f) for f in val)
+    images = module.kappa_images(scalar_rows(ring, module.rank, twist))
+    table = {
+        key: tuple(ideal.normal_form(f) for f in val)
+        for key, val in images.items()
+    }
     relations = []
     for rho in module.relations:
         red = tuple(ideal.normal_form(f) for f in rho)
@@ -602,16 +594,11 @@ def sequence_change_factor(seq_f, seq_g, module):
     d = _det(cmat, ring)
     pull_f = koszul_pullback(module, seq_f, validate_sequence=False)
     pull_g = koszul_pullback(module, seq_g, validate_sequence=False)
-    verified = True
-    for a in ring.pth_basis():
-        shifted = scalar_rows(ring, module.rank, ring.monomial(a) * d)
-        for j, vec in enumerate(shifted):
-            lhs = pull_g.apply_kappa(vec)
-            rhs = pull_g.normal_form(
-                vec_scale(pull_f.kappa_table[(a, j)], d)
-            )
-            if lhs != rhs:
-                verified = False
+    images = pull_g.kappa_images(scalar_rows(ring, module.rank, d))
+    verified = all(
+        pull_g.elements_equal(lhs, vec_scale(pull_f.kappa_table[key], d))
+        for key, lhs in images.items()
+    )
     return {
         "matrix": cmat,
         "determinant": d,

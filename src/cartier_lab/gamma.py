@@ -22,8 +22,6 @@ iterates form an ascending chain, which terminates over a Noetherian
 ring; the stable kernel drives nilpotency tests and unit-root extraction.
 """
 
-import itertools
-
 from .errors import (
     CapExceeded,
     InvariantViolation,
@@ -108,15 +106,9 @@ class GammaSheaf(Presentation):
 
     def apply_gamma(self, v):
         """Coordinates of gamma(v) in the 1 (x) n_i generators of F^*N."""
-        v = self.check_element(v)
-        out = []
-        for i in range(self.rank):
-            acc = self.ring.zero
-            for j in range(self.rank):
-                if not v[j].is_zero() and not self.gamma_matrix[i][j].is_zero():
-                    acc = acc + self.gamma_matrix[i][j] * v[j]
-            out.append(acc)
-        return tuple(out)
+        column = [[f] for f in self.check_element(v)]
+        product = _matmul(self.gamma_matrix, column, self.ring)
+        return tuple(f for (f,) in product)
 
     def iterates(self):
         """The matrices of gamma^0, gamma^1, ...: N -> F^{k*}N, where
@@ -237,17 +229,26 @@ def gamma_kernel_chain(sheaf, cap=None):
     (chain, stabilized_index): chain[k] is ker(gamma^k), chain[0] the
     relation span, and chain[e] == chain[e+1] == ... for e = stabilized
     index."""
+    chain, _ = _kernel_chain(sheaf, cap)
+    return chain, len(chain) - 1
+
+
+def _kernel_chain(sheaf, cap):
+    """The kernel chain of ``gamma_kernel_chain`` with the matrices
+    gamma^0, ..., gamma^(e+1) it used, e the stabilized index."""
     if sheaf.ring.nvars > 1:
         raise UnsupportedRingError(
             "kernel chains need the ring to be F_q or F_q[x]"
         )
-    iterates = itertools.islice(sheaf.iterates(), 1, None)
+    iterates = sheaf.iterates()
+    gams = [next(iterates)]
 
     def kernel(chain):
-        return _iterate_kernel(sheaf, next(iterates), len(chain))
+        gams.append(next(iterates))
+        return _iterate_kernel(sheaf, gams[-1], len(chain))
 
     chain = stabilize(sheaf.relation_hnf(), kernel, "gamma kernel chain", cap)
-    return chain, len(chain) - 1
+    return chain, gams
 
 
 def _columns(gam):
@@ -397,25 +398,20 @@ def unit_root_stabilize(sheaf, cap=None):
     ring = sheaf.ring
     if ring.nvars > 1:
         raise UnsupportedRingError("unit roots need F_q or F_q[x]")
-    chain, e = gamma_kernel_chain(sheaf, cap=cap)
-    r = sheaf.rank
-    gam = next(itertools.islice(sheaf.iterates(), e, None))
+    chain, gams = _kernel_chain(sheaf, cap)
+    e, r = len(chain) - 1, sheaf.rank
     twisted_e = sheaf.twisted_relations(e)
     span_e = hnf_rows(twisted_e, r, ring)
-    gens = [c for c in _columns(gam) if not in_span(c, span_e, ring)]
+    cols = _columns(gams[e])
+    keep = [j for j, c in enumerate(cols) if not in_span(c, span_e, ring)]
+    gens = [cols[j] for j in keep]
     root_rels = syzygy_generators(gens, twisted_e, r, ring)
     s = len(gens)
     twisted_next = sheaf.twisted_relations(e + 1)
-    q = ring.ctx.p**e
-    ce = [[entry**q for entry in row] for row in sheaf.gamma_matrix]
     twisted_gens = [tuple(f.pth_power() for f in g) for g in gens]
-    images = [
-        tuple(
-            sum((ce[i][k] * g[k] for k in range(r)), ring.zero)
-            for i in range(r)
-        )
-        for g in gens
-    ]
+    # gamma^(e+1) = C^(p^e) gamma^e: column j of gamma^(e+1) is the image
+    # of column j of gamma^e under F^{e*}(gamma)
+    images = [tuple(row[j] for row in gams[e + 1]) for j in keep]
     solutions = solve_combinations(twisted_gens, twisted_next, images, r, ring)
     if None in solutions:
         raise InvariantViolation(

@@ -162,21 +162,10 @@ class Lattice:
         gj = self.localized.g ** j
         return Lattice(self.localized, [vec_scale(v, gj) for v in self.span])
 
-    def _kappa_images(self, rows):
-        """kappa(x^a row) for each a of the p-th power basis and each row,
-        a varying slowest (the order of the operator table keys), as raw
-        operator images: not normal-formed by the quotient relations,
-        which every span of a lattice holds already."""
-        quot = self.localized.quotient
-        ring = self.ring
-        return [
-            quot._apply_raw(vec_scale(row, ring.monomial(a)))
-            for a in ring.pth_basis()
-            for row in rows
-        ]
-
     def is_kappa_stable(self):
-        images = self._kappa_images(self.generator_rows())
+        # raw operator images: every span of a lattice holds the relations
+        quot = self.localized.quotient
+        images = quot.kappa_images(self.generator_rows()).values()
         return all(self.contains(w) for w in images)
 
     def divides_in(self, vector, cap=None):
@@ -197,7 +186,8 @@ class Lattice:
 
     def to_module(self):
         """The lattice as an abstract module with the restricted operator,
-        presented on its generator rows."""
+        presented on its generator rows; as in ``submodule_module``, the
+        solve that fills the table certifies it."""
         ring = self.ring
         gens = self.generator_rows()
         if not gens:
@@ -205,15 +195,15 @@ class Lattice:
         quot = self.localized.quotient
         rels = quot.effective_relations()
         relations = syzygy_generators(gens, rels, self.rank, ring)
-        keys = [(a, j) for a in ring.pth_basis() for j in range(len(gens))]
+        images = quot.kappa_images(gens)
         # normal-formed images: the coordinates depend on the representative
-        images = [quot.normal_form(w) for w in self._kappa_images(gens)]
-        solutions = solve_combinations(gens, rels, images, self.rank, ring)
+        targets = [quot.normal_form(w) for w in images.values()]
+        solutions = solve_combinations(gens, rels, targets, self.rank, ring)
         if None in solutions:
             raise InvariantViolation("operator image escaped the lattice span")
-        table = {key: tuple(c) for key, c in zip(keys, solutions)}
+        table = {key: tuple(c) for key, c in zip(images, solutions)}
         return CartierModule(
-            ring, len(gens), table, relations=relations
+            ring, len(gens), table, relations=relations, validate=False
         )
 
     def __repr__(self):
@@ -227,7 +217,8 @@ def _saturation_chain(lattice, cap=None):
 
     def saturate(chain):
         last = chain[-1]
-        images = last._kappa_images(last.generator_rows())
+        quot = last.localized.quotient
+        images = quot.kappa_images(last.generator_rows()).values()
         return Lattice(last.localized, images, last.span)
 
     return stabilize(lattice, saturate, "saturation", cap)

@@ -356,12 +356,6 @@ class Polynomial:
         k = max(self.terms)
         return _unpack(k, self.ring.nvars), self.ring.ctx._elems[self.terms[k]]
 
-    def coeff(self, exps):
-        exps = tuple(exps)
-        if len(exps) != self.ring.nvars or any(x < 0 for x in exps):
-            raise ValidationError(f"bad exponent vector {exps}")
-        return self.ring.ctx._elems[self.terms.get(_pack(exps), 0)]
-
     def sorted_terms(self):
         """(exponent tuple, FieldElement) pairs, grevlex-descending."""
         n, elems = self.ring.nvars, self.ring.ctx._elems

@@ -303,9 +303,6 @@ class Presentation:
     def check_element(self, v):
         return self._check_vector(v, "element")
 
-    def zero(self):
-        return zero_vector(self.ring, self.rank)
-
     def normal_form(self, v):
         v = self.check_element(v)
         if self.ring.nvars <= 1:

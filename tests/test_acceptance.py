@@ -691,7 +691,7 @@ def test_11_cli_reports_are_deterministic(tmp_path):
     assert set(jobs) == set(cli.OPERATIONS)
 
     for argv in jobs.values():
-        full = argv + ["--seed", "7", "--no-timings"]
+        full = argv + ["--no-timings"]
         code_a, out_a = run(full)
         code_b, out_b = run(full)
         assert code_a == code_b == 0, argv

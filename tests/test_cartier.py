@@ -1055,3 +1055,96 @@ def test_hom_basis_images_are_the_kernel_rows(monkeypatch):
         kinds.add(kind)
     assert kinds == {"fq", "torsion", "free"}
     assert residual
+
+
+# ----------------------------------------------- maximal nilpotent pin
+
+# sha256 over max_nil_answers(), recorded before the finite-length and
+# torsion-restricted answers shared one exit
+MAX_NIL_PIN = (
+    "0956b8a3ca011a3c39e7e4cd88502c29bf4e05ced866761292976e739fdb9924"
+)
+
+
+def max_nil_modules():
+    """Seeded modules for max_nilpotent_submodule: the finite-length
+    pin_modules(), then modules of positive rank over F_2[x] and F_3[x]:
+    top forms alone (no torsion), a free module with a random table, a
+    free nilpotent one, top forms plus torsion, and these re-presented on
+    unimodular changes of generators.  One torsion part is
+    F_p[x]/(x^2) + F_p[x]/(x): in some of its presentations the images
+    of torsion normal forms are not reduced in the module."""
+    rng = random.Random(SEED + 707)
+    mods = pin_modules()
+    for p in (2, 3):
+        R = ring(p)
+        x = R.var(0)
+        omega = omega_module(R)
+        free = CartierModule(R, 2, {
+            ((a,), j): tuple(R.random_poly(rng, max_degree=2)
+                             for _ in range(2))
+            for a in range(p) for j in range(2)
+        })
+        nil = CartierModule(R, 1, {((a,), 0): (R.zero,) for a in range(p)})
+        point = CartierModule(
+            R, 1, {((a,), 0): (R.one if a == 0 else R.zero,)
+                   for a in range(p)}, relations=[(x,)]
+        )
+        mixed = [
+            direct_sum(omega, jordan_line(p))[0],
+            direct_sum(omega, torsion_line_module(rng, p, 2))[0],
+            direct_sum(omega, direct_sum(jordan_line(p), point)[0])[0],
+        ]
+        mods += [omega, free, nil] + mixed
+        for total in mixed:
+            for _ in range(4):
+                rows = unimodular_rows(rng, R, total.rank)
+                mods.append(submodule_module(total, rows)[0])
+    return mods
+
+
+def max_nil_answers():
+    for module in max_nil_modules():
+        res = max_nilpotent_submodule(module)
+        yield [[[str(f) for f in v] for v in res["generators"]],
+               res["order"], res["partial"]]
+
+
+def test_max_nilpotent_submodule_answers_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    partial = set()
+    for item in max_nil_answers():
+        digest.update(repr(item).encode())
+        partial.add(item[2])
+    assert partial == {False, True}
+    assert digest.hexdigest() == MAX_NIL_PIN
+
+
+def test_kappa_images_follow_table_order():
+    """kappa_images(rows) has one key (a, j) per shift a of the p-th
+    power basis (slowest) and row j, so with one row per generator its
+    keys are the table's in sorted order; each value is the raw image
+    _apply_raw(x^a rows[j])."""
+    rng = random.Random(SEED + 808)
+    R2 = PolyRing(Fq(2, 1), ("x", "y"))
+    modules = [
+        direct_sum(omega_module(ring(3)), torsion_line_module(rng, 3, 1))[0],
+        random_fq_module(rng, Fq(2, 2), 3)[0],
+        CartierModule(R2, 2, {
+            (a, j): tuple(R2.random_poly(rng, max_degree=2) for _ in range(2))
+            for a in R2.pth_basis() for j in range(2)
+        }),
+    ]
+    for module in modules:
+        R = module.ring
+        for count in (module.rank, 2):
+            rows = [module.random_element(rng) for _ in range(count)]
+            images = module.kappa_images(rows)
+            assert list(images) == [
+                (a, j) for a in R.pth_basis() for j in range(count)
+            ]
+            if count == module.rank:
+                assert list(images) == sorted(module.kappa_table)
+            for (a, j), w in images.items():
+                shifted = vec_scale(rows[j], R.monomial(a))
+                assert w == module._apply_raw(shifted)

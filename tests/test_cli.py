@@ -771,7 +771,7 @@ def test_invariant_violation_writes_reproduction_bundle(
     ],
 )
 def test_reports_byte_identical_across_runs(capsys, argv):
-    full = argv + ["--seed", "7", "--no-timings"]
+    full = argv + ["--no-timings"]
     code_a, out_a, _ = run_cli(capsys, full)
     code_b, out_b, _ = run_cli(capsys, full)
     assert code_a == code_b == 0

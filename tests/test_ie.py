@@ -13,12 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from cartier_lab import ie, submodules
+from cartier_lab import cartier, functors, ie, submodules
 from cartier_lab.cartier import (
     CartierModule,
     CartierMorphism,
     is_nilpotent,
     jordan_block_module,
+    kernel,
+    max_nilpotent_submodule,
     omega_module,
     point_module,
     quotient_module,
@@ -33,7 +35,11 @@ from cartier_lab.errors import (
     ValidationError,
 )
 from cartier_lab.fields import Fq
-from cartier_lab.functors import closed_pushforward, open_pullback
+from cartier_lab.functors import (
+    closed_pushforward,
+    open_pullback,
+    torsion_gamma_Z,
+)
 from cartier_lab.ie import (
     IECertificate,
     Lattice,
@@ -530,6 +536,44 @@ def test_module_presentations_echelonize_their_generators_twice(
             module.kappa_table)
         keys.add(len(module.kappa_table))
     assert max(keys) >= 6
+
+
+def test_library_built_tables_pass_the_check_they_skip(monkeypatch):
+    """submodule_module and Lattice.to_module build their tables with
+    validate=False, certified by the solve that fills them; the
+    well-definedness check still passes on every table they build from
+    seeded inputs: torsion submodules of each module and of its
+    g-torsion-free quotient, stable images, kernels of the projections to
+    that quotient, maximal nilpotent submodules and the lattice modules
+    of the minimal extensions, many with relations."""
+    built = {"submodule": 0, "lattice": 0}
+    submodule, to_module = cartier.submodule_module, Lattice.to_module
+
+    def checked(site, module):
+        module._validate()
+        built[site] += bool(module.relations)
+        return module
+
+    def checked_submodule(module, gens):
+        sub, incl = submodule(module, gens)
+        return checked("submodule", sub), incl
+
+    for namespace in (cartier, functors):
+        monkeypatch.setattr(namespace, "submodule_module", checked_submodule)
+    monkeypatch.setattr(
+        Lattice, "to_module", lambda lat: checked("lattice", to_module(lat))
+    )
+    for loc in seeded_localizations() + oracle_localizations():
+        base = loc.base
+        stable_image(base)
+        max_nilpotent_submodule(base)
+        kernel(quotient_module(base, loc.torsion["generators"])[1])
+        torsion_gamma_Z(loc.quotient, loc.ring.var(0) + loc.ring.one)
+        try:
+            intermediate_extension(loc)
+        except NonStabilized:
+            pass
+    assert built["submodule"] >= 50 and built["lattice"] >= 10
 
 
 # ------------------------------------------------------------ functoriality
