@@ -18,6 +18,7 @@ and element-level evaluation.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -503,22 +504,22 @@ class FiniteModel:
     reduction is F_q-linear and round trips exactly.  With ``degree_cap``
     a module of positive rank over F_q[x] gets the truncated model: each
     free column contributes x^s g_c for 0 <= s <= degree_cap.
+    Multiplication by x is a shift on this basis except at the top of each
+    column (``times_x``), so it needs one normal form per column.
     """
 
-    __slots__ = ("module", "basis", "degree_cap", "_index")
+    __slots__ = ("module", "basis", "degree_cap", "lengths", "_index", "_x")
 
     def __init__(self, module, degree_cap=None):
         if module.ring.nvars > 1:
             raise UnsupportedRingError("finite models need F_q or F_q[x]")
-        basis = [
-            (c, s)
-            for c, n in enumerate(_column_lengths(module, degree_cap))
-            for s in range(n)
-        ]
+        self.lengths = _column_lengths(module, degree_cap)
+        basis = [(c, s) for c, n in enumerate(self.lengths) for s in range(n)]
         self.module = module
         self.basis = tuple(basis)
         self.degree_cap = degree_cap
         self._index = {bs: i for i, bs in enumerate(basis)}
+        self._x = None
 
     @property
     def dimension(self):
@@ -532,12 +533,11 @@ class FiniteModel:
         return tuple(row)
 
     def support(self, v):
-        """The normal form of v as {(column, degree): coefficient}."""
-        univariate = self.module.ring.nvars
+        """The normal form of v as {(column, degree): coefficient code}."""
         return {
-            (c, mono[0] if univariate else 0): coeff
+            (c, k): code
             for c, f in enumerate(self.module.normal_form(v))
-            for mono, coeff in f.items()
+            for k, code in f.terms.items()
         }
 
     def to_coords(self, v):
@@ -557,17 +557,17 @@ class FiniteModel:
         rows of the int64 array ``codes``, in one pass over its nonzero
         entries: the term x^s of column c takes the code at (c, s), and a
         column without terms is ``ring.zero``."""
-        ring, rank, basis = self.module.ring, self.module.rank, self.basis
-        terms = [[{} for _ in range(rank)] for _ in range(len(codes))]
+        ring, basis = self.module.ring, self.basis
+        terms = {}
         rows, idx = np.nonzero(codes)
         for i, k, c in zip(rows.tolist(), idx.tolist(),
                            codes[rows, idx].tolist()):
             col, s = basis[k]
-            terms[i][col][s] = c
-        return [
-            tuple(Polynomial(ring, t) if t else ring.zero for t in vec)
-            for vec in terms
-        ]
+            terms.setdefault((i, col), {})[s] = c
+        out = [[ring.zero] * self.module.rank for _ in range(len(codes))]
+        for (i, col), t in terms.items():
+            out[i][col] = Polynomial(ring, t)
+        return [tuple(vec) for vec in out]
 
     def kappa_semilinear(self):
         """The operator as a p^{-1}-linear matrix map on coordinates."""
@@ -577,13 +577,18 @@ class FiniteModel:
         return SemilinearMap(ctx, P_INV_LINEAR, matrix)
 
     def _codes(self, vectors):
-        """Coordinate codes of the vectors, one row each.  A term past the
-        truncation is dropped; any other term outside the model raises."""
-        codes = np.zeros((len(vectors), self.dimension), dtype=np.int64)
-        for i, v in enumerate(vectors):
-            for (c, s), coeff in self.support(v).items():
+        """Coordinate codes of the vectors, one row each."""
+        return self._support_codes([self.support(v) for v in vectors])
+
+    def _support_codes(self, supports):
+        """Coordinate codes of normal forms given as ``support`` gives
+        them, one row each.  A term past the truncation is dropped; any
+        other term outside the model raises."""
+        codes = np.zeros((len(supports), self.dimension), dtype=np.int64)
+        for i, sup in enumerate(supports):
+            for (c, s), code in sup.items():
                 if (c, s) in self._index:
-                    codes[i, self._index[c, s]] = coeff.code
+                    codes[i, self._index[c, s]] = code
                 elif self.degree_cap is None or s <= self.degree_cap:
                     raise InvariantViolation(
                         "normal form left the finite basis support")
@@ -606,31 +611,199 @@ class FiniteModel:
         return self._codes([fn(self.basis_vector(j))
                             for j in range(self.dimension)])
 
-    def fp_matrix(self, fn):
-        """The F_p matrix of the F_q-linear map ``fn`` on the model: column
-        block j holds the coordinates of fn(basis_vector(j))."""
-        ctx, n = self.module.ring.ctx, self.dimension * self.module.ring.ctx.e
-        blocks = ctx.fp_blocks(self._images(fn).T)
-        return blocks.transpose(0, 2, 1, 3).reshape(n, n)
+    def fp_blocks(self, digits, root=False):
+        """F_p form of F_q matrices given by the coordinate digits of their
+        entries, shape (..., rows, columns, e): the [..., i, :, j, :] block
+        is the matrix of multiplication by entry [..., i, j] on
+        coordinates, after the p-th root of the input coordinates if
+        ``root``.  A block is linear in its entry, so it is the entry's
+        digits applied to the blocks of 1, t, ..., t^(e-1)."""
+        ctx = self.module.ring.ctx
+        blocks = ctx._mul_blocks
+        if root:
+            blocks = blocks @ ctx._frob_inv_matrix % ctx.p
+        return np.einsum("...ijk,kab->...iajb", digits, blocks) % ctx.p
+
+    def fp_matrix(self, fn, root=False):
+        """The F_p matrix of the map ``fn`` on the model, F_q-linear, or
+        p^{-1}-linear with ``root``: column block j holds the coordinates
+        of fn(basis_vector(j)), after the p-th root of the input
+        coordinates if ``root``."""
+        ctx = self.module.ring.ctx
+        n = self.dimension * ctx.e
+        digits = ctx._digits[self._images(fn).T]
+        return self.fp_blocks(digits, root).reshape(n, n)
 
     def kappa_fp(self):
         """The F_p matrix of the operator: the p-th root of each input
         coordinate, then the F_q matrix of the operator on the basis."""
-        ctx = self.module.ring.ctx
-        root = np.kron(np.eye(self.dimension, dtype=np.int64),
-                       ctx._frob_inv_matrix)
-        return self.fp_matrix(self.module._apply_raw) @ root % ctx.p
+        return self.fp_matrix(self.module._apply_raw, root=True)
 
-    def fp_blocks(self, columns, index):
-        """F_p form of the F_q matrix whose column i is the sparse normal
-        form columns[i] ({(column, degree): coefficient}, as ``support``
-        gives it), with rows indexed by ``index``.  Axes: (row, row
-        coordinate, column, column coordinate)."""
-        codes = np.zeros((len(index), len(columns)), dtype=np.int64)
-        for i, col in enumerate(columns):
-            for key, c in col.items():
-                codes[index[key], i] = c.code
-        return self.module.ring.ctx.fp_blocks(codes).transpose(0, 2, 1, 3)
+    def x_fp(self):
+        """The F_p matrix of multiplication by x on the model; on a
+        truncated model the terms past the truncation are dropped."""
+        n, ctx = self.dimension, self.module.ring.ctx
+        units = ctx._digits[np.eye(n, dtype=np.int64)]
+        x = self.times_x(units)[:n]
+        return self.fp_blocks(x).reshape(n * ctx.e, n * ctx.e)
+
+    def times_x(self, digits):
+        """Multiplication by x on model vectors given by their coordinate
+        digits, shape (dimension, ..., e).  On the basis it is the shift
+        x^s g_c -> x^(s+1) g_c, except at the last basis vector of a pivot
+        column c, which goes to the normal form of x^l g_c (l the pivot
+        degree): one normal form per column, computed once.  The product
+        has a row per model basis vector, then one per key of
+        ``outer_keys()``."""
+        starts, tails, wraps, tops, outer = self._shift()
+        n, *batch, e = digits.shape
+        v = digits.reshape(n, math.prod(batch), e)
+        out = np.zeros((n + len(outer), v.shape[1], e), dtype=np.int64)
+        out[1:n] = v[:-1]
+        out[starts] = 0
+        out[n:n + len(tops)] = v[tops]
+        if len(tails):
+            heads = v[tails].transpose(1, 0, 2).reshape(v.shape[1], -1)
+            wrapped = (heads @ wraps).reshape(v.shape[1], -1, e)
+            out += wrapped.transpose(1, 0, 2)
+            out %= self.module.ring.ctx.p
+        return out.reshape(len(out), *batch, e)
+
+    def outer_keys(self):
+        """The keys (column, degree) past the truncation that
+        multiplication by x reaches from the model: the degree above the
+        top of each free column, then the terms past the truncation of
+        the normal forms of x^l g_c.  Empty on a finite model."""
+        return self._shift()[-1]
+
+    def powers(self, supports, head, step):
+        """X^step[i] applied to the normal form supports[head[i]] (as
+        ``support`` gives it) for each i, X = ``times_x``.  Returns
+        (digits, past): the digits on the model, shape (dimension,
+        len(head), e), and {key past the truncation: (the i's, their
+        digits there)}, nonzero ones only.
+
+        Each normal form is carried only as far as the largest step that
+        asks for it, so the work is the size of the answer.  Terms past
+        the truncation stay sparse: under X they move one degree up their
+        free column and never come back into the model, so a term (c, s)
+        that X^i v gains there is the term (c, s + k - i) of X^k v."""
+        ctx, d = self.module.ring.ctx, self.dimension
+        head, step = np.asarray(head, dtype=np.int64), np.asarray(step)
+        v = ctx._digits[self._support_codes(supports).T]
+        out = v[:, head]
+        # terms past the truncation: (step gained, column, degree, head)
+        gained, digits = [], []
+        if self.degree_cap is not None:
+            for h, sup in enumerate(supports):
+                for (c, s), code in self._past_cap(sup).items():
+                    gained.append((0, c, s, h))
+                    digits.append(ctx._digits[code])
+        if step.any():
+            reach = np.full(len(supports), -1)
+            np.maximum.at(reach, head, step)
+            # heads by decreasing reach: the live[k] that step k needs lead
+            order = np.argsort(-reach, kind="stable")
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            live = np.cumsum(np.bincount(reach + 1)[::-1])[::-1][1:]
+            v = v[:, order]
+            by_step = np.argsort(step, kind="stable")
+            bounds = np.searchsorted(step[by_step], np.arange(len(live) + 1))
+            for k in range(1, len(live)):
+                v, outer = self.times_x(v[:, : live[k]]), self.outer_keys()
+                if outer:
+                    for b, h in zip(*np.nonzero(v[d:].any(axis=2))):
+                        gained.append((k, *outer[b], order[h]))
+                        digits.append(v[d + b, h])
+                    v = v[:d]
+                at = by_step[bounds[k]:bounds[k + 1]]
+                out[:, at] = v[:, rank[head[at]]]
+        return out, self._carry(gained, digits, head, step)
+
+    def _carry(self, gained, digits, heads, steps):
+        """The ``past`` of ``powers``: output column j collects each term
+        (c, s) gained at step i <= steps[j] by its head heads[j] as the
+        term (c, s + steps[j] - i), summed over the terms that land on
+        one key."""
+        ctx = self.module.ring.ctx
+        if not gained:
+            return {}
+        gained = np.array(gained, dtype=np.int64)
+        order = np.argsort(gained[:, 3], kind="stable")
+        gained, digits = gained[order], np.array(digits)[order]
+        count = np.bincount(gained[:, 3], minlength=heads.max() + 1)
+        # pair each column with every term of its head, then drop the
+        # terms gained after the column's step
+        n = count[heads]
+        col = np.repeat(np.arange(len(heads)), n)
+        term = np.arange(n.sum()) + np.repeat(
+            np.cumsum(count)[heads] - count[heads] - np.cumsum(n) + n, n)
+        kept = gained[term, 0] <= steps[col]
+        col, term = col[kept], term[kept]
+        degree = gained[term, 2] + steps[col] - gained[term, 0]
+        cells, inv = np.unique(np.stack([gained[term, 1], degree, col], 1),
+                               axis=0, return_inverse=True)
+        sums = np.zeros((len(cells), ctx.e), dtype=np.int64)
+        np.add.at(sums, inv.ravel(), digits[term])
+        nonzero = (sums % ctx.p).any(axis=1)
+        cells, sums = cells[nonzero], sums[nonzero] % ctx.p
+        keys, first = np.unique(cells[:, :2], axis=0, return_index=True)
+        ends = [*first[1:].tolist(), len(cells)]
+        return {
+            (c, s): (cells[lo:hi, 2], sums[lo:hi])
+            for (c, s), lo, hi in zip(keys.tolist(), first.tolist(), ends)
+        }
+
+    def _past_cap(self, support):
+        """The terms of a normal form past the truncation."""
+        return {key: code for key, code in support.items()
+                if key not in self._index}
+
+    def _overflows(self):
+        """{c: the normal form of x^l g_c, as ``support`` gives it} for
+        each pivot column c with l = deg(pivot) > 0, in column order."""
+        module, ring = self.module, self.module.ring
+        pivots, out = _pivots(module), {}
+        for c, n in enumerate(self.lengths):
+            if n and c in pivots:
+                unit = list(zero_vector(ring, module.rank))
+                unit[c] = ring.monomial((n,))
+                out[c] = self.support(tuple(unit))
+        return out
+
+    def _shift(self):
+        """(starts, tails, wraps, tops, outer) for ``times_x``, computed
+        once: the first basis vector of each column, the last ones of the
+        pivot columns, the digits of t^i times the images of those (rows
+        (tail, i), columns (row, coordinate) over the model and then
+        ``outer``), the last basis vectors of the free columns, and the
+        outer keys."""
+        if self._x is not None:
+            return self._x
+        ctx, d = self.module.ring.ctx, self.dimension
+        overflows = self._overflows()
+        starts, tails, tops = [], [], []
+        for c, n in enumerate(self.lengths):
+            if n:
+                starts.append(self._index[c, 0])
+                (tails if c in overflows else tops).append(starts[-1] + n - 1)
+        outer = {(self.basis[t][0], self.basis[t][1] + 1): None for t in tops}
+        for sup in overflows.values():
+            outer.update(dict.fromkeys(self._past_cap(sup)))
+        outer = list(outer)
+        slot = {key: i for i, key in enumerate(outer, d)}
+        codes = np.zeros((len(tails), d + len(outer)), dtype=np.int64)
+        codes[:, :d] = self._support_codes(list(overflows.values()))
+        for i, sup in enumerate(overflows.values()):
+            for key, code in self._past_cap(sup).items():
+                codes[i, slot[key]] = code
+        wraps = np.einsum("iab,wrb->wira", ctx._mul_blocks, ctx._digits[codes])
+        rows, cols = codes.shape
+        wraps = wraps.reshape(rows * ctx.e, cols * ctx.e) % ctx.p
+        self._x = (*(np.array(a, dtype=np.int64) for a in (starts, tails)),
+                   wraps, np.array(tops, dtype=np.int64), outer)
+        return self._x
 
 
 def to_semilinear(module):
@@ -667,11 +840,12 @@ def _max_nil_finite(module):
     ring, d, p = module.ring, model.dimension, module.ring.ctx.p
     rows = _mat_pow(model.kappa_fp(), d, p)
     if ring.nvars:
-        x = model.fp_matrix(lambda u: vec_scale(u, ring.var(0)))
+        x = model.x_fp()
         # after k doublings the rows span every K^d X^s with s < 2^k
         for _ in range((d - 1).bit_length()):
-            rows, pivots = kernels.rref_mod_p(np.vstack([rows, rows @ x % p]), p)
-            rows, x = rows[: pivots.size], x @ x % p
+            shifted = kernels.matmul_mod_p(rows, x, p)
+            rows, pivots = kernels.rref_mod_p(np.vstack([rows, shifted]), p)
+            rows, x = rows[: pivots.size], kernels.matmul_mod_p(x, x, p)
     null = kernels.nullspace_mod_p(rows, p)
     if len(null) == null.shape[1]:
         return None
@@ -713,14 +887,17 @@ def max_nilpotent_submodule(module, cap=None):
             raise InvariantViolation(
                 "module on which kappa^d vanishes failed its nilpotency check"
             )
-        # positive free rank: restrict to the torsion part sat(N) / N
+        # positive free rank: restrict to the torsion part sat(N) / N,
+        # which has finite length; its answer is checked once, below
         ring, rel_hnf = module.ring, module.relation_hnf()
         sat = saturation(module.effective_relations(), module.rank, ring)
         torsion, t_incl = submodule_module(
             module, [row for row in sat if not in_span(row, rel_hnf, ring)]
         )
-        inner = max_nilpotent_submodule(torsion, cap=cap)
-        gens = [t_incl.apply(g) for g in inner["generators"]]
+        inner = _max_nil_finite(torsion)
+        if inner is None:
+            inner = scalar_rows(ring, torsion.rank, ring.one)
+        gens = [t_incl.apply(g) for g in inner]
     sub, incl = submodule_module(module, gens)
     nil, order = is_nilpotent(sub, cap=cap)
     if not nil:
@@ -771,27 +948,71 @@ class HomResult:
         return f"HomResult(dim_Fp={self.dimension_fp}{flag})"
 
 
-def _annihilates(system, ker, p):
-    """Whether system @ ker.T vanishes mod p.  The product runs in
-    float64, which numpy hands to BLAS; its inner dimension is cut into
-    chunks of at most (2^53 - 1) / (p - 1)^2 columns, so every partial
-    sum of products of entries in [0, p) is an exact integer."""
-    step = (2**53 - 1) // (p - 1) ** 2
-    kf = ker.astype(np.float64)
-    acc = np.zeros((system.shape[0], ker.shape[0]))
-    for lo in range(0, system.shape[1], step):
-        cols = slice(lo, lo + step)
-        part = system[:, cols].astype(np.float64) @ kf[:, cols].T
-        acc += np.fmod(part, p, out=part)
-    return not np.fmod(acc, p, out=acc).any()
-
-
 def _check_hom_size(rows, cols):
     if rows * cols > HOM_CELL_CAP:
         raise CapExceeded(
             f"Hom system of {rows} x {cols} F_p cells exceeds "
             f"{HOM_CELL_CAP} (HOM_CELL_CAP)"
         )
+
+
+def _hom_blocks(model, coeffs, check):
+    """The F_q maps in the Hom system on the target's model ``model``, as
+    (keys, mult, kap): F_p blocks with axes (row, row coordinate, model
+    basis vector, column coordinate), whose rows are the ``keys``: the
+    model's basis, then the degrees past its truncation where a block
+    has a nonzero entry.  mult[i] is multiplication by the polynomial
+    coeffs[i], and kap[i] is kappa after x^a for a = pth_basis()[i].
+    ``check(rows)`` sees the row count before blocks of that many rows
+    are allocated; the powers before it have the model's d rows.
+
+    Both come from X, the multiplication by x (``FiniteModel.powers``),
+    and a few normal forms, none per basis vector.  The column of
+    x^s g_c under g is X^s applied to the normal form of g g_c: one
+    normal form per nonconstant g and column generator g_c, while a
+    constant g gives one scalar block per basis vector.  (A normal form
+    is sparse in the degree of g; Horner's rule in the model would take
+    deg g steps of X.)  kappa(x^(pt+b) g_c) = x^t kappa(x^b g_c), so the
+    columns of kappa after x^a are X^t applied to the normal forms of the
+    table values; the p-th root of each input coordinate follows, as
+    kappa(x^a sum c_i u_i) = sum c_i^(1/p) kappa(x^a u_i)."""
+    module = model.module
+    ring, ctx = module.ring, module.ring.ctx
+    p, e, d = ctx.p, ctx.e, model.dimension
+    shifts = ring.pth_basis()
+    cols = [c for c, n in enumerate(model.lengths) if n]
+    where = np.array([cols.index(c) for c, _ in model.basis], dtype=np.int64)
+    degrees = np.array([s for _, s in model.basis], dtype=np.int64)
+    # g g_c, one normal form per nonconstant coefficient and column
+    units = scalar_rows(ring, module.rank, ring.one)
+    heads = [
+        {(c, 0): g.terms[0]} if g.is_constant()
+        else model.support(vec_scale(units[c], g))
+        for g in coeffs for c in cols
+    ]
+    tabs = [model.support(module.kappa_table[b, c])
+            for b in shifts for c in cols]
+    # X^s g g_c and X^t kappa(x^b g_c), with x^(pt+b) = x^a x^s
+    slots = len(cols) * np.arange(len(coeffs))[:, None] + where
+    mult = model.powers(heads, slots.ravel(), np.tile(degrees, len(coeffs)))
+    shift = np.arange(len(shifts))[:, None] + degrees
+    kap = model.powers(tabs, (len(cols) * (shift % p) + where).ravel(),
+                       (shift // p).ravel())
+
+    past = sorted(set(mult[1]) | set(kap[1]))
+    check(d + len(past))
+    blocks = []
+    for (digits, outside), count in ((mult, len(coeffs)), (kap, len(shifts))):
+        full = np.zeros((d + len(past), count * d, e), dtype=np.int64)
+        full[:d] = digits
+        for i, key in enumerate(past, d):
+            if key in outside:
+                at, values = outside[key]
+                full[i, at] = values
+        full = full.reshape(d + len(past), count, d, e)
+        blocks.append(full.transpose(1, 0, 2, 3))
+    return ([*model.basis, *past], model.fp_blocks(blocks[0]),
+            model.fp_blocks(blocks[1], root=True))
 
 
 def hom_cartier(source, target, degree_cap=None):
@@ -802,7 +1023,9 @@ def hom_cartier(source, target, degree_cap=None):
     on the target's FiniteModel.  They satisfy two F_p-linear conditions:
     each source relation maps to zero, and phi(kappa(x^a g_j)) equals
     kappa(x^a phi(g_j)) at every key (a, j) of the source's kappa table.
-    The keys suffice because phi kappa - kappa phi is p^{-1}-linear.  One
+    The keys suffice because phi kappa - kappa phi is p^{-1}-linear.  The
+    blocks of the system are built from the target model's F_p matrices
+    (``_hom_blocks``): no polynomial is multiplied per basis vector.  One
     F_p elimination gives the nullspace in reduced echelon form, and the
     basis is certified by one exact matrix product (the system times the
     basis vanishes mod p; InvariantViolation otherwise) instead of a
@@ -813,8 +1036,9 @@ def hom_cartier(source, target, degree_cap=None):
     degree_cap=None, whatever the source.  When the target has positive
     rank, its free columns are truncated at degree ``degree_cap`` (default:
     twice the largest relation degree plus p) and the result is flagged
-    partial.  A system above HOM_CELL_CAP cells raises CapExceeded before
-    it is built.
+    partial; the degrees past the cap that a block reaches are residual
+    rows, which must vanish.  A system above HOM_CELL_CAP cells raises
+    CapExceeded before it is built.
     """
     _require_pid(source, "hom_cartier")
     if source.ring is not target.ring or source.ideal != target.ideal:
@@ -838,48 +1062,36 @@ def hom_cartier(source, target, degree_cap=None):
     d, r = sum(_column_lengths(target, degree_cap)), source.rank
     _check_hom_size(len(conditions) * d * e, d * r * e)
 
-    # F_q matrices on the target model, as sparse normal-form columns:
-    # multiplication by each source coefficient, and kappa after x^a
-    model = FiniteModel(target, degree_cap)
-    units = [model.basis_vector(i) for i in range(d)]
-    coeffs = dict.fromkeys(
-        g for vec, _ in conditions for g in vec if not g.is_zero()
-    )
-    mult = {g: [model.support(vec_scale(u, g)) for u in units] for g in coeffs}
-    images = target.kappa_images(units)
-    kap = {a: [model.support(images[a, i]) for i in range(d)]
-           for a in ring.pth_basis()}
-    # residual coordinates: the model's, then the degrees past the cap
-    # that a product or a normal form reaches on a free column
-    index = {key: i for i, key in enumerate(model.basis)}
-    for cols in (*mult.values(), *kap.values()):
-        for col in cols:
-            for key in col:
-                index.setdefault(key, len(index))
-    rows = len(index)
-    if rows > d:
-        _check_hom_size(len(conditions) * rows * e, d * r * e)
-
-    mult = {g: model.fp_blocks(cols, index) for g, cols in mult.items()}
-    kap = {
-        a: model.fp_blocks(cols, index) @ ctx._frob_inv_matrix
-        for a, cols in kap.items()
-    }
-    # unknown order: (target model index, source generator, F_p coordinate)
-    system = np.zeros((len(conditions), rows, e, d, r, e), dtype=np.int64)
-    for c, (vec, key) in enumerate(conditions):
+    # which[c, j]: the slot of the coefficient of generator j in condition
+    # c among the distinct nonzero coefficients, -1 for zero
+    slot, which = {}, np.full((len(conditions), r), -1, dtype=np.int64)
+    for c, (vec, _) in enumerate(conditions):
         for j, g in enumerate(vec):
             if not g.is_zero():
-                system[c, :, :, :, j] += mult[g]
-        if key is not None:
-            a, j = key
-            system[c, :, :, :, j] -= kap[a]
+                which[c, j] = slot.setdefault(g, len(slot))
+    model = FiniteModel(target, degree_cap)
+    keys, mult, kap = _hom_blocks(
+        model, list(slot),
+        lambda rows: _check_hom_size(len(conditions) * rows * e, d * r * e),
+    )
+    rows = len(keys)
+    blocks = np.concatenate([mult, np.zeros_like(kap[:1])])
+    # unknown order: (target model index, source generator, F_p coordinate)
+    system = np.empty((len(conditions), rows, e, d, r, e), dtype=np.int64)
+    for j in range(r):
+        system[:, :, :, :, j] = blocks[which[:, j]]
+    shift = {a: i for i, a in enumerate(ring.pth_basis())}
+    keyed = [(c, shift[key[0]], key[1])
+             for c, (_, key) in enumerate(conditions) if key is not None]
+    if keyed:
+        at, a, j = (list(t) for t in zip(*keyed))
+        system[at, :, :, :, j] -= kap[a]
     system = system.reshape(len(conditions) * rows * e, d * r * e) % p
     # With the columns reversed, each null vector's last nonzero entry is
     # the 1 in its free column; reversed back, that 1 leads, so the
     # kernel comes out in reduced echelon form, the canonical basis.
     ker = kernels.nullspace_mod_p(system[:, ::-1], p)[::-1, ::-1]
-    if not _annihilates(system, ker, p):
+    if kernels.matmul_mod_p(system, ker.T, p).any():
         raise InvariantViolation("Hom basis fails its F_p certificate")
     # one representative per (basis morphism, source generator)
     codes = ker.reshape(len(ker), d, r, e) @ p ** np.arange(e)

@@ -62,9 +62,10 @@ def _mat_pow(mat, n, p):
     out = np.eye(len(mat), dtype=np.int64)
     while n:
         if n & 1:
-            out = out @ mat % p
-        mat = mat @ mat % p
+            out = kernels.matmul_mod_p(out, mat, p)
         n >>= 1
+        if n:
+            mat = kernels.matmul_mod_p(mat, mat, p)
     return out
 
 
@@ -345,18 +346,6 @@ class FrobeniusContext:
 
     def random_element(self, rng):
         return self._elems[rng.randrange(self.q)]
-
-    # -- F_p coordinates -----------------------------------------------------
-
-    def fp_blocks(self, codes):
-        """F_p form of an F_q matrix given as a 2-d int64 array of element
-        codes: an int64 array of shape (rows, cols, e, e) whose [i, j]
-        block is the matrix of multiplication by entry [i, j] on
-        power-basis coordinates.  A block is linear in its entry, so it is
-        the entry's coordinates applied to the blocks of 1, t, ...,
-        t^(e-1)."""
-        coords = self._digits[codes]
-        return np.einsum("ijk,kab->ijab", coords, self._mul_blocks) % self.p
 
     # -- Frobenius ----------------------------------------------------------
 

@@ -9,6 +9,12 @@ Gaussian elimination (LaMacchia and Odlyzko, "Solving large sparse
 linear systems over finite fields", CRYPTO '90).  Hom systems are sparse
 and about half of their pivots are such forced zeros.
 
+Products go through ``matmul_mod_p``: numpy's integer products run no
+BLAS, so a product with a wide inner dimension runs in float64 instead,
+cut into chunks short enough that every partial sum is an exact integer
+below 2^53 (the FFLAS-FFPACK technique: Dumas, Giorgi and Pernet, "Dynamic
+Linear Algebra over Finite Fields", ACM TOMS 35(3), 2008).
+
 Matrices are numpy int64 arrays with entries already reduced into
 ``[0, p)``; all functions return arrays in the same normal form.
 """
@@ -19,7 +25,15 @@ __all__ = [
     "rref_mod_p",
     "rank_mod_p",
     "nullspace_mod_p",
+    "matmul_mod_p",
 ]
+
+# up to this inner dimension the int64 product beats the float64
+# conversions around a BLAS call: on a 2-vCPU x86 host an n x n product
+# mod 3 takes 19.6 us in int64 against 21.1 us through BLAS at n = 24,
+# and 33.4 against 29.4 us at n = 30, with OpenBLAS on one thread or on
+# its default count alike
+_BLAS_INNER = 24
 
 
 def _inv_scalar(a, p):
@@ -109,3 +123,21 @@ def nullspace_mod_p(a, p):
     basis[np.arange(free.size), cols[free]] = 1
     basis[:, cols[pivots]] = (-r[: pivots.size, free].T) % p
     return basis
+
+
+def matmul_mod_p(a, b, p):
+    """a @ b mod p, for int64 matrices with entries in [0, p).
+
+    A wide product runs in float64, which numpy hands to BLAS; its inner
+    dimension is cut into chunks of at most (2^53 - 1) / (p - 1)^2
+    columns, so every partial sum of products of entries in [0, p) is an
+    exact integer."""
+    if a.shape[1] <= _BLAS_INNER:
+        return a @ b % p
+    step = (2**53 - 1) // (p - 1) ** 2
+    af, bf = a.astype(np.float64), b.astype(np.float64)
+    acc = np.zeros((a.shape[0], b.shape[1]))
+    for lo in range(0, a.shape[1], step):
+        part = af[:, lo:lo + step] @ bf[lo:lo + step]
+        acc += np.fmod(part, p, out=part)
+    return np.fmod(acc, p, out=acc).astype(np.int64)

@@ -8,12 +8,14 @@ every component of E is congruent to p-1 mod p, and zero otherwise.
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cartier_lab import kernels
 from cartier_lab.cartier import (
+    _hom_blocks,
     _max_nil_finite,
     CartierModule,
     CartierMorphism,
@@ -524,13 +526,14 @@ def test_positive_rank_hom_basis_is_independent_modulo_relations():
             assert not CartierMorphism(source, total, images).is_zero()
 
 
-def torsion_line_module(rng, p, rank, c=1):
+def torsion_line_module(rng, p, rank, c=1, k=1):
     """Rank-r module over F_p[x] with every generator killed by
-    F = (x + c)^p.  The table values are multiples of (x + c)^(p-1), which
-    keeps the relations stable: kappa(F m) = (x + c) kappa(m) lies in F M."""
+    F = (x + c)^(pk).  The table values are multiples of (x + c)^((p-1)k),
+    which keeps the relations stable: kappa(F m) = (x + c)^k kappa(m) lies
+    in F M."""
     R = ring(p)
     u = R.parse(f"x+{c}")
-    mult = u ** (p - 1)
+    mult = u ** ((p - 1) * k)
     table = {
         ((a,), j): tuple(R.random_poly(rng, max_degree=1) * mult
                          for _ in range(rank))
@@ -540,7 +543,7 @@ def torsion_line_module(rng, p, rank, c=1):
     relations = []
     for i in range(rank):
         row = [R.zero] * rank
-        row[i] = u**p
+        row[i] = u ** (p * k)
         relations.append(tuple(row))
     return CartierModule(R, rank, table, relations=relations)
 
@@ -1055,6 +1058,138 @@ def test_hom_basis_images_are_the_kernel_rows(monkeypatch):
         kinds.add(kind)
     assert kinds == {"fq", "torsion", "free"}
     assert residual
+
+
+def oracle_hom_blocks(model, coeffs):
+    """hom_cartier's blocks one basis vector u of the target model at a
+    time, by polynomial arithmetic: the normal forms of g u for each
+    coefficient g, then of kappa(x^a u) for each a, followed by the p-th
+    root of the input coordinates.  Each block is a dict {row key: F_p
+    block row}, without zero rows."""
+    module = model.module
+    ctx = module.ring.ctx
+    units = [model.basis_vector(i) for i in range(model.dimension)]
+    images = module.kappa_images(units)
+    columns = [[model.support(vec_scale(u, g)) for u in units]
+               for g in coeffs]
+    columns += [[model.support(images[a, i]) for i in range(len(units))]
+                for a in module.ring.pth_basis()]
+    keys = sorted({key for cols in columns for col in cols for key in col})
+    blocks = []
+    for n, cols in enumerate(columns):
+        codes = np.zeros((len(keys), len(units)), dtype=np.int64)
+        for i, col in enumerate(cols):
+            for key, code in col.items():
+                codes[keys.index(key), i] = code
+        fp = np.einsum("ijk,kab->iajb", ctx._digits[codes],
+                       ctx._mul_blocks) % ctx.p
+        if n >= len(coeffs):
+            fp = fp @ ctx._frob_inv_matrix % ctx.p
+        blocks.append({key: fp[r] for r, key in enumerate(keys)
+                       if fp[r].any()})
+    return blocks
+
+
+def far_free_module(p, degree):
+    """Rank 2 over F_p[x] with the relation x g_0 + x^degree g_1 and the
+    zero operator: g_1 is free, and multiplication by x carries g_0 to
+    degree ``degree`` on it, far past any small truncation."""
+    R = ring(p)
+    x = R.var(0)
+    table = {((a,), j): (R.zero, R.zero) for a in range(p) for j in range(2)}
+    return CartierModule(R, 2, table, relations=[(x, x**degree)])
+
+
+def uneven_module(p, long, short):
+    """Rank short + 1 over F_p[x] with the zero operator, killed by
+    x^long on g_0 and by x on the other generators: one long column and
+    many of length 1."""
+    R = ring(p)
+    x = R.var(0)
+    rank = short + 1
+    relations = []
+    for c in range(rank):
+        row = [R.zero] * rank
+        row[c] = x**long if c == 0 else x
+        relations.append(tuple(row))
+    table = {((a,), j): (R.zero,) * rank
+             for a in range(p) for j in range(rank)}
+    return CartierModule(R, rank, table, relations=relations)
+
+
+def test_hom_blocks_match_the_polynomial_oracle():
+    """The multiplication and kappa-after-x^a blocks that hom_cartier
+    builds from the target model's shift equal the per-basis-vector
+    polynomial blocks, and the system's rows are the model's basis plus
+    exactly the residual degrees those blocks reach.  Pairs: pin_pairs();
+    a torsion target of dimension 60 with a nonzero operator, alone and
+    plus two columns of length 3; and a free target that x carries to
+    degree 5000 at truncation 3.  Over F_p[x] also the matrix of x on
+    the finite models."""
+    rng = random.Random(SEED + 808)
+    big = torsion_line_module(rng, 3, 1, c=1, k=20)
+    small = torsion_line_module(rng, 3, 1, c=2)
+    uneven = direct_sum(big, direct_sum(small, small)[0])[0]
+    far = far_free_module(3, 5000)
+    cases = [(kind, a, b, hom_cartier(a, b).degree_cap)
+             for kind, a, b in pin_pairs()]
+    cases += [("torsion", big, big, None), ("torsion", small, uneven, None),
+              ("torsion", uneven, uneven, None), ("free", small, far, 3),
+              ("free", far, far, 3)]
+    residual = reach = 0
+    for kind, source, target, cap in cases:
+        model = FiniteModel(target, cap)
+        conditions = [*source.effective_relations(),
+                      *source.kappa_table.values()]
+        coeffs = list(dict.fromkeys(
+            g for vec in conditions for g in vec if not g.is_zero()))
+        keys, mult, kap = _hom_blocks(model, coeffs, lambda rows: None)
+        expected = oracle_hom_blocks(model, coeffs)
+        assert set(keys) == set(model.basis).union(*expected)
+        for blocks, oracle in zip([*mult, *kap], expected, strict=True):
+            got = {key: row for key, row in zip(keys, blocks) if row.any()}
+            assert got.keys() == oracle.keys()
+            assert all((got[key] == oracle[key]).all() for key in got)
+        residual += len(keys) > model.dimension
+        reach = max(reach, *(s for _, s in keys))
+        if kind == "torsion":
+            x = target.ring.var(0)
+            direct = model.fp_matrix(lambda u: vec_scale(u, x))
+            assert (model.x_fp() == direct).all()
+    big_model = FiniteModel(big)
+    assert big_model.dimension == 60 and big_model.kappa_fp().any()
+    assert FiniteModel(uneven).lengths == [60, 3, 3]
+    assert residual and reach > 5000
+
+
+def test_far_free_degrees_stay_sparse():
+    """A relation that puts x^(10^6) on a free column is one residual
+    row per degree that a block reaches, not a model extended up to
+    degree 10^6: Hom into that target at truncation 3 is answered well
+    under HOM_CELL_CAP."""
+    far = far_free_module(2, 10**6)
+    res = hom_cartier(torsion_line_module(random.Random(SEED), 2, 1), far,
+                      degree_cap=3)
+    assert res.partial and res.degree_cap == 3
+
+
+def test_hom_block_memory_follows_the_column_lengths():
+    """On a target with one column of length 400 and 60 of length 1
+    (dimension 460), the Hom blocks carry each column's generator only
+    as far as its own length: the traced peak stays far below the 90 MB
+    that 400 powers of x on all 61 columns would take."""
+    R = ring(2)
+    target = uneven_module(2, 400, 60)
+    source = CartierModule(
+        R, 1, {((a,), 0): (R.one if a == 0 else R.zero,) for a in range(2)})
+    tracemalloc.start()
+    try:
+        res = hom_cartier(source, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.dimension_fp == 0 and not res.partial
+    assert peak < 30 * 2**20
 
 
 # ----------------------------------------------- maximal nilpotent pin

@@ -293,3 +293,25 @@ def test_sparse_random_nullspaces_match_the_whole_rref(p, monkeypatch):
 def test_empty_shapes(shape):
     null = kernels.nullspace_mod_p(np.zeros(shape, dtype=np.int64), 5)
     assert np.array_equal(null, np.eye(shape[1], dtype=np.int64))
+
+
+@pytest.mark.parametrize("p, inner, top", [
+    (2, 5, False),
+    (65521, 24, True),
+    (3, 40, False),
+    (65521, 5000, False),
+    (65521, 5000, True),
+])
+def test_matmul_matches_python_products(p, inner, top):
+    """matmul_mod_p equals the product of Python ints mod p, on the int64
+    path (inner dimension at most 24) and on the float64 one, also with
+    every entry p - 1, the largest partial sums p = 65521 allows."""
+    rng = random.Random(SEED + inner)
+    entry = (lambda: p - 1) if top else (lambda: rng.randrange(p))
+    a = [[entry() for _ in range(inner)] for _ in range(3)]
+    b = [[entry() for _ in range(4)] for _ in range(inner)]
+    want = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
+            for row in a]
+    got = kernels.matmul_mod_p(np.array(a, dtype=np.int64),
+                               np.array(b, dtype=np.int64), p)
+    assert got.dtype == np.int64 and got.tolist() == want
