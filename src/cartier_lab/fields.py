@@ -5,11 +5,15 @@ modulus for F_{p^e}: the lexicographically first monic irreducible
 polynomial of degree e over F_p, where candidates are ordered by the
 integer code ``c_0 + c_1 p + ... + c_{e-1} p^{e-1}`` of their non-leading
 coefficients.  Irreducibility is certified by Berlekamp's criterion on
-the F_p matrix of the Frobenius of F_p[s]/(candidate).  The same search
-gives the modulus of degree e m for F_{q^m} = F_p[s]/(mu), on which
-``fixed_points_dimension`` works with F_p matrices only, building no
-context.  Sizes are capped before any search: q <= 2^16 for a context,
-q^m <= 2^32 for an extension (``CapExceeded``).
+the F_p matrix of the Frobenius of F_p[s]/(candidate).
+
+Fixed points over the extensions F_{q^m} are counted over F_q itself:
+for a p- or p^{-1}-linear map with F_p matrix K on F_q^r, the fixed space
+over F_{q^m} has F_p-dimension dim ker(B^m - I) over F_q, with B = K^e;
+no extension field is built (Lang's theorem, S. Lang, Amer. J. Math. 78,
+1956, in the unit-root form of N. Katz, LNM 350, 1973, 4.1).  Sizes are
+capped before any work: q <= 2^16 for a context, q^m <= 2^32 for the
+extension degree of a fixed-point count (``CapExceeded``).
 
 An element is its integer code in [0, q): the same code of its
 coordinates over the power basis ``1, t, ..., t^{e-1}``.  Each context
@@ -31,7 +35,6 @@ import numpy as np
 from .errors import (
     CapExceeded,
     ContextMismatchError,
-    InvariantViolation,
     ValidationError,
     stabilize,
 )
@@ -497,7 +500,9 @@ def is_nilpotent_semilinear(T, cap=None):
 
 
 def check_extension_cap(ctx, m):
-    """F_{q^m} must have at most 2^32 elements.  q >= 2, so m <= 32 is
+    """The extension degree m must be at least 1, with q^m <= 2^32.  The
+    count builds no F_{q^m}, so the bound is a documented limit of the
+    library, not a necessity of the method.  q >= 2, so m <= 32 is
     checked first and q**m is never a big integer."""
     if m < 1:
         raise ValidationError(f"extension degree m = {m} must be at least 1")
@@ -506,63 +511,41 @@ def check_extension_cap(ctx, m):
 
 
 def fixed_points_dimension(T, m):
-    """dim_{F_p} of the fixed space of T extended to F_{q^m}^r.
-
-    K = F_{q^m} is F_p[s]/(mu), mu the canonical modulus of degree
-    n = e m, and F_q embeds in K by t -> beta, a root of ``ctx.modulus``
-    in the fixed space of x -> x^q.  The extension acts by the same matrix
-    with the twist of K: the n x n matrix F of x -> x^p (column j is the
-    coordinates of s^(p j)) for P_LINEAR, and its inverse F^(n-1), the
-    p-th root, for P_INV_LINEAR.  So T - id is F_p-linear on F_p^{n r}:
-    block (i, j) is multiplication by the embedded entry a_ij times the
-    twist.  The answer is the nullity of T - id.
-    """
+    """dim_{F_p} of the fixed space of T extended to F_{q^m}^r: dim
+    ker(B^m - I) over F_q, with B = K^e and K the F_p matrix of T; no
+    extension field is built.  Block (i, j) of K is multiplication by the
+    entry a_ij after the twist of the input coordinates: the Frobenius of
+    F_q for P_LINEAR, the p-th root for P_INV_LINEAR."""
     ctx = T.ctx
     check_extension_cap(ctx, m)
     p, e, r = ctx.p, ctx.e, T.dim
-    n = e * m
-    blocks, frob, embedding = _extension_data(p, e, m)
-    twist = frob if T.kind == P_LINEAR else _mat_pow(frob, n - 1, p)
-    coords = np.array([[x.coords for x in row] for row in T.matrix], dtype=np.int64)
-    embedded = coords.reshape(r, r, e) @ embedding % p
-    mult = np.einsum("ijk,kab->ijab", embedded, blocks) % p
-    mat = np.einsum("ijab,bc->iajc", mult, twist).reshape(r * n, r * n)
-    return r * n - kernels.rank_mod_p(mat - np.eye(r * n, dtype=np.int64), p)
+    if T.kind == P_LINEAR:
+        twist = _frobenius_matrix(p, ctx.modulus)
+    else:
+        twist = ctx._frob_inv_matrix
+    codes = np.array([[x.code for x in row] for row in T.matrix], dtype=np.int64)
+    digits = ctx._digits[codes.reshape(r, r)]
+    blocks = ctx._mul_blocks @ twist % p
+    K = np.einsum("ijk,kab->iajb", digits, blocks).reshape(r * e, r * e) % p
+    return _fixed_dims(K, p, e, m)[-1]
 
 
-@lru_cache(maxsize=None)
-def _extension_data(p, e, m):
-    """The data of K = F_{q^m} that depend only on (p, e, m), as read-only
-    arrays: the multiplication blocks of K, the matrix of x -> x^p on K and
-    the embedding of F_q in K."""
-    mu = _first_irreducible_fp(p, e * m)
-    blocks = _mul_blocks(p, mu)
-    frob = _frobenius_matrix(p, mu)
-    out = (blocks, frob, _embedding(p, e, blocks, frob))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
+def _fixed_dims(K, p, e, max_m):
+    """F_p-dimensions of the fixed spaces over F_{q^m}, m = 1..max_m, of
+    the map with F_p matrix K on F_q^r, p-linear or p^{-1}-linear.
 
-
-def _embedding(p, e, blocks, frob):
-    """The F_p matrix of F_q -> K, row k the coordinates of beta^k: beta is
-    the first root of the modulus of F_q in the copy of F_q inside K (the
-    nullspace of F^e - I), in code order over its F_p basis.  The
-    candidates are tested by Horner's rule, 1024 at a time, so their
-    multiplication matrices take at most 1024 n^2 entries."""
-    n, q = len(frob), p**e
+    B = K^e is F_q-linear, and over any extension T^(e m) v = B^m phi(v),
+    phi the q^m-th power of the coordinates.  So a fixed vector over
+    F_{q^m} lies in W = ker(B^m - I).  W is T-stable, and T is bijective
+    on W over an algebraic closure, so there its fixed vectors form an
+    F_p-space of dimension dim W (Lang's theorem; Katz, LNM 350, 4.1);
+    each has phi(v) = T^(e m) v = v, coordinates in F_{q^m}.  The count
+    is dim W over F_q: the F_p nullity of B^m - I divided by e."""
+    n = len(K)
     one = np.eye(n, dtype=np.int64)
-    basis = kernels.nullspace_mod_p(_mat_pow(frob, e, p) - one, p)
-    mult_basis = np.einsum("in,nab->iab", basis, blocks) % p
-    for start in range(0, q, 1024):
-        codes = np.arange(start, min(start + 1024, q))
-        mult = np.einsum("ci,iab->cab", codes[:, None] // p ** np.arange(e) % p,
-                         mult_basis) % p
-        acc = np.tile(one[0], (len(codes), 1))
-        for c in reversed(_first_irreducible_fp(p, e)[:-1]):
-            acc = np.einsum("cab,cb->ca", mult, acc) % p
-            acc[:, 0] = (acc[:, 0] + c) % p
-        roots = np.flatnonzero(~acc.any(axis=1))
-        if roots.size:
-            return _powers(mult[roots[0]], p)[:e, :, 0]
-    raise InvariantViolation("no root of the modulus of F_q in K")  # pragma: no cover
+    B = _mat_pow(K, e, p)
+    power, dims = one, []
+    for _ in range(max_m):
+        power = kernels.matmul_mod_p(power, B, p)
+        dims.append((n - kernels.rank_mod_p(power - one, p)) // e)
+    return dims

@@ -26,7 +26,7 @@ from .cartier import (
     quotient_module,
     submodule_module,
 )
-from .fields import _mat_pow, check_extension_cap, fixed_points_dimension
+from .fields import _fixed_dims, _mat_pow, check_extension_cap
 from .gamma import GammaSheaf
 from .poly import (
     IdealSpec,
@@ -618,10 +618,12 @@ def sol_dimension(module, max_m):
     the vectors of M (x) F_{q^m} that kappa fixes (Katz's equivalence
     reads solutions at a point as these).  They lie in the bijective
     Fitting part, since v = kappa^k(v) for every k, so nilpotent parts
-    never contribute.  kappa is the p^{-1}-linear matrix of the module's
-    finite model, and each count is one ``fixed_points_dimension``."""
+    never contribute.  Each is dim ker(B^m - I) over F_q, with B = K^e
+    and K the F_p matrix of kappa on the module's finite model; no
+    extension field is built (Lang's theorem, in the unit-root form of
+    N. Katz, LNM 350, 1973, 4.1)."""
     if module.ring.nvars != 0:
         raise ValidationError("solution dimensions need a zero-dimensional module")
-    check_extension_cap(module.ring.ctx, max_m)
-    kappa = FiniteModel(module).kappa_semilinear()
-    return [fixed_points_dimension(kappa, m) for m in range(1, max_m + 1)]
+    ctx = module.ring.ctx
+    check_extension_cap(ctx, max_m)
+    return _fixed_dims(FiniteModel(module).kappa_fp(), ctx.p, ctx.e, max_m)

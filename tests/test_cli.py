@@ -586,6 +586,15 @@ def test_sol_over_f4_keeps_its_dimensions_up_to_m_12(tmp_path):
     assert json.loads(proc.stdout)["result"]["dims"] == [0, 0, 2] * 4
 
 
+def test_sol_over_f4_at_the_cap_edge_m_16(tmp_path):
+    """4^16 = 2^32 is the largest q^m the cap admits; no F_(4^16) is
+    built, so the run ends within the bound of the over-cap runs."""
+    proc, elapsed = _run_sol(tmp_path, 16)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["dims"] == [0, 0, 2] * 5 + [0]
+    assert elapsed < 1.0
+
+
 def _truncated_line(tmp_path, n):
     """F_2[x]/(x^n) with kappa(x^(2a)) = 0 and kappa(x^(2a+1)) = x^(a+n),
     that is kappa = 0: every F_2[x]-linear endomorphism commutes with it,

@@ -215,12 +215,16 @@ def _extension(ctx, m):
 
 
 def _count_fixed_vectors(T, m):
-    """|{v in F_{q^m}^r : v = A v^p}| by enumeration."""
+    """|{v in F_{q^m}^r : v = A tw(v)}| by enumeration, tw the Frobenius
+    x -> x^p for P_LINEAR and the p-th root for P_INV_LINEAR."""
     big, embed = _extension(T.ctx, m)
     emb = [[embed(a) for a in row] for row in T.matrix]
     count = 0
     for v in itertools.product(list(big.elements()), repeat=T.dim):
-        tw = [x.frob() for x in v]
+        if T.kind == P_LINEAR:
+            tw = [x.frob() for x in v]
+        else:
+            tw = [x.frob_inv() for x in v]
         image = [sum((a * x for a, x in zip(row, tw)), big.zero) for row in emb]
         count += image == list(v)
     return count
@@ -243,14 +247,18 @@ def test_fixed_points_against_brute_force_over_f4(m, expected):
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
 @pytest.mark.parametrize("m", [1, 2])
 def test_fixed_points_of_random_maps_against_brute_force(p, e, m):
-    """Random 2x2 p-linear maps: the F_p-dimension from the block matrix
-    of T - id matches a count of the fixed vectors of F_{q^m}^2."""
+    """Random 2x2 maps of both kinds, p-linear and p^{-1}-linear: the
+    F_p-dimension dim ker(B^m - I) matches a count of the fixed vectors of
+    F_{q^m}^2."""
     ctx = Fq(p, e)
     rng = random.Random(SEED + 31 * p + 7 * e + m)
-    for _ in range(4):
-        mat = [[ctx.random_element(rng) for _ in range(2)] for _ in range(2)]
-        T = SemilinearMap(ctx, P_LINEAR, mat)
-        assert _count_fixed_vectors(T, m) == p ** fixed_points_dimension(T, m)
+    for kind in (P_LINEAR, P_INV_LINEAR):
+        for _ in range(4):
+            mat = [[ctx.random_element(rng) for _ in range(2)]
+                   for _ in range(2)]
+            T = SemilinearMap(ctx, kind, mat)
+            dim = fixed_points_dimension(T, m)
+            assert _count_fixed_vectors(T, m) == p ** dim, (kind, mat)
 
 
 # ------------------------------------------------------- F_q linear algebra

@@ -473,6 +473,27 @@ def test_saturation_matches_a_reference_fixed_point_loop(monkeypatch):
     assert full_path >= 6
 
 
+def test_certificate_lattices_have_no_g_torsion():
+    """intermediate_extension records torsion_nilpotent without computing
+    it: the certified lattice lies in the g-torsion-free quotient, so its
+    g-torsion is zero.  Recomputed here on every full-path certificate of
+    pinned_localizations() and oracle_localizations(), the torsion has no
+    generators."""
+    full_path = 0
+    for loc in pinned_localizations() + oracle_localizations():
+        try:
+            cert = intermediate_extension(loc)
+        except NonStabilized:
+            continue
+        assert cert.checks["torsion_nilpotent"]
+        if cert.indices["k_star"] == 0:
+            continue
+        full_path += 1
+        tors = torsion_gamma_Z(cert.module, loc.g)
+        assert tors["generators"] == [] and tors["module"].rank == 0
+    assert full_path >= 40
+
+
 def test_each_certificate_path_builds_its_lattice_module_once(
     standard, line, monkeypatch
 ):
