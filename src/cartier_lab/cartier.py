@@ -505,7 +505,10 @@ class FiniteModel:
     a module of positive rank over F_q[x] gets the truncated model: each
     free column contributes x^s g_c for 0 <= s <= degree_cap.
     Multiplication by x is a shift on this basis except at the top of each
-    column (``times_x``), so it needs one normal form per column.
+    column (``times_x``), so it needs one normal form per column.  Every
+    F_p matrix of the model comes from that shift: ``x_fp`` is the shift,
+    and ``_hom_blocks`` builds the Hom blocks, ``kappa_fp`` and
+    ``mult_fp`` from it and a few normal forms, none per basis vector.
     """
 
     __slots__ = ("module", "basis", "degree_cap", "lengths", "_index", "_x")
@@ -524,13 +527,6 @@ class FiniteModel:
     @property
     def dimension(self):
         return len(self.basis)
-
-    def basis_vector(self, i):
-        c, s = self.basis[i]
-        ring = self.module.ring
-        row = list(zero_vector(ring, self.module.rank))
-        row[c] = ring.monomial((s,)) if ring.nvars else ring.one
-        return tuple(row)
 
     def support(self, v):
         """The normal form of v as {(column, degree): coefficient code}."""
@@ -569,13 +565,6 @@ class FiniteModel:
             out[i][col] = Polynomial(ring, t)
         return [tuple(vec) for vec in out]
 
-    def kappa_semilinear(self):
-        """The operator as a p^{-1}-linear matrix map on coordinates."""
-        ctx = self.module.ring.ctx
-        codes = self._images(self.module._apply_raw).T.tolist()
-        matrix = [[ctx._elems[c] for c in row] for row in codes]
-        return SemilinearMap(ctx, P_INV_LINEAR, matrix)
-
     def _codes(self, vectors):
         """Coordinate codes of the vectors, one row each."""
         return self._support_codes([self.support(v) for v in vectors])
@@ -606,11 +595,6 @@ class FiniteModel:
         rows = np.asarray(rows).reshape(len(rows), self.dimension, ctx.e)
         return self.from_codes(rows @ ctx.p ** np.arange(ctx.e))
 
-    def _images(self, fn):
-        """Codes of fn(basis_vector(j)), one row per j."""
-        return self._codes([fn(self.basis_vector(j))
-                            for j in range(self.dimension)])
-
     def fp_blocks(self, digits, root=False):
         """F_p form of F_q matrices given by the coordinate digits of their
         entries, shape (..., rows, columns, e): the [..., i, :, j, :] block
@@ -624,28 +608,29 @@ class FiniteModel:
             blocks = blocks @ ctx._frob_inv_matrix % ctx.p
         return np.einsum("...ijk,kab->...iajb", digits, blocks) % ctx.p
 
-    def fp_matrix(self, fn, root=False):
-        """The F_p matrix of the map ``fn`` on the model, F_q-linear, or
-        p^{-1}-linear with ``root``: column block j holds the coordinates
-        of fn(basis_vector(j)), after the p-th root of the input
-        coordinates if ``root``."""
-        ctx = self.module.ring.ctx
-        n = self.dimension * ctx.e
-        digits = ctx._digits[self._images(fn).T]
-        return self.fp_blocks(digits, root).reshape(n, n)
-
     def kappa_fp(self):
         """The F_p matrix of the operator: the p-th root of each input
-        coordinate, then the F_q matrix of the operator on the basis."""
-        return self.fp_matrix(self.module._apply_raw, root=True)
+        coordinate, then the F_q matrix of the operator on the basis;
+        terms past a truncation are dropped."""
+        zero = (0,) * self.module.ring.nvars
+        return self._square(_hom_blocks(self, [], [zero])[2][0])
+
+    def mult_fp(self, g):
+        """The F_p matrix of multiplication by the polynomial g; terms
+        past a truncation are dropped."""
+        return self._square(_hom_blocks(self, [g], [])[1][0])
+
+    def _square(self, blocks):
+        """The model's F_p blocks as one square matrix."""
+        n = self.dimension * self.module.ring.ctx.e
+        return blocks.reshape(n, n)
 
     def x_fp(self):
         """The F_p matrix of multiplication by x on the model; on a
         truncated model the terms past the truncation are dropped."""
         n, ctx = self.dimension, self.module.ring.ctx
         units = ctx._digits[np.eye(n, dtype=np.int64)]
-        x = self.times_x(units)[:n]
-        return self.fp_blocks(x).reshape(n * ctx.e, n * ctx.e)
+        return self._square(self.fp_blocks(self.times_x(units)[:n]))
 
     def times_x(self, digits):
         """Multiplication by x on model vectors given by their coordinate
@@ -653,8 +638,9 @@ class FiniteModel:
         x^s g_c -> x^(s+1) g_c, except at the last basis vector of a pivot
         column c, which goes to the normal form of x^l g_c (l the pivot
         degree): one normal form per column, computed once.  The product
-        has a row per model basis vector, then one per key of
-        ``outer_keys()``."""
+        has a row per model basis vector, then one per outer key: a key
+        (column, degree) past the truncation that x reaches from the
+        model (none on a finite model)."""
         starts, tails, wraps, tops, outer = self._shift()
         n, *batch, e = digits.shape
         v = digits.reshape(n, math.prod(batch), e)
@@ -669,19 +655,13 @@ class FiniteModel:
             out %= self.module.ring.ctx.p
         return out.reshape(len(out), *batch, e)
 
-    def outer_keys(self):
-        """The keys (column, degree) past the truncation that
-        multiplication by x reaches from the model: the degree above the
-        top of each free column, then the terms past the truncation of
-        the normal forms of x^l g_c.  Empty on a finite model."""
-        return self._shift()[-1]
-
-    def powers(self, supports, head, step):
+    def powers(self, supports, head, step, past):
         """X^step[i] applied to the normal form supports[head[i]] (as
         ``support`` gives it) for each i, X = ``times_x``.  Returns
-        (digits, past): the digits on the model, shape (dimension,
-        len(head), e), and {key past the truncation: (the i's, their
-        digits there)}, nonzero ones only.
+        (digits, outside): the digits on the model, shape (dimension,
+        len(head), e), and, if ``past``, {key past the truncation: (the
+        i's, their digits there)}, nonzero ones only; else {}, the terms
+        past the truncation dropped.
 
         Each normal form is carried only as far as the largest step that
         asks for it, so the work is the size of the answer.  Terms past
@@ -694,7 +674,7 @@ class FiniteModel:
         out = v[:, head]
         # terms past the truncation: (step gained, column, degree, head)
         gained, digits = [], []
-        if self.degree_cap is not None:
+        if past and self.degree_cap is not None:
             for h, sup in enumerate(supports):
                 for (c, s), code in self._past_cap(sup).items():
                     gained.append((0, c, s, h))
@@ -711,12 +691,12 @@ class FiniteModel:
             by_step = np.argsort(step, kind="stable")
             bounds = np.searchsorted(step[by_step], np.arange(len(live) + 1))
             for k in range(1, len(live)):
-                v, outer = self.times_x(v[:, : live[k]]), self.outer_keys()
-                if outer:
+                v, outer = self.times_x(v[:, : live[k]]), self._shift()[-1]
+                if past:
                     for b, h in zip(*np.nonzero(v[d:].any(axis=2))):
                         gained.append((k, *outer[b], order[h]))
                         digits.append(v[d + b, h])
-                    v = v[:d]
+                v = v[:d]
                 at = by_step[bounds[k]:bounds[k + 1]]
                 out[:, at] = v[:, rank[head[at]]]
         return out, self._carry(gained, digits, head, step)
@@ -807,9 +787,15 @@ class FiniteModel:
 
 
 def to_semilinear(module):
-    """(SemilinearMap, FiniteModel) for a finite-length module."""
+    """(SemilinearMap, FiniteModel) for a finite-length module, read from
+    ``kappa_fp()``: the p-th root fixes 1, so a block's column at the
+    coordinate 1 holds the digits of its F_q entry."""
     model = FiniteModel(module)
-    return model.kappa_semilinear(), model
+    ctx, d = module.ring.ctx, model.dimension
+    digits = model.kappa_fp().reshape(d, ctx.e, d, ctx.e)[..., 0]
+    codes = np.einsum("iaj,a->ij", digits, ctx.p ** np.arange(ctx.e))
+    matrix = [[ctx._elems[c] for c in row] for row in codes.tolist()]
+    return SemilinearMap(ctx, P_INV_LINEAR, matrix), model
 
 
 def _finite_length(module):
@@ -956,13 +942,15 @@ def _check_hom_size(rows, cols):
         )
 
 
-def _hom_blocks(model, coeffs, check):
-    """The F_q maps in the Hom system on the target's model ``model``, as
+def _hom_blocks(model, coeffs, shifts, check=None):
+    """The model's F_q maps, for Hom, ``kappa_fp`` and ``mult_fp``, as
     (keys, mult, kap): F_p blocks with axes (row, row coordinate, model
-    basis vector, column coordinate), whose rows are the ``keys``: the
-    model's basis, then the degrees past its truncation where a block
-    has a nonzero entry.  mult[i] is multiplication by the polynomial
-    coeffs[i], and kap[i] is kappa after x^a for a = pth_basis()[i].
+    basis vector, column coordinate), whose rows are the ``keys``.
+    mult[i] is multiplication by the polynomial coeffs[i], and kap[i] is
+    kappa after x^a for a = shifts[i]; only the sides asked for are
+    built.  The keys are the model's basis, the terms past a truncation
+    dropped; with ``check`` (Hom) they go on with the residual degrees
+    past the truncation where a block has a nonzero entry, and
     ``check(rows)`` sees the row count before blocks of that many rows
     are allocated; the powers before it have the model's d rows.
 
@@ -979,7 +967,6 @@ def _hom_blocks(model, coeffs, check):
     module = model.module
     ring, ctx = module.ring, module.ring.ctx
     p, e, d = ctx.p, ctx.e, model.dimension
-    shifts = ring.pth_basis()
     cols = [c for c, n in enumerate(model.lengths) if n]
     where = np.array([cols.index(c) for c, _ in model.basis], dtype=np.int64)
     degrees = np.array([s for _, s in model.basis], dtype=np.int64)
@@ -991,16 +978,19 @@ def _hom_blocks(model, coeffs, check):
         for g in coeffs for c in cols
     ]
     tabs = [model.support(module.kappa_table[b, c])
-            for b in shifts for c in cols]
+            for b in (ring.pth_basis() if shifts else ()) for c in cols]
     # X^s g g_c and X^t kappa(x^b g_c), with x^(pt+b) = x^a x^s
+    keep = check is not None
     slots = len(cols) * np.arange(len(coeffs))[:, None] + where
-    mult = model.powers(heads, slots.ravel(), np.tile(degrees, len(coeffs)))
-    shift = np.arange(len(shifts))[:, None] + degrees
+    mult = model.powers(heads, slots.ravel(), np.tile(degrees, len(coeffs)),
+                        keep)
+    shift = np.add.outer([sum(a) for a in shifts], degrees).astype(np.int64)
     kap = model.powers(tabs, (len(cols) * (shift % p) + where).ravel(),
-                       (shift // p).ravel())
+                       (shift // p).ravel(), keep)
 
     past = sorted(set(mult[1]) | set(kap[1]))
-    check(d + len(past))
+    if keep:
+        check(d + len(past))
     blocks = []
     for (digits, outside), count in ((mult, len(coeffs)), (kap, len(shifts))):
         full = np.zeros((d + len(past), count * d, e), dtype=np.int64)
@@ -1024,8 +1014,9 @@ def hom_cartier(source, target, degree_cap=None):
     each source relation maps to zero, and phi(kappa(x^a g_j)) equals
     kappa(x^a phi(g_j)) at every key (a, j) of the source's kappa table.
     The keys suffice because phi kappa - kappa phi is p^{-1}-linear.  The
-    blocks of the system are built from the target model's F_p matrices
-    (``_hom_blocks``): no polynomial is multiplied per basis vector.  One
+    blocks of the system come from the target model's one map builder
+    (``_hom_blocks``, which also gives ``kappa_fp`` and ``mult_fp``): no
+    polynomial is multiplied per basis vector.  One
     F_p elimination gives the nullspace in reduced echelon form, and the
     basis is certified by one exact matrix product (the system times the
     basis vanishes mod p; InvariantViolation otherwise) instead of a
@@ -1071,7 +1062,7 @@ def hom_cartier(source, target, degree_cap=None):
                 which[c, j] = slot.setdefault(g, len(slot))
     model = FiniteModel(target, degree_cap)
     keys, mult, kap = _hom_blocks(
-        model, list(slot),
+        model, list(slot), ring.pth_basis(),
         lambda rows: _check_hom_size(len(conditions) * rows * e, d * r * e),
     )
     rows = len(keys)

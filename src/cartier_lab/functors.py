@@ -152,7 +152,7 @@ def torsion_invariant_oracle(module, g):
     )
     model = FiniteModel(torsion)
     p, e, d = ring.ctx.p, ring.ctx.e, model.dimension
-    mult = model.fp_matrix(lambda u: vec_scale(u, g))
+    mult = model.mult_fp(g)
     null = kernels.nullspace_mod_p(_mat_pow(mult, d, p), p)
     gens = [incl.apply(v) for v in model.from_fp(null)]
     span = hnf_extend(rel_hnf, gens, module.rank, ring)
@@ -183,7 +183,12 @@ class LocalizedCartier:
         self.g = g
         tors = torsion_gamma_Z(base, g, cap=cap)
         self.torsion = tors
-        self.quotient, _ = quotient_module(base, tors["generators"])
+        # g^k kappa(m) = kappa(g^(pk) m): the torsion is kappa-stable
+        self.quotient = CartierModule(
+            base.ring, base.rank, base.kappa_table,
+            (*base.relations, *tors["generators"]), base.ideal,
+            base.generator_names, validate=False,
+        )
 
     @property
     def ring(self):
@@ -403,6 +408,7 @@ def koszul_pullback(module, seq, validate_sequence=True):
         red = tuple(ideal.normal_form(f) for f in rho)
         if any(not f.is_zero() for f in red):
             relations.append(red)
+    # kappa(f^p h) = f kappa(h) (Fedder): the twist keeps I M stable
     return CartierModule(
         ring,
         module.rank,
@@ -410,6 +416,7 @@ def koszul_pullback(module, seq, validate_sequence=True):
         relations=relations,
         ideal=ideal,
         generator_names=module.generator_names,
+        validate=False,
     )
 
 

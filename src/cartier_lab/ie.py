@@ -559,19 +559,19 @@ def _in_span(vectors, span, p):
 
 def _line_closures(model):
     """The stable closure of one vector per F_q-line of the model (first
-    nonzero coordinate 1), as F_p RREF rows: closed under the operator
-    (with its p-th-root twist), x over F_q[x], and multiplication by the
-    generator t of F_q, so an F_q-subspace.  The closure of v spans the
-    v a over a basis of the algebra these F_p matrices generate, found
-    once as the closure of the identity under right multiplication."""
+    nonzero coordinate 1), as F_p RREF rows: closed under ``kappa_fp``,
+    x (``x_fp``) over F_q[x] and the generator t of F_q (its block on each
+    coordinate), so an F_q-subspace.  The closure of v spans the v a
+    over a basis of the algebra these F_p matrices generate, found once
+    as the closure of the identity under right multiplication."""
     ring = model.module.ring
     ctx = ring.ctx
     p, d, n = ctx.p, model.dimension, model.dimension * ctx.e
-    gens = [ring.var(0)] if ring.nvars else []
-    if ctx.e > 1:
-        gens.append(ring.scalar(ctx.gen))
     maps = [model.kappa_fp()]
-    maps += [model.fp_matrix(lambda u: vec_scale(u, g)) for g in gens]
+    if ring.nvars:
+        maps.append(model.x_fp())
+    if ctx.e > 1:
+        maps.append(np.kron(np.eye(d, dtype=np.int64), ctx._mul_blocks[1]))
     one = np.eye(n, dtype=np.int64)
     right = [np.kron(one, m.T) for m in maps]
     algebra = _closure(one.reshape(1, n * n), right, p)

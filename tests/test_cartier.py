@@ -15,6 +15,7 @@ import pytest
 
 from cartier_lab import kernels
 from cartier_lab.cartier import (
+    _finite_length,
     _hom_blocks,
     _max_nil_finite,
     CartierModule,
@@ -34,6 +35,7 @@ from cartier_lab.cartier import (
     quotient_module,
     stable_image,
     submodule_module,
+    to_semilinear,
 )
 from cartier_lab.errors import InvariantViolation, ValidationError
 from cartier_lab.fields import (
@@ -42,6 +44,7 @@ from cartier_lab.fields import (
     SemilinearMap,
     fixed_points_dimension,
     fq_rref,
+    is_nilpotent_semilinear,
 )
 from cartier_lab.poly import PolyRing
 from cartier_lab.submodules import hnf_extend, vec_add, vec_scale, zero_vector
@@ -892,16 +895,14 @@ def test_finite_model_coordinates_roundtrip():
     )
     fm = FiniteModel(mod)
     assert fm.dimension == 3
-    for i in range(fm.dimension):
-        v = fm.basis_vector(i)
+    for v in fm.from_codes(np.eye(fm.dimension, dtype=np.int64)):
         coords = fm.to_coords(v)
         assert fm.from_coords(coords) == mod.normal_form(v)
 
 
 def test_finite_model_semilinear_operator_agrees():
     j2 = jordan_block_module(Fq(2, 1), 2)
-    fm = FiniteModel(j2)
-    T = fm.kappa_semilinear()
+    T, fm = to_semilinear(j2)
     rng = random.Random(SEED)
     ctx = T.ctx
     for _ in range(20):  # the twist law T(a v) = a^(1/p) T(v)
@@ -909,11 +910,32 @@ def test_finite_model_semilinear_operator_agrees():
         v = tuple(ctx.random_element(rng) for _ in range(T.dim))
         lhs = T.apply(tuple(a * x for x in v))
         assert lhs == tuple(T.twist(a) * y for y in T.apply(v))
-    for i in range(fm.dimension):
-        v = fm.basis_vector(i)
+    for v in fm.from_codes(np.eye(fm.dimension, dtype=np.int64)):
         direct = j2.apply_kappa(v)
         via_model = fm.from_coords(T.apply(fm.to_coords(v)))
         assert direct == via_model
+
+
+def test_semilinear_view_agrees_with_the_polynomial_chain():
+    """to_semilinear, which perfbench's oracle trusts, read on the
+    finite-length modules of max_nil_modules() (pin_modules() among
+    them): its image chain says nilpotent, with the order, exactly when
+    the polynomial image chain does, and its F_q dimensions are
+    rank(K^k) / e for K = kappa_fp()."""
+    count = 0
+    for module in max_nil_modules():
+        if not _finite_length(module):
+            continue
+        T, model = to_semilinear(module)
+        nil, order, dims = is_nilpotent_semilinear(T)
+        assert (nil, order) == is_nilpotent(module)
+        ctx, k = module.ring.ctx, model.kappa_fp()
+        power = np.eye(len(k), dtype=np.int64)
+        for dim in dims:
+            assert dim * ctx.e == kernels.rank_mod_p(power, ctx.p)
+            power = kernels.matmul_mod_p(power, k, ctx.p)
+        count += 1
+    assert count >= 20
 
 
 # ----------------------------------------------------- hom basis pin
@@ -1068,7 +1090,7 @@ def oracle_hom_blocks(model, coeffs):
     block row}, without zero rows."""
     module = model.module
     ctx = module.ring.ctx
-    units = [model.basis_vector(i) for i in range(model.dimension)]
+    units = model.from_codes(np.eye(model.dimension, dtype=np.int64))
     images = module.kappa_images(units)
     columns = [[model.support(vec_scale(u, g)) for u in units]
                for g in coeffs]
@@ -1117,6 +1139,51 @@ def uneven_module(p, long, short):
     return CartierModule(R, rank, table, relations=relations)
 
 
+def check_readers(model, coeffs):
+    """Assert that kappa_fp(), mult_fp(g) for each coefficient g, x_fp()
+    and the block of the generator t of F_q on every coordinate (the maps
+    of ie._line_closures) equal the oracle's blocks on the model's rows,
+    the terms past a truncation dropped.  Returns whether the oracle
+    reaches past the truncation."""
+    ring, ctx = model.module.ring, model.module.ring.ctx
+    d, n = model.dimension, model.dimension * ctx.e
+    x = [ring.var(0)] if ring.nvars else []
+    t = [ring.scalar(ctx.gen)] if ctx.e > 1 else []
+    oracle = oracle_hom_blocks(model, [*coeffs, *x, *t])
+    zero = np.zeros((ctx.e, d, ctx.e), dtype=np.int64)
+
+    def on_model(block):
+        return np.array([block.get(key, zero) for key in model.basis],
+                        dtype=np.int64).reshape(n, n)
+
+    for g, block in zip(coeffs, oracle):
+        assert (model.mult_fp(g) == on_model(block)).all()
+    kap = oracle[len(coeffs) + len(x) + len(t)]
+    assert (model.kappa_fp() == on_model(kap)).all()
+    if x:
+        assert (model.x_fp() == on_model(oracle[len(coeffs)])).all()
+    if t:
+        t_block = np.kron(np.eye(d, dtype=np.int64), ctx._mul_blocks[1])
+        assert (t_block == on_model(oracle[len(coeffs) + len(x)])).all()
+    return any(key not in model.basis for block in oracle for key in block)
+
+
+def minimality_shapes():
+    """Free modules without relations over F_q[x], the lattice modules
+    that minimality_oracle truncates: top forms over F_2, F_3 and F_4,
+    and random tables of rank 1 and 2."""
+    rng = random.Random(SEED + 909)
+    mods = [omega_module(ring(p, e)) for p, e in ((2, 1), (3, 1), (2, 2))]
+    for p, e, rank in ((2, 1, 2), (3, 1, 1), (2, 2, 1)):
+        R = ring(p, e)
+        mods.append(CartierModule(R, rank, {
+            ((a,), j): tuple(R.random_poly(rng, max_degree=3)
+                             for _ in range(rank))
+            for a in range(p) for j in range(rank)
+        }))
+    return mods
+
+
 def test_hom_blocks_match_the_polynomial_oracle():
     """The multiplication and kappa-after-x^a blocks that hom_cartier
     builds from the target model's shift equal the per-basis-vector
@@ -1124,26 +1191,26 @@ def test_hom_blocks_match_the_polynomial_oracle():
     exactly the residual degrees those blocks reach.  Pairs: pin_pairs();
     a torsion target of dimension 60 with a nonzero operator, alone and
     plus two columns of length 3; and a free target that x carries to
-    degree 5000 at truncation 3.  Over F_p[x] also the matrix of x on
-    the finite models."""
+    degree 5000 at truncation 3.  The model's other F_p matrices, read
+    from the same builder, match the oracle on every target and on the
+    free modules of minimality_shapes() truncated at degrees 0-4."""
     rng = random.Random(SEED + 808)
     big = torsion_line_module(rng, 3, 1, c=1, k=20)
     small = torsion_line_module(rng, 3, 1, c=2)
     uneven = direct_sum(big, direct_sum(small, small)[0])[0]
     far = far_free_module(3, 5000)
-    cases = [(kind, a, b, hom_cartier(a, b).degree_cap)
-             for kind, a, b in pin_pairs()]
-    cases += [("torsion", big, big, None), ("torsion", small, uneven, None),
-              ("torsion", uneven, uneven, None), ("free", small, far, 3),
-              ("free", far, far, 3)]
-    residual = reach = 0
-    for kind, source, target, cap in cases:
+    cases = [(a, b, hom_cartier(a, b).degree_cap) for _, a, b in pin_pairs()]
+    cases += [(big, big, None), (small, uneven, None), (uneven, uneven, None),
+              (small, far, 3), (far, far, 3)]
+    residual = reach = truncated = 0
+    for source, target, cap in cases:
         model = FiniteModel(target, cap)
         conditions = [*source.effective_relations(),
                       *source.kappa_table.values()]
         coeffs = list(dict.fromkeys(
             g for vec in conditions for g in vec if not g.is_zero()))
-        keys, mult, kap = _hom_blocks(model, coeffs, lambda rows: None)
+        keys, mult, kap = _hom_blocks(model, coeffs, target.ring.pth_basis(),
+                                      lambda rows: None)
         expected = oracle_hom_blocks(model, coeffs)
         assert set(keys) == set(model.basis).union(*expected)
         for blocks, oracle in zip([*mult, *kap], expected, strict=True):
@@ -1152,14 +1219,19 @@ def test_hom_blocks_match_the_polynomial_oracle():
             assert all((got[key] == oracle[key]).all() for key in got)
         residual += len(keys) > model.dimension
         reach = max(reach, *(s for _, s in keys))
-        if kind == "torsion":
-            x = target.ring.var(0)
-            direct = model.fp_matrix(lambda u: vec_scale(u, x))
-            assert (model.x_fp() == direct).all()
+        truncated += check_readers(model, coeffs)
+    for module in minimality_shapes():
+        R = module.ring
+        coeffs = [R.one, R.parse("x^2+1"),
+                  R.random_poly(rng, max_degree=6) + R.var(0)]
+        if R.ctx.e > 1:
+            coeffs.append(R.scalar(R.ctx.gen))
+        for cap in range(5):
+            truncated += check_readers(FiniteModel(module, cap), coeffs)
     big_model = FiniteModel(big)
     assert big_model.dimension == 60 and big_model.kappa_fp().any()
     assert FiniteModel(uneven).lengths == [60, 3, 3]
-    assert residual and reach > 5000
+    assert residual and reach > 5000 and truncated >= 30
 
 
 def test_far_free_degrees_stay_sparse():

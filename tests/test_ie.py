@@ -561,18 +561,21 @@ def test_module_presentations_echelonize_their_generators_twice(
 
 def test_library_built_tables_pass_the_check_they_skip(monkeypatch):
     """submodule_module and Lattice.to_module build their tables with
-    validate=False, certified by the solve that fills them; the
-    well-definedness check still passes on every table they build from
-    seeded inputs: torsion submodules of each module and of its
-    g-torsion-free quotient, stable images, kernels of the projections to
-    that quotient, maximal nilpotent submodules and the lattice modules
-    of the minimal extensions, many with relations."""
-    built = {"submodule": 0, "lattice": 0}
+    validate=False, certified by the solve that fills them, and so do
+    the g-torsion-free quotient of a localization (the torsion is
+    kappa-stable) and the Koszul twist (Fedder); the well-definedness
+    check still passes on every table they build from seeded inputs:
+    torsion submodules of each module and of its g-torsion-free
+    quotient, that quotient, stable images, kernels of the projections
+    to it, maximal nilpotent submodules, the lattice modules of the
+    minimal extensions and Koszul pullbacks of the bases and of top
+    forms on planes, many with relations."""
+    built = {"submodule": 0, "lattice": 0, "quotient": 0, "koszul": 0}
     submodule, to_module = cartier.submodule_module, Lattice.to_module
 
     def checked(site, module):
         module._validate()
-        built[site] += bool(module.relations)
+        built[site] += bool(module.effective_relations())
         return module
 
     def checked_submodule(module, gens):
@@ -586,6 +589,8 @@ def test_library_built_tables_pass_the_check_they_skip(monkeypatch):
     )
     for loc in seeded_localizations() + oracle_localizations():
         base = loc.base
+        checked("quotient", loc.quotient)
+        checked("koszul", functors.koszul_pullback(base, [loc.g]))
         stable_image(base)
         max_nilpotent_submodule(base)
         kernel(quotient_module(base, loc.torsion["generators"])[1])
@@ -594,7 +599,14 @@ def test_library_built_tables_pass_the_check_they_skip(monkeypatch):
             intermediate_extension(loc)
         except NonStabilized:
             pass
+    for p in (2, 3):
+        plane = PolyRing(Fq(p, 1), ("x", "y"))
+        for seq in (["y"], ["x", "y"], ["x*y+1", "x^2+y"]):
+            pulled = functors.koszul_pullback(
+                omega_module(plane), [plane.parse(f) for f in seq])
+            checked("koszul", pulled)
     assert built["submodule"] >= 50 and built["lattice"] >= 10
+    assert built["quotient"] >= 30 and built["koszul"] >= 50
 
 
 # ------------------------------------------------------------ functoriality
