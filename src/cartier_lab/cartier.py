@@ -509,6 +509,7 @@ class FiniteModel:
     F_p matrix of the model comes from that shift: ``x_fp`` is the shift,
     and ``_hom_blocks`` builds the Hom blocks, ``kappa_fp`` and
     ``mult_fp`` from it and a few normal forms, none per basis vector.
+    Their F_q entries become F_p blocks by ``FrobeniusContext.fp_blocks``.
     """
 
     __slots__ = ("module", "basis", "degree_cap", "lengths", "_index", "_x")
@@ -536,18 +537,6 @@ class FiniteModel:
             for k, code in f.terms.items()
         }
 
-    def to_coords(self, v):
-        elems = self.module.ring.ctx._elems
-        return tuple(elems[c] for c in self._codes([v])[0].tolist())
-
-    def from_coords(self, coords):
-        """The canonical representative with these coordinates."""
-        ring = self.module.ring
-        if len(coords) != len(self.basis):
-            raise ValueError("one coordinate per basis vector expected")
-        codes = np.array([[ring._code(c) for c in coords]], dtype=np.int64)
-        return self.from_codes(codes)[0]
-
     def from_codes(self, codes):
         """The canonical representatives whose coordinate codes are the
         rows of the int64 array ``codes``, in one pass over its nonzero
@@ -564,10 +553,6 @@ class FiniteModel:
         for (i, col), t in terms.items():
             out[i][col] = Polynomial(ring, t)
         return [tuple(vec) for vec in out]
-
-    def _codes(self, vectors):
-        """Coordinate codes of the vectors, one row each."""
-        return self._support_codes([self.support(v) for v in vectors])
 
     def _support_codes(self, supports):
         """Coordinate codes of normal forms given as ``support`` gives
@@ -586,7 +571,8 @@ class FiniteModel:
     def fp_rows(self, vectors):
         """F_p coordinates of the vectors, one row each."""
         ctx = self.module.ring.ctx
-        digits = ctx._digits[self._codes(vectors)]
+        digits = ctx._digits[self._support_codes(
+            [self.support(v) for v in vectors])]
         return digits.reshape(len(vectors), self.dimension * ctx.e)
 
     def from_fp(self, rows):
@@ -594,19 +580,6 @@ class FiniteModel:
         ctx = self.module.ring.ctx
         rows = np.asarray(rows).reshape(len(rows), self.dimension, ctx.e)
         return self.from_codes(rows @ ctx.p ** np.arange(ctx.e))
-
-    def fp_blocks(self, digits, root=False):
-        """F_p form of F_q matrices given by the coordinate digits of their
-        entries, shape (..., rows, columns, e): the [..., i, :, j, :] block
-        is the matrix of multiplication by entry [..., i, j] on
-        coordinates, after the p-th root of the input coordinates if
-        ``root``.  A block is linear in its entry, so it is the entry's
-        digits applied to the blocks of 1, t, ..., t^(e-1)."""
-        ctx = self.module.ring.ctx
-        blocks = ctx._mul_blocks
-        if root:
-            blocks = blocks @ ctx._frob_inv_matrix % ctx.p
-        return np.einsum("...ijk,kab->...iajb", digits, blocks) % ctx.p
 
     def kappa_fp(self):
         """The F_p matrix of the operator: the p-th root of each input
@@ -630,7 +603,7 @@ class FiniteModel:
         truncated model the terms past the truncation are dropped."""
         n, ctx = self.dimension, self.module.ring.ctx
         units = ctx._digits[np.eye(n, dtype=np.int64)]
-        return self._square(self.fp_blocks(self.times_x(units)[:n]))
+        return self._square(ctx.fp_blocks(self.times_x(units)[:n]))
 
     def times_x(self, digits):
         """Multiplication by x on model vectors given by their coordinate
@@ -778,9 +751,9 @@ class FiniteModel:
         for i, sup in enumerate(overflows.values()):
             for key, code in self._past_cap(sup).items():
                 codes[i, slot[key]] = code
-        wraps = np.einsum("iab,wrb->wira", ctx._mul_blocks, ctx._digits[codes])
         rows, cols = codes.shape
-        wraps = wraps.reshape(rows * ctx.e, cols * ctx.e) % ctx.p
+        wraps = ctx.fp_blocks(ctx._digits[codes.T])
+        wraps = wraps.reshape(cols * ctx.e, rows * ctx.e).T
         self._x = (*(np.array(a, dtype=np.int64) for a in (starts, tails)),
                    wraps, np.array(tops, dtype=np.int64), outer)
         return self._x
@@ -1001,8 +974,8 @@ def _hom_blocks(model, coeffs, shifts, check=None):
                 full[i, at] = values
         full = full.reshape(d + len(past), count, d, e)
         blocks.append(full.transpose(1, 0, 2, 3))
-    return ([*model.basis, *past], model.fp_blocks(blocks[0]),
-            model.fp_blocks(blocks[1], root=True))
+    return ([*model.basis, *past], ctx.fp_blocks(blocks[0]),
+            ctx.fp_blocks(blocks[1], P_INV_LINEAR))
 
 
 def hom_cartier(source, target, degree_cap=None):

@@ -26,6 +26,12 @@ characteristic 2 a sum is the XOR of the codes, in a prime field their
 sum mod p); negation, inverse, the Frobenius a -> a^p and its inverse;
 and the coordinate digits.  Polynomials (``poly``) work on these code
 lists directly and meet elements only at their edges.
+
+The F_p form of F_q matrices has one builder, ``FrobeniusContext.fp_blocks``:
+an entry becomes the block of multiplication by it on coordinates, after
+the Frobenius (P_LINEAR) or the p-th root (P_INV_LINEAR) of the input
+coordinates if asked.  A block is linear in its entry: the entry's digits
+applied to the blocks of 1, t, ..., t^(e-1), built once with the twists.
 """
 
 from functools import lru_cache
@@ -290,6 +296,8 @@ class FrobeniusContext:
         self.modulus = _first_irreducible_fp(p, e)
         # [k] is the F_p matrix of multiplication by t^k on coordinates
         self._mul_blocks = _mul_blocks(p, self.modulus)
+        self._frob_matrix = _frobenius_matrix(p, self.modulus)
+        self._frob_inv_matrix = _mat_pow(self._frob_matrix, e - 1, p)
         self._digits = digits = np.arange(q)[:, None] // p ** np.arange(e) % p
         self._coords = [tuple(row) for row in digits.tolist()]
         self._elems = elems = [FieldElement(self, c) for c in range(q)]
@@ -297,7 +305,7 @@ class FrobeniusContext:
         self.gen = elems[p if e > 1 else 0]
         # the first element of order q - 1, in code order
         for g in range(1, q):
-            mat = np.einsum("k,kab->ab", digits[g], self._mul_blocks) % p
+            mat = self.fp_blocks(digits[g][None, None]).reshape(e, e)
             if _has_order(mat, p, q - 1):
                 break
         # the tables on codes, as int lists: the powers g^n (listed twice,
@@ -322,8 +330,6 @@ class FrobeniusContext:
         self._root = power_map(p ** (e - 1))
         # the powers as elements, for products of elements
         self._pow = [elems[c] for c in self._exp]
-        # the F_p matrix of the p-th root, the inverse of the Frobenius
-        self._frob_inv_matrix = _mat_pow(_frobenius_matrix(p, self.modulus), e - 1, p)
 
     # -- constructors ------------------------------------------------------
 
@@ -349,6 +355,21 @@ class FrobeniusContext:
 
     def random_element(self, rng):
         return self._elems[rng.randrange(self.q)]
+
+    # -- F_p form ------------------------------------------------------------
+
+    def fp_blocks(self, digits, kind=None):
+        """The F_p form of F_q matrices given by the coordinate digits of
+        their entries, shape (..., rows, columns, e): the [..., i, :, j, :]
+        block is the matrix of multiplication by entry [..., i, j] on
+        coordinates, after the twist of the input coordinates by ``kind``:
+        none, the Frobenius (P_LINEAR) or the p-th root (P_INV_LINEAR)."""
+        blocks = self._mul_blocks
+        if kind is not None:
+            twist = {P_LINEAR: self._frob_matrix,
+                     P_INV_LINEAR: self._frob_inv_matrix}[kind]
+            blocks = blocks @ twist % self.p
+        return np.einsum("...ijk,kab->...iajb", digits, blocks) % self.p
 
     # -- Frobenius ----------------------------------------------------------
 
@@ -390,8 +411,9 @@ def fq_rref(vectors, ctx):
 
     The reduction is done over F_p: each row v becomes the rows t^k v
     (k < e) on power-basis coordinates, whose F_p span is the F_q span of
-    the input.  The F_q RREF rows are the F_p RREF rows whose pivot is the
-    first coordinate of an entry.
+    the input: the columns of v's F_p form (``fp_blocks``).  The F_q RREF
+    rows are the F_p RREF rows whose pivot is the first coordinate of an
+    entry.
     """
     rows = [list(v) for v in vectors]
     if not rows:
@@ -399,14 +421,10 @@ def fq_rref(vectors, ctx):
     p, e, n = ctx.p, ctx.e, len(rows[0])
     codes = np.array(
         [[x.code for x in row] for row in rows], dtype=np.int64
-    ).reshape(len(rows), n)
-    if e == 1:
-        mat = codes
-    else:
-        coords = ctx._digits[codes]
-        mat = np.einsum("kab,icb->ikca", ctx._mul_blocks, coords) % p
-        mat = mat.reshape(len(rows) * e, n * e)
-    red, pivots = kernels.rref_mod_p(mat, p)
+    ).reshape(len(rows), n, 1)
+    mat = ctx.fp_blocks(ctx._digits[codes]).reshape(len(rows), n * e, e)
+    red, pivots = kernels.rref_mod_p(
+        mat.transpose(0, 2, 1).reshape(len(rows) * e, n * e), p)
     keep = red[: pivots.size][pivots % e == 0]
     keep = keep.reshape(len(keep), n, e) @ p ** np.arange(e, dtype=np.int64)
     elems = ctx._elems
@@ -513,21 +531,14 @@ def check_extension_cap(ctx, m):
 def fixed_points_dimension(T, m):
     """dim_{F_p} of the fixed space of T extended to F_{q^m}^r: dim
     ker(B^m - I) over F_q, with B = K^e and K the F_p matrix of T; no
-    extension field is built.  Block (i, j) of K is multiplication by the
-    entry a_ij after the twist of the input coordinates: the Frobenius of
-    F_q for P_LINEAR, the p-th root for P_INV_LINEAR."""
+    extension field is built.  K is ``fp_blocks`` of T's matrix, with the
+    twist of T's kind."""
     ctx = T.ctx
     check_extension_cap(ctx, m)
-    p, e, r = ctx.p, ctx.e, T.dim
-    if T.kind == P_LINEAR:
-        twist = _frobenius_matrix(p, ctx.modulus)
-    else:
-        twist = ctx._frob_inv_matrix
+    e, r = ctx.e, T.dim
     codes = np.array([[x.code for x in row] for row in T.matrix], dtype=np.int64)
-    digits = ctx._digits[codes.reshape(r, r)]
-    blocks = ctx._mul_blocks @ twist % p
-    K = np.einsum("ijk,kab->iajb", digits, blocks).reshape(r * e, r * e) % p
-    return _fixed_dims(K, p, e, m)[-1]
+    K = ctx.fp_blocks(ctx._digits[codes.reshape(r, r)], T.kind)
+    return _fixed_dims(K.reshape(r * e, r * e), ctx.p, e, m)[-1]
 
 
 def _fixed_dims(K, p, e, max_m):

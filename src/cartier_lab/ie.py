@@ -571,7 +571,8 @@ def _line_closures(model):
     if ring.nvars:
         maps.append(model.x_fp())
     if ctx.e > 1:
-        maps.append(np.kron(np.eye(d, dtype=np.int64), ctx._mul_blocks[1]))
+        maps.append(ctx.fp_blocks(ctx._digits[ctx.gen.code * np.eye(
+            d, dtype=np.int64)]).reshape(n, n))
     one = np.eye(n, dtype=np.int64)
     right = [np.kron(one, m.T) for m in maps]
     algebra = _closure(one.reshape(1, n * n), right, p)

@@ -551,17 +551,20 @@ def torsion_line_module(rng, p, rank, c=1, k=1):
     return CartierModule(R, rank, table, relations=relations)
 
 
+def every_element(model):
+    """The canonical representative of every element of a finite model,
+    from one ``from_codes`` call over every code tuple in counting
+    order."""
+    q, d = model.module.ring.ctx.q, model.dimension
+    codes = itertools.product(range(q), repeat=d)
+    return model.from_codes(
+        np.array(list(codes), dtype=np.int64).reshape(q**d, d))
+
+
 def count_morphisms(source, target):
     """Brute force: every choice of generator images among the elements of
     the target, kept when CartierMorphism accepts it."""
-    ctx = target.ring.ctx
-    model = FiniteModel(target)
-    elements = [
-        model.from_coords(coords)
-        for coords in itertools.product(
-            list(ctx.elements()), repeat=model.dimension
-        )
-    ]
+    elements = every_element(FiniteModel(target))
     count = 0
     for images in itertools.product(elements, repeat=source.rank):
         try:
@@ -665,13 +668,7 @@ def test_max_nilpotent_submodule_is_maximal_by_enumeration(p):
         modules += [pair, direct_sum(pair, point)[0]]
     proper = hidden = 0
     for module in modules:
-        model = FiniteModel(module)
-        everything = [
-            model.from_coords(coords)
-            for coords in itertools.product(
-                list(R.ctx.elements()), repeat=model.dimension
-            )
-        ]
+        everything = every_element(FiniteModel(module))
         expected = {
             module.normal_form(v) for v in everything
             if nilpotent_set(module, cartier_span(module, [v]))
@@ -725,13 +722,8 @@ def test_max_nilpotent_submodule_of_positive_rank_by_enumeration(p):
         torsions.append(torsion_line_module(rng, p, 2))
     nonzero = 0
     for tors in torsions:
-        model = FiniteModel(tors)
         expected = [
-            v for v in (
-                model.from_coords(coords) for coords in itertools.product(
-                    list(R.ctx.elements()), repeat=model.dimension
-                )
-            )
+            v for v in every_element(FiniteModel(tors))
             if nilpotent_set(tors, cartier_span(tors, [v]))
         ]
         total, _, i2 = direct_sum(omega_module(R), tors)
@@ -896,8 +888,7 @@ def test_finite_model_coordinates_roundtrip():
     fm = FiniteModel(mod)
     assert fm.dimension == 3
     for v in fm.from_codes(np.eye(fm.dimension, dtype=np.int64)):
-        coords = fm.to_coords(v)
-        assert fm.from_coords(coords) == mod.normal_form(v)
+        assert fm.from_fp(fm.fp_rows([v]))[0] == mod.normal_form(v)
 
 
 def test_finite_model_semilinear_operator_agrees():
@@ -912,7 +903,9 @@ def test_finite_model_semilinear_operator_agrees():
         assert lhs == tuple(T.twist(a) * y for y in T.apply(v))
     for v in fm.from_codes(np.eye(fm.dimension, dtype=np.int64)):
         direct = j2.apply_kappa(v)
-        via_model = fm.from_coords(T.apply(fm.to_coords(v)))
+        digits = fm.fp_rows([v]).reshape(fm.dimension, ctx.e)
+        image = T.apply(tuple(ctx.from_coords(row) for row in digits))
+        via_model = fm.from_codes(np.array([[y.to_int() for y in image]]))[0]
         assert direct == via_model
 
 
@@ -942,7 +935,7 @@ def test_semilinear_view_agrees_with_the_polynomial_chain():
 
 # sha256 over the Hom bases of PIN_PAIRS and the _max_nil_finite answers
 # of PIN_MODULES (see pinned_answers), recorded when each representative
-# was still built one kernel row at a time by FiniteModel.from_coords
+# was still built one kernel row at a time from its F_q coordinates
 HOM_PIN = (
     "36ee2afb7d44c5ae2cc5dcdb307e32a46d3c4739bccede056a89e5566e62d984"
 )
@@ -1074,7 +1067,7 @@ def test_hom_basis_images_are_the_kernel_rows(monkeypatch):
         for phi, row in zip(res.basis, codes.tolist()):
             for j, img in enumerate(phi.images):
                 coords = [ctx.from_int(code[j]) for code in row]
-                assert img == model.from_coords(coords)
+                assert img == model.from_codes(np.array([row])[:, :, j])[0]
                 assert img == coords_vector(model, coords)
                 assert all(f is target.ring.zero for f in img if f.is_zero())
         kinds.add(kind)

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cartier_lab.errors import ContextMismatchError, ValidationError
@@ -262,6 +263,31 @@ def test_fixed_points_of_random_maps_against_brute_force(p, e, m):
 
 
 # ------------------------------------------------------- F_q linear algebra
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+def test_fp_blocks_apply_the_twisted_matrix(p, e):
+    """fp_blocks(digits(A), kind) times digits(v) is the digits of A v, of
+    A v^p for P_LINEAR and of A v^(1/p) for P_INV_LINEAR, by element
+    arithmetic, for a batch of random 2 x 3 matrices A over F_q."""
+    ctx = Fq(p, e)
+    rng = random.Random(SEED + 53 * p + e)
+    twists = {None: lambda a: a, P_LINEAR: ctx.frobenius,
+              P_INV_LINEAR: ctx.frobenius_inv}
+    for kind, twist in twists.items():
+        for _ in range(5):
+            mats = [[[ctx.random_element(rng) for _ in range(3)]
+                     for _ in range(2)] for _ in range(4)]
+            v = [ctx.random_element(rng) for _ in range(3)]
+            codes = np.array([[[a.code for a in row] for row in mat]
+                              for mat in mats], dtype=np.int64)
+            blocks = ctx.fp_blocks(ctx._digits[codes], kind)
+            assert blocks.shape == (4, 2, e, 3, e)
+            got = blocks.reshape(4, 2 * e, 3 * e) @ ctx._digits[
+                [x.code for x in v]].ravel() % p
+            want = [[sum((a * twist(x) for a, x in zip(row, v)), ctx.zero)
+                     .coords for row in mat] for mat in mats]
+            assert got.tolist() == np.array(want).reshape(4, 2 * e).tolist()
 
 
 def test_fq_rref_and_span_membership():

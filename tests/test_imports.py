@@ -7,7 +7,9 @@ re-exported by ``cartier_lab/__init__`` or referenced in ``src`` or
 function stores is loaded somewhere in that function; and every method
 of a package class is referenced by name in ``src``, ``tests`` or
 ``perfbench`` outside its own definition; and NonStabilized is raised
-only by the one stabilization loop, ``errors.stabilize``."""
+only by the one stabilization loop, ``errors.stabilize``; and only
+``fields`` reads the F_p multiplication blocks and twist matrices of F_q,
+which the rest reach through ``FrobeniusContext.fp_blocks``."""
 
 import ast
 import pathlib
@@ -304,3 +306,36 @@ def test_package_has_no_dead_methods():
         for path in sorted((root / folder).rglob("*.py"))
     ]
     assert dead_methods(defining, referencing) == []
+
+
+BLOCK_FORMAT = frozenset({"_mul_blocks", "_frob_matrix", "_frob_inv_matrix"})
+
+
+def block_format_readers(sources):
+    """(module, line) of each load of an attribute named in BLOCK_FORMAT
+    in ``sources`` ({module: source text}) outside the module ``fields``:
+    the F_p form of F_q matrices has one builder, ``fp_blocks``."""
+    return sorted(
+        (module, node.lineno)
+        for module, source in sources.items() if module != "fields"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr in BLOCK_FORMAT
+    )
+
+
+def test_scanner_finds_a_block_format_reader():
+    sources = {
+        "fields": "self._mul_blocks = m\nb = self._mul_blocks[1]\n",
+        "ie": "ctx._frob_matrix = m\nb = ctx._frob_inv_matrix @ m\n",
+        "cartier": "b = ctx.fp_blocks(d)\n\nb = f(ctx._mul_blocks)\n",
+    }
+    assert block_format_readers(sources) == [("cartier", 3), ("ie", 2)]
+
+
+def test_only_fields_reads_the_block_format():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert block_format_readers(sources) == []
