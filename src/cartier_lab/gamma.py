@@ -266,17 +266,18 @@ def _iterate_kernel(sheaf, gam, e):
 
 def gamma_nilpotent(sheaf, cap=None):
     """(nilpotent?, order) by the direct iterate test: gamma^k vanishes
-    when every matrix column lies in the k-fold twisted relation span."""
-    chain, _ = gamma_kernel_chain(sheaf, cap=cap)
+    when every matrix column lies in the k-fold twisted relation span.
+    The kernel chain rises strictly until it repeats, so the first full
+    member is the last one."""
+    chain, order = gamma_kernel_chain(sheaf, cap=cap)
     ring = sheaf.ring
     full = hnf_extend(
         sheaf.relation_hnf(), scalar_rows(ring, sheaf.rank, ring.one),
         sheaf.rank, ring,
     )
-    for k, span in enumerate(chain):
-        if span_equal(span, full):
-            return True, k
-    return False, None
+    if not span_equal(chain[-1], full):
+        return False, None
+    return True, order
 
 
 def gamma_unit_defect(sheaf):

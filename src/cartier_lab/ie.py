@@ -4,11 +4,14 @@ A module map whose kernel and cokernel are operator-nilpotent is invisible
 after inverting the operator ("nil-isomorphism"); modules are treated up to
 such maps throughout.  Given a module with g inverted, the minimal
 extension is the smallest g-power-stable lattice whose localization gives
-back the input, certified by checks rather than trusted from the
-construction: the localization agrees, and the quotient by the k = 1 test
-sum is nilpotent.  The third defining check, that the g-torsion is
-nilpotent, holds by construction: lattices lie in the g-torsion-free
-quotient, so their g-torsion is zero.
+back the input.  Its certificate records three checks: the localization
+agrees, the quotient by the k = 1 test sum is nilpotent, and the g-torsion
+is nilpotent, which holds by construction: lattices lie in the
+g-torsion-free quotient, so their g-torsion is zero.  The checks do not
+single out the minimal extension: the first test sum T_1 of the whole
+quotient can pass them without being nil-isomorphic to the certified
+lattice.  Minimality rests on the construction, which stops only at
+T_(k*+1) = T_(k*); ``minimality_oracle`` checks it on truncated models.
 
 The quotient check needs no quotient module.  With sat(Y) the sum of the
 kappa^i(Y), g kappa^i(y) = kappa^i(g^(p^i) y) gives T_(k+1) = sat(g T_k),
@@ -283,10 +286,11 @@ class IECertificate:
 def intermediate_extension(localized, cap=None):
     """The smallest extension across the zero locus of g, certified.
 
-    Saturate the integral lattice, then stabilize T_k over k; verify the
-    defining checks and refuse to issue a certificate when any fails.  A
-    localization that is nilpotent as a crystal short-circuits to the
-    zero lattice (its minimal extension is zero up to nilpotents).
+    Start from the whole quotient, which is operator-stable, and
+    stabilize its test sums T_k over k; verify the defining checks and
+    refuse to issue a certificate when any fails.  A localization that
+    is nilpotent as a crystal short-circuits to the zero lattice (its
+    minimal extension is zero up to nilpotents).
 
     The loop stops at T_(k*+1) = T_(k*) = L'.  As T_(k+1) = sat(g T_k)
     (see ``test_module_sum``), every test sum of L' is L', so L'/T_1 and
@@ -329,7 +333,8 @@ def intermediate_extension(localized, cap=None):
     if span_equal(image_chain(quot, cap=cap)[-1], quot.relation_hnf()):
         return shortcut(Lattice(localized, []), True)
 
-    # e* is the longest saturation, over the base and every T_k computed
+    # e* is the longest saturation over every T_k computed; the base is
+    # the whole quotient, which the operator maps into itself
     counts = []
 
     def saturation(lattice):
@@ -337,13 +342,11 @@ def intermediate_extension(localized, cap=None):
         counts.append(len(chain) - 1)
         return chain[-1]
 
-    saturated = saturation(base)
-
     def next_test_sum(sums):
-        return saturation(saturated.g_multiple(len(sums) + 1))
+        return saturation(base.g_multiple(len(sums) + 1))
 
     sums = stabilize(
-        saturation(saturated.g_multiple(1)), next_test_sum, "test sums", cap
+        saturation(base.g_multiple(1)), next_test_sum, "test sums", cap
     )
     current = sums[-1]
     e_star, k_star = max(counts), len(sums)
@@ -557,46 +560,37 @@ def _in_span(vectors, span, p):
     return ~((vectors - vectors[:, pivots] @ span) % p).any(axis=1)
 
 
-def _line_closures(model):
-    """The stable closure of one vector per F_q-line of the model (first
-    nonzero coordinate 1), as F_p RREF rows: closed under ``kappa_fp``,
-    x (``x_fp``) over F_q[x] and the generator t of F_q (its block on each
-    coordinate), so an F_q-subspace.  The closure of v spans the v a
-    over a basis of the algebra these F_p matrices generate, found once
-    as the closure of the identity under right multiplication."""
+def _row_maps(model):
+    """The F_p matrices, acting on rows, under which a row space of the
+    model is an operator-stable F_q-subspace: ``kappa_fp`` (with its
+    twist), x (``x_fp``) over F_q[x] and the generator t of F_q on every
+    coordinate, each transposed."""
     ring = model.module.ring
     ctx = ring.ctx
-    p, d, n = ctx.p, model.dimension, model.dimension * ctx.e
+    d, n = model.dimension, model.dimension * ctx.e
     maps = [model.kappa_fp()]
     if ring.nvars:
         maps.append(model.x_fp())
     if ctx.e > 1:
         maps.append(ctx.fp_blocks(ctx._digits[ctx.gen.code * np.eye(
             d, dtype=np.int64)]).reshape(n, n))
-    one = np.eye(n, dtype=np.int64)
-    right = [np.kron(one, m.T) for m in maps]
-    algebra = _closure(one.reshape(1, n * n), right, p)
-    algebra = algebra.reshape(len(algebra), n, n)
-    codes = [
-        (0,) * lead + (1,) + tail
-        for lead in range(d)
-        for tail in itertools.product(range(ctx.q), repeat=d - lead - 1)
-    ]
-    codes = np.array(codes, dtype=np.int64).reshape(len(codes), d)
-    for v in ctx._digits[codes].reshape(len(codes), n):
-        yield _rref(v @ algebra % p, p)
+    return [m.T for m in maps]
 
 
-def minimality_oracle(cert, degree_bound=4, state_cap=20000):
+def minimality_oracle(cert, degree_bound=4):
     """Exhaustively confirm minimality on a truncated model.
 
     Truncate the lattice module to polynomial coefficients of degree at
-    most degree_bound (its FiniteModel with that degree cap), enumerate
-    every operator- and shift-stable subspace as a sum of single-vector
-    closures, and verify that each one whose localization still agrees
-    has nilpotent quotient: V / W is nilpotent iff kappa^dim(V) lies in
-    W, since W is stable.  Feasible only for tiny instances; raises
-    CapExceeded (reported as skipped) beyond that.
+    most degree_bound (its FiniteModel with that degree cap) and verify
+    that every operator- and shift-stable subspace W whose localization
+    still agrees has nilpotent quotient: V / W is nilpotent iff
+    kappa^dim(V) lies in W, since W is stable.  Both survive enlarging W,
+    and an agreeing W holds a witness row of every unit, so only the
+    closures of one witness row per unit are checked, built unit by unit:
+    a span that holds a witness row of the unit stays (it lies in every
+    branch it skips), any other branches into its closure with each.
+    More than 5000 model vectors is a documented limit of the library:
+    it raises CapExceeded (reported as skipped) before building the model.
     """
     if cert.crystal_zero or cert.module.rank == 0:
         return True
@@ -609,31 +603,13 @@ def minimality_oracle(cert, degree_bound=4, state_cap=20000):
         raise CapExceeded(
             "minimality oracle skipped: lattice module is not free"
         )
-    model = FiniteModel(module, degree_cap=degree_bound)
-    dim = model.dimension
-    if ctx.q**dim > 5000:
+    # the module is free: each column has degree_bound + 1 basis vectors;
+    # q >= 2, so dim <= 12 is checked first and q**dim stays small
+    dim = module.rank * (degree_bound + 1)
+    if dim > 12 or ctx.q**dim > 5000:
         raise CapExceeded("minimality oracle skipped: truncation too large")
+    model = FiniteModel(module, degree_cap=degree_bound)
     p = ctx.p
-    atoms = {}
-    for span in _line_closures(model):
-        atoms.setdefault(span.tobytes(), span)
-        if len(atoms) > state_cap:
-            raise CapExceeded("minimality oracle skipped: too many closures")
-
-    # the sum of two stable subspaces is stable: a join is one RREF
-    subspaces = dict(atoms)
-    frontier = list(atoms.values())
-    while frontier:
-        cur = frontier.pop()
-        for atom in atoms.values():
-            joined = _rref(np.vstack([cur, atom]), p)
-            if joined.tobytes() not in subspaces:
-                if len(subspaces) > state_cap:
-                    raise CapExceeded(
-                        "minimality oracle skipped: too many subspaces"
-                    )
-                subspaces[joined.tobytes()] = joined
-                frontier.append(joined)
 
     # truncated vectors certifying localization agreement
     loc, lat = cert.localized, cert.lattice
@@ -656,13 +632,22 @@ def minimality_oracle(cert, degree_bound=4, state_cap=20000):
             )
         witnesses.append(rows)
 
+    maps = _row_maps(model)
+    spans = [np.zeros((0, model.dimension * ctx.e), dtype=np.int64)]
+    for rows in witnesses:
+        grown = {}
+        for span in spans:
+            if _in_span(rows, span, p).any():
+                grown.setdefault(span.tobytes(), span)
+                continue
+            for w in rows:
+                closed = _closure(np.vstack([span, w[None]]), maps, p)
+                grown.setdefault(closed.tobytes(), closed)
+        spans = grown.values()
+
     # rows spanning kappa^dim of the whole model
-    top = _mat_pow(model.kappa_fp(), dim, p).T
-    for span in subspaces.values():
-        admissible = all(_in_span(rows, span, p).any() for rows in witnesses)
-        if admissible and not _in_span(top, span, p).all():
-            return False
-    return True
+    top = _mat_pow(maps[0], dim, p)
+    return all(_in_span(top, span, p).all() for span in spans)
 
 
 def simple_crystal_probe(module):
@@ -671,7 +656,8 @@ def simple_crystal_probe(module):
     Reduce to the minimal representative (stable image modulo the maximal
     nilpotent part, where the operator is bijective) and check that the
     operator-stable closure of every nonzero vector is the whole space:
-    a proper nonzero stable subspace contains such a closure."""
+    a proper nonzero stable subspace contains such a closure.  The
+    closure is an F_q-subspace, so one vector per F_q-line is closed."""
     if module.ring.nvars != 0:
         raise UnsupportedRingError("simplicity probe is zero-dimensional only")
     ctx = module.ring.ctx
@@ -686,4 +672,12 @@ def simple_crystal_probe(module):
         return False
     if d > 3:
         raise CapExceeded("simplicity probe: dimension must be at most 3")
-    return all(len(span) == d * ctx.e for span in _line_closures(model))
+    maps = _row_maps(model)
+    lines = [
+        (0,) * lead + (1,) + tail
+        for lead in range(d)
+        for tail in itertools.product(range(ctx.q), repeat=d - lead - 1)
+    ]
+    vectors = ctx._digits[np.array(lines, dtype=np.int64)].reshape(
+        len(lines), 1, d * ctx.e)
+    return all(len(_closure(v, maps, ctx.p)) == d * ctx.e for v in vectors)

@@ -1135,9 +1135,9 @@ def uneven_module(p, long, short):
 def check_readers(model, coeffs):
     """Assert that kappa_fp(), mult_fp(g) for each coefficient g, x_fp()
     and the block of the generator t of F_q on every coordinate (the maps
-    of ie._line_closures) equal the oracle's blocks on the model's rows,
-    the terms past a truncation dropped.  Returns whether the oracle
-    reaches past the truncation."""
+    of ie._row_maps, untransposed) equal the oracle's blocks on the
+    model's rows, the terms past a truncation dropped.  Returns whether
+    the oracle reaches past the truncation."""
     ring, ctx = model.module.ring, model.module.ring.ctx
     d, n = model.dimension, model.dimension * ctx.e
     x = [ring.var(0)] if ring.nvars else []

@@ -698,6 +698,23 @@ def test_minimality_oracle_rejects_an_enlarged_lattice(twisted):
     assert minimality_oracle(fake) is False
 
 
+def test_minimality_oracle_skips_a_huge_truncation_before_building_it(
+    twisted, monkeypatch
+):
+    """The lattice module is free, so the size of the truncated model is
+    known from its rank and the degree bound: a bound of 3,000,000 is
+    refused without building the model."""
+    _, loc_tw = twisted
+    cert = intermediate_extension(loc_tw)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the truncated model was built")
+
+    monkeypatch.setattr(ie, "FiniteModel", refuse)
+    with pytest.raises(CapExceeded, match="truncation too large"):
+        minimality_oracle(cert, degree_bound=3_000_000)
+
+
 def test_simplicity_probe_worked_examples():
     ctx = Fq(2, 1)
     assert simple_crystal_probe(point_module(ctx)) is True
@@ -831,8 +848,9 @@ def test_oracle_verdicts_match_the_pinned_digest():
     0-2 on oracle_certificates(), and of simple_crystal_probe on
     probe_modules(), pinned from the implementation that enumerated
     subspaces with F_q element arithmetic.  Dropping the p-th-root twist
-    from the operator's F_p matrix, or multiplication by x or by t from
-    the closures, changes the digest."""
+    from the operator's F_p matrix, multiplication by x or by t from
+    the closures, the transpose that makes the maps act on rows, or every
+    witness row of a unit but the first changes the digest."""
     lines = oracle_verdicts()
     assert {"True", "False"} <= set(lines)
     assert any(line.startswith("CapExceeded") for line in lines)
