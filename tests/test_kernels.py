@@ -1,4 +1,4 @@
-"""Tests for the dense mod-p linear algebra kernels.
+"""Tests for the mod-p linear algebra kernels.
 
 Every result is checked against an independent pure-Python Gaussian
 elimination written inline here.
@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from cartier_lab import kernels
+from cartier_lab import CartierModule, Fq, PolyRing, hom_cartier, kernels
 
 PRIMES = [2, 3, 5]
 SEED = 20260825
@@ -36,8 +36,10 @@ def python_rref(mat, p):
         m[rank] = [(v * inv) % p for v in m[rank]]
         for r in range(rows):
             if r != rank and m[r][c] % p:
+                # both rows are zero left of c
                 f = m[r][c]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
+                m[r][c:] = [(a - f * b) % p
+                            for a, b in zip(m[r][c:], m[rank][c:])]
         pivots.append(c)
     return m[: len(pivots)], pivots
 
@@ -103,22 +105,69 @@ def test_nullspace_annihilates_and_has_right_dimension(p):
             assert kernels.rank_mod_p(null, p) == null.shape[0]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def sparse_matrix(rng, rows, cols, p, density):
+    return np.array(
+        [[rng.randrange(1, p) if rng.random() < density else 0
+          for _ in range(cols)] for _ in range(rows)],
+        dtype=np.int64,
+    )
+
+
+def straddling_blocks(rng, p):
+    """Dense rank-deficient matrices whose dependent rows and columns sit
+    across the first panel boundary of the dense phase, column
+    ``kernels._PANEL``: a product through a rank a few past the boundary,
+    columns next to the boundary copied from column 0, and rows copied
+    from row 0."""
+    panel = kernels._PANEL
+    rows, cols = panel + 10, 2 * panel + 10
+    left = random_matrix(rng, rows, panel + 5, p)
+    product = left @ random_matrix(rng, panel + 5, cols, p) % p
+    copied = random_matrix(rng, rows, cols, p)
+    copied[:, panel - 3:panel + 3] = copied[:, :1] * rng.randrange(1, p) % p
+    repeated = random_matrix(rng, panel + 4, cols, p)
+    repeated[panel - 2:] = repeated[0]
+    return [product, copied, repeated]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
 def test_rref_matches_python_oracle(p):
-    """The whole reduced matrix and its pivots, on random matrices up to
-    40 x 60, some with dependent rows and columns."""
+    """The whole reduced matrix, its pivots, the rank and the nullspace:
+    on random matrices up to 40 x 60, some with dependent rows and
+    columns; on a seeded grid up to 150 x 150 (wider than a panel of the
+    dense phase) at densities 0.02 to 1, where the inputs at 0.02 and 0.03
+    fill in and hand their rest to the dense phase part way; and on dense
+    rank-deficient blocks across a panel boundary."""
     rng = random.Random(SEED + 3 * p)
+    mats = []
     for trial in range(12):
         rows, cols = rng.randrange(1, 41), rng.randrange(1, 61)
         mat = random_matrix(rng, rows, cols, p)
         if trial % 3 == 0 and rows > 2 and cols > 2:
             mat[:, 1] = mat[:, 0] * rng.randrange(p) % p
             mat[-1] = (mat[0] + mat[1]) % p
+        mats.append(mat)
+    for density, rows in ((0.02, 150), (0.03, 150), (0.1, 100), (0.5, 60),
+                          (1.0, 60)):
+        for shape in ((rows, 150),
+                      (rng.randrange(1, 151), rng.randrange(1, 151))):
+            mats.append(sparse_matrix(rng, *shape, p, density))
+    mats += straddling_blocks(rng, p)
+    for mat in mats:
         red, pivots = kernels.rref_mod_p(mat, p)
         want, want_pivots = python_rref(mat.tolist(), p)
         assert pivots.tolist() == want_pivots
         assert red[: len(want)].tolist() == want
         assert not red[len(want):].any()
+        assert kernels.rank_mod_p(mat, p) == len(want_pivots)
+        free = [f for f in range(mat.shape[1]) if f not in set(want_pivots)]
+        null = kernels.nullspace_mod_p(mat, p)
+        assert null.shape == (len(free), mat.shape[1])
+        for k, f in enumerate(free):
+            assert null[k, f] == 1
+            assert not null[k, free[:k] + free[k + 1:]].any()
+            assert null[k, want_pivots].tolist() == [
+                -row[f] % p for row in want]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -149,7 +198,7 @@ def test_empty_matrix_edge_cases():
     assert np.array_equal(null, np.eye(4, dtype=np.int64))
 
 
-# ------------------------------------------------- forced-zero pre-pass
+# ------------------------------------------------- the two phases
 
 
 def rref_nullspace(mat, p):
@@ -170,13 +219,13 @@ def nonzero(rng, p):
 
 
 def sparse_system(rng, p, chain, dense, zero_rows, coupled):
-    """(matrix, shape left for the elimination).  A cascade of ``chain``
-    rows: row 0 has one nonzero, row i > 0 has nonzeros at columns i - 1
-    and i, so each peeled column leaves the next row with one nonzero.
-    Next to it a ``dense`` x (dense + 1) block of nonzeros, where no row
-    has one nonzero; when ``coupled`` its rows also meet the cascade's
-    columns.  Then ``zero_rows`` zero rows, two zero columns, and rows
-    and columns shuffled."""
+    """A cascade of ``chain`` rows: row 0 has one nonzero, row i > 0 has
+    nonzeros at columns i - 1 and i, so each pivot on a row of one
+    nonzero leaves the next row with one nonzero.  Next to it a ``dense``
+    x (dense + 1) block of nonzeros, where no row has one nonzero; when
+    ``coupled`` its rows also meet the cascade's columns.  Then
+    ``zero_rows`` zero rows, two zero columns, and rows and columns
+    shuffled."""
     width = dense + 1 if dense else 0
     rows, cols = chain + dense + zero_rows, chain + width + 2
     mat = np.zeros((rows, cols), dtype=np.int64)
@@ -189,24 +238,29 @@ def sparse_system(rng, p, chain, dense, zero_rows, coupled):
             mat[chain + i, chain + j] = nonzero(rng, p)
         if coupled and chain:
             mat[chain + i, rng.randrange(chain)] = nonzero(rng, p)
-    mat = mat[rng.sample(range(rows), rows)][:, rng.sample(range(cols), cols)]
-    return mat, (dense, width + 2)
+    return mat[rng.sample(range(rows), rows)][:, rng.sample(range(cols), cols)]
+
+
+def record_dense(monkeypatch):
+    """The shapes that reach the dense phase from now on."""
+    shapes = []
+    dense = kernels._dense
+
+    def recording(m, q):
+        shapes.append(m.shape)
+        return dense(m, q)
+
+    monkeypatch.setattr(kernels, "_dense", recording)
+    return shapes
 
 
 def checked_nullspace(mat, p, monkeypatch):
     """``nullspace_mod_p`` of ``mat``, checked against the whole matrix's
     RREF and the inline oracle; returns it with the shapes that reached
-    ``_rref``."""
-    shapes = []
-    rref = kernels._rref
-
-    def recording(m, q):
-        shapes.append(m.shape)
-        return rref(m, q)
-
-    monkeypatch.setattr(kernels, "_rref", recording)
+    the dense phase."""
+    shapes = record_dense(monkeypatch)
     null = kernels.nullspace_mod_p(mat, p)
-    monkeypatch.setattr(kernels, "_rref", rref)
+    monkeypatch.undo()
     assert null.dtype == np.int64
     assert np.array_equal(null, rref_nullspace(mat, p))
     rank = len(python_rref(mat.tolist(), p)[1])
@@ -216,38 +270,50 @@ def checked_nullspace(mat, p, monkeypatch):
     return null, shapes
 
 
+def whole_if_dense(mat):
+    """What reaches the dense phase from an input that goes there whole
+    or not at all: itself, when its fill and area send it there at once."""
+    rows, cols = mat.shape
+    dense = kernels._dense_now(np.count_nonzero(mat), rows, cols)
+    return [mat.shape] if dense else []
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_cascading_singletons_are_peeled_to_the_end(p, monkeypatch):
-    """Every cascade column is peeled, over as many rounds as the cascade
-    is long, and only the block without singleton rows is eliminated;
-    with ``coupled`` the block's rows lose their cascade entries first."""
+    """Each cascade column is pivoted on a row of one nonzero, the block
+    without such rows is eliminated among few rows, and none of it is
+    dense enough for the dense phase; with ``coupled`` the block's rows
+    lose their cascade entries first."""
     rng = random.Random(SEED + 7 * p)
     for trial in range(24):
         chain, dense = rng.randrange(2, 9), rng.randrange(0, 5)
-        mat, left = sparse_system(
+        mat = sparse_system(
             rng, p, chain, dense, zero_rows=trial % 3, coupled=trial % 2
         )
         _, shapes = checked_nullspace(mat, p, monkeypatch)
-        assert shapes == [left]
+        assert shapes == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_zero_rows_never_reach_the_elimination(p, monkeypatch):
+    """One row of nonzeros among zero rows, and the zero matrix: one
+    pivot or none, and nothing for the dense phase."""
     rng = random.Random(SEED + 11 * p)
     for _ in range(10):
         rows, cols = rng.randrange(2, 8), rng.randrange(2, 8)
         mat = np.zeros((rows, cols), dtype=np.int64)
         mat[0] = [nonzero(rng, p) for _ in range(cols)]
         _, shapes = checked_nullspace(mat, p, monkeypatch)
-        assert shapes == [(1, cols)]
+        assert shapes == []
         _, shapes = checked_nullspace(0 * mat, p, monkeypatch)
-        assert shapes == [(0, cols)]
+        assert shapes == []
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_full_rank_triangular_matrix_is_peeled_whole(p, monkeypatch):
-    """A permuted lower-triangular matrix with a nonzero diagonal: every
-    column is forced, the kernel is zero and nothing is eliminated."""
+    """A permuted lower-triangular matrix with a nonzero diagonal: the
+    kernel is zero, and the matrix goes to the dense phase whole when it
+    is dense enough at the start, else not at all."""
     rng = random.Random(SEED + 13 * p)
     for _ in range(10):
         n = rng.randrange(1, 12)
@@ -259,11 +325,13 @@ def test_full_rank_triangular_matrix_is_peeled_whole(p, monkeypatch):
         mat = mat[rng.sample(range(n), n)][:, rng.sample(range(n), n)]
         null, shapes = checked_nullspace(mat, p, monkeypatch)
         assert null.shape == (0, n)
-        assert shapes == [(0, 0)]
+        assert shapes == whole_if_dense(mat)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_a_matrix_without_singleton_rows_is_eliminated_whole(p, monkeypatch):
+    """A matrix of nonzeros goes to the dense phase whole, or, when it
+    has too few rows for a dense pivot to pay, stays sparse."""
     rng = random.Random(SEED + 17 * p)
     for _ in range(10):
         rows, cols = rng.randrange(1, 9), rng.randrange(2, 9)
@@ -272,7 +340,49 @@ def test_a_matrix_without_singleton_rows_is_eliminated_whole(p, monkeypatch):
             dtype=np.int64,
         )
         _, shapes = checked_nullspace(mat, p, monkeypatch)
-        assert shapes == [(rows, cols)]
+        assert shapes == whole_if_dense(mat)
+
+
+def block_module(rng, p, rank):
+    """A finite module over F_p whose operator is block diagonal, with
+    blocks of size 1 to 3 and about 60% of their cells nonzero: the shape
+    of the benchmark's finite modules."""
+    ctx = Fq(p, 1)
+    R = PolyRing(ctx, ())
+    table = [[0] * rank for _ in range(rank)]
+    lo = 0
+    while lo < rank:
+        hi = min(rank, lo + rng.randrange(1, 4))
+        for i in range(lo, hi):
+            for j in range(lo, hi):
+                if rng.random() < 0.6:
+                    table[i][j] = nonzero(rng, p)
+        lo = hi
+    return CartierModule(R, rank, {
+        ((), j): tuple(R.scalar(ctx.scalar(table[i][j])) for i in range(rank))
+        for j in range(rank)
+    })
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_dense_phase_follows_fill_and_area(p, monkeypatch):
+    """The hand-off needs no timing: the Hom systems of seeded finite
+    modules of rank up to 10 never reach the dense phase; a dense 64 x 64
+    matrix reaches it whole, at column 0; a 150 x 150 one at density
+    0.03 fills in and hands its last columns over part way."""
+    rng = random.Random(SEED + 23 * p)
+    shapes = record_dense(monkeypatch)
+    for rank in range(1, 11):
+        for _ in range(3):
+            source = block_module(rng, p, rank)
+            target = block_module(rng, p, rng.randrange(1, 11))
+            hom_cartier(source, target)
+    assert shapes == []
+    kernels.rref_mod_p(sparse_matrix(rng, 64, 64, p, 1.0), p)
+    assert shapes == [(64, 64)]
+    shapes.clear()
+    kernels.nullspace_mod_p(sparse_matrix(rng, 150, 150, p, 0.03), p)
+    assert len(shapes) == 1 and 0 < shapes[0][1] < 150
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
