@@ -31,7 +31,7 @@ from .errors import (
     stabilize,
 )
 from .fields import SemilinearMap, P_INV_LINEAR, _mat_pow
-from .poly import Polynomial, _addmul, frobenius_decompose
+from .poly import Polynomial, PolyRing, _addmul, frobenius_decompose
 from .submodules import (
     Presentation,
     hnf_extend,
@@ -1050,7 +1050,8 @@ def hom_cartier(source, target, degree_cap=None):
     if keyed:
         at, a, j = (list(t) for t in zip(*keyed))
         system[at, :, :, :, j] -= kap[a]
-    system = system.reshape(len(conditions) * rows * e, d * r * e) % p
+    system = kernels._mod(
+        system.reshape(len(conditions) * rows * e, d * r * e), p)
     # With the columns reversed, each null vector's last nonzero entry is
     # the 1 in its free column; reversed back, that 1 leads, so the
     # kernel comes out in reduced echelon form, the canonical basis.
@@ -1092,8 +1093,6 @@ def omega_module(ring):
 def point_module(ctx):
     """Rank-1 module over F_q with the p-th-root operator (the point's
     dualizing structure): kappa(c e) = c^{1/p} e."""
-    from .poly import PolyRing
-
     ring = PolyRing(ctx, ())
     table = {((), 0): (ring.one,)}
     return CartierModule(ring, 1, table, generator_names=("e",))
@@ -1101,8 +1100,6 @@ def point_module(ctx):
 
 def jordan_block_module(ctx, size=2):
     """Nilpotent shift on F_q^size: kappa(e_1) = 0, kappa(e_k) = e_{k-1}."""
-    from .poly import PolyRing
-
     ring = PolyRing(ctx, ())
     units = scalar_rows(ring, size, ring.one)
     table = {

@@ -30,7 +30,7 @@ from .errors import (
     stabilize,
 )
 from .cartier import CartierModule
-from .poly import frobenius_component
+from .poly import IdealSpec, frobenius_component
 from .submodules import (
     Presentation,
     hnf_extend,
@@ -149,7 +149,9 @@ def structure_gamma(ring):
 
 def cartier_to_gamma(module):
     """Convert an operator table to the matrix of the corresponding linear
-    structural map (tensor with the inverse dualizing module)."""
+    structural map (tensor with the inverse dualizing module).  Over the
+    regular ring F_q[x_1..x_n] this is an exact equivalence, so the matrix
+    is well defined because the table is, and is not validated again."""
     ring = module.ring
     if module.ideal is not None:
         raise UnsupportedRingError(
@@ -171,6 +173,7 @@ def cartier_to_gamma(module):
         relations=module.relations,
         ideal=None,
         generator_names=module.generator_names,
+        validate=False,
     )
 
 
@@ -178,7 +181,8 @@ def gamma_to_cartier(sheaf):
     """Convert a structural matrix back to an operator table (tensor with
     the dualizing module): the table entry at shift a is the Frobenius
     component of C[i][j] x^a at the top exponent.  A table above
-    TABLE_CAP entries raises CapExceeded."""
+    TABLE_CAP entries raises CapExceeded.  As in ``cartier_to_gamma``,
+    the table is well defined because the matrix is."""
     ring = sheaf.ring
     if sheaf.ideal is not None:
         raise UnsupportedRingError(
@@ -215,6 +219,7 @@ def gamma_to_cartier(sheaf):
         relations=sheaf.relations,
         ideal=None,
         generator_names=names,
+        validate=False,
     )
 
 
@@ -342,8 +347,6 @@ def gamma_pullback(sheaf, ideal_spec):
     if ideal_spec.ring is not ring:
         raise ValidationError("ideal over a different ring")
     if sheaf.ideal is not None:
-        from .poly import IdealSpec
-
         ideal_spec = IdealSpec(
             ring, list(sheaf.ideal.generators) + list(ideal_spec.generators)
         )
@@ -395,7 +398,14 @@ def unit_root_stabilize(sheaf, cap=None):
 
     The induced map exists because gamma^(e+1) = F^*(gamma^e) o gamma, and
     it is injective because ker gamma^(e*+1) = ker gamma^e*.  Both are
-    checked; a failure is a bug (InvariantViolation)."""
+    checked; a failure is a bug (InvariantViolation).
+
+    Without an ideal the root is well defined by construction and is not
+    validated again: column j solves F^{e*}(gamma)(g_j) = gamma^(e+1)(e_j),
+    so a relation c of the root (sum_j c_j g_j = 0 in F^{e*}N) goes to a
+    syzygy of the twisted generators g_j^(p), and those are the twists of
+    the root's relations because Frobenius is flat on a regular ring
+    (Kunz, 1969).  Over a quotient ring that fails; the root is validated."""
     ring = sheaf.ring
     if ring.nvars > 1:
         raise UnsupportedRingError("unit roots need F_q or F_q[x]")
@@ -427,6 +437,7 @@ def unit_root_stabilize(sheaf, cap=None):
         relations=root_rels,
         ideal=sheaf.ideal,
         generator_names=tuple(f"r{i + 1}" for i in range(s)),
+        validate=sheaf.ideal is not None,
     )
     if _iterate_kernel(root, root.gamma_matrix, 1) != root.relation_hnf():
         raise InvariantViolation(f"the unit root at e* = {e} is not injective")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cartier_lab import cartier, functors, ie, submodules
+from cartier_lab import cartier, functors, gamma, ie, submodules
 from cartier_lab.cartier import (
     CartierModule,
     CartierMorphism,
@@ -559,18 +559,66 @@ def test_module_presentations_echelonize_their_generators_twice(
     assert max(keys) >= 6
 
 
+def conversion_modules():
+    """Modules for the Cartier-gamma conversions and unit roots.  Over F_2,
+    F_3 and F_4 of rank 1-3 with the first t generators killed; the
+    operator maps those among themselves, so the relations are stable.
+    Over F_2[x] and F_3[x] of rank 1-2 with no relations.  In some
+    modules of each kind, kappa(e_(t+2)) (kappa(x^a e_2) over F_p[x]) is
+    a unit times kappa(e_(t+1)), so the columns of gamma are dependent
+    and the unit root has a relation."""
+    rng = random.Random(SEED + 5)
+    out = []
+    for p, e in ((2, 1), (3, 1), (2, 2)):
+        ctx = Fq(p, e)
+        R = PolyRing(ctx, ())
+        shapes = [(rank, t, dep) for rank in (1, 2, 3)
+                  for t in range(rank + 1) for dep in (False, True)
+                  if t + 2 <= rank or not dep]
+        for rank, t, dependent in shapes:
+            a = [[ctx.random_element(rng) if i < t or j >= t else ctx.zero
+                  for j in range(rank)] for i in range(rank)]
+            if dependent:
+                c = ctx.scalar(rng.randrange(1, p))
+                for row in a:
+                    row[t + 1] = c * row[t]
+            out.append(CartierModule(R, rank, {
+                ((), j): tuple(R.scalar(a[i][j]) for i in range(rank))
+                for j in range(rank)
+            }, relations=scalar_rows(R, rank, R.one)[:t]))
+    for p in (2, 3):
+        R = PolyRing(Fq(p, 1), ("x",))
+        for rank, dependent in [(1, False)] * 2 + [(2, False), (2, True)] * 2:
+            c = R.scalar(rng.randrange(1, p))
+            table = {}
+            for a in R.pth_basis():
+                col = tuple(R.random_poly(rng, 2, 3) for _ in range(rank))
+                table[a, 0] = col
+                if rank == 2:
+                    table[a, 1] = (tuple(c * f for f in col) if dependent
+                                   else tuple(R.random_poly(rng, 2, 3)
+                                              for _ in range(rank)))
+            out.append(CartierModule(R, rank, table))
+    return out
+
+
 def test_library_built_tables_pass_the_check_they_skip(monkeypatch):
     """submodule_module and Lattice.to_module build their tables with
     validate=False, certified by the solve that fills them, and so do
     the g-torsion-free quotient of a localization (the torsion is
-    kappa-stable) and the Koszul twist (Fedder); the well-definedness
-    check still passes on every table they build from seeded inputs:
-    torsion submodules of each module and of its g-torsion-free
-    quotient, that quotient, stable images, kernels of the projections
-    to it, maximal nilpotent submodules, the lattice modules of the
-    minimal extensions and Koszul pullbacks of the bases and of top
-    forms on planes, many with relations."""
-    built = {"submodule": 0, "lattice": 0, "quotient": 0, "koszul": 0}
+    kappa-stable), the Koszul twist (Fedder), both Cartier-gamma
+    conversions (an exact equivalence over a regular ring) and the root
+    of a unit root over F_q or F_q[x] (Frobenius is flat); the
+    well-definedness check still passes on every table they build from
+    seeded inputs: torsion submodules of each module and of its
+    g-torsion-free quotient, that quotient, stable images, kernels of the
+    projections to it, maximal nilpotent submodules, the lattice modules
+    of the minimal extensions, Koszul pullbacks of the bases and of top
+    forms on planes, both conversions of those bases and of
+    conversion_modules(), and the unit roots of the latter, many with
+    relations."""
+    built = {"submodule": 0, "lattice": 0, "quotient": 0, "koszul": 0,
+             "to_gamma": 0, "to_cartier": 0, "unit_root": 0}
     submodule, to_module = cartier.submodule_module, Lattice.to_module
 
     def checked(site, module):
@@ -587,7 +635,15 @@ def test_library_built_tables_pass_the_check_they_skip(monkeypatch):
     monkeypatch.setattr(
         Lattice, "to_module", lambda lat: checked("lattice", to_module(lat))
     )
-    for loc in seeded_localizations() + oracle_localizations():
+    locs = seeded_localizations() + oracle_localizations()
+    modules = conversion_modules()
+    for module in modules + [loc.base for loc in locs]:
+        sheaf = checked("to_gamma", gamma.cartier_to_gamma(module))
+        checked("to_cartier", gamma.gamma_to_cartier(sheaf))
+    for module in modules:
+        unit = gamma.unit_root_stabilize(gamma.cartier_to_gamma(module))
+        checked("unit_root", unit.root)
+    for loc in locs:
         base = loc.base
         checked("quotient", loc.quotient)
         checked("koszul", functors.koszul_pullback(base, [loc.g]))
@@ -607,6 +663,8 @@ def test_library_built_tables_pass_the_check_they_skip(monkeypatch):
             checked("koszul", pulled)
     assert built["submodule"] >= 50 and built["lattice"] >= 10
     assert built["quotient"] >= 30 and built["koszul"] >= 50
+    assert built["to_gamma"] >= 50 and built["to_cartier"] >= 50
+    assert built["unit_root"] >= 8
 
 
 # ------------------------------------------------------------ functoriality

@@ -12,7 +12,6 @@ from cartier_lab.errors import (
     ContextMismatchError,
     ParseError,
     UnsupportedRingError,
-    ValidationError,
 )
 from cartier_lab import poly
 from cartier_lab.fields import Fq, FrobeniusContext
@@ -246,18 +245,90 @@ def test_buchberger_twisted_cubic():
     assert sorted(str(g) for g in G) == ["x*y+4*z", "x^2+4*y", "y^2+4*x*z"]
 
 
+def failed_pairs(basis, gens=()):
+    """The pair-criterion oracle, independent of how ``basis`` was
+    produced: the S-pairs of ``basis`` whose leading monomials share a
+    variable and the ``gens`` that do not reduce to zero by ``basis``.
+    Coprime pairs reduce to zero by Buchberger's first criterion, so an
+    empty answer certifies a Gröbner basis of an ideal holding ``gens``."""
+    failed = [
+        (f, g) for f, g in itertools.combinations(basis, 2)
+        if any(map(min, f.leading()[0], g.leading()[0]))
+        and not normal_form(s_polynomial(f, g), basis).is_zero()
+    ]
+    return failed + [g for g in gens if not normal_form(g, basis).is_zero()]
+
+
+def multivar_ideals():
+    """Seeded ideals of the benchmark's multivariate shapes: three
+    generators of degree 3 with 4 terms over F_p[x,y,z], p = 2, 3, 5, and
+    of degree 4 with 3 terms over F_4[x,y]; each has one monomial of the
+    full degree and lower ones, with random nonzero coefficients."""
+    rng = random.Random(SEED + 23)
+    out = []
+    for p, e, nvars, degree, nterms in ((2, 1, 3, 3, 4), (3, 1, 3, 3, 4),
+                                        (5, 1, 3, 3, 4), (2, 2, 2, 4, 3)):
+        R = ring(p, e, nvars)
+        tops = [m for m in _exponents(nvars, degree) if sum(m) == degree]
+        lower = _exponents(nvars, degree - 1)
+        for _ in range(6):
+            gens = []
+            for _ in range(3):
+                support = [rng.choice(tops)] + rng.sample(lower, nterms - 1)
+                gens.append(Polynomial(R, {
+                    _pack(m): rng.randrange(1, p**e) for m in support}))
+            out.append((R, gens))
+    return out
+
+
 def test_buchberger_satisfies_the_pair_criterion():
-    """All S-polynomials reduce to zero: the defining property,
-    independent of how the basis was produced."""
-    for p in (2, 3):
-        R = ring(p, nvars=2)
-        gens = [R.parse("x^2+y^2"), R.parse("x*y")]
+    """Every S-pair of the basis and every input generator reduces to
+    zero, on small bases and on seeded ideals of the multivariate
+    benchmark's shapes; over prime fields the basis is also sympy's
+    reduced grevlex basis (when sympy is installed)."""
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    cases = [(R, [R.parse("x^2+y^2"), R.parse("x*y")])
+             for R in (ring(2, nvars=2), ring(3, nvars=2))]
+    for R, gens in cases + multivar_ideals():
         G = buchberger(gens)
-        for i in range(len(G)):
-            for j in range(i + 1, len(G)):
-                assert normal_form(s_polynomial(G[i], G[j]), G).is_zero()
-        for g in gens:
-            assert normal_form(g, G).is_zero()
+        assert G and not failed_pairs(G, gens), gens
+        if sympy is not None and R.ctx.e == 1:
+            names = sympy.symbols(R.vars)
+            expected = sympy.groebner(
+                [_to_sympy(g, names).as_expr() for g in gens], *names,
+                modulus=R.ctx.p, order="grevlex")
+            ours = sorted(sorted(_our_terms(g).items()) for g in G)
+            theirs = sorted(sorted(_sympy_terms(g).items())
+                            for g in expected.polys)
+            assert ours == theirs, gens
+
+
+def test_ideal_spec_reduces_no_pair_beyond_buchberger(monkeypatch):
+    """IdealSpec takes buchberger's basis as certified: building it forms
+    exactly the S-polynomials that buchberger forms, none a second time."""
+    calls = [0]
+
+    def counted(f, g):
+        calls[0] += 1
+        return s_polynomial(f, g)
+
+    monkeypatch.setattr(poly, "s_polynomial", counted)
+    F5, F4 = ring(5, nvars=3), ring(2, 2, 2)
+    fixed = [(F5, ["y+4*x^2", "z+4*x^3"]), (F5, ["x^2+y*z", "x*y+z"]),
+             (F4, ["x^3+y", "x*y^2+x"])]
+    fixed = [(R, [R.parse(g) for g in gens]) for R, gens in fixed]
+    # one seeded ideal per ring; the first over F_2 has coprime leading
+    # monomials and forms no pair, so take the second of each
+    for R, gens in fixed + multivar_ideals()[1::6]:
+        calls[0] = 0
+        buchberger(gens)
+        expected = calls[0]
+        calls[0] = 0
+        IdealSpec(R, gens)
+        assert expected and calls[0] == expected, gens
 
 
 def test_buchberger_tracked_representations():
@@ -321,17 +392,16 @@ def test_ideal_spec_equality_ignores_generator_choice():
     assert I != K
 
 
-def test_ideal_spec_rejects_a_basis_failing_a_shared_variable_pair(
-    monkeypatch
-):
-    """The S-pair check skips only coprime pairs: a basis whose failing
-    pair shares a variable in its leading monomials is still refused."""
+def test_ideal_spec_rejects_a_basis_failing_a_shared_variable_pair():
+    """IdealSpec trusts buchberger, so the refusal is the test-side
+    oracle's: it skips only coprime pairs, so a basis whose failing pair
+    shares a variable in its leading monomials is still refused, and
+    buchberger's basis of the same ideal passes."""
     R = ring(2, nvars=2)
     bad = [R.parse("x^2+y"), R.parse("x*y")]  # S-pair y^2 is irreducible
     assert normal_form(s_polynomial(*bad), bad) == R.parse("y^2")
-    monkeypatch.setattr(poly, "buchberger", lambda gens: list(bad))
-    with pytest.raises(ValidationError, match="S-pair verification"):
-        IdealSpec(R, [R.parse("x")])
+    assert failed_pairs(bad) == [tuple(bad)]
+    assert not failed_pairs(buchberger(bad), bad)
 
 
 # ------------------------------------------------------- regular sequences
