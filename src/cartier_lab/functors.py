@@ -52,7 +52,6 @@ __all__ = [
     "LocalizedCartier",
     "open_pullback",
     "open_pushforward",
-    "PushforwardView",
     "closed_pushforward",
     "koszul_pullback",
     "restrict_to_subring",
@@ -115,13 +114,13 @@ def torsion_gamma_Z(module, g, cap=None):
         raise UnsupportedRingError("torsion needs F_q or F_q[x]")
     if g.is_zero():
         raise ValidationError("torsion along the zero locus of 0 is everything")
-    rels = list(module.effective_relations())
     rel_hnf = module.relation_hnf()
     r = module.rank
+    g_rows = scalar_rows(ring, r, g)
 
+    # ker(g^(k+1)) = {v : g v in ker(g^k)}
     def killed_by_next_power(chain):
-        power = g ** len(chain)
-        gens = syzygy_generators(scalar_rows(ring, r, power), rels, r, ring)
+        gens = syzygy_generators(g_rows, chain[-1], r, ring)
         return hnf_extend(rel_hnf, gens, r, ring)
 
     chain = stabilize(rel_hnf, killed_by_next_power, "torsion chain", cap)
@@ -276,30 +275,10 @@ def open_pullback(module, g, cap=None):
     return LocalizedCartier(module, g, cap=cap)
 
 
-class PushforwardView:
-    """The localization viewed over the base ring: the same fractions,
-    presented lazily (no finite presentation exists once g is inverted).
-    Supports element queries, the operator, and the embedding of the base
-    module; finitely generated sublattices are handled by the intermediate
-    extension machinery."""
-
-    __slots__ = ("localized",)
-
-    def __init__(self, localized):
-        self.localized = localized
-
-    def embed(self, v):
-        return self.localized.embed(v)
-
-    def apply_kappa(self, frac):
-        return self.localized.apply_kappa(frac)
-
-    def __repr__(self):
-        return f"PushforwardView({self.localized!r})"
-
-
 def open_pushforward(localized):
-    return PushforwardView(localized)
+    """The localization viewed over the base ring: the same fractions and
+    operator, so the localized module itself."""
+    return localized
 
 
 # ---------------------------------------------------------------------------

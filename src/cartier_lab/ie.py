@@ -13,10 +13,12 @@ quotient can pass them without being nil-isomorphic to the certified
 lattice.  Minimality rests on the construction, which stops only at
 T_(k*+1) = T_(k*); ``minimality_oracle`` checks it on truncated models.
 
-The quotient check needs no quotient module.  With sat(Y) the sum of the
-kappa^i(Y), g kappa^i(y) = kappa^i(g^(p^i) y) gives T_(k+1) = sat(g T_k),
-so the lattice L' where the test sums stop has sat(g L') = L': its
-quotient by every test sum is zero, hence nilpotent.
+The quotient check needs no quotient module and no saturation of its
+own.  With sat(Y) the sum of the kappa^i(Y), g kappa^i(y) =
+kappa^i(g^(p^i) y) gives T_(k+1) = sat(g T_k), and the test sums are
+computed by that recursion from T_1 = sat(g L0).  The loop stops at the
+first T_(k+1) = T_k = L', and that comparison is sat(g L') = L': the
+quotient of L' by its first test sum is zero, hence nilpotent.
 
 Lattices are HNF-spanned submodules of the g-torsion-free quotient
 presentation, which embeds in the localization.  Integral lattices are
@@ -292,10 +294,14 @@ def intermediate_extension(localized, cap=None):
     is nilpotent as a crystal short-circuits to the zero lattice (its
     minimal extension is zero up to nilpotents).
 
-    The loop stops at T_(k*+1) = T_(k*) = L'.  As T_(k+1) = sat(g T_k)
-    (see ``test_module_sum``), every test sum of L' is L', so L'/T_1 and
-    L'/T_(k*) are zero, hence nilpotent.  Both checks are recomputed as
-    sat(g^k L') = L', so a lattice that breaks the identity fails closed.
+    The test sums follow their recursion T_1 = sat(g L0), T_(k+1) =
+    sat(g T_k) (see ``test_module_sum``) and stop at T_(k*+1) = T_(k*) =
+    L'.  That last comparison is sat(g L') = L', so L'/T_1(L') is zero,
+    hence nilpotent, and the loop records ``quotient_nilpotent``.  The k*
+    check is the same at k* = 1 and is otherwise recomputed as
+    sat(g^(k*) L') = L'; localization agreement is recomputed too, so a
+    lattice that breaks either fails closed.  e* is the longest
+    saturation chain the loop ran, each from g T_k.
     """
     if not isinstance(localized, LocalizedCartier):
         raise ValidationError("expected a localized module")
@@ -333,37 +339,32 @@ def intermediate_extension(localized, cap=None):
     if span_equal(image_chain(quot, cap=cap)[-1], quot.relation_hnf()):
         return shortcut(Lattice(localized, []), True)
 
-    # e* is the longest saturation over every T_k computed; the base is
-    # the whole quotient, which the operator maps into itself
+    # e* is the longest saturation chain the loop ran; the base is the
+    # whole quotient, which the operator maps into itself
     counts = []
 
-    def saturation(lattice):
-        chain = _saturation_chain(lattice, cap)
+    def saturate_g_multiple(sums):
+        chain = _saturation_chain(sums[-1].g_multiple(1), cap)
         counts.append(len(chain) - 1)
         return chain[-1]
 
-    def next_test_sum(sums):
-        return saturation(base.g_multiple(len(sums) + 1))
-
+    # T_1 = sat(g L0), T_(k+1) = sat(g T_k), up to the first repeat
     sums = stabilize(
-        saturation(base.g_multiple(1)), next_test_sum, "test sums", cap
+        saturate_g_multiple([base]), saturate_g_multiple, "test sums", cap
     )
     current = sums[-1]
     e_star, k_star = max(counts), len(sums)
 
     module = current.to_module()
-
-    def whole(k):  # L' / T_k(L') is zero, hence nilpotent
-        return kappa_saturate(current.g_multiple(k), cap=cap) == current
-
-    nil_1 = whole(1)
-    nil_kstar = nil_1 if k_star == 1 else whole(k_star)
     checks = {
         "localization_agreement": current.localization_agrees(cap=cap),
         # L' lies in the g-torsion-free quotient, so its g-torsion is zero
         "torsion_nilpotent": True,
-        "quotient_nilpotent": nil_1,
-        "quotient_nilpotent_kstar": nil_kstar,
+        # the loop stopped at sat(g L') = L', so L' / T_1(L') is zero
+        "quotient_nilpotent": True,
+        "quotient_nilpotent_kstar": k_star == 1 or (
+            kappa_saturate(current.g_multiple(k_star), cap=cap) == current
+        ),
     }
     return finish(
         current, module, checks, {"e_star": e_star, "k_star": k_star}, False

@@ -28,6 +28,7 @@ from cartier_lab.cartier import (
     submodule_module,
 )
 from cartier_lab.errors import (
+    DEFAULT_ITERATION_CAP,
     CapExceeded,
     CertificateFailed,
     InvariantViolation,
@@ -72,7 +73,7 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 # sha256 over canonical_json(certificate_to_json(cert)) of every
 # certificate of pinned_localizations(), in order
 CERTIFICATE_PIN = (
-    "2b56c1d6454c70b70a8fd4df7c8a65be36691b185416715d13e2c0a529379a62"
+    "997c64c2ed5c1c3fbf1e2003c9a634fe0eb612ab01ff14113cce0410e96ba277"
 )
 # sha256 over the "\n"-joined oracle_verdicts()
 ORACLE_PIN = (
@@ -375,13 +376,63 @@ def test_identity_check_rejects_an_enlarged_lattice(twisted):
 def test_a_failed_identity_check_refuses_the_certificate(
     twisted, monkeypatch
 ):
+    """The checks the test-sum loop does not record fail closed: a
+    saturation that collapses to the zero lattice fails localization
+    agreement, and at k* >= 2 a shrunk kappa_saturate fails the k* check."""
     _, loc_tw = twisted
+
     def shrunk(lattice, cap=None):
         return Lattice(lattice.localized, [])
 
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            ie, "_saturation_chain", lambda lattice, cap=None: [shrunk(lattice)]
+        )
+        with pytest.raises(
+            CertificateFailed, match="failed: localization_agreement$"
+        ):
+            intermediate_extension(loc_tw)
+
+    deep = next(
+        loc for loc in seeded_localizations()
+        if intermediate_extension(loc).indices["k_star"] >= 2
+    )
     monkeypatch.setattr(ie, "kappa_saturate", shrunk)
-    with pytest.raises(CertificateFailed, match="quotient_nilpotent"):
-        intermediate_extension(loc_tw)
+    with pytest.raises(
+        CertificateFailed, match="failed: quotient_nilpotent_kstar$"
+    ):
+        intermediate_extension(deep)
+
+
+def test_the_test_sum_loop_saturates_each_sum_once(monkeypatch):
+    """T_(k+1) = sat(g T_k): on every full-path certificate of
+    seeded_localizations(), the loop runs k* + 1 saturations (T_1 to T_k*
+    and the repeat that stops it), and kappa_saturate runs once more, for
+    the k* check, only when k* > 1."""
+    chains, saturations = [], []
+    chain, saturate = ie._saturation_chain, ie.kappa_saturate
+
+    def counted_chain(lattice, cap=None):
+        chains.append(lattice)
+        return chain(lattice, cap)
+
+    def counted_saturate(lattice, cap=None):
+        saturations.append(lattice)
+        return saturate(lattice, cap)
+
+    monkeypatch.setattr(ie, "_saturation_chain", counted_chain)
+    monkeypatch.setattr(ie, "kappa_saturate", counted_saturate)
+    k_stars = []
+    for loc in seeded_localizations():
+        chains.clear()
+        saturations.clear()
+        k_star = intermediate_extension(loc).indices["k_star"]
+        if k_star == 0:
+            continue
+        k_stars.append(k_star)
+        assert len(chains) == k_star + 1 + (k_star > 1)
+        assert len(saturations) == (k_star > 1)
+    assert len(k_stars) >= 6 and min(k_stars) == 1 and max(k_stars) >= 2
 
 
 def pinned_localizations():
@@ -421,28 +472,32 @@ def reference_saturation(loc, rows):
     raise AssertionError("reference saturation did not stop")
 
 
-def reference_lattice(loc):
-    """The certificate lattice recomputed with ``reference_saturation``:
-    T_k = sat(g^k L0), L0 the saturated whole quotient, down to the first
-    k with T_(k+1) = T_k."""
+def reference_lattice(loc, cap):
+    """The certificate lattice and k* recomputed with
+    ``reference_saturation``: T_k = sat(g^k L0), L0 the saturated whole
+    quotient, down to the first k with T_(k+1) = T_k.  Like
+    ``intermediate_extension``, it raises NonStabilized when T_(cap+1) is
+    still new."""
     R = loc.ring
     saturated = reference_saturation(
         loc, scalar_rows(R, loc.quotient.rank, R.one)
     )
-    current = None
-    for k in range(1, 64):
+    sums = []
+    for k in range(1, cap + 2):
         gk = loc.g ** k
         nxt = reference_saturation(loc, [vec_scale(v, gk) for v in saturated])
-        if nxt == current:
-            return current
-        current = nxt
-    raise AssertionError("reference test sums did not stop")
+        if sums and nxt == sums[-1]:
+            return nxt, len(sums)
+        sums.append(nxt)
+    raise NonStabilized("reference test sums did not stop", sums, cap)
 
 
 def test_saturation_matches_a_reference_fixed_point_loop(monkeypatch):
-    """kappa_saturate and every full-path certificate lattice agree with
-    the reference loop, and every lattice the minimal extension reaches
-    lies inside its base lattice, the whole quotient."""
+    """kappa_saturate and every full-path certificate lattice and its k*
+    agree with the reference loop, and every lattice the minimal extension
+    reaches lies inside its base lattice, the whole quotient.  The one
+    localization whose test sums do not stabilize, oracle_localizations()
+    entry 16, raises NonStabilized in both computations."""
     reached = []
     chain = ie._saturation_chain
 
@@ -452,8 +507,9 @@ def test_saturation_matches_a_reference_fixed_point_loop(monkeypatch):
         return out
 
     monkeypatch.setattr(ie, "_saturation_chain", recorded)
-    full_path = 0
-    for loc in seeded_localizations():
+    seeded = seeded_localizations()
+    full_path, unstable = 0, []
+    for i, loc in enumerate(seeded + oracle_localizations()):
         R = loc.ring
         x = R.var(0)
         units = scalar_rows(R, loc.quotient.rank, R.one)
@@ -463,14 +519,22 @@ def test_saturation_matches_a_reference_fixed_point_loop(monkeypatch):
                 reference_saturation(loc, rows)
             )
         reached.clear()
-        cert = intermediate_extension(loc)
+        try:
+            cert = intermediate_extension(loc, cap=DEFAULT_ITERATION_CAP)
+        except NonStabilized:
+            with pytest.raises(NonStabilized):
+                reference_lattice(loc, DEFAULT_ITERATION_CAP)
+            unstable.append(i - len(seeded))
+            continue
         base = Lattice(loc, units)
         assert all(base.contains(row) for L in reached for row in L.span)
         if cert.indices["k_star"] == 0:
             continue
         full_path += 1
-        assert cert.lattice.span == reference_lattice(loc)
-    assert full_path >= 6
+        assert (cert.lattice.span, cert.indices["k_star"]) == (
+            reference_lattice(loc, DEFAULT_ITERATION_CAP)
+        )
+    assert full_path >= 30 and unstable == [16]
 
 
 def test_certificate_lattices_have_no_g_torsion():
