@@ -34,11 +34,10 @@ from .fields import SemilinearMap, P_INV_LINEAR, _mat_pow
 from .poly import Polynomial, PolyRing, _addmul, frobenius_decompose
 from .submodules import (
     Presentation,
-    hnf_extend,
-    in_span,
     saturation,
     scalar_rows,
     solve_combinations,
+    span_equal,
     syzygy_generators,
     vec_add,
     vec_scale,
@@ -48,8 +47,6 @@ from .submodules import (
 __all__ = [
     "CartierModule",
     "CartierMorphism",
-    "apply_kappa",
-    "kappa_power",
     "image_chain",
     "stable_image",
     "is_nilpotent",
@@ -59,6 +56,7 @@ __all__ = [
     "image",
     "direct_sum",
     "submodule_module",
+    "torsion_part",
     "quotient_module",
     "hom_cartier",
     "HomResult",
@@ -285,14 +283,6 @@ class CartierMorphism:
 # ---------------------------------------------------------------------------
 
 
-def apply_kappa(module, elem):
-    return module.apply_kappa(elem)
-
-
-def kappa_power(module, n, elem):
-    return module.kappa_power(n, elem)
-
-
 def _require_pid(module, what):
     if module.ring.nvars > 1:
         raise UnsupportedRingError(
@@ -306,16 +296,12 @@ def image_chain(module, cap=None):
     R^r (each containing the relation span)."""
     _require_pid(module, "image_chain")
     ring = module.ring
-    rel_hnf = module.relation_hnf()
 
     def image(chain):
-        images = module.kappa_images(chain[-1]).values()
-        return hnf_extend(rel_hnf, images, module.rank, ring)
+        return module.span(module.kappa_images(chain[-1]).values())
 
-    full = scalar_rows(ring, module.rank, ring.one)
-    return stabilize(
-        hnf_extend(rel_hnf, full, module.rank, ring), image, "image chain", cap
-    )
+    full = module.span(scalar_rows(ring, module.rank, ring.one))
+    return stabilize(full, image, "image chain", cap)
 
 
 def submodule_module(module, gens):
@@ -325,16 +311,17 @@ def submodule_module(module, gens):
     stable images, which are stable by construction.  The solve that fills
     the table certifies it, so it is not validated again: the relations
     are the syzygies c of the gens g_j, and kappa(x^a sum_j c_j g_j) lies in
-    kappa(N), inside N, so the table maps syzygies to syzygies."""
+    kappa(N), inside N, so the table maps syzygies to syzygies.  The table
+    is solved from normal-formed images, so it depends on the module and
+    the gens, not on the representatives the parent table holds."""
     _require_pid(module, "submodule presentation")
     ring = module.ring
     gens = [module.check_element(g) for g in gens]
     rels = module.effective_relations()
     sub_rels = syzygy_generators(gens, rels, module.rank, ring)
     images = module.kappa_images(gens)
-    solutions = solve_combinations(
-        gens, rels, list(images.values()), module.rank, ring
-    )
+    targets = [module.normal_form(w) for w in images.values()]
+    solutions = solve_combinations(gens, rels, targets, module.rank, ring)
     if None in solutions:
         raise InvariantViolation(
             "submodule is not stable under the structural operator"
@@ -351,6 +338,13 @@ def submodule_module(module, gens):
     )
     incl = CartierMorphism(sub, module, gens, validate=False)
     return sub, incl
+
+
+def torsion_part(module):
+    """The torsion submodule sat(N) / N of M = R^r / N, which the operator
+    maps into itself, with its inclusion; it has finite length."""
+    sat = saturation(module.effective_relations(), module.rank, module.ring)
+    return submodule_module(module, module.nonzero_rows(sat))
 
 
 def quotient_module(module, gens):
@@ -374,21 +368,15 @@ def stable_image(module, cap=None):
     """The stable member of the image chain, as a submodule with induced
     operator.  Returns (submodule, inclusion, chain)."""
     chain = image_chain(module, cap=cap)
-    stable = chain[-1]
-    rel_hnf = module.relation_hnf()
-    gens = [row for row in stable if not in_span(row, rel_hnf, module.ring)]
-    sub, incl = submodule_module(module, gens)
+    sub, incl = submodule_module(module, module.nonzero_rows(chain[-1]))
     return sub, incl, chain
 
 
 def is_nilpotent(module, cap=None):
-    """(nilpotent?, order).  Order is the first k with kappa^k(M) = 0."""
+    """(nilpotent?, order).  Order is the first k with kappa^k(M) = 0: the
+    stable span is the relation span itself, as HNFs are unique."""
     chain = image_chain(module, cap=cap)
-    rel_hnf = module.relation_hnf()
-    stable_is_zero = all(
-        in_span(row, rel_hnf, module.ring) for row in chain[-1]
-    )
-    if not stable_is_zero:
+    if not span_equal(chain[-1], module.relation_hnf()):
         return False, None
     return True, len(chain) - 1
 
@@ -402,9 +390,7 @@ def kernel(phi):
     )
     # rows are coefficient vectors in the source generators; drop those that
     # are already zero in the source
-    rel_hnf = src.relation_hnf()
-    gens = [g for g in gens if not in_span(g, rel_hnf, src.ring)]
-    return submodule_module(src, gens)
+    return submodule_module(src, src.nonzero_rows(gens))
 
 
 def cokernel(phi):
@@ -808,12 +794,7 @@ def _max_nil_finite(module):
     null = kernels.nullspace_mod_p(rows, p)
     if len(null) == null.shape[1]:
         return None
-    vecs = model.from_fp(null)
-    rel_hnf = module.relation_hnf()
-    return [
-        row for row in hnf_extend(rel_hnf, vecs, module.rank, ring)
-        if not in_span(row, rel_hnf, ring)
-    ]
+    return module.nonzero_rows(module.span(model.from_fp(null)))
 
 
 def max_nilpotent_submodule(module, cap=None):
@@ -846,16 +827,12 @@ def max_nilpotent_submodule(module, cap=None):
             raise InvariantViolation(
                 "module on which kappa^d vanishes failed its nilpotency check"
             )
-        # positive free rank: restrict to the torsion part sat(N) / N,
-        # which has finite length; its answer is checked once, below
-        ring, rel_hnf = module.ring, module.relation_hnf()
-        sat = saturation(module.effective_relations(), module.rank, ring)
-        torsion, t_incl = submodule_module(
-            module, [row for row in sat if not in_span(row, rel_hnf, ring)]
-        )
+        # positive free rank: restrict to the torsion part, which has
+        # finite length; its answer is checked once, below
+        torsion, t_incl = torsion_part(module)
         inner = _max_nil_finite(torsion)
         if inner is None:
-            inner = scalar_rows(ring, torsion.rank, ring.one)
+            inner = scalar_rows(module.ring, torsion.rank, module.ring.one)
         gens = [t_incl.apply(g) for g in inner]
     sub, incl = submodule_module(module, gens)
     nil, order = is_nilpotent(sub, cap=cap)

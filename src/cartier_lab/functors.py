@@ -25,6 +25,7 @@ from .cartier import (
     FiniteModel,
     quotient_module,
     submodule_module,
+    torsion_part,
 )
 from .fields import _fixed_dims, _mat_pow, check_extension_cap
 from .gamma import GammaSheaf
@@ -35,9 +36,6 @@ from .poly import (
     solve_membership,
 )
 from .submodules import (
-    hnf_extend,
-    in_span,
-    saturation,
     scalar_rows,
     solve_combination,
     syzygy_generators,
@@ -114,18 +112,18 @@ def torsion_gamma_Z(module, g, cap=None):
         raise UnsupportedRingError("torsion needs F_q or F_q[x]")
     if g.is_zero():
         raise ValidationError("torsion along the zero locus of 0 is everything")
-    rel_hnf = module.relation_hnf()
     r = module.rank
     g_rows = scalar_rows(ring, r, g)
 
     # ker(g^(k+1)) = {v : g v in ker(g^k)}
     def killed_by_next_power(chain):
-        gens = syzygy_generators(g_rows, chain[-1], r, ring)
-        return hnf_extend(rel_hnf, gens, r, ring)
+        return module.span(syzygy_generators(g_rows, chain[-1], r, ring))
 
-    chain = stabilize(rel_hnf, killed_by_next_power, "torsion chain", cap)
+    chain = stabilize(
+        module.relation_hnf(), killed_by_next_power, "torsion chain", cap
+    )
     span = chain[-1]
-    gens = [row for row in span if not in_span(row, rel_hnf, ring)]
+    gens = module.nonzero_rows(span)
     sub, incl = submodule_module(module, gens)
     return {
         "module": sub,
@@ -144,18 +142,17 @@ def torsion_invariant_oracle(module, g):
     ring = module.ring
     if ring.nvars != 1:
         raise UnsupportedRingError("the saturation path needs F_q[x]")
-    rel_hnf = module.relation_hnf()
-    sat = saturation(module.effective_relations(), module.rank, ring)
-    torsion, incl = submodule_module(
-        module, [row for row in sat if not in_span(row, rel_hnf, ring)]
-    )
+    torsion, incl = torsion_part(module)
     model = FiniteModel(torsion)
     p, e, d = ring.ctx.p, ring.ctx.e, model.dimension
     mult = model.mult_fp(g)
     null = kernels.nullspace_mod_p(_mat_pow(mult, d, p), p)
     gens = [incl.apply(v) for v in model.from_fp(null)]
-    span = hnf_extend(rel_hnf, gens, module.rank, ring)
-    return {"generators": gens, "span": span, "dimension": len(null) // e}
+    return {
+        "generators": gens,
+        "span": module.span(gens),
+        "dimension": len(null) // e,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .cartier import CartierModule
 from .poly import IdealSpec, frobenius_component
 from .submodules import (
     Presentation,
-    hnf_extend,
     hnf_rows,
     in_span,
     scalar_rows,
@@ -263,10 +262,10 @@ def _columns(gam):
 def _iterate_kernel(sheaf, gam, e):
     """ker(gamma^e) from its matrix ``gam``, as an HNF span containing the
     relation span."""
-    ring, r = sheaf.ring, sheaf.rank
     twisted = sheaf.twisted_relations(e)
-    ker = syzygy_generators(_columns(gam), twisted, r, ring)
-    return hnf_extend(sheaf.relation_hnf(), ker, r, ring)
+    return sheaf.span(
+        syzygy_generators(_columns(gam), twisted, sheaf.rank, sheaf.ring)
+    )
 
 
 def gamma_nilpotent(sheaf, cap=None):
@@ -276,10 +275,7 @@ def gamma_nilpotent(sheaf, cap=None):
     member is the last one."""
     chain, order = gamma_kernel_chain(sheaf, cap=cap)
     ring = sheaf.ring
-    full = hnf_extend(
-        sheaf.relation_hnf(), scalar_rows(ring, sheaf.rank, ring.one),
-        sheaf.rank, ring,
-    )
+    full = sheaf.span(scalar_rows(ring, sheaf.rank, ring.one))
     if not span_equal(chain[-1], full):
         return False, None
     return True, order
@@ -300,9 +296,7 @@ def gamma_unit_defect(sheaf):
     cols = _columns(sheaf.gamma_matrix)
     twisted = sheaf.twisted_relations(1)
     # kernel: coefficient vectors with gamma(v) in the twisted span
-    ker_gens = syzygy_generators(cols, twisted, r, ring)
-    rel_hnf = sheaf.relation_hnf()
-    ker_gens = [g for g in ker_gens if not in_span(g, rel_hnf, ring)]
+    ker_gens = sheaf.nonzero_rows(syzygy_generators(cols, twisted, r, ring))
     ker_rels = syzygy_generators(
         ker_gens, sheaf.effective_relations(), r, ring
     )

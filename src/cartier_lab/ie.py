@@ -43,7 +43,6 @@ from .errors import (
     stabilize,
 )
 from .cartier import (
-    CartierModule,
     CartierMorphism,
     FiniteModel,
     cokernel,
@@ -53,6 +52,7 @@ from .cartier import (
     max_nilpotent_submodule,
     quotient_module,
     stable_image,
+    submodule_module,
 )
 from .fields import _mat_pow
 from .functors import LocalizedCartier, torsion_gamma_Z
@@ -156,8 +156,7 @@ class Lattice:
         return span_equal(self.span, self._rel_hnf())
 
     def generator_rows(self):
-        rel = self._rel_hnf()
-        return [row for row in self.span if not in_span(row, rel, self.ring)]
+        return self.localized.quotient.nonzero_rows(self.span)
 
     def contains(self, vector):
         return in_span(tuple(vector), self.span, self.ring)
@@ -193,25 +192,9 @@ class Lattice:
 
     def to_module(self):
         """The lattice as an abstract module with the restricted operator,
-        presented on its generator rows; as in ``submodule_module``, the
-        solve that fills the table certifies it."""
-        ring = self.ring
-        gens = self.generator_rows()
-        if not gens:
-            return CartierModule(ring, 0, {}, relations=())
+        presented on its generator rows by ``submodule_module``."""
         quot = self.localized.quotient
-        rels = quot.effective_relations()
-        relations = syzygy_generators(gens, rels, self.rank, ring)
-        images = quot.kappa_images(gens)
-        # normal-formed images: the coordinates depend on the representative
-        targets = [quot.normal_form(w) for w in images.values()]
-        solutions = solve_combinations(gens, rels, targets, self.rank, ring)
-        if None in solutions:
-            raise InvariantViolation("operator image escaped the lattice span")
-        table = {key: tuple(c) for key, c in zip(images, solutions)}
-        return CartierModule(
-            ring, len(gens), table, relations=relations, validate=False
-        )
+        return submodule_module(quot, self.generator_rows())[0]
 
     def __repr__(self):
         return f"Lattice({len(self.generator_rows())} generators)"
@@ -336,7 +319,7 @@ def intermediate_extension(localized, cap=None):
     # crystal-zero shortcut: if the operator is nilpotent after inverting
     # g, the minimal extension is the zero lattice and the localization
     # check holds as crystals (both sides nilpotent), not as modules.
-    if span_equal(image_chain(quot, cap=cap)[-1], quot.relation_hnf()):
+    if is_nilpotent(quot, cap)[0]:
         return shortcut(Lattice(localized, []), True)
 
     # e* is the longest saturation chain the loop ran; the base is the
@@ -493,9 +476,7 @@ def localized_kernel_is_zero(phi):
     rels_t = phi.target.quotient.effective_relations()
     rt = phi.target.quotient.rank
     gens = syzygy_generators(cols, rels_t, rt, ring) if cols else []
-    rel_s = phi.source.quotient.relation_hnf()
-    span = hnf_extend(rel_s, gens, phi.source.quotient.rank, ring)
-    return span_equal(span, rel_s)
+    return not phi.source.quotient.nonzero_rows(gens)
 
 
 def localized_cokernel_is_zero(phi, cap=None):

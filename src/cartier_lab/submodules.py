@@ -17,8 +17,10 @@ modules to be free in that case.
 
 ``Presentation`` is the module R^r / (relations) shared by Cartier modules
 and gamma-sheaves: it owns validation of the presentation, the relation
-HNF, and element normal forms, and leaves the structural map to its
-subclasses.
+HNF, element normal forms and the one form of a submodule -- the HNF of
+its rows together with the relations (``span``), read back as the rows
+that are nonzero in the module (``nonzero_rows``) -- and leaves the
+structural map to its subclasses.
 """
 
 from .errors import UnsupportedRingError, ValidationError
@@ -233,6 +235,19 @@ class Presentation:
                 self.effective_relations(), self.rank, self.ring
             )
         return self._rel_hnf
+
+    # -- submodules --------------------------------------------------------
+
+    def span(self, rows):
+        """The submodule generated by ``rows``, as the HNF of its preimage
+        in R^r: the rows together with the relations."""
+        return hnf_extend(self.relation_hnf(), rows, self.rank, self.ring)
+
+    def nonzero_rows(self, rows):
+        """The rows that are nonzero in the module, in order; on a span
+        they generate its submodule."""
+        rel = self.relation_hnf()
+        return [row for row in rows if not in_span(row, rel, self.ring)]
 
     # -- validation --------------------------------------------------------
 

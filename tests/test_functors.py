@@ -266,6 +266,29 @@ def test_torsion_of_split_module_is_the_point_summand(p):
     assert oracle["dimension"] == FiniteModel(tors["module"]).dimension
 
 
+
+def test_torsion_tables_do_not_depend_on_representatives():
+    """The gamma-z document d219 of the cli-batch benchmark (seed 1): the
+    module F_3[x]/(x^3+2) with operator values x^3+2, x^3+2x^2+2x+1 and
+    x^2+x+1.  The g-torsion module's table is solved from normal-formed
+    operator images, so it equals the table of the same module written
+    with its entries reduced by the relation."""
+    R = univariate(3)
+    x = R.var(0)
+    rel = R.parse("x^3+2")
+
+    def module(values):
+        table = {((a,), 0): (R.parse(v),) for a, v in enumerate(values)}
+        return CartierModule(R, 1, table, relations=[(rel,)])
+
+    raw = module(["x^3+2", "x^3+2*x^2+2*x+1", "x^2+x+1"])
+    reduced = module(["0", "2*x^2+2*x+2", "x^2+x+1"])
+    assert raw.kappa_table != reduced.kappa_table
+    g = x + R.scalar(2)
+    for m in (raw, reduced):
+        tors = torsion_gamma_Z(m, g)
+        assert tors["module"].kappa_table == reduced.kappa_table
+
 def _block_library(ctx, R, rng):
     """Valid modules with a variety of torsion behavior."""
     x = R.var(0)

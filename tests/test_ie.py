@@ -591,6 +591,17 @@ def test_each_certificate_path_builds_its_lattice_module_once(
         assert len(built) == 1 and built[0] is cert.lattice, name
 
 
+
+def test_lattice_modules_are_presented_by_submodule_module():
+    """A certificate's lattice module is the submodule of the quotient
+    generated by the lattice's generator rows, as ``submodule_module``
+    presents it: one presenter, one table."""
+    for loc in seeded_localizations():
+        cert = intermediate_extension(loc)
+        rows = cert.lattice.generator_rows()
+        want, _ = submodule_module(loc.quotient, rows)
+        assert cert.lattice.to_module() == want
+
 def test_module_presentations_echelonize_their_generators_twice(
     monkeypatch
 ):

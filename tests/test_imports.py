@@ -9,7 +9,11 @@ of a package class is referenced by name in ``src``, ``tests`` or
 ``perfbench`` outside its own definition; and NonStabilized is raised
 only by the one stabilization loop, ``errors.stabilize``; and only
 ``fields`` reads the F_p multiplication blocks and twist matrices of F_q,
-which the rest reach through ``FrobeniusContext.fp_blocks``."""
+which the rest reach through ``FrobeniusContext.fp_blocks``; and outside
+``submodules`` no call of ``hnf_extend`` or ``in_span`` takes
+``<expr>.relation_hnf()``, or a local name bound to it, as an argument:
+the rest build a submodule's span and nonzero rows through
+``Presentation.span`` and ``Presentation.nonzero_rows``."""
 
 import ast
 import pathlib
@@ -339,3 +343,100 @@ def test_only_fields_reads_the_block_format():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert block_format_readers(sources) == []
+
+
+SPAN_BUILDERS = frozenset({"hnf_extend", "in_span"})
+
+
+def _is_relation_hnf(node):
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "relation_hnf"
+    )
+
+
+def _scopes(tree):
+    """(name, node) of each module-level function and class method."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{stmt.name}.{item.name}", item
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield stmt.name, stmt
+
+
+def relation_span_builders(sources):
+    """(module, function, line) of each call of a name in SPAN_BUILDERS in
+    ``sources`` ({module: source text}) outside the module ``submodules``
+    that takes ``<expr>.relation_hnf()`` as an argument, or a name that
+    its function, nested functions included, binds to one: a submodule's
+    span and nonzero rows have one builder, ``Presentation``."""
+    found = []
+    for module, source in sources.items():
+        if module == "submodules":
+            continue
+        for name, fn in _scopes(ast.parse(source)):
+            bound = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    pairs = []
+                    for target in node.targets:
+                        if isinstance(target, ast.Tuple) and isinstance(
+                            node.value, ast.Tuple
+                        ):
+                            pairs.extend(zip(target.elts, node.value.elts))
+                        else:
+                            pairs.append((target, node.value))
+                elif isinstance(node, ast.NamedExpr):
+                    pairs = [(node.target, node.value)]
+                else:
+                    continue
+                bound.update(
+                    target.id for target, value in pairs
+                    if isinstance(target, ast.Name) and _is_relation_hnf(value)
+                )
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                if called not in SPAN_BUILDERS:
+                    continue
+                args = node.args + [kw.value for kw in node.keywords]
+                if any(
+                    _is_relation_hnf(arg)
+                    or (isinstance(arg, ast.Name) and arg.id in bound)
+                    for arg in args
+                ):
+                    found.append((module, name, node.lineno))
+    return sorted(found)
+
+
+def test_scanner_finds_a_relation_span_builder():
+    sources = {
+        "submodules": "def span(self, rows):\n"
+                      "    return hnf_extend(self.relation_hnf(), rows)\n",
+        "cartier": "def chain(m, rows):\n"
+                   "    ring, rel = m.ring, m.relation_hnf()\n"
+                   "    def step(v):\n"
+                   "        return in_span(v, rel, ring)\n"
+                   "    return submodules.hnf_extend(m.relation_hnf(), rows)\n",
+        "ie": "class Lattice:\n"
+              "    def rows(self):\n"
+              "        other = self.span\n"
+              "        in_span(self.v, other, self.ring)\n"
+              "        return in_span(self.v, hnf=self.q.relation_hnf())\n",
+    }
+    assert relation_span_builders(sources) == [
+        ("cartier", "chain", 4), ("cartier", "chain", 5),
+        ("ie", "Lattice.rows", 5),
+    ]
+
+
+def test_only_presentation_builds_spans_on_the_relations():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert relation_span_builders(sources) == []
