@@ -492,10 +492,10 @@ class FiniteModel:
     free column contributes x^s g_c for 0 <= s <= degree_cap.
     Multiplication by x is a shift on this basis except at the top of each
     column (``times_x``), so it needs one normal form per column.  Every
-    F_p matrix of the model comes from that shift: ``x_fp`` is the shift,
-    and ``_hom_blocks`` builds the Hom blocks, ``kappa_fp`` and
-    ``mult_fp`` from it and a few normal forms, none per basis vector.
-    Their F_q entries become F_p blocks by ``FrobeniusContext.fp_blocks``.
+    F_p matrix of the model is ``kappa_fp()`` or ``mult_fp(g)`` (x is
+    g = x), both read from ``_hom_blocks``, which builds them and the Hom
+    blocks from that shift (``powers``) and a few normal forms, none per
+    basis vector.
     """
 
     __slots__ = ("module", "basis", "degree_cap", "lengths", "_index", "_x")
@@ -584,13 +584,6 @@ class FiniteModel:
         n = self.dimension * self.module.ring.ctx.e
         return blocks.reshape(n, n)
 
-    def x_fp(self):
-        """The F_p matrix of multiplication by x on the model; on a
-        truncated model the terms past the truncation are dropped."""
-        n, ctx = self.dimension, self.module.ring.ctx
-        units = ctx._digits[np.eye(n, dtype=np.int64)]
-        return self._square(ctx.fp_blocks(self.times_x(units)[:n]))
-
     def times_x(self, digits):
         """Multiplication by x on model vectors given by their coordinate
         digits, shape (dimension, ..., e).  On the basis it is the shift
@@ -624,75 +617,56 @@ class FiniteModel:
 
         Each normal form is carried only as far as the largest step that
         asks for it, so the work is the size of the answer.  Terms past
-        the truncation stay sparse: under X they move one degree up their
-        free column and never come back into the model, so a term (c, s)
-        that X^i v gains there is the term (c, s + k - i) of X^k v."""
+        the truncation ride along sparsely, as {(column, degree): digits
+        per head}: under X they move one degree up their free column and
+        never come back into the model, so each step re-keys them one
+        degree up and adds the rows X pushes out of the model."""
         ctx, d = self.module.ring.ctx, self.dimension
         head, step = np.asarray(head, dtype=np.int64), np.asarray(step)
+        past = past and self.degree_cap is not None
         v = ctx._digits[self._support_codes(supports).T]
-        out = v[:, head]
-        # terms past the truncation: (step gained, column, degree, head)
-        gained, digits = [], []
-        if past and self.degree_cap is not None:
-            for h, sup in enumerate(supports):
-                for (c, s), code in self._past_cap(sup).items():
-                    gained.append((0, c, s, h))
-                    digits.append(ctx._digits[code])
-        if step.any():
-            reach = np.full(len(supports), -1)
-            np.maximum.at(reach, head, step)
-            # heads by decreasing reach: the live[k] that step k needs lead
-            order = np.argsort(-reach, kind="stable")
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            live = np.cumsum(np.bincount(reach + 1)[::-1])[::-1][1:]
-            v = v[:, order]
-            by_step = np.argsort(step, kind="stable")
-            bounds = np.searchsorted(step[by_step], np.arange(len(live) + 1))
-            for k in range(1, len(live)):
+        if not (past or step.any()):
+            return v[:, head], {}
+        reach = np.full(len(supports), -1)
+        np.maximum.at(reach, head, step)
+        # heads by decreasing reach: the live[k] that step k needs lead
+        order = np.argsort(-reach, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        live = np.cumsum(np.bincount(reach + 1)[::-1])[::-1][1:]
+        by_step = np.argsort(step, kind="stable")
+        bounds = np.searchsorted(step[by_step], np.arange(len(live) + 1))
+        v, out = v[:, order], np.zeros((d, len(head), ctx.e), dtype=np.int64)
+        # terms past the truncation: {(column, degree): digits per head}
+        carry, found = {}, {}
+        if past:
+            for h, i in enumerate(order):
+                for key, code in self._past_cap(supports[i]).items():
+                    if key not in carry:
+                        carry[key] = np.zeros((len(order), ctx.e), np.int64)
+                    carry[key][h] = ctx._digits[code]
+        for k in range(len(live)):
+            if k:
                 v, outer = self.times_x(v[:, : live[k]]), self._shift()[-1]
+                carry = {(c, s + 1): rows[: live[k]]
+                         for (c, s), rows in carry.items()}
                 if past:
-                    for b, h in zip(*np.nonzero(v[d:].any(axis=2))):
-                        gained.append((k, *outer[b], order[h]))
-                        digits.append(v[d + b, h])
+                    for b in np.nonzero(v[d:].any(axis=(1, 2)))[0]:
+                        key = outer[b]
+                        carry[key] = (carry.get(key, 0) + v[d + b]) % ctx.p
                 v = v[:d]
-                at = by_step[bounds[k]:bounds[k + 1]]
-                out[:, at] = v[:, rank[head[at]]]
-        return out, self._carry(gained, digits, head, step)
-
-    def _carry(self, gained, digits, heads, steps):
-        """The ``past`` of ``powers``: output column j collects each term
-        (c, s) gained at step i <= steps[j] by its head heads[j] as the
-        term (c, s + steps[j] - i), summed over the terms that land on
-        one key."""
-        ctx = self.module.ring.ctx
-        if not gained:
-            return {}
-        gained = np.array(gained, dtype=np.int64)
-        order = np.argsort(gained[:, 3], kind="stable")
-        gained, digits = gained[order], np.array(digits)[order]
-        count = np.bincount(gained[:, 3], minlength=heads.max() + 1)
-        # pair each column with every term of its head, then drop the
-        # terms gained after the column's step
-        n = count[heads]
-        col = np.repeat(np.arange(len(heads)), n)
-        term = np.arange(n.sum()) + np.repeat(
-            np.cumsum(count)[heads] - count[heads] - np.cumsum(n) + n, n)
-        kept = gained[term, 0] <= steps[col]
-        col, term = col[kept], term[kept]
-        degree = gained[term, 2] + steps[col] - gained[term, 0]
-        cells, inv = np.unique(np.stack([gained[term, 1], degree, col], 1),
-                               axis=0, return_inverse=True)
-        sums = np.zeros((len(cells), ctx.e), dtype=np.int64)
-        np.add.at(sums, inv.ravel(), digits[term])
-        nonzero = (sums % ctx.p).any(axis=1)
-        cells, sums = cells[nonzero], sums[nonzero] % ctx.p
-        keys, first = np.unique(cells[:, :2], axis=0, return_index=True)
-        ends = [*first[1:].tolist(), len(cells)]
-        return {
-            (c, s): (cells[lo:hi, 2], sums[lo:hi])
-            for (c, s), lo, hi in zip(keys.tolist(), first.tolist(), ends)
-        }
+            at = by_step[bounds[k]:bounds[k + 1]]
+            heads = rank[head[at]]
+            out[:, at] = v[:, heads]
+            for key, rows in carry.items():
+                rows = rows[heads]
+                nonzero = rows.any(axis=1)
+                if nonzero.any():
+                    cols, digits = found.setdefault(key, ([], []))
+                    cols.append(at[nonzero])
+                    digits.append(rows[nonzero])
+        return out, {key: (np.concatenate(cols), np.concatenate(digits))
+                     for key, (cols, digits) in found.items()}
 
     def _past_cap(self, support):
         """The terms of a normal form past the truncation."""
@@ -785,7 +759,7 @@ def _max_nil_finite(module):
     ring, d, p = module.ring, model.dimension, module.ring.ctx.p
     rows = _mat_pow(model.kappa_fp(), d, p)
     if ring.nvars:
-        x = model.x_fp()
+        x = model.mult_fp(ring.var(0))
         # after k doublings the rows span every K^d X^s with s < 2^k
         for _ in range((d - 1).bit_length()):
             shifted = kernels.matmul_mod_p(rows, x, p)

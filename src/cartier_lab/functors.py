@@ -471,19 +471,23 @@ def restrict_to_subring(module):
     )
 
 
-def _specialize_at_point(pres, point):
-    """The point ring F_q, evaluation at c of polynomials over F_q[x], and
-    the nonzero evaluated relations, for a presentation over F_q[x]/(x - c)."""
-    ring = pres.ring
-    if ring.nvars != 1 or pres.ideal is None:
+def _point(pres, point):
+    """The point c of a presentation over F_q[x]/(x - c), which ``point``,
+    if given, must equal."""
+    if pres.ring.nvars != 1 or pres.ideal is None:
         raise ValidationError("expected a quotient of F_q[x] by a point ideal")
     assign = _linear_assignments(pres.ideal)
     if assign is None or 0 not in assign:
         raise UnsupportedRingError("point evaluation needs the ideal (x - c)")
-    c = assign[0]
-    if point is not None and point != c:
+    if point is not None and point != assign[0]:
         raise ValidationError("point does not match the ideal")
-    ctx = ring.ctx
+    return assign[0]
+
+
+def _specialize_at_point(pres, point):
+    """The point ring F_q, evaluation at c of polynomials over F_q[x], and
+    the nonzero evaluated relations, for a presentation over F_q[x]/(x - c)."""
+    c, ctx = _point(pres, point), pres.ring.ctx
     ring0 = PolyRing(ctx, ())
 
     def ev(f):
@@ -502,19 +506,10 @@ def _specialize_at_point(pres, point):
 
 def evaluate_at_point(module, point=None):
     """Specialize a module over F_q[x]/(x - c) to the point: a module over
-    F_q with the a = 0 slice of the table evaluated at c."""
-    ring0, ev, relations = _specialize_at_point(module, point)
-    table = {
-        ((), j): tuple(ev(f) for f in module.kappa_table[((0,), j)])
-        for j in range(module.rank)
-    }
-    return CartierModule(
-        ring0,
-        module.rank,
-        table,
-        relations=relations,
-        generator_names=module.generator_names,
-    )
+    F_q with the a = 0 slice of the table evaluated at c, which is
+    ``restrict_to_subring`` once the ideal is checked to be (x - c)."""
+    _point(module, point)
+    return restrict_to_subring(module)
 
 
 def gamma_evaluate_at_point(sheaf, point=None):

@@ -127,9 +127,8 @@ class Lattice:
 
     def __init__(self, localized, rows, span=None):
         self.localized = localized
-        if span is None:
-            span = self._rel_hnf()
-        self.span = hnf_extend(span, rows, self.rank, self.ring)
+        self.span = (localized.quotient.span(rows) if span is None
+                     else hnf_extend(span, rows, self.rank, self.ring))
 
     @property
     def ring(self):
@@ -138,9 +137,6 @@ class Lattice:
     @property
     def rank(self):
         return self.localized.quotient.rank
-
-    def _rel_hnf(self):
-        return self.localized.quotient.relation_hnf()
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
@@ -153,7 +149,7 @@ class Lattice:
         return span_equal(self.span, other.span)
 
     def is_zero(self):
-        return span_equal(self.span, self._rel_hnf())
+        return span_equal(self.span, self.localized.quotient.relation_hnf())
 
     def generator_rows(self):
         return self.localized.quotient.nonzero_rows(self.span)
@@ -544,18 +540,15 @@ def _in_span(vectors, span, p):
 
 def _row_maps(model):
     """The F_p matrices, acting on rows, under which a row space of the
-    model is an operator-stable F_q-subspace: ``kappa_fp`` (with its
-    twist), x (``x_fp``) over F_q[x] and the generator t of F_q on every
-    coordinate, each transposed."""
+    model is an operator-stable F_q-subspace: ``kappa_fp()`` (with its
+    twist), and ``mult_fp`` of x over F_q[x] and of the generator t of
+    F_q, each transposed."""
     ring = model.module.ring
-    ctx = ring.ctx
-    d, n = model.dimension, model.dimension * ctx.e
     maps = [model.kappa_fp()]
     if ring.nvars:
-        maps.append(model.x_fp())
-    if ctx.e > 1:
-        maps.append(ctx.fp_blocks(ctx._digits[ctx.gen.code * np.eye(
-            d, dtype=np.int64)]).reshape(n, n))
+        maps.append(model.mult_fp(ring.var(0)))
+    if ring.ctx.e > 1:
+        maps.append(model.mult_fp(ring.scalar(ring.ctx.gen)))
     return [m.T for m in maps]
 
 

@@ -1133,11 +1133,11 @@ def uneven_module(p, long, short):
 
 
 def check_readers(model, coeffs):
-    """Assert that kappa_fp(), mult_fp(g) for each coefficient g, x_fp()
-    and the block of the generator t of F_q on every coordinate (the maps
-    of ie._row_maps, untransposed) equal the oracle's blocks on the
-    model's rows, the terms past a truncation dropped.  Returns whether
-    the oracle reaches past the truncation."""
+    """Assert that kappa_fp() and mult_fp(g) for each coefficient g, for
+    x and for the generator t of F_q (the maps of ie._row_maps,
+    untransposed) equal the oracle's blocks on the model's rows, the
+    terms past a truncation dropped.  Returns whether the oracle reaches
+    past the truncation."""
     ring, ctx = model.module.ring, model.module.ring.ctx
     d, n = model.dimension, model.dimension * ctx.e
     x = [ring.var(0)] if ring.nvars else []
@@ -1154,10 +1154,10 @@ def check_readers(model, coeffs):
     kap = oracle[len(coeffs) + len(x) + len(t)]
     assert (model.kappa_fp() == on_model(kap)).all()
     if x:
-        assert (model.x_fp() == on_model(oracle[len(coeffs)])).all()
+        assert (model.mult_fp(x[0]) == on_model(oracle[len(coeffs)])).all()
     if t:
-        t_block = np.kron(np.eye(d, dtype=np.int64), ctx._mul_blocks[1])
-        assert (t_block == on_model(oracle[len(coeffs) + len(x)])).all()
+        t_block = on_model(oracle[len(coeffs) + len(x)])
+        assert (model.mult_fp(t[0]) == t_block).all()
     return any(key not in model.basis for block in oracle for key in block)
 
 

@@ -9,7 +9,10 @@ of a package class is referenced by name in ``src``, ``tests`` or
 ``perfbench`` outside its own definition; and NonStabilized is raised
 only by the one stabilization loop, ``errors.stabilize``; and only
 ``fields`` reads the F_p multiplication blocks and twist matrices of F_q,
-which the rest reach through ``FrobeniusContext.fp_blocks``; and outside
+which the rest reach through ``FrobeniusContext.fp_blocks``; and only
+``fields`` and ``cartier`` call ``fp_blocks``: the rest take the F_p
+matrices of a finite model from ``FiniteModel.kappa_fp`` and
+``FiniteModel.mult_fp``; and outside
 ``submodules`` no call of ``hnf_extend`` or ``in_span`` takes
 ``<expr>.relation_hnf()``, or a local name bound to it, as an argument:
 the rest build a submodule's span and nonzero rows through
@@ -343,6 +346,40 @@ def test_only_fields_reads_the_block_format():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert block_format_readers(sources) == []
+
+
+def fp_blocks_callers(sources):
+    """(module, line) of each call of ``<expr>.fp_blocks(...)`` in
+    ``sources`` ({module: source text}) outside the modules ``fields`` and
+    ``cartier``: every F_p matrix of a finite model is ``kappa_fp()`` or
+    ``mult_fp(g)``."""
+    return sorted(
+        (module, node.lineno)
+        for module, source in sources.items()
+        if module not in ("fields", "cartier")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "fp_blocks"
+    )
+
+
+def test_scanner_finds_an_fp_blocks_caller():
+    sources = {
+        "fields": "def f(self, d):\n    return self.fp_blocks(d)\n",
+        "cartier": "b = ctx.fp_blocks(d, kind)\n",
+        "ie": "m = model.mult_fp(t)\nb = g(ctx.fp_blocks)\n"
+              "b = ring.ctx.fp_blocks(\n    d)\n",
+        "gamma": "def f(ctx, d):\n    return ctx.fp_blocks(d).T\n",
+    }
+    assert fp_blocks_callers(sources) == [("gamma", 2), ("ie", 3)]
+
+
+def test_only_fields_and_cartier_call_fp_blocks():
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert fp_blocks_callers(sources) == []
 
 
 SPAN_BUILDERS = frozenset({"hnf_extend", "in_span"})
