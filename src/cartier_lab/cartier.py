@@ -574,6 +574,14 @@ class FiniteModel:
         zero = (0,) * self.module.ring.nvars
         return self._square(_hom_blocks(self, [], [zero])[2][0])
 
+    def kappa_top(self):
+        """K^d, the F_p matrix of kappa^d, d the dimension.  On a
+        finite-length module it is zero iff the operator is nilpotent:
+        each kappa-image is an F_q-subspace, and their chain drops in
+        dimension until it stops."""
+        return _mat_pow(self.kappa_fp(), self.dimension,
+                        self.module.ring.ctx.p)
+
     def mult_fp(self, g):
         """The F_p matrix of multiplication by the polynomial g; terms
         past a truncation are dropped."""
@@ -757,7 +765,7 @@ def _max_nil_finite(module):
     with s < d, kept as a basis of at most d e rows while s doubles."""
     model = FiniteModel(module)
     ring, d, p = module.ring, model.dimension, module.ring.ctx.p
-    rows = _mat_pow(model.kappa_fp(), d, p)
+    rows = model.kappa_top()
     if ring.nvars:
         x = model.mult_fp(ring.var(0))
         # after k doublings the rows span every K^d X^s with s < 2^k

@@ -20,6 +20,12 @@ computed by that recursion from T_1 = sat(g L0).  The loop stops at the
 first T_(k+1) = T_k = L', and that comparison is sat(g L') = L': the
 quotient of L' by its first test sum is zero, hence nilpotent.
 
+A g-torsion-free quotient Q of finite length needs no loop: g is
+injective on Q and Q is finite-dimensional, so g is bijective on Q,
+gQ = Q and T_1 = sat(gQ) = Q.  The answer is the zero lattice if Q = 0,
+crystal zero if kappa is nilpotent on Q (K^d = 0, K the F_p matrix of
+kappa and d = dim Q), and L' = Q with e* = 0 and k* = 1 otherwise.
+
 Lattices are HNF-spanned submodules of the g-torsion-free quotient
 presentation, which embeds in the localization.  Integral lattices are
 all the minimal extension needs: it is reached from above, starting at the
@@ -45,6 +51,7 @@ from .errors import (
 from .cartier import (
     CartierMorphism,
     FiniteModel,
+    _finite_length,
     cokernel,
     image_chain,
     is_nilpotent,
@@ -54,7 +61,6 @@ from .cartier import (
     stable_image,
     submodule_module,
 )
-from .fields import _mat_pow
 from .functors import LocalizedCartier, torsion_gamma_Z
 from .submodules import (
     hnf_extend,
@@ -281,6 +287,14 @@ def intermediate_extension(localized, cap=None):
     sat(g^(k*) L') = L'; localization agreement is recomputed too, so a
     lattice that breaks either fails closed.  e* is the longest
     saturation chain the loop ran, each from g T_k.
+
+    A finite-length quotient Q is decided without the crystal-zero image
+    chain or the test sums, so the iteration cap does not apply to it.
+    g is injective on Q and Q is finite-dimensional, so gQ = Q and T_1 =
+    Q: the loop would stop at L' = Q after one saturation that adds
+    nothing, so k* = 1, e* = 0 and every check holds (Q holds every
+    unit, and sat(gQ) = Q), unless kappa is nilpotent on Q, which on a
+    finite Q is K^d = 0 (``FiniteModel.kappa_top``).
     """
     if not isinstance(localized, LocalizedCartier):
         raise ValidationError("expected a localized module")
@@ -311,6 +325,19 @@ def intermediate_extension(localized, cap=None):
     base = Lattice(localized, scalar_rows(ring, quot.rank, ring.one))
     if base.is_zero():
         return shortcut(base, False)
+
+    if _finite_length(quot):
+        # gQ = Q, so T_1 = Q: decided without a chain (see above)
+        if not FiniteModel(quot).kappa_top().any():
+            return shortcut(Lattice(localized, []), True)
+        checks = dict.fromkeys((
+            "localization_agreement",  # Q holds every unit
+            "torsion_nilpotent",
+            "quotient_nilpotent",  # sat(gQ) = Q
+            "quotient_nilpotent_kstar",
+        ), True)
+        indices = {"e_star": 0, "k_star": 1}
+        return finish(base, base.to_module(), checks, indices, False)
 
     # crystal-zero shortcut: if the operator is nilpotent after inverting
     # g, the minimal extension is the zero lattice and the localization
@@ -621,7 +648,7 @@ def minimality_oracle(cert, degree_bound=4):
         spans = grown.values()
 
     # rows spanning kappa^dim of the whole model
-    top = _mat_pow(maps[0], dim, p)
+    top = model.kappa_top().T
     return all(_in_span(top, span, p).all() for span in spans)
 
 

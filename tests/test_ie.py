@@ -271,6 +271,35 @@ def test_certificate_of_a_nilpotent_module_is_crystal_zero(line):
     assert all(cert.checks.values())
 
 
+def finite_crystal_zero():
+    """F_2[x]/((x + 1)^2) with kappa(e) = kappa(x e) = (x + 1) e, localized
+    at x, a unit on it: the quotient Q is the whole module, of dimension
+    2, and kappa is nonzero on Q but kappa^2 is zero."""
+    R = PolyRing(Fq(2, 1), ("x",))
+    x = R.var(0)
+    lin = x + R.one
+    module = CartierModule(
+        R, 1, {((0,), 0): (lin,), ((1,), 0): (lin,)},
+        relations=[(lin * lin,)],
+    )
+    return open_pullback(module, x)
+
+
+def test_certificate_of_a_finite_nilpotent_quotient_is_crystal_zero():
+    """A finite-length quotient whose operator is nilpotent of order 2
+    answers crystal zero: the test is kappa^d = 0 with d = dim Q, not
+    kappa = 0."""
+    loc = finite_crystal_zero()
+    quot = loc.quotient
+    assert ie._finite_length(quot)
+    assert not quot.is_zero_element(quot.apply_kappa((quot.ring.one,)))
+    assert is_nilpotent(quot) == (True, 2)
+    cert = intermediate_extension(loc)
+    assert cert.lattice.is_zero() and cert.crystal_zero
+    assert all(cert.checks.values())
+    assert cert.indices == {"e_star": 0, "k_star": 0}
+
+
 def test_certificate_is_idempotent(twisted, line):
     """Re-localizing the certified module and extending again reproduces
     the same abstract table."""
@@ -405,12 +434,16 @@ def test_a_failed_identity_check_refuses_the_certificate(
 
 
 def test_the_test_sum_loop_saturates_each_sum_once(monkeypatch):
-    """T_(k+1) = sat(g T_k): on every full-path certificate of
-    seeded_localizations(), the loop runs k* + 1 saturations (T_1 to T_k*
-    and the repeat that stops it), and kappa_saturate runs once more, for
-    the k* check, only when k* > 1."""
-    chains, saturations = [], []
+    """T_(k+1) = sat(g T_k): on every positive-rank localization of
+    seeded_localizations(), the crystal-zero test runs one image chain,
+    and past it the loop runs k* + 1 saturations (T_1 to T_k* and the
+    repeat that stops it), and kappa_saturate runs once more, for the k*
+    check, only when k* > 1.  A finite-length localization, the
+    hand-built crystal-zero one included, runs none of them: gQ = Q, so
+    T_1 = Q is known before any loop."""
+    chains, saturations, images = [], [], []
     chain, saturate = ie._saturation_chain, ie.kappa_saturate
+    image = cartier.image_chain
 
     def counted_chain(lattice, cap=None):
         chains.append(lattice)
@@ -420,19 +453,89 @@ def test_the_test_sum_loop_saturates_each_sum_once(monkeypatch):
         saturations.append(lattice)
         return saturate(lattice, cap)
 
+    def counted_image(module, cap=None):
+        images.append(module)
+        return image(module, cap)
+
     monkeypatch.setattr(ie, "_saturation_chain", counted_chain)
     monkeypatch.setattr(ie, "kappa_saturate", counted_saturate)
-    k_stars = []
-    for loc in seeded_localizations():
+    monkeypatch.setattr(cartier, "image_chain", counted_image)
+    monkeypatch.setattr(ie, "image_chain", counted_image)
+    k_stars, finite = [], 0
+    for loc in seeded_localizations() + [finite_crystal_zero()]:
         chains.clear()
         saturations.clear()
+        images.clear()
         k_star = intermediate_extension(loc).indices["k_star"]
+        if ie._finite_length(loc.quotient):
+            finite += 1
+            assert chains == saturations == images == []
+            continue
+        assert len(images) == 1
         if k_star == 0:
             continue
         k_stars.append(k_star)
         assert len(chains) == k_star + 1 + (k_star > 1)
         assert len(saturations) == (k_star > 1)
+    assert finite == 7
     assert len(k_stars) >= 6 and min(k_stars) == 1 and max(k_stars) >= 2
+
+
+def finite_length_localizations():
+    """The finite-length entries of seeded_localizations() and
+    oracle_localizations(), in order."""
+    return [
+        loc for loc in seeded_localizations() + oracle_localizations()
+        if ie._finite_length(loc.quotient)
+    ]
+
+
+def certificate_bytes(loc, cap=None):
+    return canonical_json(certificate_to_json(
+        intermediate_extension(loc, cap=cap)))
+
+
+def test_decided_certificates_match_the_iterated_path(monkeypatch):
+    """A finite-length localization is decided without test sums.  With
+    ie._finite_length forced False it takes the iterated path (the
+    crystal-zero image chain, then the test sums), whose certificate
+    bytes must be the same: on the 18 finite-length corpus entries (10
+    with Q = 0, 8 with L' = Q) and on the hand-built crystal-zero one."""
+    locs = finite_length_localizations() + [finite_crystal_zero()]
+    certs = [intermediate_extension(loc) for loc in locs]
+    decided = [canonical_json(certificate_to_json(c)) for c in certs]
+    kinds = []
+    for loc, cert in zip(locs, certs):
+        whole = Lattice(loc, scalar_rows(loc.ring, loc.quotient.rank,
+                                         loc.ring.one))
+        kinds.append("crystal zero" if cert.crystal_zero
+                     else "Q = 0" if whole.is_zero()
+                     else "L' = Q" if cert.lattice == whole else "other")
+    assert [kinds.count(k) for k in ("Q = 0", "L' = Q", "crystal zero")] == [
+        10, 8, 1]
+    monkeypatch.setattr(ie, "_finite_length", lambda module: False)
+    assert [certificate_bytes(loc) for loc in locs] == decided
+
+
+def test_decided_certificates_take_no_iteration_cap(monkeypatch):
+    """The decided path runs no chain, so a cap of 1, from the argument
+    or the environment, changes no finite-length certificate.  The
+    iterated path (ie._finite_length forced False) refuses 8 of the 18
+    corpus entries and the hand-built one at that cap: their
+    crystal-zero image chain needs two steps."""
+    locs = finite_length_localizations() + [finite_crystal_zero()]
+    want = [certificate_bytes(loc) for loc in locs]
+    assert [certificate_bytes(loc, cap=1) for loc in locs] == want
+    monkeypatch.setenv("CARTIER_LAB_MAX_ITER", "1")
+    assert [certificate_bytes(loc) for loc in locs] == want
+    monkeypatch.setattr(ie, "_finite_length", lambda module: False)
+    refused = 0
+    for loc in locs:
+        try:
+            intermediate_extension(loc)
+        except NonStabilized:
+            refused += 1
+    assert refused == 9
 
 
 def pinned_localizations():
@@ -582,12 +685,16 @@ def test_each_certificate_path_builds_its_lattice_module_once(
         "zero base": open_pullback(zero_base, x),
         "crystal zero": open_pullback(free_nil, x),
         "full": loc,
+        "finite crystal zero": finite_crystal_zero(),
+        "finite whole quotient": seeded_localizations()[1],
     }
+    assert ie._finite_length(paths["finite whole quotient"].quotient)
     for name, localized in paths.items():
         built.clear()
         cert = intermediate_extension(localized)
-        assert cert.crystal_zero == (name == "crystal zero")
-        assert (cert.indices["k_star"] > 0) == (name == "full")
+        assert cert.crystal_zero == name.endswith("crystal zero")
+        assert (cert.indices["k_star"] > 0) == (
+            name in ("full", "finite whole quotient"))
         assert len(built) == 1 and built[0] is cert.lattice, name
 
 
