@@ -4,23 +4,22 @@ A module map whose kernel and cokernel are operator-nilpotent is invisible
 after inverting the operator ("nil-isomorphism"); modules are treated up to
 such maps throughout.  Given a module with g inverted, the minimal
 extension is the smallest g-power-stable lattice whose localization gives
-back the input.  Its certificate records three checks: the localization
-agrees, the quotient by the k = 1 test sum is nilpotent, and the g-torsion
-is nilpotent, which holds by construction: lattices lie in the
-g-torsion-free quotient, so their g-torsion is zero.  The checks do not
-single out the minimal extension: the first test sum T_1 of the whole
-quotient can pass them without being nil-isomorphic to the certified
-lattice.  Minimality rests on the construction, which stops only at
-T_(k*+1) = T_(k*); ``minimality_oracle`` checks it on truncated models.
+back the input, as a crystal.  Its certificate records the checks that
+the localization agrees as a crystal, that the quotients by the first and
+the k*-th test sums are nilpotent, and that the g-torsion is nilpotent,
+which holds by construction: lattices lie in the g-torsion-free
+quotient, so their g-torsion is zero.  The checks do not
+single out the minimal extension; minimality rests on the construction,
+and ``minimality_oracle`` checks it on truncated models.
 
-The quotient check needs no quotient module and no saturation of its
-own.  With sat(Y) the sum of the kappa^i(Y), g kappa^i(y) =
-kappa^i(g^(p^i) y) gives T_(k+1) = sat(g T_k), and the test sums are
-computed by that recursion from T_1 = sat(g L0).  The loop stops at the
-first T_(k+1) = T_k = L', and that comparison is sat(g L') = L': the
-quotient of L' by its first test sum is zero, hence nilpotent.
+With sat(Y) the sum of the kappa^i(Y), the test sums of a stable lattice
+L are T_k = sat(g^k L), and g kappa^i(y) = kappa^i(g^(p^i) y) gives
+T_(k+1) = sat(g T_k).  For a g-torsion-free quotient Q of positive rank
+the minimal extension is one saturation: L' = sat(g S), with S the
+stable image of Q, the last member of its image chain (S = 0 is crystal
+zero).
 
-A g-torsion-free quotient Q of finite length needs no loop: g is
+A g-torsion-free quotient Q of finite length needs no chain: g is
 injective on Q and Q is finite-dimensional, so g is bijective on Q,
 gQ = Q and T_1 = sat(gQ) = Q.  The answer is the zero lattice if Q = 0,
 crystal zero if kappa is nilpotent on Q (K^d = 0, K the F_p matrix of
@@ -28,10 +27,8 @@ kappa and d = dim Q), and L' = Q with e* = 0 and k* = 1 otherwise.
 
 Lattices are HNF-spanned submodules of the g-torsion-free quotient
 presentation, which embeds in the localization.  Integral lattices are
-all the minimal extension needs: it is reached from above, starting at the
-whole quotient (the image of the module, which the operator maps into
-itself), and every test sum sat(g^k L) lies inside the lattice L it
-starts from.
+all the minimal extension needs: g S lies in the stable image S, which
+the operator maps into itself, so sat(g S) lies inside S.
 """
 
 import itertools
@@ -66,7 +63,6 @@ from .submodules import (
     hnf_extend,
     in_span,
     scalar_rows,
-    solve_combination,
     solve_combinations,
     span_equal,
     syzygy_generators,
@@ -273,26 +269,31 @@ class IECertificate:
 def intermediate_extension(localized, cap=None):
     """The smallest extension across the zero locus of g, certified.
 
-    Start from the whole quotient, which is operator-stable, and
-    stabilize its test sums T_k over k; verify the defining checks and
-    refuse to issue a certificate when any fails.  A localization that
-    is nilpotent as a crystal short-circuits to the zero lattice (its
-    minimal extension is zero up to nilpotents).
+    For a g-torsion-free quotient Q of positive rank, take S, the last
+    member of Q's image chain (kappa(S) = S), and return L' = sat(g S),
+    one saturation.  S = 0 short-circuits to the zero lattice: the
+    localization is nilpotent as a crystal, and so its minimal extension
+    is zero up to nilpotents.  The recorded checks are proved by the
+    construction; the one computed check, ``localization_agreement``, is
+    g S <= L' <= S, so a lattice that breaks it fails closed.
 
-    The test sums follow their recursion T_1 = sat(g L0), T_(k+1) =
-    sat(g T_k) (see ``test_module_sum``) and stop at T_(k*+1) = T_(k*) =
-    L'.  That last comparison is sat(g L') = L', so L'/T_1(L') is zero,
-    hence nilpotent, and the loop records ``quotient_nilpotent``.  The k*
-    check is the same at k* = 1 and is otherwise recomputed as
-    sat(g^(k*) L') = L'; localization agreement is recomputed too, so a
-    lattice that breaks either fails closed.  e* is the longest
-    saturation chain the loop ran, each from g T_k.
+    - L' is its own first test sum, so k* = 1 and both quotient checks
+      hold: with T_k = sat(g^k S), T_2 = sat(g T_1) = T_1.  Since
+      kappa(S) = S, g S = g kappa(S) = kappa(g^p S), and g^p S lies in
+      g T_1, as g^(p-1) S lies in T_1 for p >= 2; so g S lies in
+      kappa(g T_1), inside T_2, which is stable, and T_1 <= T_2 <= T_1.
+    - L' is minimal: a stable W <= L' with W_g = L'_g holds g^N L' for
+      some N, hence g^(N+1) S, hence sat(g^(N+1) S) = T_(N+1) = L'.
+    - L' agrees with Q after inverting g, as a crystal: L'_g = S_g, and
+      Q_g / S_g is nilpotent, since kappa^n(Q) lies in S for n the length
+      of the chain.
 
-    A finite-length quotient Q is decided without the crystal-zero image
-    chain or the test sums, so the iteration cap does not apply to it.
-    g is injective on Q and Q is finite-dimensional, so gQ = Q and T_1 =
-    Q: the loop would stop at L' = Q after one saturation that adds
-    nothing, so k* = 1, e* = 0 and every check holds (Q holds every
+    e* is the number of steps the saturation from g S took, and k* = 1.
+
+    A finite-length quotient Q is decided without the image chain or the
+    saturation, so the iteration cap does not apply to it.  g is
+    injective on Q and Q is finite-dimensional, so gQ = Q and T_1 = Q:
+    L' = Q, with k* = 1, e* = 0 and every check holding (Q holds every
     unit, and sat(gQ) = Q), unless kappa is nilpotent on Q, which on a
     finite Q is K^d = 0 (``FiniteModel.kappa_top``).
     """
@@ -301,14 +302,15 @@ def intermediate_extension(localized, cap=None):
     ring = localized.ring
     quot = localized.quotient
 
-    def finish(lattice, module, checks, indices, crystal_zero):
+    def finish(lattice, checks, indices, crystal_zero):
         failed = [name for name, ok in checks.items() if not ok]
         if failed:
             raise CertificateFailed(
                 f"certificate checks failed: {', '.join(failed)}"
             )
         return IECertificate(
-            lattice, module, checks, indices, crystal_zero, localized
+            lattice, lattice.to_module(), checks, indices, crystal_zero,
+            localized
         )
 
     def shortcut(lattice, crystal_zero):
@@ -317,10 +319,20 @@ def intermediate_extension(localized, cap=None):
             "torsion_nilpotent": True,
             "quotient_nilpotent": True,
         }
-        indices = {"e_star": 0, "k_star": 0}
-        return finish(
-            lattice, lattice.to_module(), checks, indices, crystal_zero
-        )
+        return finish(lattice, checks, {"e_star": 0, "k_star": 0},
+                      crystal_zero)
+
+    def certified(lattice, e_star, agrees):
+        # L' lies in the g-torsion-free quotient, so its g-torsion is zero,
+        # and it is its own first test sum (see above)
+        checks = {
+            "localization_agreement": agrees,
+            "torsion_nilpotent": True,
+            "quotient_nilpotent": True,
+            "quotient_nilpotent_kstar": True,
+        }
+        return finish(lattice, checks, {"e_star": e_star, "k_star": 1},
+                      False)
 
     base = Lattice(localized, scalar_rows(ring, quot.rank, ring.one))
     if base.is_zero():
@@ -330,51 +342,18 @@ def intermediate_extension(localized, cap=None):
         # gQ = Q, so T_1 = Q: decided without a chain (see above)
         if not FiniteModel(quot).kappa_top().any():
             return shortcut(Lattice(localized, []), True)
-        checks = dict.fromkeys((
-            "localization_agreement",  # Q holds every unit
-            "torsion_nilpotent",
-            "quotient_nilpotent",  # sat(gQ) = Q
-            "quotient_nilpotent_kstar",
-        ), True)
-        indices = {"e_star": 0, "k_star": 1}
-        return finish(base, base.to_module(), checks, indices, False)
+        return certified(base, 0, True)  # Q holds every unit
 
-    # crystal-zero shortcut: if the operator is nilpotent after inverting
-    # g, the minimal extension is the zero lattice and the localization
-    # check holds as crystals (both sides nilpotent), not as modules.
-    if is_nilpotent(quot, cap)[0]:
+    stable = image_chain(quot, cap)[-1]
+    if span_equal(stable, quot.relation_hnf()):
         return shortcut(Lattice(localized, []), True)
-
-    # e* is the longest saturation chain the loop ran; the base is the
-    # whole quotient, which the operator maps into itself
-    counts = []
-
-    def saturate_g_multiple(sums):
-        chain = _saturation_chain(sums[-1].g_multiple(1), cap)
-        counts.append(len(chain) - 1)
-        return chain[-1]
-
-    # T_1 = sat(g L0), T_(k+1) = sat(g T_k), up to the first repeat
-    sums = stabilize(
-        saturate_g_multiple([base]), saturate_g_multiple, "test sums", cap
+    g_stable = [vec_scale(v, localized.g) for v in quot.nonzero_rows(stable)]
+    chain = _saturation_chain(Lattice(localized, g_stable), cap)
+    lattice = chain[-1]
+    agrees = all(map(lattice.contains, g_stable)) and all(
+        in_span(row, stable, ring) for row in lattice.generator_rows()
     )
-    current = sums[-1]
-    e_star, k_star = max(counts), len(sums)
-
-    module = current.to_module()
-    checks = {
-        "localization_agreement": current.localization_agrees(cap=cap),
-        # L' lies in the g-torsion-free quotient, so its g-torsion is zero
-        "torsion_nilpotent": True,
-        # the loop stopped at sat(g L') = L', so L' / T_1(L') is zero
-        "quotient_nilpotent": True,
-        "quotient_nilpotent_kstar": k_star == 1 or (
-            kappa_saturate(current.g_multiple(k_star), cap=cap) == current
-        ),
-    }
-    return finish(
-        current, module, checks, {"e_star": e_star, "k_star": k_star}, False
-    )
+    return certified(lattice, len(chain) - 1, agrees)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +566,12 @@ def minimality_oracle(cert, degree_bound=4):
     that every operator- and shift-stable subspace W whose localization
     still agrees has nilpotent quotient: V / W is nilpotent iff
     kappa^dim(V) lies in W, since W is stable.  Both survive enlarging W,
-    and an agreeing W holds a witness row of every unit, so only the
-    closures of one witness row per unit are checked, built unit by unit:
-    a span that holds a witness row of the unit stays (it lies in every
-    branch it skips), any other branches into its closure with each.
+    and an agreeing W holds some g^n e_j for every generator e_j of the
+    lattice module, so only the closures of one witness row per generator
+    are checked, the witness rows of e_j being its truncated g^s e_j,
+    s <= degree_bound.  They are built generator by generator: a span
+    that holds a witness row of e_j stays (it lies in every branch it
+    skips), any other branches into its closure with each.
     More than 5000 model vectors is a documented limit of the library:
     it raises CapExceeded (reported as skipped) before building the model.
     """
@@ -613,30 +594,13 @@ def minimality_oracle(cert, degree_bound=4):
     model = FiniteModel(module, degree_cap=degree_bound)
     p = ctx.p
 
-    # truncated vectors certifying localization agreement
-    loc, lat = cert.localized, cert.lattice
-    gens = lat.generator_rows()
-    rels = loc.quotient.effective_relations()
-    witnesses = []
-    for unit in scalar_rows(ring, loc.quotient.rank, ring.one):
-        n = lat.divides_in(unit)
-        coords = None if n is None else solve_combination(
-            gens, rels, vec_scale(unit, loc.g**n), lat.rank, ring
-        )
-        if coords is None:
-            raise InvariantViolation("certificate lattice lost agreement")
-        shifts = [vec_scale(coords, loc.g**s) for s in range(degree_bound + 1)]
-        rows = model.fp_rows(shifts)
-        rows = rows[rows.any(axis=1)]
-        if not len(rows):
-            raise CapExceeded(
-                "minimality oracle skipped: agreement witness exceeds truncation"
-            )
-        witnesses.append(rows)
-
+    g = cert.localized.g
     maps = _row_maps(model)
     spans = [np.zeros((0, model.dimension * ctx.e), dtype=np.int64)]
-    for rows in witnesses:
+    for unit in scalar_rows(ring, module.rank, ring.one):
+        rows = model.fp_rows(
+            [vec_scale(unit, g**s) for s in range(degree_bound + 1)])
+        rows = rows[rows.any(axis=1)]
         grown = {}
         for span in spans:
             if _in_span(rows, span, p).any():

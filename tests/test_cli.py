@@ -226,7 +226,7 @@ def test_ie_twisted_form_lattice_display(capsys):
     assert code == 0
     cert = rep["result"]
     assert cert["lattice"]["generator_display"] == ["x*dx"]
-    assert cert["indices"] == {"e_star": 1, "k_star": 1}
+    assert cert["indices"] == {"e_star": 0, "k_star": 1}
     assert all(cert["checks"].values())
     assert "x*dx" in err
 
@@ -237,7 +237,30 @@ def test_oracle_confirms_minimality(capsys):
     )
     assert code == 0
     assert rep["result"] == {"skipped": False, "minimal": True}
-    assert rep["certificates"]["indices"] == {"e_star": 1, "k_star": 1}
+    assert rep["certificates"]["indices"] == {"e_star": 0, "k_star": 1}
+
+
+@pytest.mark.parametrize("g", ["x", "x+1"])
+def test_ie_of_top_forms_plus_a_nilpotent_generator(capsys, tmp_path, g):
+    """Top forms plus a free e2 with kappa = 0 on it, over F_2[x]: as a
+    crystal this is the top forms, and the minimal extension is the lattice
+    of e1, one saturation step from g*e1."""
+    zero = ["0", "0"]
+    doc = {
+        "ring": {"p": 2, "e": 1, "vars": ["x"]},
+        "generators": 2,
+        "relations": [],
+        "kappa": {"0,0": zero, "1,0": ["1", "0"], "0,1": zero, "1,1": zero},
+    }
+    path = tmp_path / "omega_plus_e2.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, rep, _ = report(capsys, ["ie", str(path), "--g", g, "--no-timings"])
+    assert code == 0
+    cert = rep["result"]
+    assert cert["lattice"]["generators"] == [["1", "0"]]
+    assert cert["lattice"]["generator_display"] == ["e1"]
+    assert cert["indices"] == {"e_star": 1, "k_star": 1}
+    assert all(cert["checks"].values()) and not cert["crystal_zero"]
 
 
 def _omega_square(tmp_path):
@@ -712,9 +735,11 @@ def test_unknown_operation_is_validation_error(capsys):
 
 
 def test_tiny_iteration_cap_reports_non_stabilized(capsys):
+    """Top forms over F_2[x] at g = x^2: the saturation from g*dx needs two
+    steps, kappa(x^3 dx) = x dx and kappa(x dx) = dx."""
     code, rep, _ = report(
         capsys,
-        ["ie", OMEGA_TWIST, "--g", "x", "--max-iter", "1", "--no-timings"],
+        ["ie", OMEGA_LINE, "--g", "x^2", "--max-iter", "1", "--no-timings"],
     )
     assert code == 3
     assert rep["error"]["type"] == "non_stabilized"

@@ -73,11 +73,11 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 # sha256 over canonical_json(certificate_to_json(cert)) of every
 # certificate of pinned_localizations(), in order
 CERTIFICATE_PIN = (
-    "997c64c2ed5c1c3fbf1e2003c9a634fe0eb612ab01ff14113cce0410e96ba277"
+    "cee3fa9dbb69cb21bbd04c408f541ddeeb9269685e3e286823ef015bcaadfcc3"
 )
 # sha256 over the "\n"-joined oracle_verdicts()
 ORACLE_PIN = (
-    "e65f977be85d615888dd950a3c66d42dc69b8723f5626788b836333b66585a11"
+    "e43b6394f0b32ff4abf3146612280ca49515f341c4cce2595984c81b7a0e038f"
 )
 
 
@@ -349,47 +349,71 @@ def seeded_localizations():
     return out
 
 
+def lattice_quotient(loc, outer, inner):
+    """outer / inner as a presented module, for row lists of two lattices
+    of ``loc`` with inner inside outer."""
+    R = loc.ring
+    module, _ = submodule_module(loc.quotient, outer)
+    rels = loc.quotient.effective_relations()
+    sub_rows = []
+    for row in inner:
+        coords = solve_combination(outer, rels, row, loc.quotient.rank, R)
+        assert coords is not None, "inner lattice escaped the outer one"
+        sub_rows.append(tuple(coords))
+    return quotient_module(module, sub_rows)[0]
+
+
 def quotient_by_test_sum(cert, k):
     """L / T_k(L) as a presented module, L the certificate lattice: the
     quotient check as computed before the fixed-point identity replaced
     it, kept here as its reference."""
-    lattice = cert.lattice
-    loc = cert.localized
-    R = loc.ring
-    inner = lattice_test_sum(lattice, k)
-    gens = lattice.generator_rows()
-    rels = loc.quotient.effective_relations()
-    sub_rows = []
-    for row in inner.generator_rows():
-        coords = solve_combination(gens, rels, row, lattice.rank, R)
-        assert coords is not None, "test sum escaped the lattice"
-        sub_rows.append(tuple(coords))
-    quot, _ = quotient_module(cert.module, sub_rows)
-    return quot
+    inner = lattice_test_sum(cert.lattice, k)
+    return lattice_quotient(cert.localized, cert.lattice.generator_rows(),
+                            inner.generator_rows())
+
+
+def stable_lattice(loc):
+    """S, the last member of the image chain of the g-torsion-free
+    quotient, as a lattice."""
+    quot = loc.quotient
+    return Lattice(loc, quot.nonzero_rows(cartier.image_chain(quot)[-1]))
+
+
+def omega_plus_nilpotent(g="x"):
+    """Top forms plus a free generator e2 with kappa = 0 on it, over
+    F_2[x], localized at g: as a crystal this is the top forms, so the
+    minimal extension is the lattice of e1."""
+    R = PolyRing(Fq(2, 1), ("x",))
+    zero = (R.zero, R.zero)
+    module = CartierModule(R, 2, {
+        ((0,), 0): zero, ((1,), 0): (R.one, R.zero),
+        ((0,), 1): zero, ((1,), 1): zero,
+    })
+    return open_pullback(module, R.parse(g))
 
 
 def test_test_sums_of_the_certified_lattice_are_the_lattice():
-    """The identity behind both quotient checks: every test sum of the
-    stabilized lattice is the lattice itself, so the old quotient
-    modules are zero (hence nilpotent) on seeded inputs."""
-    k_stars = []
-    for loc in seeded_localizations():
+    """The identity behind both quotient checks: every certificate with a
+    lattice of seeded_localizations() and oracle_localizations(), and the
+    omega + e2 ones, has k* = 1 and sat(g L') = L', so its test sums are
+    the lattice itself and L' / T_1(L') is zero, hence nilpotent."""
+    locs = (seeded_localizations() + oracle_localizations()
+            + [omega_plus_nilpotent("x"), omega_plus_nilpotent("x+1")])
+    certified = 0
+    for loc in locs:
         cert = intermediate_extension(loc)
-        k_star = cert.indices["k_star"]
-        if k_star == 0:
+        if cert.indices["k_star"] == 0:
             continue
-        k_stars.append(k_star)
+        assert cert.indices["k_star"] == 1
+        certified += 1
         L = cert.lattice
         R = loc.ring
-        for j in range(1, k_star + 2):
-            assert lattice_test_sum(L, j) == L
-        for k in sorted({1, k_star}):
-            quot = quotient_by_test_sum(cert, k)
-            assert is_nilpotent(quot)[0]
-            units = scalar_rows(R, quot.rank, R.one)
-            assert all(quot.is_zero_element(e) for e in units)
-    # most inputs take the full path, some with a separate k* check
-    assert len(k_stars) >= 6 and max(k_stars) >= 2
+        assert lattice_test_sum(L, 1) == lattice_test_sum(L, 2) == L
+        quot = quotient_by_test_sum(cert, 1)
+        units = scalar_rows(R, quot.rank, R.one)
+        assert all(quot.is_zero_element(e) for e in units)
+    # 32 positive-rank certificates, 8 finite L' = Q and omega + e2 twice
+    assert certified == 42
 
 
 def test_identity_check_rejects_an_enlarged_lattice(twisted):
@@ -405,80 +429,84 @@ def test_identity_check_rejects_an_enlarged_lattice(twisted):
 def test_a_failed_identity_check_refuses_the_certificate(
     twisted, monkeypatch
 ):
-    """The checks the test-sum loop does not record fail closed: a
-    saturation that collapses to the zero lattice fails localization
-    agreement, and at k* >= 2 a shrunk kappa_saturate fails the k* check."""
+    """The one computed check, g S <= L' <= S (localization agreement as
+    crystals), fails closed: a saturation that collapses to the zero
+    lattice loses g S, and one that returns the whole quotient Q leaves S
+    when Q has a nilpotent part outside it, as omega + e2 does."""
     _, loc_tw = twisted
 
     def shrunk(lattice, cap=None):
-        return Lattice(lattice.localized, [])
+        return [Lattice(lattice.localized, [])]
 
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            ie, "_saturation_chain", lambda lattice, cap=None: [shrunk(lattice)]
-        )
-        with pytest.raises(
-            CertificateFailed, match="failed: localization_agreement$"
-        ):
-            intermediate_extension(loc_tw)
+    def whole(lattice, cap=None):
+        loc = lattice.localized
+        R = loc.ring
+        return [Lattice(loc, scalar_rows(R, loc.quotient.rank, R.one))]
 
-    deep = next(
-        loc for loc in seeded_localizations()
-        if intermediate_extension(loc).indices["k_star"] >= 2
-    )
-    monkeypatch.setattr(ie, "kappa_saturate", shrunk)
-    with pytest.raises(
-        CertificateFailed, match="failed: quotient_nilpotent_kstar$"
-    ):
-        intermediate_extension(deep)
+    for saturation, loc in ((shrunk, loc_tw), (whole, omega_plus_nilpotent())):
+        with monkeypatch.context() as patch:
+            patch.setattr(ie, "_saturation_chain", saturation)
+            with pytest.raises(
+                CertificateFailed, match="failed: localization_agreement$"
+            ):
+                intermediate_extension(loc)
 
 
-def test_the_test_sum_loop_saturates_each_sum_once(monkeypatch):
-    """T_(k+1) = sat(g T_k): on every positive-rank localization of
-    seeded_localizations(), the crystal-zero test runs one image chain,
-    and past it the loop runs k* + 1 saturations (T_1 to T_k* and the
-    repeat that stops it), and kappa_saturate runs once more, for the k*
-    check, only when k* > 1.  A finite-length localization, the
+def test_the_minimal_extension_saturates_once(monkeypatch):
+    """L' = sat(g S): on every positive-rank localization of
+    seeded_localizations() and oracle_localizations(), the
+    crystal-zero test runs one image chain, and past it one saturation
+    runs, from g S, whose steps are e*; kappa_saturate, the test sums'
+    saturation, never runs.  A finite-length localization, the
     hand-built crystal-zero one included, runs none of them: gQ = Q, so
-    T_1 = Q is known before any loop."""
+    T_1 = Q is known before any chain."""
     chains, saturations, images = [], [], []
     chain, saturate = ie._saturation_chain, ie.kappa_saturate
     image = cartier.image_chain
 
     def counted_chain(lattice, cap=None):
-        chains.append(lattice)
-        return chain(lattice, cap)
+        out = chain(lattice, cap)
+        chains.append(out)
+        return out
 
     def counted_saturate(lattice, cap=None):
         saturations.append(lattice)
         return saturate(lattice, cap)
 
     def counted_image(module, cap=None):
-        images.append(module)
-        return image(module, cap)
+        out = image(module, cap)
+        images.append(out)
+        return out
 
     monkeypatch.setattr(ie, "_saturation_chain", counted_chain)
     monkeypatch.setattr(ie, "kappa_saturate", counted_saturate)
     monkeypatch.setattr(cartier, "image_chain", counted_image)
     monkeypatch.setattr(ie, "image_chain", counted_image)
-    k_stars, finite = [], 0
-    for loc in seeded_localizations() + [finite_crystal_zero()]:
+    e_stars, finite = [], 0
+    locs = (seeded_localizations() + oracle_localizations()
+            + [finite_crystal_zero()])
+    for loc in locs:
         chains.clear()
         saturations.clear()
         images.clear()
-        k_star = intermediate_extension(loc).indices["k_star"]
+        cert = intermediate_extension(loc)
+        assert saturations == []
         if ie._finite_length(loc.quotient):
             finite += 1
-            assert chains == saturations == images == []
+            assert chains == images == []
             continue
         assert len(images) == 1
-        if k_star == 0:
+        if cert.crystal_zero:
+            assert chains == []
             continue
-        k_stars.append(k_star)
-        assert len(chains) == k_star + 1 + (k_star > 1)
-        assert len(saturations) == (k_star > 1)
-    assert finite == 7
-    assert len(k_stars) >= 6 and min(k_stars) == 1 and max(k_stars) >= 2
+        assert len(chains) == 1 and cert.indices["k_star"] == 1
+        steps = chains[0]
+        assert cert.indices["e_star"] == len(steps) - 1
+        assert steps[0] == stable_lattice(loc).g_multiple(1)
+        assert steps[-1] == cert.lattice
+        e_stars.append(cert.indices["e_star"])
+    assert finite == 19 and len(e_stars) == 32
+    assert {0, 1, 2} <= set(e_stars)
 
 
 def finite_length_localizations():
@@ -496,11 +524,14 @@ def certificate_bytes(loc, cap=None):
 
 
 def test_decided_certificates_match_the_iterated_path(monkeypatch):
-    """A finite-length localization is decided without test sums.  With
-    ie._finite_length forced False it takes the iterated path (the
-    crystal-zero image chain, then the test sums), whose certificate
-    bytes must be the same: on the 18 finite-length corpus entries (10
-    with Q = 0, 8 with L' = Q) and on the hand-built crystal-zero one."""
+    """A finite-length localization is decided without a chain.  With
+    ie._finite_length forced False it takes the positive-rank path (the
+    image chain, then one saturation from g S), which gives L' = sat(g S)
+    = S, since g is bijective on the finite S.  On the 18 finite-length
+    corpus entries and the hand-built crystal-zero one, the certificates
+    with the zero lattice (10 with Q = 0 and the crystal-zero one) are
+    byte-identical; the 8 with L' = Q agree as crystals: Q holds S with
+    a nilpotent quotient."""
     locs = finite_length_localizations() + [finite_crystal_zero()]
     certs = [intermediate_extension(loc) for loc in locs]
     decided = [canonical_json(certificate_to_json(c)) for c in certs]
@@ -514,7 +545,16 @@ def test_decided_certificates_match_the_iterated_path(monkeypatch):
     assert [kinds.count(k) for k in ("Q = 0", "L' = Q", "crystal zero")] == [
         10, 8, 1]
     monkeypatch.setattr(ie, "_finite_length", lambda module: False)
-    assert [certificate_bytes(loc) for loc in locs] == decided
+    for loc, cert, kind, want in zip(locs, certs, kinds, decided):
+        if kind != "L' = Q":
+            assert certificate_bytes(loc) == want
+            continue
+        forced = intermediate_extension(loc)
+        assert forced.indices == {"e_star": 0, "k_star": 1}
+        assert forced.lattice == stable_lattice(loc) != cert.lattice
+        quot = lattice_quotient(loc, cert.lattice.generator_rows(),
+                                forced.lattice.generator_rows())
+        assert is_nilpotent(quot)[0]
 
 
 def test_decided_certificates_take_no_iteration_cap(monkeypatch):
@@ -596,11 +636,13 @@ def reference_lattice(loc, cap):
 
 
 def test_saturation_matches_a_reference_fixed_point_loop(monkeypatch):
-    """kappa_saturate and every full-path certificate lattice and its k*
-    agree with the reference loop, and every lattice the minimal extension
-    reaches lies inside its base lattice, the whole quotient.  The one
-    localization whose test sums do not stabilize, oracle_localizations()
-    entry 16, raises NonStabilized in both computations."""
+    """kappa_saturate agrees with the reference loop, and every
+    positive-rank certificate lattice L' agrees with the reference test
+    sums as a crystal wherever they stabilize: L' lies inside the
+    reference lattice with a nilpotent quotient.  They are equal except
+    on seeded entries 2 and 6 and oracle entries 23 and 34.  Every lattice
+    the saturation reaches lies between g S and S.  Oracle entry 16,
+    whose reference test sums do not stabilize, certifies."""
     reached = []
     chain = ie._saturation_chain
 
@@ -611,7 +653,7 @@ def test_saturation_matches_a_reference_fixed_point_loop(monkeypatch):
 
     monkeypatch.setattr(ie, "_saturation_chain", recorded)
     seeded = seeded_localizations()
-    full_path, unstable = 0, []
+    compared, unstable, smaller = 0, [], []
     for i, loc in enumerate(seeded + oracle_localizations()):
         R = loc.ring
         x = R.var(0)
@@ -622,22 +664,49 @@ def test_saturation_matches_a_reference_fixed_point_loop(monkeypatch):
                 reference_saturation(loc, rows)
             )
         reached.clear()
+        cert = intermediate_extension(loc, cap=DEFAULT_ITERATION_CAP)
+        if cert.indices["k_star"] == 0 or ie._finite_length(loc.quotient):
+            continue
+        stable = stable_lattice(loc)
+        g_stable = stable.g_multiple(1).span
+        assert reached[-1] == cert.lattice
+        assert all(L.contains(row) for L in reached for row in g_stable)
+        assert all(stable.contains(row) for L in reached for row in L.span)
+        compared += 1
         try:
-            cert = intermediate_extension(loc, cap=DEFAULT_ITERATION_CAP)
+            ref, _ = reference_lattice(loc, DEFAULT_ITERATION_CAP)
         except NonStabilized:
-            with pytest.raises(NonStabilized):
-                reference_lattice(loc, DEFAULT_ITERATION_CAP)
             unstable.append(i - len(seeded))
             continue
-        base = Lattice(loc, units)
-        assert all(base.contains(row) for L in reached for row in L.span)
-        if cert.indices["k_star"] == 0:
-            continue
-        full_path += 1
-        assert (cert.lattice.span, cert.indices["k_star"]) == (
-            reference_lattice(loc, DEFAULT_ITERATION_CAP)
-        )
-    assert full_path >= 30 and unstable == [16]
+        inner = cert.lattice.generator_rows()
+        quot = lattice_quotient(loc, loc.quotient.nonzero_rows(ref), inner)
+        assert is_nilpotent(quot)[0]
+        if cert.lattice.span != ref:
+            smaller.append(i)
+    assert compared == 32 and unstable == [16]
+    assert smaller == [2, 6, len(seeded) + 23, len(seeded) + 34]
+
+
+def test_oracle_entry_16_certifies():
+    """oracle_localizations() entry 16 keeps torsion coprime to g next to a
+    free generator whose operator values lie in that torsion: Q is not
+    kappa-surjective, and test sums started from Q descend for ever (the
+    reference raises NonStabilized at any cap).  Started from the stable
+    image S they stop at once: the certificate holds, with g S <= L' <= S
+    and sat(g L') = L'."""
+    loc = oracle_localizations()[16]
+    R = loc.ring
+    assert not ie._finite_length(loc.quotient)
+    with pytest.raises(NonStabilized):
+        reference_lattice(loc, 8)
+    cert = intermediate_extension(loc)
+    assert all(cert.checks.values()) and not cert.crystal_zero
+    assert cert.indices["k_star"] == 1
+    L, stable = cert.lattice, stable_lattice(loc)
+    assert stable != Lattice(loc, scalar_rows(R, loc.quotient.rank, R.one))
+    assert all(L.contains(row) for row in stable.g_multiple(1).span)
+    assert all(stable.contains(row) for row in L.span)
+    assert kappa_saturate(L.g_multiple(1)) == L
 
 
 def test_certificate_lattices_have_no_g_torsion():
@@ -648,10 +717,7 @@ def test_certificate_lattices_have_no_g_torsion():
     generators."""
     full_path = 0
     for loc in pinned_localizations() + oracle_localizations():
-        try:
-            cert = intermediate_extension(loc)
-        except NonStabilized:
-            continue
+        cert = intermediate_extension(loc)
         assert cert.checks["torsion_nilpotent"]
         if cert.indices["k_star"] == 0:
             continue
@@ -833,10 +899,7 @@ def test_library_built_tables_pass_the_check_they_skip(monkeypatch):
         max_nilpotent_submodule(base)
         kernel(quotient_module(base, loc.torsion["generators"])[1])
         torsion_gamma_Z(loc.quotient, loc.ring.var(0) + loc.ring.one)
-        try:
-            intermediate_extension(loc)
-        except NonStabilized:
-            pass
+        intermediate_extension(loc)
     for p in (2, 3):
         plane = PolyRing(Fq(p, 1), ("x", "y"))
         for seq in (["y"], ["x", "y"], ["x*y+1", "x^2+y"]):
@@ -1012,14 +1075,10 @@ def oracle_certificates():
     """The certificate of each oracle_localizations() entry, then fake
     certificates on the other operator-stable lattices among: the
     saturated whole lattice, its test sums T_1 and T_2, and the
-    g-multiples of it and of the certified lattice.  A localization
-    whose test sums do not stabilize is left out."""
+    g-multiples of it and of the certified lattice."""
     out = []
     for loc in oracle_localizations():
-        try:
-            cert = intermediate_extension(loc)
-        except NonStabilized:
-            continue
+        cert = intermediate_extension(loc)
         out.append(cert)
         if cert.crystal_zero or cert.module.rank == 0:
             continue
@@ -1090,7 +1149,7 @@ def test_oracle_verdicts_match_the_pinned_digest():
     subspaces with F_q element arithmetic.  Dropping the p-th-root twist
     from the operator's F_p matrix, multiplication by x or by t from
     the closures, the transpose that makes the maps act on rows, or every
-    witness row of a unit but the first changes the digest."""
+    witness row of a generator but the first changes the digest."""
     lines = oracle_verdicts()
     assert {"True", "False"} <= set(lines)
     assert any(line.startswith("CapExceeded") for line in lines)

@@ -1,8 +1,12 @@
-"""Property tests of submodule identities on zero-dimensional modules.
+"""Property tests of submodule identities on zero-dimensional modules, and
+of the minimal-extension construction on modules over F_q[x].
 
-Each module is F_q^r over F_2, F_3 or F_4, rank at most 3, with a random
-operator table and, as its relations, a random span closed under the
-operator.  The examples are derandomized, so every run draws the same
+Each zero-dimensional module is F_q^r over F_2, F_3 or F_4, rank at most
+3, with a random operator table and, as its relations, a random span
+closed under the operator.  Each module over F_q[x] (F_2, F_3 or F_4) has
+rank 1 or 2, random operator values of degree at most 2 on its free
+generators and possibly one torsion generator, and is localized at x or
+x + c.  The examples are derandomized, so every run draws the same
 ones."""
 
 from hypothesis import given, settings, strategies as st
@@ -16,10 +20,14 @@ from cartier_lab.cartier import (
     submodule_module,
 )
 from cartier_lab.fields import Fq
+from cartier_lab.functors import open_pullback
+from cartier_lab.ie import Lattice, intermediate_extension, kappa_saturate
 from cartier_lab.poly import PolyRing
-from cartier_lab.submodules import hnf_extend, hnf_rows, scalar_rows
+from cartier_lab.submodules import hnf_extend, hnf_rows, in_span, scalar_rows
 
-RINGS = [PolyRing(Fq(p, e), ()) for p, e in ((2, 1), (3, 1), (2, 2))]
+FIELDS = ((2, 1), (3, 1), (2, 2))
+RINGS = [PolyRing(Fq(p, e), ()) for p, e in FIELDS]
+LINES = [PolyRing(Fq(p, e), ("x",)) for p, e in FIELDS]
 
 PROPERTY = settings(derandomize=True, max_examples=100, database=None,
                     deadline=None)
@@ -71,3 +79,55 @@ def test_the_whole_module_as_a_submodule_has_the_normal_formed_table(module):
     assert sub.kappa_table == {
         key: module.normal_form(v) for key, v in module.kappa_table.items()
     }
+
+
+@st.composite
+def line_localizations(draw):
+    """A module over F_q[x] localized at x or x + c.  If it has a torsion
+    generator e1, it carries the relation (x + c)^p e1 and operator values
+    h (x + c)^(p - 1) e1, so the relation is stable; the free generators
+    take random values of degree at most 2 in every coordinate."""
+    R = draw(st.sampled_from(LINES))
+    ctx = R.ctx
+    x = R.var(0)
+    lin = x + R.scalar(ctx.from_int(draw(st.integers(1, ctx.q - 1))))
+    rank = draw(st.integers(1, 2))
+    torsion = draw(st.integers(0, rank - 1))
+
+    def element():
+        return ctx.from_int(draw(st.integers(0, ctx.q - 1)))
+
+    def poly():
+        return sum((R.monomial((k,), element()) for k in range(3)), R.zero)
+
+    table = {}
+    for a in range(ctx.p):
+        for j in range(rank):
+            if j < torsion:
+                h = R.scalar(element()) + R.monomial((1,), element())
+                col = [h * lin ** (ctx.p - 1)] + [R.zero] * (rank - 1)
+            else:
+                col = [poly() for _ in range(rank)]
+            table[(a,), j] = tuple(col)
+    relations = [(lin**ctx.p,) + (R.zero,) * (rank - 1)][:torsion]
+    module = CartierModule(R, rank, table, relations=relations)
+    return open_pullback(module, draw(st.sampled_from((x, lin))))
+
+
+@PROPERTY
+@given(line_localizations())
+def test_minimal_extensions_are_one_saturation_of_the_stable_image(loc):
+    """Every issued certificate with a lattice L' of positive rank
+    satisfies g S <= L' <= S, S the stable image of the g-torsion-free
+    quotient, and is its own first test sum: sat(g L') = L'."""
+    cert = intermediate_extension(loc)
+    assert all(cert.checks.values())
+    L = cert.lattice
+    if cert.crystal_zero or L.is_zero():
+        return
+    quot = loc.quotient
+    stable = image_chain(quot)[-1]
+    gS = Lattice(loc, quot.nonzero_rows(stable)).g_multiple(1)
+    assert all(L.contains(row) for row in gS.span)
+    assert all(in_span(row, stable, loc.ring) for row in L.span)
+    assert kappa_saturate(L.g_multiple(1)) == L

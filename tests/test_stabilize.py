@@ -1,8 +1,8 @@
 """Tests for the one stabilization loop (``errors.stabilize``), its cap,
 and the loops built on it.
 
-Every chain, saturation and test sum stops at the first member equal to
-the last one.  A cap of n allows n steps; a loop that has not stabilized
+Every chain and saturation stops at the first member equal to the last
+one.  A cap of n allows n steps; a loop that has not stabilized
 by then raises NonStabilized carrying the n + 1 members it reached."""
 
 from pathlib import Path
@@ -25,7 +25,7 @@ from cartier_lab.fields import (
 )
 from cartier_lab.functors import open_pullback, torsion_gamma_Z
 from cartier_lab.gamma import cartier_to_gamma, gamma_kernel_chain
-from cartier_lab.ie import Lattice, intermediate_extension, kappa_saturate
+from cartier_lab.ie import Lattice, kappa_saturate
 from cartier_lab.poly import PolyRing
 from cartier_lab.serialize import load_document
 
@@ -115,30 +115,12 @@ def _saturation():
     return lambda cap: kappa_saturate(Lattice(loc, [(x,)]), cap=cap)
 
 
-def _test_sums():
-    # T_1 > T_2 > T_3 = T_4: the test sums take two proper steps, every
-    # saturation and the image chain at most one
-    R, x = _line(3)
-    table = {
-        ((0,), 0): (R.parse("2*x^2"),),
-        ((1,), 0): (R.zero,),
-        ((2,), 0): (R.parse("x^2"),),
-    }
-    loc = open_pullback(CartierModule(R, 1, table), x)
-    return lambda cap: intermediate_extension(loc, cap=cap)
-
-
-# The test sums run at cap 2.  At cap 1 another loop always stops first:
-# an image chain that stabilizes with no step means kappa(L) = L, and then
-# the saturation of g^2 L for T_2 takes a step, since kappa(g^p L) = g L
-# is not inside g^2 L.
 LOOPS = {
     "image_chain": (_image_chain, 1, "image chain"),
     "iterated_image_chain": (_iterated_image_chain, 1, "image chain"),
     "gamma_kernel_chain": (_gamma_kernel_chain, 1, "gamma kernel chain"),
     "torsion_gamma_Z": (_torsion, 1, "torsion chain"),
     "kappa_saturate": (_saturation, 1, "saturation"),
-    "test_sums": (_test_sums, 2, "test sums"),
 }
 
 
