@@ -20,10 +20,12 @@ stable image of Q, the last member of its image chain (S = 0 is crystal
 zero).
 
 A g-torsion-free quotient Q of finite length needs no chain: g is
-injective on Q and Q is finite-dimensional, so g is bijective on Q,
-gQ = Q and T_1 = sat(gQ) = Q.  The answer is the zero lattice if Q = 0,
-crystal zero if kappa is nilpotent on Q (K^d = 0, K the F_p matrix of
-kappa and d = dim Q), and L' = Q with e* = 0 and k* = 1 otherwise.
+injective on Q and Q is finite-dimensional, so g is bijective on Q and
+on S, and L' = sat(g S) = S = im K^d, with K the F_p matrix of kappa and
+d = dim Q.  The answer is the zero lattice if Q = 0, crystal zero if
+K^d = 0, and L' = S with e* = 0 and k* = 1 otherwise: the lattice the
+positive-rank construction gives, so a map from a finite-length module
+into any other restricts to the two minimal extensions.
 
 Lattices are HNF-spanned submodules of the g-torsion-free quotient
 presentation, which embeds in the localization.  Integral lattices are
@@ -292,10 +294,9 @@ def intermediate_extension(localized, cap=None):
 
     A finite-length quotient Q is decided without the image chain or the
     saturation, so the iteration cap does not apply to it.  g is
-    injective on Q and Q is finite-dimensional, so gQ = Q and T_1 = Q:
-    L' = Q, with k* = 1, e* = 0 and every check holding (Q holds every
-    unit, and sat(gQ) = Q), unless kappa is nilpotent on Q, which on a
-    finite Q is K^d = 0 (``FiniteModel.kappa_top``).
+    injective on the finite S, so g S = S and L' = sat(g S) = S, read off
+    as S = im K^d (``FiniteModel.kappa_top``): k* = 1, e* = 0 and every
+    check holds, unless K^d = 0, which is crystal zero.
     """
     if not isinstance(localized, LocalizedCartier):
         raise ValidationError("expected a localized module")
@@ -339,10 +340,13 @@ def intermediate_extension(localized, cap=None):
         return shortcut(base, False)
 
     if _finite_length(quot):
-        # gQ = Q, so T_1 = Q: decided without a chain (see above)
-        if not FiniteModel(quot).kappa_top().any():
+        # g S = S, so L' = S = im K^d: decided without a chain (see above)
+        model = FiniteModel(quot)
+        top = model.kappa_top()
+        if not top.any():
             return shortcut(Lattice(localized, []), True)
-        return certified(base, 0, True)  # Q holds every unit
+        stable = model.from_fp(_rref(top.T, ring.ctx.p))
+        return certified(Lattice(localized, stable), 0, True)
 
     stable = image_chain(quot, cap)[-1]
     if span_equal(stable, quot.relation_hnf()):

@@ -73,11 +73,11 @@ EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 # sha256 over canonical_json(certificate_to_json(cert)) of every
 # certificate of pinned_localizations(), in order
 CERTIFICATE_PIN = (
-    "cee3fa9dbb69cb21bbd04c408f541ddeeb9269685e3e286823ef015bcaadfcc3"
+    "84cae96d2a112319fcb6834f87ef57b98a4508dbda8b460a5c3f2a2fc3f258c9"
 )
 # sha256 over the "\n"-joined oracle_verdicts()
 ORACLE_PIN = (
-    "e43b6394f0b32ff4abf3146612280ca49515f341c4cce2595984c81b7a0e038f"
+    "330e102be5bdddb736f1d5369848628b87aaecf4f12db728d517895279f2dd8f"
 )
 
 
@@ -412,7 +412,7 @@ def test_test_sums_of_the_certified_lattice_are_the_lattice():
         quot = quotient_by_test_sum(cert, 1)
         units = scalar_rows(R, quot.rank, R.one)
         assert all(quot.is_zero_element(e) for e in units)
-    # 32 positive-rank certificates, 8 finite L' = Q and omega + e2 twice
+    # 32 positive-rank certificates, 8 finite L' = S and omega + e2 twice
     assert certified == 42
 
 
@@ -458,8 +458,8 @@ def test_the_minimal_extension_saturates_once(monkeypatch):
     crystal-zero test runs one image chain, and past it one saturation
     runs, from g S, whose steps are e*; kappa_saturate, the test sums'
     saturation, never runs.  A finite-length localization, the
-    hand-built crystal-zero one included, runs none of them: gQ = Q, so
-    T_1 = Q is known before any chain."""
+    hand-built crystal-zero one included, runs none of them: g S = S, so
+    L' = S = im K^d is known before any chain."""
     chains, saturations, images = [], [], []
     chain, saturate = ie._saturation_chain, ie.kappa_saturate
     image = cartier.image_chain
@@ -527,11 +527,10 @@ def test_decided_certificates_match_the_iterated_path(monkeypatch):
     """A finite-length localization is decided without a chain.  With
     ie._finite_length forced False it takes the positive-rank path (the
     image chain, then one saturation from g S), which gives L' = sat(g S)
-    = S, since g is bijective on the finite S.  On the 18 finite-length
-    corpus entries and the hand-built crystal-zero one, the certificates
-    with the zero lattice (10 with Q = 0 and the crystal-zero one) are
-    byte-identical; the 8 with L' = Q agree as crystals: Q holds S with
-    a nilpotent quotient."""
+    = S, since g is bijective on the finite S; the certificate bytes must
+    be the same.  On the 18 finite-length corpus entries (10 with Q = 0,
+    8 with L' = S, a proper sublattice of Q with Q / S nilpotent) and on
+    the hand-built crystal-zero one."""
     locs = finite_length_localizations() + [finite_crystal_zero()]
     certs = [intermediate_extension(loc) for loc in locs]
     decided = [canonical_json(certificate_to_json(c)) for c in certs]
@@ -541,20 +540,16 @@ def test_decided_certificates_match_the_iterated_path(monkeypatch):
                                          loc.ring.one))
         kinds.append("crystal zero" if cert.crystal_zero
                      else "Q = 0" if whole.is_zero()
-                     else "L' = Q" if cert.lattice == whole else "other")
-    assert [kinds.count(k) for k in ("Q = 0", "L' = Q", "crystal zero")] == [
+                     else "L' = S" if cert.lattice == stable_lattice(loc)
+                     != whole else "other")
+        if kinds[-1] == "L' = S":
+            quot = lattice_quotient(loc, whole.generator_rows(),
+                                    cert.lattice.generator_rows())
+            assert is_nilpotent(quot)[0]
+    assert [kinds.count(k) for k in ("Q = 0", "L' = S", "crystal zero")] == [
         10, 8, 1]
     monkeypatch.setattr(ie, "_finite_length", lambda module: False)
-    for loc, cert, kind, want in zip(locs, certs, kinds, decided):
-        if kind != "L' = Q":
-            assert certificate_bytes(loc) == want
-            continue
-        forced = intermediate_extension(loc)
-        assert forced.indices == {"e_star": 0, "k_star": 1}
-        assert forced.lattice == stable_lattice(loc) != cert.lattice
-        quot = lattice_quotient(loc, cert.lattice.generator_rows(),
-                                forced.lattice.generator_rows())
-        assert is_nilpotent(quot)[0]
+    assert [certificate_bytes(loc) for loc in locs] == decided
 
 
 def test_decided_certificates_take_no_iteration_cap(monkeypatch):
@@ -965,6 +960,29 @@ def test_exactness_probe(twisted, standard):
     assert res["passed"]
     res_id = ie_exactness_probe(LocalizedMorphism.identity(loc))
     assert res_id["passed"]
+
+
+def test_functorial_inclusion_of_a_finite_module_beside_top_forms():
+    """M -> M + omega, M the g-torsion-free quotient of each of the 8
+    finite-length corpus entries with L' = S != Q: the decided path (on
+    M) and the positive-rank path (on M + omega) both take S_M as the
+    minimal extension of M, so the inclusion restricts to the two
+    lattices, injectively, while it misses omega."""
+    restricted = 0
+    for loc in finite_length_localizations():
+        M, R = loc.quotient, loc.ring
+        stable = stable_lattice(loc)
+        if stable.is_zero() or stable == Lattice(loc, scalar_rows(
+                R, M.rank, R.one)):
+            continue
+        total, include, _ = cartier.direct_sum(M, omega_module(R))
+        phi = LocalizedMorphism(loc, open_pullback(total, loc.g),
+                                [(w, 0) for w in include.images])
+        findings = ie_exactness_probe(phi)
+        assert findings["injective_input"] and findings["kernel_nilpotent"]
+        assert not findings["surjective_input"] and findings["passed"]
+        restricted += 1
+    assert restricted == 8
 
 
 # ---------------------------------------------------------------- oracles
