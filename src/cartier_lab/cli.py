@@ -83,7 +83,7 @@ def _parse_seq_arg(ring, text, flag):
 
 
 def _truncate(args, default):
-    """The --truncate degree bound, ``default`` when the flag is absent."""
+    """The --truncate bound, ``default`` when the flag is absent."""
     if args.truncate is not None and args.truncate < 0:
         raise ValidationError("--truncate must be >= 0")
     return default if args.truncate is None else args.truncate
@@ -276,7 +276,7 @@ def op_ie(args):
 
 
 def op_oracle(args):
-    degree_bound = _truncate(args, 4)
+    bound = _truncate(args, 4)
     module = _require_module(load_document(args.input), "oracle")
     if args.g is None:
         raise ValidationError("oracle needs --g")
@@ -284,7 +284,7 @@ def op_oracle(args):
     loc = open_pullback(module, g, cap=args.max_iter)
     cert = intermediate_extension(loc, cap=args.max_iter)
     try:
-        minimal = minimality_oracle(cert, degree_bound=degree_bound)
+        minimal = minimality_oracle(cert, bound=bound)
     except CapExceeded as exc:
         return {
             "skipped": True,
@@ -340,10 +340,10 @@ def build_parser():
                        help="largest extension degree m for sol; F_(q^m) "
                             "may have at most 2^32 elements")
         p.add_argument("--truncate", type=int, default=None,
-                       help="degree bound >= 0: oracle truncation (default "
-                            "4), and the hom search cap on the target's free "
-                            "columns (ignored when the target has finite "
-                            "length)")
+                       help="bound >= 0: the test sums the oracle may walk "
+                            "(default 4), and the hom search cap on the "
+                            "target's free columns (ignored when the target "
+                            "has finite length)")
         p.add_argument("--no-timings", action="store_true",
                        help="omit timings for byte-identical reports")
     return parser

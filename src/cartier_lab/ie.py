@@ -10,7 +10,7 @@ the k*-th test sums are nilpotent, and that the g-torsion is nilpotent,
 which holds by construction: lattices lie in the g-torsion-free
 quotient, so their g-torsion is zero.  The checks do not
 single out the minimal extension; minimality rests on the construction,
-and ``minimality_oracle`` checks it on truncated models.
+and ``minimality_oracle`` checks it from the test sums of the lattice.
 
 With sat(Y) the sum of the kappa^i(Y), the test sums of a stable lattice
 L are T_k = sat(g^k L), and g kappa^i(y) = kappa^i(g^(p^i) y) gives
@@ -541,83 +541,50 @@ def _closure(rows, maps, p):
         span = grown
 
 
-def _in_span(vectors, span, p):
-    """Which rows of ``vectors`` lie in the row space of the RREF rows
-    ``span``: those that vanish once reduced at its pivots."""
-    pivots = (span != 0).argmax(axis=1)
-    return ~((vectors - vectors[:, pivots] @ span) % p).any(axis=1)
-
-
 def _row_maps(model):
     """The F_p matrices, acting on rows, under which a row space of the
-    model is an operator-stable F_q-subspace: ``kappa_fp()`` (with its
-    twist), and ``mult_fp`` of x over F_q[x] and of the generator t of
+    zero-dimensional model is an operator-stable F_q-subspace:
+    ``kappa_fp()`` (with its twist) and ``mult_fp`` of the generator t of
     F_q, each transposed."""
     ring = model.module.ring
     maps = [model.kappa_fp()]
-    if ring.nvars:
-        maps.append(model.mult_fp(ring.var(0)))
     if ring.ctx.e > 1:
         maps.append(model.mult_fp(ring.scalar(ring.ctx.gen)))
     return [m.T for m in maps]
 
 
-def minimality_oracle(cert, degree_bound=4):
-    """Exhaustively confirm minimality on a truncated model.
+def minimality_oracle(cert, bound=4):
+    """Decide minimality up to nilpotents from the test sums of the
+    certificate's lattice L.
 
-    Truncate the lattice module to polynomial coefficients of degree at
-    most degree_bound (its FiniteModel with that degree cap) and verify
-    that every operator- and shift-stable subspace W whose localization
-    still agrees has nilpotent quotient: V / W is nilpotent iff
-    kappa^dim(V) lies in W, since W is stable.  Both survive enlarging W,
-    and an agreeing W holds some g^n e_j for every generator e_j of the
-    lattice module, so only the closures of one witness row per generator
-    are checked, the witness rows of e_j being its truncated g^s e_j,
-    s <= degree_bound.  They are built generator by generator: a span
-    that holds a witness row of e_j stays (it lies in every branch it
-    skips), any other branches into its closure with each.
-    More than 5000 model vectors is a documented limit of the library:
-    it raises CapExceeded (reported as skipped) before building the model.
+    A stable W <= L with W_g = L_g holds g^N L for some N, hence
+    T_N = sat(g^N L); so L is minimal iff L / T_N is nilpotent for every
+    N.  Walk T_0 = L, T_(k+1) = sat(g T_k) for k < bound: True at the
+    first T_(k+1) = T_k (then T_N = T_k for all N >= k), False at the
+    first T_(k+1) with L / T_(k+1) not nilpotent, that is, not holding
+    S_L, the last member of the image chain of L (T_(k+1) is stable).
+    Neither within the bound raises CapExceeded (reported as skipped).
     """
     if cert.crystal_zero or cert.module.rank == 0:
         return True
-    module = cert.module
-    ring = module.ring
-    ctx = ring.ctx
-    if ring.nvars != 1:
-        raise CapExceeded("minimality oracle skipped: needs F_q[x]")
-    if module.effective_relations():
-        raise CapExceeded(
-            "minimality oracle skipped: lattice module is not free"
-        )
-    # the module is free: each column has degree_bound + 1 basis vectors;
-    # q >= 2, so dim <= 12 is checked first and q**dim stays small
-    dim = module.rank * (degree_bound + 1)
-    if dim > 12 or ctx.q**dim > 5000:
-        raise CapExceeded("minimality oracle skipped: truncation too large")
-    model = FiniteModel(module, degree_cap=degree_bound)
-    p = ctx.p
-
-    g = cert.localized.g
-    maps = _row_maps(model)
-    spans = [np.zeros((0, model.dimension * ctx.e), dtype=np.int64)]
-    for unit in scalar_rows(ring, module.rank, ring.one):
-        rows = model.fp_rows(
-            [vec_scale(unit, g**s) for s in range(degree_bound + 1)])
-        rows = rows[rows.any(axis=1)]
-        grown = {}
-        for span in spans:
-            if _in_span(rows, span, p).any():
-                grown.setdefault(span.tobytes(), span)
-                continue
-            for w in rows:
-                closed = _closure(np.vstack([span, w[None]]), maps, p)
-                grown.setdefault(closed.tobytes(), closed)
-        spans = grown.values()
-
-    # rows spanning kappa^dim of the whole model
-    top = model.kappa_top().T
-    return all(_in_span(top, span, p).all() for span in spans)
+    lattice, module = cert.lattice, cert.module
+    stable = None
+    for _ in range(bound):
+        nxt = test_module_sum(lattice, 1)
+        if nxt == lattice:
+            return True
+        if stable is None:
+            # S_L, in the lattice module's coordinates, mapped into L
+            incl = CartierMorphism(module, lattice.localized.quotient,
+                                   lattice.generator_rows(), validate=False)
+            stable = [incl.apply(c) for c in
+                      module.nonzero_rows(image_chain(module)[-1])]
+        if not all(map(nxt.contains, stable)):
+            return False
+        lattice = nxt
+    raise CapExceeded(
+        f"minimality oracle skipped: inconclusive within {bound} test sums"
+    )
 
 
 def simple_crystal_probe(module):

@@ -628,7 +628,7 @@ def test_10_minimal_extension_certificates():
     assert cert_tw.checks["quotient_nilpotent"]
     assert cert_tw.checks["quotient_nilpotent_kstar"]
     assert cert_tw.module.kappa_table == w.kappa_table
-    assert minimality_oracle(cert_tw, degree_bound=4) is True
+    assert minimality_oracle(cert_tw, bound=4) is True
 
     for certificate in (cert, cert_tw):
         again = intermediate_extension(open_pullback(certificate.module, x))

@@ -284,9 +284,12 @@ def _omega_square(tmp_path):
 @pytest.mark.parametrize(
     "flags,result",
     [
-        ([], {"skipped": True, "reason":
-              "minimality oracle skipped: truncation too large"}),
-        (["--truncate", "0"], {"skipped": False, "minimal": True}),
+        ([], {"skipped": False, "minimal": True}),
+        (["--truncate", "0"], {"skipped": True, "reason":
+         "minimality oracle skipped: inconclusive within 0 test sums"}),
+        # the certified lattice is its own first test sum, so a huge
+        # bound costs one saturation
+        (["--truncate", "3000000"], {"skipped": False, "minimal": True}),
     ],
 )
 def test_oracle_truncation_defaults_to_4_only_when_absent(

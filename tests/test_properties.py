@@ -21,7 +21,12 @@ from cartier_lab.cartier import (
 )
 from cartier_lab.fields import Fq
 from cartier_lab.functors import open_pullback
-from cartier_lab.ie import Lattice, intermediate_extension, kappa_saturate
+from cartier_lab.ie import (
+    Lattice,
+    intermediate_extension,
+    kappa_saturate,
+    minimality_oracle,
+)
 from cartier_lab.poly import PolyRing
 from cartier_lab.submodules import hnf_extend, hnf_rows, in_span, scalar_rows
 
@@ -119,7 +124,8 @@ def line_localizations(draw):
 def test_minimal_extensions_are_one_saturation_of_the_stable_image(loc):
     """Every issued certificate with a lattice L' of positive rank
     satisfies g S <= L' <= S, S the stable image of the g-torsion-free
-    quotient, and is its own first test sum: sat(g L') = L'."""
+    quotient, and is its own first test sum: sat(g L') = L', so the
+    minimality oracle answers True within one test sum."""
     cert = intermediate_extension(loc)
     assert all(cert.checks.values())
     L = cert.lattice
@@ -131,3 +137,4 @@ def test_minimal_extensions_are_one_saturation_of_the_stable_image(loc):
     assert all(L.contains(row) for row in gS.span)
     assert all(in_span(row, stable, loc.ring) for row in L.span)
     assert kappa_saturate(L.g_multiple(1)) == L
+    assert minimality_oracle(cert, bound=1) is True
