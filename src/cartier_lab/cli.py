@@ -95,6 +95,14 @@ def _require_module(doc, operation):
     return doc
 
 
+def _module_and_g(args, operation):
+    """The module document of an operation along g, and the parsed --g."""
+    module = _require_module(load_document(args.input), operation)
+    if args.g is None:
+        raise ValidationError(f"{operation} needs --g")
+    return module, _parse_poly_arg(module.ring, args.g, "--g")
+
+
 def _require_sheaf(doc, operation):
     if not isinstance(doc, GammaSheaf):
         raise ValidationError(f"{operation} expects a sheaf document")
@@ -226,10 +234,7 @@ def op_seq_change(args):
 
 
 def op_gamma_z(args):
-    module = _require_module(load_document(args.input), "gamma-z")
-    if args.g is None:
-        raise ValidationError("gamma-z needs --g")
-    g = _parse_poly_arg(module.ring, args.g, "--g")
+    module, g = _module_and_g(args, "gamma-z")
     tors = torsion_gamma_Z(module, g, cap=args.max_iter)
     names = module.generator_names
     return {
@@ -240,10 +245,7 @@ def op_gamma_z(args):
 
 
 def op_localize(args):
-    module = _require_module(load_document(args.input), "localize")
-    if args.g is None:
-        raise ValidationError("localize needs --g")
-    g = _parse_poly_arg(module.ring, args.g, "--g")
+    module, g = _module_and_g(args, "localize")
     loc = open_pullback(module, g, cap=args.max_iter)
     names = module.generator_names
     return {
@@ -263,10 +265,7 @@ def op_sol(args):
 
 
 def op_ie(args):
-    module = _require_module(load_document(args.input), "ie")
-    if args.g is None:
-        raise ValidationError("ie needs --g")
-    g = _parse_poly_arg(module.ring, args.g, "--g")
+    module, g = _module_and_g(args, "ie")
     loc = open_pullback(module, g, cap=args.max_iter)
     cert = intermediate_extension(loc, cap=args.max_iter)
     cj = certificate_to_json(cert)
@@ -277,10 +276,7 @@ def op_ie(args):
 
 def op_oracle(args):
     bound = _truncate(args, 4)
-    module = _require_module(load_document(args.input), "oracle")
-    if args.g is None:
-        raise ValidationError("oracle needs --g")
-    g = _parse_poly_arg(module.ring, args.g, "--g")
+    module, g = _module_and_g(args, "oracle")
     loc = open_pullback(module, g, cap=args.max_iter)
     cert = intermediate_extension(loc, cap=args.max_iter)
     try:

@@ -100,13 +100,10 @@ def _sequence_elements(seq):
 # ---------------------------------------------------------------------------
 
 
-def torsion_gamma_Z(module, g, cap=None):
-    """The submodule of elements killed by a power of g, with its induced
-    operator (stable because kappa(g^{pk} m) = g^k kappa(m)).
-
-    Returns a dict: module, inclusion, generators, span (HNF rows of the
-    preimage in the presentation), exponent (the stabilizing power).
-    """
+def _g_torsion(module, g, cap):
+    """The g-power torsion as the last member of the chain ker(g^k):
+    generators, span (HNF rows of the preimage in the presentation) and
+    exponent (the stabilizing power)."""
     ring = module.ring
     if ring.nvars > 1:
         raise UnsupportedRingError("torsion needs F_q or F_q[x]")
@@ -123,15 +120,24 @@ def torsion_gamma_Z(module, g, cap=None):
         module.relation_hnf(), killed_by_next_power, "torsion chain", cap
     )
     span = chain[-1]
-    gens = module.nonzero_rows(span)
-    sub, incl = submodule_module(module, gens)
     return {
-        "module": sub,
-        "inclusion": incl,
-        "generators": gens,
+        "generators": module.nonzero_rows(span),
         "span": span,
         "exponent": len(chain) - 1,
     }
+
+
+def torsion_gamma_Z(module, g, cap=None):
+    """The submodule of elements killed by a power of g, with its induced
+    operator (stable because kappa(g^{pk} m) = g^k kappa(m)).
+
+    Returns a dict: module, inclusion, generators, span (HNF rows of the
+    preimage in the presentation), exponent (the stabilizing power).
+    """
+    tors = _g_torsion(module, g, cap)
+    tors["module"], tors["inclusion"] = submodule_module(
+        module, tors["generators"])
+    return tors
 
 
 def torsion_invariant_oracle(module, g):
@@ -177,7 +183,7 @@ class LocalizedCartier:
             raise ValidationError("cannot invert 0")
         self.base = base
         self.g = g
-        tors = torsion_gamma_Z(base, g, cap=cap)
+        tors = _g_torsion(base, g, cap)
         self.torsion = tors
         # g^k kappa(m) = kappa(g^(pk) m): the torsion is kappa-stable
         self.quotient = CartierModule(
@@ -423,13 +429,13 @@ def _linear_assignments(ideal):
     return out
 
 
-def restrict_to_subring(module):
-    """Re-present a quotient by linear equations x_i = c_i over the
-    polynomial ring on the remaining variables (eliminating the ideal)."""
-    if module.ideal is None:
-        return module
-    ring = module.ring
-    assign = _linear_assignments(module.ideal)
+def _substitution(pres):
+    """The substitution x_i = c_i for a presentation over a quotient by
+    linear equations: the polynomial ring on the remaining variables, the
+    converter into it, the kept variable indices and the nonzero
+    substituted relations."""
+    ring = pres.ring
+    assign = _linear_assignments(pres.ideal)
     if assign is None:
         raise UnsupportedRingError(
             "only quotients by x_i - c_i can be re-presented"
@@ -449,13 +455,22 @@ def restrict_to_subring(module):
         return out
 
     relations = []
-    for rho in module.relations:
+    for rho in pres.relations:
         red = tuple(convert(f) for f in rho)
         if any(not f.is_zero() for f in red):
             relations.append(red)
+    return new_ring, convert, keep, relations
+
+
+def restrict_to_subring(module):
+    """Re-present a quotient by linear equations x_i = c_i over the
+    polynomial ring on the remaining variables (eliminating the ideal)."""
+    if module.ideal is None:
+        return module
+    new_ring, convert, keep, relations = _substitution(module)
     table = {}
     for a in new_ring.pth_basis():
-        full = [0] * ring.nvars
+        full = [0] * module.ring.nvars
         for pos, i in enumerate(keep):
             full[i] = a[pos]
         for j in range(module.rank):
@@ -471,9 +486,9 @@ def restrict_to_subring(module):
     )
 
 
-def _point(pres, point):
-    """The point c of a presentation over F_q[x]/(x - c), which ``point``,
-    if given, must equal."""
+def _check_point(pres, point):
+    """Check that a presentation is over F_q[x]/(x - c), with c equal to
+    ``point`` if given."""
     if pres.ring.nvars != 1 or pres.ideal is None:
         raise ValidationError("expected a quotient of F_q[x] by a point ideal")
     assign = _linear_assignments(pres.ideal)
@@ -481,40 +496,20 @@ def _point(pres, point):
         raise UnsupportedRingError("point evaluation needs the ideal (x - c)")
     if point is not None and point != assign[0]:
         raise ValidationError("point does not match the ideal")
-    return assign[0]
-
-
-def _specialize_at_point(pres, point):
-    """The point ring F_q, evaluation at c of polynomials over F_q[x], and
-    the nonzero evaluated relations, for a presentation over F_q[x]/(x - c)."""
-    c, ctx = _point(pres, point), pres.ring.ctx
-    ring0 = PolyRing(ctx, ())
-
-    def ev(f):
-        acc = ctx.zero
-        for mono, coeff in f.items():
-            acc = acc + coeff * c ** mono[0]
-        return ring0.scalar(acc)
-
-    relations = []
-    for rho in pres.relations:
-        red = tuple(ev(f) for f in rho)
-        if any(not f.is_zero() for f in red):
-            relations.append(red)
-    return ring0, ev, relations
 
 
 def evaluate_at_point(module, point=None):
     """Specialize a module over F_q[x]/(x - c) to the point: a module over
     F_q with the a = 0 slice of the table evaluated at c, which is
     ``restrict_to_subring`` once the ideal is checked to be (x - c)."""
-    _point(module, point)
+    _check_point(module, point)
     return restrict_to_subring(module)
 
 
 def gamma_evaluate_at_point(sheaf, point=None):
     """Specialize a gamma-sheaf over F_q[x]/(x - c) to the point."""
-    ring0, ev, relations = _specialize_at_point(sheaf, point)
+    _check_point(sheaf, point)
+    ring0, ev, _, relations = _substitution(sheaf)
     matrix = tuple(tuple(ev(f) for f in row) for row in sheaf.gamma_matrix)
     return GammaSheaf(
         ring0,

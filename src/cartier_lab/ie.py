@@ -44,7 +44,6 @@ from .errors import (
     InvariantViolation,
     UnsupportedRingError,
     ValidationError,
-    iteration_cap,
     stabilize,
 )
 from .cartier import (
@@ -55,13 +54,12 @@ from .cartier import (
     image_chain,
     is_nilpotent,
     kernel,
-    max_nilpotent_submodule,
-    quotient_module,
     stable_image,
     submodule_module,
 )
-from .functors import LocalizedCartier, torsion_gamma_Z
+from .functors import LocalizedCartier, _g_torsion
 from .submodules import (
+    _divmod1,
     hnf_extend,
     in_span,
     scalar_rows,
@@ -107,8 +105,8 @@ def supported_on_Z(module, g, cap=None):
     """True when inverting g kills the module up to nilpotents: the stable
     image of the operator lies inside the g-power torsion."""
     limit = image_chain(module, cap=cap)[-1]
-    tors = torsion_gamma_Z(module, g, cap=cap)
-    return all(in_span(row, tors["span"], module.ring) for row in limit)
+    span = _g_torsion(module, g, cap)["span"]
+    return all(in_span(row, span, module.ring) for row in limit)
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +171,6 @@ class Lattice:
         quot = self.localized.quotient
         images = quot.kappa_images(self.generator_rows()).values()
         return all(self.contains(w) for w in images)
-
-    def divides_in(self, vector, cap=None):
-        """Least n with g^n * vector inside the lattice, or None."""
-        cap = iteration_cap(cap)
-        g = self.localized.g
-        v = tuple(vector)
-        for n in range(cap + 1):
-            if self.contains(v):
-                return n
-            v = vec_scale(v, g)
-        return None
-
-    def localization_agrees(self, cap=None):
-        """Does inverting g recover the whole localized module?"""
-        units = scalar_rows(self.ring, self.rank, self.ring.one)
-        return all(self.divides_in(e, cap=cap) is not None for e in units)
 
     def to_module(self):
         """The lattice as an abstract module with the restricted operator,
@@ -277,7 +259,7 @@ def intermediate_extension(localized, cap=None):
     localization is nilpotent as a crystal, and so its minimal extension
     is zero up to nilpotents.  The recorded checks are proved by the
     construction; the one computed check, ``localization_agreement``, is
-    g S <= L' <= S, so a lattice that breaks it fails closed.
+    g S <= L' <= S, and a lattice that breaks it raises CertificateFailed.
 
     - L' is its own first test sum, so k* = 1 and both quotient checks
       hold: with T_k = sat(g^k S), T_2 = sat(g T_1) = T_1.  Since
@@ -302,62 +284,52 @@ def intermediate_extension(localized, cap=None):
         raise ValidationError("expected a localized module")
     ring = localized.ring
     quot = localized.quotient
-
-    def finish(lattice, checks, indices, crystal_zero):
-        failed = [name for name, ok in checks.items() if not ok]
-        if failed:
-            raise CertificateFailed(
-                f"certificate checks failed: {', '.join(failed)}"
-            )
-        return IECertificate(
-            lattice, lattice.to_module(), checks, indices, crystal_zero,
-            localized
-        )
-
-    def shortcut(lattice, crystal_zero):
-        checks = {
-            "localization_agreement": True,
-            "torsion_nilpotent": True,
-            "quotient_nilpotent": True,
-        }
-        return finish(lattice, checks, {"e_star": 0, "k_star": 0},
-                      crystal_zero)
-
-    def certified(lattice, e_star, agrees):
-        # L' lies in the g-torsion-free quotient, so its g-torsion is zero,
-        # and it is its own first test sum (see above)
-        checks = {
-            "localization_agreement": agrees,
-            "torsion_nilpotent": True,
-            "quotient_nilpotent": True,
-            "quotient_nilpotent_kstar": True,
-        }
-        return finish(lattice, checks, {"e_star": e_star, "k_star": 1},
-                      False)
-
-    base = Lattice(localized, scalar_rows(ring, quot.rank, ring.one))
-    if base.is_zero():
-        return shortcut(base, False)
+    if not quot.nonzero_rows(scalar_rows(ring, quot.rank, ring.one)):
+        return _certificate(localized, Lattice(localized, []), False)
 
     if _finite_length(quot):
         # g S = S, so L' = S = im K^d: decided without a chain (see above)
         model = FiniteModel(quot)
         top = model.kappa_top()
         if not top.any():
-            return shortcut(Lattice(localized, []), True)
+            return _certificate(localized, Lattice(localized, []), True)
         stable = model.from_fp(_rref(top.T, ring.ctx.p))
-        return certified(Lattice(localized, stable), 0, True)
+        return _certificate(localized, Lattice(localized, stable), False, 0)
 
     stable = image_chain(quot, cap)[-1]
     if span_equal(stable, quot.relation_hnf()):
-        return shortcut(Lattice(localized, []), True)
+        return _certificate(localized, Lattice(localized, []), True)
     g_stable = [vec_scale(v, localized.g) for v in quot.nonzero_rows(stable)]
     chain = _saturation_chain(Lattice(localized, g_stable), cap)
     lattice = chain[-1]
     agrees = all(map(lattice.contains, g_stable)) and all(
         in_span(row, stable, ring) for row in lattice.generator_rows()
     )
-    return certified(lattice, len(chain) - 1, agrees)
+    if not agrees:
+        raise CertificateFailed(
+            "certificate checks failed: localization_agreement"
+        )
+    return _certificate(localized, lattice, False, len(chain) - 1)
+
+
+def _certificate(localized, lattice, crystal_zero, e_star=None):
+    """The certificate of a lattice built by ``intermediate_extension``,
+    whose checks hold by construction: the lattice lies in the g-torsion-
+    free quotient, so its g-torsion is zero, and it is its own first test
+    sum.  Without ``e_star`` (Q = 0, or crystal zero) nothing was
+    saturated: e* = k* = 0, and no k*-th test sum is checked."""
+    checks = {
+        "localization_agreement": True,
+        "torsion_nilpotent": True,
+        "quotient_nilpotent": True,
+    }
+    if e_star is None:
+        indices = {"e_star": 0, "k_star": 0}
+    else:
+        checks["quotient_nilpotent_kstar"] = True
+        indices = {"e_star": e_star, "k_star": 1}
+    return IECertificate(lattice, lattice.to_module(), checks, indices,
+                         crystal_zero, localized)
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +457,18 @@ def localized_kernel_is_zero(phi):
     return not phi.source.quotient.nonzero_rows(gens)
 
 
-def localized_cokernel_is_zero(phi, cap=None):
-    """Is the morphism surjective after inverting g?  That is, does the
-    lattice its image spans in the target localize to everything?"""
-    return Lattice(phi.target, _integral_matrix(phi)).localization_agrees(
-        cap=cap
+def localized_cokernel_is_zero(phi):
+    """Is the morphism surjective after inverting g?  That is, is the
+    cokernel R^r / H g-power torsion, with H the span of the image in the
+    target quotient: exactly when H has a pivot in every column and each
+    pivot d divides g^deg(d), as then every prime factor of d divides g."""
+    quot = phi.target.quotient
+    span = quot.span(_integral_matrix(phi))
+    g = phi.target.g
+    # echelon rows with r pivots: row i has its pivot in column i
+    return len(span) == quot.rank and all(
+        _divmod1(g ** row[i].degree_in(0), row[i])[1].is_zero()
+        for i, row in enumerate(span)
     )
 
 
@@ -502,7 +481,7 @@ def ie_exactness_probe(phi, cap=None):
     restricted = ie_functorial(phi, cert_s, cert_t, cap=cap)
     findings = {
         "injective_input": localized_kernel_is_zero(phi),
-        "surjective_input": localized_cokernel_is_zero(phi, cap=cap),
+        "surjective_input": localized_cokernel_is_zero(phi),
     }
     ok = True
     if findings["injective_input"]:
@@ -590,20 +569,18 @@ def minimality_oracle(cert, bound=4):
 def simple_crystal_probe(module):
     """Is the crystal represented by a zero-dimensional module simple?
 
-    Reduce to the minimal representative (stable image modulo the maximal
-    nilpotent part, where the operator is bijective) and check that the
-    operator-stable closure of every nonzero vector is the whole space:
-    a proper nonzero stable subspace contains such a closure.  The
-    closure is an F_q-subspace, so one vector per F_q-line is closed."""
+    Reduce to the minimal representative, the stable image, where the
+    operator is bijective (so its maximal nilpotent submodule is zero),
+    and check that the operator-stable closure of every nonzero vector is
+    the whole space: a proper nonzero stable subspace contains such a
+    closure.  The closure is an F_q-subspace, so one vector per F_q-line
+    is closed."""
     if module.ring.nvars != 0:
         raise UnsupportedRingError("simplicity probe is zero-dimensional only")
     ctx = module.ring.ctx
     if ctx.q > 4:
         raise CapExceeded("simplicity probe: q must be at most 4")
-    si, _, _ = stable_image(module)
-    nil = max_nilpotent_submodule(si)
-    rep, _ = quotient_module(si, nil["generators"])
-    model = FiniteModel(rep)
+    model = FiniteModel(stable_image(module)[0])
     d = model.dimension
     if d == 0:
         return False

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cartier_lab import functors
 from cartier_lab.cartier import (
     CartierModule,
     FiniteModel,
@@ -229,6 +230,31 @@ def test_localizing_kills_coprime_torsion_only():
     loc_g = LocalizedCartier(pushed, x + R.one)
     full = hnf_rows([(R.one,)], 1, R)
     assert span_equal(loc_g.torsion["span"], full)
+
+
+def test_localization_solves_no_torsion_presentation(monkeypatch):
+    """open_pullback reads the torsion's generators and span only, so it
+    runs no submodule_module solve; torsion_gamma_Z still presents the
+    torsion as a module with its inclusion."""
+    ctx = Fq(2, 1)
+    R = PolyRing(ctx, ("x",))
+    x = R.var(0)
+    pushed = closed_pushforward(point_module(ctx), ambient_ring=R,
+                                point=ctx.zero)
+    M, _, _ = direct_sum(omega_module(R), pushed)
+    tors = torsion_gamma_Z(M, x)
+    assert tors["module"].rank == len(tors["generators"]) == 1
+    assert tuple(tors["inclusion"].images) == tuple(tors["generators"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("submodule_module called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(functors, "submodule_module", refuse)
+        loc = open_pullback(M, x)
+    assert loc.torsion["generators"] == tors["generators"]
+    assert span_equal(loc.torsion["span"], tors["span"])
+    assert loc.torsion["exponent"] == tors["exponent"] == 1
 
 
 def test_pushforward_view_integrality():
