@@ -224,24 +224,31 @@ def test_module_sum(lattice, k, cap=None):
 
 class IECertificate:
     """A stabilized lattice plus the recorded checks that make it the
-    minimal extension, up to nilpotents, of its localization."""
+    minimal extension, up to nilpotents, of its localization.
 
-    __slots__ = (
-        "lattice",
-        "module",
-        "checks",
-        "indices",
-        "crystal_zero",
-        "localized",
-    )
+    ``module`` is the lattice presented as a module (``Lattice.to_module``,
+    one ``submodule_module`` solve), built the first time it is read and
+    then kept.  Building it proves nothing the construction has not: the
+    solve only confirms kappa(L') <= L', and L' is the fixed point of a
+    saturation chain, or im K^d for a finite-length quotient, where
+    kappa(im K^d) = im K^(d+1) = im K^d by Fitting's lemma."""
 
-    def __init__(self, lattice, module, checks, indices, crystal_zero, localized):
+    __slots__ = ("lattice", "checks", "indices", "crystal_zero", "localized",
+                 "_module")
+
+    def __init__(self, lattice, checks, indices, crystal_zero, localized):
         self.lattice = lattice
-        self.module = module
         self.checks = checks
         self.indices = indices
         self.crystal_zero = crystal_zero
         self.localized = localized
+        self._module = None
+
+    @property
+    def module(self):
+        if self._module is None:
+            self._module = self.lattice.to_module()
+        return self._module
 
     def __repr__(self):
         return (
@@ -317,7 +324,9 @@ def _certificate(localized, lattice, crystal_zero, e_star=None):
     whose checks hold by construction: the lattice lies in the g-torsion-
     free quotient, so its g-torsion is zero, and it is its own first test
     sum.  Without ``e_star`` (Q = 0, or crystal zero) nothing was
-    saturated: e* = k* = 0, and no k*-th test sum is checked."""
+    saturated: e* = k* = 0, and no k*-th test sum is checked.  It is
+    kappa-stable by construction too, so no module is presented here (see
+    ``IECertificate``)."""
     checks = {
         "localization_agreement": True,
         "torsion_nilpotent": True,
@@ -328,8 +337,7 @@ def _certificate(localized, lattice, crystal_zero, e_star=None):
     else:
         checks["quotient_nilpotent_kstar"] = True
         indices = {"e_star": e_star, "k_star": 1}
-    return IECertificate(lattice, lattice.to_module(), checks, indices,
-                         crystal_zero, localized)
+    return IECertificate(lattice, checks, indices, crystal_zero, localized)
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +551,11 @@ def minimality_oracle(cert, bound=4):
     first T_(k+1) with L / T_(k+1) not nilpotent, that is, not holding
     S_L, the last member of the image chain of L (T_(k+1) is stable).
     Neither within the bound raises CapExceeded (reported as skipped).
+    Only S_L needs the lattice module, so it is read only when T_1 != L.
     """
-    if cert.crystal_zero or cert.module.rank == 0:
+    lattice = cert.lattice
+    if cert.crystal_zero or not lattice.generator_rows():
         return True
-    lattice, module = cert.lattice, cert.module
     stable = None
     for _ in range(bound):
         nxt = test_module_sum(lattice, 1)
@@ -554,6 +563,7 @@ def minimality_oracle(cert, bound=4):
             return True
         if stable is None:
             # S_L, in the lattice module's coordinates, mapped into L
+            module = cert.module
             incl = CartierMorphism(module, lattice.localized.quotient,
                                    lattice.generator_rows(), validate=False)
             stable = [incl.apply(c) for c in

@@ -731,6 +731,9 @@ def test_certificate_lattices_have_no_g_torsion():
 def test_each_certificate_path_builds_its_lattice_module_once(
     standard, line, monkeypatch
 ):
+    """On each path, intermediate_extension presents no module; the first
+    read of the certificate's module presents its lattice, once, and a
+    second read presents nothing."""
     _, R, x = line
     _, loc = standard
     zero_base = CartierModule(
@@ -762,7 +765,10 @@ def test_each_certificate_path_builds_its_lattice_module_once(
         assert cert.crystal_zero == name.endswith("crystal zero")
         assert (cert.indices["k_star"] > 0) == (
             name in ("full", "finite whole quotient"))
+        assert built == [], name
+        module = cert.module
         assert len(built) == 1 and built[0] is cert.lattice, name
+        assert cert.module is module and len(built) == 1, name
 
 
 
@@ -775,6 +781,18 @@ def test_lattice_modules_are_presented_by_submodule_module():
         rows = cert.lattice.generator_rows()
         want, _ = submodule_module(loc.quotient, rows)
         assert cert.lattice.to_module() == want
+
+
+def test_lazily_presented_modules_match_their_lattices():
+    """The module a certificate presents on first read is its lattice's
+    ``to_module()``: the same operator table and relations, on every
+    seeded and oracle localization."""
+    for loc in seeded_localizations() + oracle_localizations():
+        cert = intermediate_extension(loc)
+        want = cert.lattice.to_module()
+        assert cert.module.kappa_table == want.kappa_table
+        assert cert.module.relations == want.relations
+
 
 def test_module_presentations_echelonize_their_generators_twice(
     monkeypatch
@@ -900,7 +918,7 @@ def test_library_built_tables_pass_the_check_they_skip(monkeypatch):
         max_nilpotent_submodule(base)
         kernel(quotient_module(base, loc.torsion["generators"])[1])
         torsion_gamma_Z(loc.quotient, loc.ring.var(0) + loc.ring.one)
-        intermediate_extension(loc)
+        intermediate_extension(loc).module
     for p in (2, 3):
         plane = PolyRing(Fq(p, 1), ("x", "y"))
         for seq in (["y"], ["x", "y"], ["x*y+1", "x^2+y"]):
@@ -1032,17 +1050,14 @@ def test_minimality_oracle_confirms_the_certificates(twisted, line):
     assert minimality_oracle(cert) is True
 
 
-def test_minimality_oracle_rejects_an_enlarged_lattice(twisted):
-    """The full lattice also restricts the twisted operator, but its
-    quotient by the genuine minimal lattice is NOT nilpotent: the oracle
-    must flag it."""
-    _, loc_tw = twisted
+def enlarged_certificate(loc_tw):
+    """A fake certificate on the full lattice, which also restricts the
+    twisted operator."""
     R = loc_tw.ring
     big = Lattice(loc_tw, [(R.one,)])
     assert big.is_kappa_stable()
-    fake = IECertificate(
+    return IECertificate(
         big,
-        big.to_module(),
         {
             "localization_agreement": True,
             "torsion_nilpotent": True,
@@ -1053,7 +1068,41 @@ def test_minimality_oracle_rejects_an_enlarged_lattice(twisted):
         False,
         loc_tw,
     )
-    assert minimality_oracle(fake) is False
+
+
+def test_minimality_oracle_rejects_an_enlarged_lattice(twisted):
+    """The full lattice's quotient by the genuine minimal lattice is NOT
+    nilpotent: the oracle must flag it."""
+    _, loc_tw = twisted
+    assert minimality_oracle(enlarged_certificate(loc_tw)) is False
+
+
+def test_minimality_oracle_presents_a_module_only_past_the_first_sum(
+    twisted, monkeypatch
+):
+    """A genuine certificate is its own first test sum, so the oracle
+    answers True at bound 1 with no module presented; the enlarged fake's
+    T_1 != L, so it reads S_L from the lattice module, presented once."""
+    _, loc_tw = twisted
+
+    def refuse(module, gens):
+        raise AssertionError("a module was presented")
+
+    for namespace in (cartier, ie):
+        monkeypatch.setattr(namespace, "submodule_module", refuse)
+    assert minimality_oracle(intermediate_extension(loc_tw), bound=1) is True
+    monkeypatch.undo()
+    built = []
+    to_module = Lattice.to_module
+
+    def counted(self):
+        built.append(self)
+        return to_module(self)
+
+    monkeypatch.setattr(Lattice, "to_module", counted)
+    fake = enlarged_certificate(loc_tw)
+    assert minimality_oracle(fake, bound=1) is False
+    assert built == [fake.lattice]
 
 
 def test_minimality_oracle_answers_a_huge_bound_after_one_saturation(
@@ -1155,7 +1204,7 @@ def oracle_certificates():
             if lat not in seen and lat.is_kappa_stable():
                 seen.append(lat)
                 out.append((entry, name, IECertificate(
-                    lat, lat.to_module(), cert.checks, cert.indices, False, loc
+                    lat, cert.checks, cert.indices, False, loc
                 )))
     return out
 

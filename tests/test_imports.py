@@ -16,7 +16,10 @@ matrices of a finite model from ``FiniteModel.kappa_fp`` and
 ``submodules`` no call of ``hnf_extend`` or ``in_span`` takes
 ``<expr>.relation_hnf()``, or a local name bound to it, as an argument:
 the rest build a submodule's span and nonzero rows through
-``Presentation.span`` and ``Presentation.nonzero_rows``."""
+``Presentation.span`` and ``Presentation.nonzero_rows``; and inside
+``ie`` only the property ``IECertificate.module`` calls ``to_module``, so
+a certificate presents its lattice module on first read, not when it is
+built."""
 
 import ast
 import pathlib
@@ -477,3 +480,39 @@ def test_only_presentation_builds_spans_on_the_relations():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert relation_span_builders(sources) == []
+
+
+def to_module_callers(source):
+    """Line of each call ``<expr>.to_module(...)`` in ``source`` outside
+    the method ``IECertificate.module``."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for name, fn in _scopes(tree) if name == "IECertificate.module"
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "to_module" and id(node) not in allowed
+    )
+
+
+def test_scanner_finds_a_to_module_caller():
+    source = (
+        "class IECertificate:\n"
+        "    @property\n"
+        "    def module(self):\n"
+        "        return self.lattice.to_module()\n"
+        "\n"
+        "def _certificate(lattice):\n"
+        "    return IECertificate(lattice, lattice.to_module())\n"
+        "\n"
+        "module = Lattice(loc, rows).to_module()\n"
+    )
+    assert to_module_callers(source) == [7, 9]
+
+
+def test_only_the_certificate_module_presents_a_lattice():
+    source = (PACKAGE / "ie.py").read_text(encoding="utf-8")
+    assert to_module_callers(source) == []
