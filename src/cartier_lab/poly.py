@@ -16,6 +16,17 @@ logarithms), and division works in place on one dict of codes.  Exponent
 tuples and ``FieldElement`` appear only at the edges: ``leading``,
 ``coeff``, ``items``, ``sorted_terms``, parsing and printing.
 
+Division has one loop, ``_divide``, and it reduces by leading data that
+``_leads`` builds once per divisor set: ``IdealSpec`` builds it with its
+basis, and ``buchberger`` adds one entry per basis element as it
+arrives.  Divisibility of monomials is one integer test.  The exponents
+are spread one per 33-bit field (e_i at bit 33 i), which leaves bit 32 of
+each field free as a guard; with G the sum of the guards, a divides m
+exactly when ((spread m | G) - spread a) & G == G.  It is exact for every
+key: each exponent is below 2^32, so field i of spread m | G holds
+2^32 + m_i, subtracting a_i borrows from no other field, and the guard
+survives exactly when a_i <= m_i.
+
 Gröbner bases come from Buchberger's algorithm with the normal strategy
 and the Gebauer–Möller pair criteria (inputs capped at total degree 12,
 reduced S-pairs capped at 20000).  The algorithm stops only when every
@@ -31,8 +42,11 @@ dim R/I read off the leading monomials of its reduced Gröbner basis.
 
 The p-power structure enters through ``frobenius_decompose``: every f has
 a unique expansion f = sum_a g_a^p x^a over exponent vectors a in [0,p)^n,
-computed termwise with the p-th root on coefficients; powers f^n with
-n >= p take their base-p digits through the termwise ``pth_power``.
+computed termwise with the p-th root on coefficients and on the keys: over
+F_q[x] a key splits by one divmod, in two or three variables its fields
+are read inline and the quotient's partial sums packed directly; powers
+f^n with n >= p take their base-p digits through the termwise
+``pth_power``.
 """
 
 import itertools
@@ -53,6 +67,7 @@ _BUCHBERGER_PAIR_CAP = 20000
 _FIELD = 32
 _MASK = (1 << _FIELD) - 1
 _DEGREE_CAP = 1 << _FIELD  # total degrees stay below this
+_SPREAD = _FIELD + 1  # field width of spread exponents: a guard bit on top
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -179,6 +194,7 @@ class PolyRing:
         ring.nvars = n = len(variables)
         ring._top = _FIELD * max(n - 1, 0)  # shift of the total degree field
         ring._key_cap = 1 << (_FIELD * n)
+        ring._guard = sum(1 << (_SPREAD * i + _FIELD) for i in range(n))
         ring.zero = Polynomial(ring, {})
         ring.one = Polynomial(ring, {0: 1})
         return _RINGS.setdefault((ctx, variables), ring)
@@ -580,15 +596,34 @@ def frobenius_decompose(f):
 
     a runs over [0,p)^n; only nonzero components are returned.  The p-th
     root on coefficients makes the expansion exact over any F_{p^e}.
+    e -> (e mod p, e div p) is injective, so no two terms meet; the
+    quotient's key lies below the key, so it needs no cap check.
     """
     ring = f.ring
     n, p, root = ring.nvars, ring.ctx.p, ring.ctx._root
     comps = {}
-    for k, c in f.terms.items():
-        # e -> (e mod p, e div p) is injective: no two terms meet
-        e = _unpack(k, n)
-        a = tuple([x % p for x in e])
-        comps.setdefault(a, {})[_pack([x // p for x in e])] = root[c]
+    if n == 1:
+        for k, c in f.terms.items():
+            q, a = divmod(k, p)
+            comps.setdefault((a,), {})[q] = root[c]
+    elif n == 2:
+        for k, c in f.terms.items():
+            e0 = k & _MASK
+            e1 = (k >> _FIELD) - e0
+            q0 = e0 // p
+            comps.setdefault((e0 % p, e1 % p), {})[
+                q0 | (q0 + e1 // p) << _FIELD] = root[c]
+    elif n == 3:
+        for k, c in f.terms.items():
+            e0 = k & _MASK
+            s2 = (k >> _FIELD) & _MASK
+            e1, e2 = s2 - e0, (k >> 2 * _FIELD) - s2
+            q0 = e0 // p
+            q1 = q0 + e1 // p
+            comps.setdefault((e0 % p, e1 % p, e2 % p), {})[
+                q0 | q1 << _FIELD | (q1 + e2 // p) << 2 * _FIELD] = root[c]
+    elif f.terms:  # n == 0: the constant is its own component
+        comps[()] = {0: root[f.terms[0]]}
     return {a: Polynomial(ring, terms) for a, terms in comps.items()}
 
 
@@ -602,47 +637,72 @@ def frobenius_component(f, a):
 # ---------------------------------------------------------------------------
 
 
-def divmod_multi(f, divisors):
-    """Multivariate division: f = sum q_i d_i + r with no r-term divisible
-    by any leading monomial of the d_i.  Returns (quotients, r).
+def _spread(key, n):
+    """The exponents of a packed key, one per 33-bit field: e_i at bit
+    33 i, with bit 32 of each field free as the guard of ``_divide``."""
+    if n < 2:
+        return key
+    s1 = key & _MASK
+    if n == 2:
+        return s1 | ((key >> _FIELD) - s1) << _SPREAD
+    s2 = (key >> _FIELD) & _MASK
+    return s1 | (s2 - s1) << _SPREAD | ((key >> 2 * _FIELD) - s2) << 2 * _SPREAD
 
-    Works in place on one dict of codes: the leading monomial is the
-    largest key, and it is either cancelled by the first divisor whose
-    leading monomial divides it or moved to the remainder."""
-    ring = f.ring
-    ctx, n = ring.ctx, ring.nvars
-    neg, inv = ctx._neg, ctx._inv
-    leads = []  # (leading key, its exponents, -1 / leading coeff, terms)
+
+def _leads(divisors, ring):
+    """(leading key, spread leading exponents, code of -1 / leading coeff,
+    terms) of each divisor, the data ``_divide`` reduces by."""
+    neg, inv, n = ring.ctx._neg, ring.ctx._inv, ring.nvars
+    leads = []
     for d in divisors:
-        f._check(d)
+        ring.zero._check(d)
         if not d.terms:
             raise ValidationError("division by the zero polynomial")
         lk = max(d.terms)
-        leads.append((lk, _unpack(lk, n), neg[inv[d.terms[lk]]], d.terms))
-    quots = [{} for _ in divisors]
+        leads.append((lk, _spread(lk, n), neg[inv[d.terms[lk]]], d.terms))
+    return leads
+
+
+def _divide(ring, terms, leads, quots=None):
+    """The remainder of ``terms`` on division by ``leads`` (from
+    ``_leads``), with the quotient of leads[i] added to quots[i] when
+    ``quots`` is given: the one reduction loop.  The largest key is
+    cancelled by the first divisor whose leading monomial divides it (the
+    guard-bit test) or moved to the remainder."""
+    ctx, n = ring.ctx, ring.nvars
+    neg, guard = ctx._neg, ring._guard
     rem = {}
-    work = dict(f.terms)
-    le = operator.le
+    work = dict(terms)
     while work:
         m = max(work)
         c = work[m]
-        me = _unpack(m, n)
-        for quot, (lk, lexps, factor, terms) in zip(quots, leads):
-            if all(map(le, lexps, me)):
+        sm = _spread(m, n) | guard
+        for i, (lk, sa, factor, dterms) in enumerate(leads):
+            if (sm - sa) & guard == guard:
                 qc = _cmul(ctx, c, factor)  # -c / lc
-                quot[m - lk] = neg[qc]
-                _axpy(ctx, work, terms, m - lk, qc)
+                if quots is not None:
+                    quots[i][m - lk] = neg[qc]
+                _axpy(ctx, work, dterms, m - lk, qc)
                 break
         else:
             rem[m] = c
             del work[m]
+    return rem
+
+
+def divmod_multi(f, divisors):
+    """Multivariate division: f = sum q_i d_i + r with no r-term divisible
+    by any leading monomial of the d_i.  Returns (quotients, r)."""
+    ring = f.ring
+    quots = [{} for _ in divisors]
+    rem = _divide(ring, f.terms, _leads(divisors, ring), quots)
     return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
 
 
 def normal_form(f, basis):
     if not basis:
         return f
-    return divmod_multi(f, list(basis))[1]
+    return Polynomial(f.ring, _divide(f.ring, f.terms, _leads(basis, f.ring)))
 
 
 def s_polynomial(f, g):
@@ -700,16 +760,25 @@ def buchberger(generators, tracked=False):
     # empty
     n_in = len(gens) if tracked else 0
     basis, exprs, lexps = [], [], []  # lexps: leading exponents
+    lead = []  # lead[i]: the ``_leads`` entry of basis[i]
     active = []  # indices into basis, in order of arrival
     pairs = []  # (lcm key, i, j, lcm exponents)
 
-    def minus_combination(fexpr, quots, bexprs):
-        """fexpr - sum_i quots[i] bexprs[i]."""
+    def reduce_by(f, divisors):
+        """f's remainder on division by basis[g] for g in divisors, and
+        its quotient term dicts if tracked (else None)."""
+        quots = [{} for _ in divisors] if tracked else None
+        rem = _divide(ring, f.terms, [lead[g] for g in divisors], quots)
+        return Polynomial(ring, rem), quots
+
+    def minus_combination(fexpr, quots, divisors):
+        """fexpr - sum_i quots[i] exprs[divisors[i]]."""
         out = list(fexpr)
-        for q, bexpr in zip(quots, bexprs):
-            if not q.is_zero():
+        for q, g in zip(quots or (), divisors):
+            if q:
+                q = Polynomial(ring, q)
                 for k in range(n_in):
-                    out[k] = out[k] - q * bexpr[k]
+                    out[k] = out[k] - q * exprs[g][k]
         return out
 
     def update(h, hexpr):
@@ -719,6 +788,7 @@ def buchberger(generators, tracked=False):
         basis.append(h)
         exprs.append(hexpr)
         lexps.append(eh)
+        lead.extend(_leads([h], ring))
         # lcm of each new pair (g, h) -> the first g, or None if one is coprime
         new = {}
         for g in active:
@@ -754,8 +824,7 @@ def buchberger(generators, tracked=False):
         pairs.remove(pair)
         lcm, i, j, _ = pair
         fi, fj = basis[i], basis[j]
-        s = s_polynomial(fi, fj)
-        quots, rem = divmod_multi(s, [basis[g] for g in active])
+        rem, quots = reduce_by(s_polynomial(fi, fj), active)
         if rem.is_zero():
             continue
         sexpr = []
@@ -764,8 +833,7 @@ def buchberger(generators, tracked=False):
             tf = Polynomial(ring, {lcm - mi: inv[fi.terms[mi]]})
             tg = Polynomial(ring, {lcm - mj: inv[fj.terms[mj]]})
             sexpr = [tf * a - tg * b for a, b in zip(exprs[i], exprs[j])]
-        update(rem, minus_combination(
-            sexpr, quots, [exprs[g] for g in active]))
+        update(rem, minus_combination(sexpr, quots, active))
 
     # the minimal basis: no leading monomial divides another (update
     # leaves no two equal ones active), then each element reduced once by
@@ -780,8 +848,8 @@ def buchberger(generators, tracked=False):
         others = [o for o in minimal if o != g]
         b, ex = basis[g], exprs[g]
         if others:
-            quots, b = divmod_multi(b, [basis[o] for o in others])
-            ex = minus_combination(ex, quots, [exprs[o] for o in others])
+            b, quots = reduce_by(b, others)
+            ex = minus_combination(ex, quots, others)
         u = b.leading()[1].inv()
         out.append((b * u, [e * u for e in ex]))
     out.sort(key=lambda t: max(t[0].terms), reverse=True)
@@ -802,9 +870,13 @@ class IdealSpec:
             if g.ring is not ring:
                 raise ContextMismatchError("ideal generator from a different ring")
         self.groebner = tuple(buchberger(list(self.generators)))
+        self._leads = _leads(self.groebner, ring)
 
     def normal_form(self, f):
-        return normal_form(f, list(self.groebner))
+        self.ring.zero._check(f)
+        if not self._leads:
+            return f
+        return Polynomial(self.ring, _divide(self.ring, f.terms, self._leads))
 
     def contains(self, f):
         return self.normal_form(f).is_zero()
@@ -832,14 +904,15 @@ def solve_membership(f, generators):
     if not gens:
         return None if not f.is_zero() else []
     gb, exprs = buchberger(gens, tracked=True)
-    quots, rem = divmod_multi(f, gb)
-    if not rem.is_zero():
-        return None
     ring = f.ring
+    quots = [{} for _ in gb]
+    if _divide(ring, f.terms, _leads(gb, ring), quots):
+        return None
     coeffs = [ring.zero] * len(gens)
     for q, ex in zip(quots, exprs):
-        if q.is_zero():
+        if not q:
             continue
+        q = Polynomial(ring, q)
         for k in range(len(gens)):
             coeffs[k] = coeffs[k] + q * ex[k]
     # map back to the caller's (possibly zero-padded) generator list

@@ -19,7 +19,9 @@ the rest build a submodule's span and nonzero rows through
 ``Presentation.span`` and ``Presentation.nonzero_rows``; and inside
 ``ie`` only the property ``IECertificate.module`` calls ``to_module``, so
 a certificate presents its lattice module on first read, not when it is
-built."""
+built; and inside ``poly`` only ``_divide`` runs a reduction loop and
+nothing calls ``divmod_multi``, so every division reduces by leads its
+caller built once."""
 
 import ast
 import pathlib
@@ -516,3 +518,53 @@ def test_scanner_finds_a_to_module_caller():
 def test_only_the_certificate_module_presents_a_lattice():
     source = (PACKAGE / "ie.py").read_text(encoding="utf-8")
     assert to_module_callers(source) == []
+
+
+def _calls(node, name):
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def reduction_loops(source):
+    """Line of each ``while`` loop in ``source`` that calls ``_axpy``
+    outside the function ``_divide``, and of each call of
+    ``divmod_multi``."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for name, fn in _scopes(tree) if name == "_divide"
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if _calls(node, "divmod_multi")
+        or isinstance(node, ast.While) and id(node) not in allowed
+        and any(_calls(inner, "_axpy") for inner in ast.walk(node))
+    )
+
+
+def test_scanner_finds_a_reduction_loop():
+    source = (
+        "def _divide(ring, terms, leads):\n"
+        "    while work:\n"
+        "        _axpy(ctx, work, t, s, c)\n"
+        "\n"
+        "def buchberger(gens):\n"
+        "    for k, c in terms.items():\n"
+        "        _axpy(ctx, out, t, k, c)\n"
+        "    while pairs:\n"
+        "        quots, rem = divmod_multi(s, basis)\n"
+        "    while work:\n"
+        "        if work:\n"
+        "            poly._axpy(ctx, work, t, 0, 1)\n"
+        "\n"
+        "class IdealSpec:\n"
+        "    def normal_form(self, f):\n"
+        "        return divmod_multi(f, self.groebner)[1]\n"
+    )
+    assert reduction_loops(source) == [9, 10, 16]
+
+
+def test_only_divide_runs_the_reduction_loop():
+    source = (PACKAGE / "poly.py").read_text(encoding="utf-8")
+    assert reduction_loops(source) == []

@@ -12,6 +12,7 @@ from cartier_lab.errors import (
     ContextMismatchError,
     ParseError,
     UnsupportedRingError,
+    ValidationError,
 )
 from cartier_lab import poly
 from cartier_lab.fields import Fq, FrobeniusContext
@@ -180,7 +181,9 @@ def test_power_cap_is_checked_before_any_product(monkeypatch):
 # ------------------------------------------- Frobenius decomposition
 
 
-@pytest.mark.parametrize("p,e,nvars", [(2, 1, 1), (3, 1, 2), (2, 2, 1), (5, 1, 2)])
+@pytest.mark.parametrize("p,e,nvars", [
+    (2, 1, 1), (3, 1, 2), (2, 2, 1), (5, 1, 2), (3, 1, 3), (2, 3, 1),
+    (2, 3, 2), (2, 3, 3), (2, 1, 0)])
 def test_frobenius_decompose_roundtrip(p, e, nvars):
     """f = sum_a h_a^p x^a with a ranging over [0,p)^n, uniquely."""
     R = ring(p, e, nvars)
@@ -194,6 +197,25 @@ def test_frobenius_decompose_roundtrip(p, e, nvars):
                    R.zero) == f
         for a, h in comps.items():
             assert frobenius_component(f, a) == h
+
+
+@pytest.mark.parametrize("p,nvars,exps", [
+    (2, 1, [(2**32 - 2,), (2**32 - 1,), (2**31 + 1,), (0,)]),
+    (3, 3, [(2**31, 2**30, 1), (2**31 - 1, 0, 2**31), (0, 2**32 - 1, 0),
+            (1, 1, 2**32 - 3)]),
+    (5, 2, [(2**32 - 1, 0), (2**31, 2**31 - 1), (7, 2**32 - 9)]),
+])
+def test_frobenius_decompose_near_the_degree_cap(p, nvars, exps):
+    """Each term x^e goes to the component a with its exponent q, and
+    p q + a = e on exponent tuples, also for total degrees near 2^32."""
+    R = ring(p, 1, nvars)
+    f = sum((R.monomial(e) for e in exps), R.zero)
+    found = []
+    for a, g in frobenius_decompose(f).items():
+        for q, c in g.items():
+            assert c == R.ctx.one
+            found.append(tuple(p * qi + ai for qi, ai in zip(q, a)))
+    assert sorted(found) == sorted(exps)
 
 
 def test_frobenius_component_worked_example():
@@ -234,6 +256,116 @@ def test_divmod_multi_invariant():
             for d in divisors:
                 lm, _ = d.leading()
                 assert not all(m >= l for m, l in zip(mono, lm))
+
+
+def _reference_divmod(f, divisors):
+    """The division loop on exponent tuples with FieldElement arithmetic:
+    the grevlex-largest term is cancelled by the first divisor whose
+    leading monomial divides it, or moved to the remainder.  Returns
+    ({exponents: coefficient} per quotient, the same for the remainder)."""
+    zero = f.ring.ctx.zero
+    work = dict(f.items())
+    leads = [d.leading() for d in divisors]
+    quots, rem = [{} for _ in divisors], {}
+    while work:
+        m = max(work, key=grevlex_key)
+        c = work.pop(m)
+        for quot, (lm, lc), d in zip(quots, leads, divisors):
+            if all(a <= b for a, b in zip(lm, m)):
+                shift = tuple(b - a for a, b in zip(lm, m))
+                quot[shift] = q = c / lc
+                for e, dc in d.items():
+                    if e != lm:
+                        k = tuple(x + y for x, y in zip(e, shift))
+                        v = work.get(k, zero) - q * dc
+                        if v.is_zero():
+                            work.pop(k, None)
+                        else:
+                            work[k] = v
+                break
+        else:
+            rem[m] = c
+    return quots, rem
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3)])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+def test_divmod_multi_equals_the_reference_division(p, e, nvars):
+    R = ring(p, e, nvars)
+    rng = random.Random(SEED + 31 * p + 7 * e + nvars)
+    for _ in range(25):
+        f = R.random_poly(rng, max_degree=6, max_terms=8)
+        divisors = [g for g in (R.random_poly(rng, max_degree=3)
+                                for _ in range(rng.randrange(1, 4)))
+                    if not g.is_zero()]
+        if not divisors:
+            continue
+        quots, rem = divmod_multi(f, divisors)
+        ref_quots, ref_rem = _reference_divmod(f, divisors)
+        assert [dict(q.items()) for q in quots] == ref_quots
+        assert dict(rem.items()) == ref_rem
+        assert normal_form(f, divisors) == rem
+
+
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+def test_guard_bit_divisibility_equals_the_tuple_comparison(nvars):
+    """x^a divides x^m in ``_divide`` exactly when a <= m entrywise, for
+    exponents up to 2^32 - 1: single exponents 2^31 - 1, 2^31 and
+    2^32 - 1 fill a field's low 32 bits, where a guard at bit 31 fails."""
+    R = ring(2, 1, nvars)
+    edges = (0, 1, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 2, 2**32 - 1)
+    vectors = [v for v in itertools.product(edges, repeat=nvars)
+               if sum(v) < 2**32]
+    pairs = list(itertools.product(vectors, repeat=2))
+    rng = random.Random(SEED + nvars)
+    for _ in range(300):
+        # a random vector and a neighbour one apart in one exponent
+        v = [rng.randrange(2**32) for _ in range(nvars)]
+        while sum(v) >= 2**32:
+            v[rng.randrange(nvars)] //= 2
+        w = list(v)
+        if nvars:
+            i = rng.randrange(nvars)
+            w[i] = max(w[i] + rng.choice((-1, 1)), 0)
+        if sum(w) < 2**32:
+            pairs += [(tuple(v), tuple(w)), (tuple(w), tuple(v))]
+    for a, m in pairs:
+        leads = poly._leads([R.monomial(a)], R)
+        rem = poly._divide(R, {_pack(m): 1}, leads)
+        assert (not rem) == all(x <= y for x, y in zip(a, m)), (a, m)
+
+
+def test_division_by_zero_and_across_rings_is_refused():
+    R, S = ring(3, nvars=2), ring(5, nvars=2)
+    f = R.parse("x^2*y+1")
+    with pytest.raises(ValidationError, match="zero polynomial"):
+        divmod_multi(f, [R.parse("x"), R.zero])
+    with pytest.raises(ValidationError, match="zero polynomial"):
+        normal_form(f, [R.zero])
+    with pytest.raises(ContextMismatchError):
+        divmod_multi(f, [S.parse("x")])
+
+
+@pytest.mark.parametrize("p,e,nvars", [(2, 1, 2), (3, 1, 3), (2, 2, 2),
+                                       (2, 3, 3), (5, 1, 1)])
+def test_ideal_spec_normal_form_reuses_its_leads(p, e, nvars):
+    """IdealSpec.normal_form, on the leads built once in ``__init__``,
+    equals division by its basis; it returns f itself for an ideal of no
+    generators and refuses a polynomial over another ring."""
+    R = ring(p, e, nvars)
+    rng = random.Random(SEED + 13 * p + e + nvars)
+    for _ in range(6):
+        I = IdealSpec(R, [R.random_poly(rng, max_degree=3) for _ in range(3)])
+        for _ in range(5):
+            f = R.random_poly(rng, max_degree=6, max_terms=6)
+            assert I.normal_form(f) == normal_form(f, list(I.groebner))
+    zero_ideal = IdealSpec(R, [])
+    f = R.random_poly(rng, max_degree=4) + R.one
+    assert zero_ideal.normal_form(f) is f
+    other = ring(7, 1, nvars)
+    for J in (IdealSpec(R, [R.one]), zero_ideal):
+        with pytest.raises(ContextMismatchError):
+            J.normal_form(other.one)
 
 
 def test_buchberger_twisted_cubic():
